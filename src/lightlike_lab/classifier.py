@@ -19,7 +19,10 @@ point rather than statements about an ambient neighborhood.
 
 from __future__ import annotations
 
+import copy
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -45,6 +48,7 @@ from .geometry import (
     full_split,
     gauss_split,
     hl_vector,
+    induced_connection,
     lie_bracket,
     metric_deviation,
     rad_vector,
@@ -129,14 +133,6 @@ CHECK_ORDER: Tuple[str, ...] = (
     "thm-4.8",
     "thm-4.9",
     "audit-nonexistence",
-)
-
-# Checks that need an adapted frame at a point (everything except the
-# structure validators and the randomized audit).
-POINT_CHECKS: Tuple[str, ...] = tuple(
-    name
-    for name in CHECK_ORDER
-    if name not in ("metallic-validate", "compat-validate", "audit-nonexistence")
 )
 
 _WITNESS_CAP = 6
@@ -889,10 +885,11 @@ def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     checked = 0
     ok = True
     for w in fields:
-        for u in fields:
-            for v in fields:
+        induced = [induced_connection(ctx.frame, w, u) for u in fields]
+        for u, du in zip(fields, induced):
+            for v, dv in zip(fields, induced):
                 checked += 1
-                if metric_deviation(ctx.frame, w, u, v) != zero:
+                if metric_deviation(ctx.frame, w, u, v, du, dv) != zero:
                     ok = False
     return ok, checked
 
@@ -1409,6 +1406,18 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
 
 # ---- randomized nonexistence audit ----
 
+# The audit ignores the scene, so its witness depends only on the
+# generator state it starts from and the trial count.  Completed audits
+# are kept per process under that key, together with the generator
+# state they leave behind, and the least recently used is evicted.  The
+# five shipped fixtures that request the audit carry five distinct
+# seeds, so a process looping them under their own seeds needs five
+# entries; eight leave room for a few more.  An entry holds two
+# generator states, about 50 KB.
+_AUDIT_MEMO_SIZE = 8
+_AUDIT_MEMO: "OrderedDict[tuple, Tuple[tuple, Dict[str, object]]]" = OrderedDict()
+_AUDIT_MEMO_LOCK = threading.Lock()
+
 
 def check_single_null_obstruction(
     rng: random.Random, trials: int = 200
@@ -1421,7 +1430,35 @@ def check_single_null_obstruction(
     (null image pairing to one against its source) would force p = 0,
     so for positive p the satisfying count must be zero.  Finding one
     is not a verdict, it is a broken invariant.
+
+    A repeated call from the same generator state with the same trial
+    count reuses the first result: it returns a fresh copy of the
+    witness and leaves ``rng`` in the state the full sweep would have.
+    An audit that raises is never reused.
     """
+    key = (type(rng), rng.getstate(), trials)
+    with _AUDIT_MEMO_LOCK:
+        hit = _AUDIT_MEMO.get(key)
+        if hit is not None:
+            _AUDIT_MEMO.move_to_end(key)
+    if hit is None:
+        witness = _single_null_sweep(rng, trials)
+        hit = (rng.getstate(), witness)
+        with _AUDIT_MEMO_LOCK:
+            _AUDIT_MEMO[key] = hit
+            while len(_AUDIT_MEMO) > _AUDIT_MEMO_SIZE:
+                _AUDIT_MEMO.popitem(last=False)
+    else:
+        rng.setstate(hit[0])
+    return CheckEntry(
+        "audit-nonexistence",
+        Verdict.HOLDS,
+        REFERENCES["audit-nonexistence"],
+        copy.deepcopy(hit[1]),
+    )
+
+
+def _single_null_sweep(rng: random.Random, trials: int) -> Dict[str, object]:
     zero_counts: Dict[str, Dict[str, object]] = {}
     for p in (1, 2, 3):
         for q in (1, 2):
@@ -1452,7 +1489,7 @@ def check_single_null_obstruction(
                 "images_inside_the_transversal_span": image_in_span,
                 "forced_value_when_satisfied": str(p),
             }
-    witness: Dict[str, object] = {
+    return {
         "constraint_set": [
             "<xi, xi> = 0",
             "<J xi, J xi> = 0",
@@ -1462,9 +1499,6 @@ def check_single_null_obstruction(
         "sweep": zero_counts,
         "minimum_radical_dim_for_transversal_claims": 2,
     }
-    return CheckEntry(
-        "audit-nonexistence", Verdict.HOLDS, REFERENCES["audit-nonexistence"], witness
-    )
 
 
 # ---- dispatch table for the point checks ----

@@ -356,10 +356,6 @@ def star_forms_radical(
     return RadicalSplit(vec_neg(screen_part), rad_coeffs)
 
 
-def vec_neg(v: Vec) -> Vec:
-    return tuple(-x for x in v)
-
-
 def induced_connection(frame: AdaptedFrame, x: TangentField, y: TangentField) -> Vec:
     return gauss_split(frame, x, y).induced
 
@@ -654,13 +650,18 @@ def metric_deviation(
     w: TangentField,
     u: TangentField,
     v: TangentField,
+    du: Vec,
+    dv: Vec,
 ) -> QuadScalar:
-    """(nabla_W g)(U, V) = W<U, V> - <induced(W,U), V> - <U, induced(W,V)>."""
+    """(nabla_W g)(U, V) = W<U, V> - <du, V> - <U, dv>.
+
+    ``du`` and ``dv`` are induced(W, U) and induced(W, V); the caller
+    passes them because it sweeps many pairs along one W and computes
+    each once.
+    """
     space = frame.space
     scalar = pairing_poly(u.to_ambient(), v.to_ambient())
     w_of_scalar = scalar_derivative(w, scalar).eval(frame.point)
-    du = induced_connection(frame, w, u)
-    dv = induced_connection(frame, w, v)
     return (
         w_of_scalar
         - space.inner(du, v.value_at(frame.point))

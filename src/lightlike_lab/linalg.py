@@ -4,6 +4,11 @@ Everything is small (ambient dimension stays in single digits), so the
 implementation favors transparency: plain tuples, textbook Gaussian
 elimination with deterministic first-nonzero pivoting, no fraction-free
 tricks.  Division is exact in the scalar field, so elimination is too.
+
+Matrix products skip every term with a zero factor.  Exact sums do not
+depend on which zero terms they include, so the skipped terms change no
+value; they only save the scalar products, which dominate on the
+identity-heavy, diagonal and two-entry operands the generators build.
 """
 
 from __future__ import annotations
@@ -94,7 +99,10 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
     if not x:
         raise ShapeError("cannot apply a width-zero matrix")
     zero = x[0] * 0
-    return tuple(sum((r * s for r, s in zip(row, x)), start=zero) for row in a)
+    support = [(k, s) for k, s in enumerate(x) if s]
+    return tuple(
+        sum((row[k] * s for k, s in support if row[k]), start=zero) for row in a
+    )
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -102,14 +110,18 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         return ()
     if len(a[0]) != len(b):
         raise ShapeError(f"inner dimensions {len(a[0])} vs {len(b)}")
-    bt = transpose(b)
-    return tuple(
-        tuple(
-            sum((x * y for x, y in zip(row, col)), start=row[0] * 0)
-            for col in bt
-        )
-        for row in a
-    )
+    zero = a[0][0] * 0
+    width = len(b[0])
+    b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * width
+        for x, support in zip(row, b_support):
+            if x:
+                for j, y in support:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def rref(a: Mat) -> Tuple[Mat, Tuple[int, ...]]:

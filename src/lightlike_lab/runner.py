@@ -33,8 +33,7 @@ from .errors import (
     NotLightlike,
     ValidationError,
 )
-from .geometry import AmbientField, TangentField, coordinate_field
-from .polynomials import Polynomial
+from .geometry import TangentField, coordinate_field, pairing_poly
 from .scalars import QuadScalar
 from .scenes import Scene
 
@@ -86,14 +85,6 @@ def _aggregate(verdicts: List[Verdict]) -> Verdict:
     return Verdict.NOT_APPLICABLE
 
 
-def _pairing_polynomial(space, a: AmbientField, b: AmbientField) -> Polynomial:
-    m = a.immersion.chart_dim
-    acc = Polynomial.zero(m, space.params)
-    for eps, x, y in zip(space.eps, a.components, b.components):
-        acc = acc + (x * y).scale(QuadScalar(eps, 0, space.params))
-    return acc
-
-
 class _SceneRun:
     def __init__(self, scene: Scene, seed: int) -> None:
         self.scene = scene
@@ -141,7 +132,7 @@ class _SceneRun:
                         )
                     values.append(value)
                     for target in coord_amb:
-                        pairing = _pairing_polynomial(ctx.space, amb, target)
+                        pairing = pairing_poly(amb, target)
                         for j in range(m):
                             if pairing.partial(j).eval(point) != zero:
                                 raise ValidationError(
@@ -167,7 +158,7 @@ class _SceneRun:
                         )
                     values.append(value)
                     for target in trans_amb:
-                        pairing = _pairing_polynomial(ctx.space, amb, target)
+                        pairing = pairing_poly(amb, target)
                         for j in range(m):
                             if pairing.partial(j).eval(point) != zero:
                                 raise ValidationError(

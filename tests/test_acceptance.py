@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
+from lightlike_lab import classifier
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace, diag_branches
 from lightlike_lab.classifier import (
     POINT_CHECK_FUNCTIONS,
@@ -308,9 +309,9 @@ def scene_battery(g):
     for w in fields:
         for u in fields[:2]:
             for v in fields[-2:]:
-                dev = metric_deviation(frame, w, u, v)
                 hu = gauss_split(frame, w, u)
                 hv = gauss_split(frame, w, v)
+                dev = metric_deviation(frame, w, u, v, hu.induced, hv.induced)
                 other = space.inner(
                     hl_vector(frame, hu.hl), v.value_at(pt)
                 ) + space.inner(u.value_at(pt), hl_vector(frame, hv.hl))
@@ -514,6 +515,8 @@ def test_criterion_6_theorem_oracle_agreement():
 
 
 def test_criterion_7_single_null_audit():
+    # time a cold audit, not one reused from an earlier test
+    classifier._AUDIT_MEMO.clear()
     t0 = time.perf_counter()
     entry = check_single_null_obstruction(random.Random(20260817), trials=200)
     elapsed = time.perf_counter() - t0
@@ -545,6 +548,8 @@ def test_criterion_8_deterministic_reports():
     for name in FIXTURE_NAMES:
         scene = load_scene(name)
         first = run(scene, seed=99)
+        # a second cold audit, not the first one reused
+        classifier._AUDIT_MEMO.clear()
         second = run(scene, seed=99)
         assert first.serialize() == second.serialize(), name
         json.loads(first.serialize())  # stays parseable, not just stable

@@ -5,9 +5,11 @@ algebra rules out must abort instead of reporting a verdict."""
 import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from lightlike_lab import classifier
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace
 from lightlike_lab.classifier import (
     CHECK_ORDER,
@@ -27,6 +29,7 @@ from lightlike_lab.geometry import lie_bracket, split_tangent
 from lightlike_lab.linalg import invert, mat_mul, transpose
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
+from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion
 
 P0 = MetallicParams(0, 2)
@@ -431,8 +434,103 @@ def test_single_null_obstruction_sweeps_every_parameter_pair():
 
 def test_single_null_obstruction_is_deterministic():
     a = check_single_null_obstruction(random.Random(7), trials=40)
+    # two cold sweeps from one seed, not the first one reused
+    classifier._AUDIT_MEMO.clear()
     b = check_single_null_obstruction(random.Random(7), trials=40)
     assert a == b
+
+
+@pytest.fixture
+def empty_audit_memo():
+    classifier._AUDIT_MEMO.clear()
+    yield
+    classifier._AUDIT_MEMO.clear()
+
+
+def _refuse_candidates(rng, params):
+    raise AssertionError("a reused audit must not draw candidates")
+
+
+def test_repeated_audit_reuses_the_first_result(empty_audit_memo, monkeypatch):
+    cold_rng = random.Random(7)
+    cold = check_single_null_obstruction(cold_rng, trials=40)
+    monkeypatch.setattr(classifier, "null_dual_candidate", _refuse_candidates)
+    warm_rng = random.Random(7)
+    warm = check_single_null_obstruction(warm_rng, trials=40)
+    assert warm == cold
+    assert json.dumps(warm.witness) == json.dumps(cold.witness)
+    # the caller's generator ends where the full sweep leaves it
+    assert warm_rng.getstate() == cold_rng.getstate()
+    with pytest.raises(AssertionError):
+        check_single_null_obstruction(random.Random(7), trials=41)
+
+
+def test_reused_audit_witness_is_a_private_copy(empty_audit_memo):
+    first = check_single_null_obstruction(random.Random(3), trials=10)
+    expected = json.dumps(first.witness)
+    first.witness["sweep"]["p=1,q=1"]["satisfying_candidates"] = 99
+    first.witness["constraint_set"].append("tampered")
+    second = check_single_null_obstruction(random.Random(3), trials=10)
+    assert json.dumps(second.witness) == expected
+    second.witness["sweep"].clear()
+    third = check_single_null_obstruction(random.Random(3), trials=10)
+    assert json.dumps(third.witness) == expected
+
+
+def test_audit_memo_stays_bounded(empty_audit_memo):
+    for seed in range(classifier._AUDIT_MEMO_SIZE + 3):
+        check_single_null_obstruction(random.Random(seed), trials=1)
+    assert len(classifier._AUDIT_MEMO) == classifier._AUDIT_MEMO_SIZE
+
+
+def test_audit_memo_holds_every_shipped_fixture_seed(empty_audit_memo, monkeypatch):
+    """Looping the fixtures under their own seeds reuses every audit."""
+    fixtures = resources.files("lightlike_lab") / "fixtures"
+    scenes = [
+        parse_scene(f.read_bytes()) for f in fixtures.iterdir() if f.name.endswith(".json")
+    ]
+    seeds = [s.seed for s in scenes if "audit-nonexistence" in s.checks]
+    assert seeds
+    for seed in seeds:
+        check_single_null_obstruction(random.Random(seed), trials=1)
+    monkeypatch.setattr(classifier, "null_dual_candidate", _refuse_candidates)
+    for _ in range(2):
+        for seed in seeds:
+            check_single_null_obstruction(random.Random(seed), trials=1)
+
+
+def test_audit_memo_evicts_the_least_recently_used(empty_audit_memo, monkeypatch):
+    size = classifier._AUDIT_MEMO_SIZE
+    for seed in range(size):
+        check_single_null_obstruction(random.Random(seed), trials=1)
+    check_single_null_obstruction(random.Random(0), trials=1)  # 0 is now recent
+    check_single_null_obstruction(random.Random(size), trials=1)  # evicts 1
+    monkeypatch.setattr(classifier, "null_dual_candidate", _refuse_candidates)
+    check_single_null_obstruction(random.Random(0), trials=1)
+    with pytest.raises(AssertionError):
+        check_single_null_obstruction(random.Random(1), trials=1)
+
+
+def _identity_breaking_candidate(rng, params):
+    """J = 2I on a non-null xi: <J xi, J xi> = 4 but p <J xi, xi> = 2p."""
+    rng.random()
+    space = SignatureSpace(2, (-1, 1), params)
+    zero = QuadScalar.zero(params)
+    two = QuadScalar(2, 0, params)
+    one = QuadScalar.one(params)
+    structure = MetallicStructure(space, ((two, zero), (zero, two)))
+    return space, structure, (zero, one), (one, zero)
+
+
+def test_failed_audit_is_not_reused(empty_audit_memo, monkeypatch):
+    monkeypatch.setattr(classifier, "null_dual_candidate", _identity_breaking_candidate)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency):
+            check_single_null_obstruction(random.Random(5), trials=3)
+    assert not classifier._AUDIT_MEMO
+    monkeypatch.undo()
+    entry = check_single_null_obstruction(random.Random(5), trials=3)
+    assert entry.verdict == Verdict.HOLDS
 
 
 def test_obstruction_forced_value_names_the_linear_coefficient():

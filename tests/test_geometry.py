@@ -355,9 +355,9 @@ def test_metric_deviation_two_paths():
         frame = surface_frame(point)
         for w in (D1, D2, x):
             for u, v in [(D2, D2), (x, y), (D1, D2)]:
-                dev = metric_deviation(frame, w, u, v)
                 hu = gauss_split(frame, w, u)
                 hv = gauss_split(frame, w, v)
+                dev = metric_deviation(frame, w, u, v, hu.induced, hv.induced)
                 path2 = frame.space.inner(
                     hl_vector(frame, hu.hl), v.value_at(point)
                 ) + frame.space.inner(u.value_at(point), hl_vector(frame, hv.hl))
@@ -367,7 +367,10 @@ def test_metric_deviation_two_paths():
 def test_metric_deviation_nonzero_here():
     """This surface is not metric: the deviation has a nonzero value."""
     frame = surface_frame(OFF_POINT)
-    dev = metric_deviation(frame, D2, D2, D1)
+    dev = metric_deviation(
+        frame, D2, D2, D1,
+        gauss_split(frame, D2, D2).induced, gauss_split(frame, D2, D1).induced,
+    )
     assert dev != 0
 
 

@@ -36,7 +36,7 @@ from lightlike_lab.linalg import (
     vec_scale,
     vec_sub,
 )
-from lightlike_lab.scalars import GOLDEN, QuadScalar
+from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
 
 P = GOLDEN
 
@@ -313,3 +313,88 @@ def test_vector_helpers():
         vec_add(u, as_vec([1], P))
     with pytest.raises(ShapeError):
         as_mat([[1, 2], [3]], P)
+
+
+# ---- products against the dense textbook product ----
+
+# two irrational sigmas, then two square discriminants (sigma = 2 and 4)
+PRODUCT_PARAMS = (GOLDEN, SILVER, MetallicParams(1, 2), MetallicParams(3, 4))
+
+
+def dense_mat_mul(a, b):
+    zero = a[0][0] * 0
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(len(b))), start=zero)
+            for j in range(len(b[0]))
+        )
+        for i in range(len(a))
+    )
+
+
+def dense_mat_vec(a, x):
+    zero = x[0] * 0
+    return tuple(
+        sum((row[k] * x[k] for k in range(len(x))), start=zero) for row in a
+    )
+
+
+def exact(rows):
+    """Stored coefficients, so equal values must also be stored alike."""
+    return tuple(
+        (x.a, x.b, x.params) if isinstance(x, QuadScalar) else exact(x) for x in rows
+    )
+
+
+@st.composite
+def patterned_matrices(draw, params, nrows, ncols):
+    value = st.builds(
+        lambda n, d, b: QuadScalar(Fraction(n, d), b, params),
+        st.integers(-3, 3),
+        st.integers(1, 3),
+        st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]),
+    )
+    rows = [[draw(value) for _ in range(ncols)] for _ in range(nrows)]
+    zero = QuadScalar.zero(params)
+    pattern = draw(st.sampled_from(("dense", "zero-row", "zero-col", "single", "zero")))
+    if pattern == "zero-row":
+        rows[draw(st.integers(0, nrows - 1))] = [zero] * ncols
+    elif pattern == "zero-col":
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = zero
+    elif pattern in ("single", "zero"):
+        keep = (draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1)))
+        rows = [
+            [
+                x if pattern == "single" and (i, j) == keep else zero
+                for j, x in enumerate(row)
+            ]
+            for i, row in enumerate(rows)
+        ]
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_products_match_dense_textbook_product(data):
+    params = data.draw(st.sampled_from(PRODUCT_PARAMS), label="params")
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = data.draw(patterned_matrices(params, r, k), label="a")
+    b = data.draw(patterned_matrices(params, k, c), label="b")
+    (x,) = data.draw(patterned_matrices(params, 1, k), label="x")
+    assert exact(mat_mul(a, b)) == exact(dense_mat_mul(a, b))
+    assert exact(mat_vec(a, x)) == exact(dense_mat_vec(a, x))
+
+
+def test_product_shape_guards():
+    row = as_mat([[1, 2]], P)
+    with pytest.raises(ShapeError):
+        mat_mul(row, row)
+    with pytest.raises(ShapeError):
+        mat_vec(row, as_vec([1], P))
+    with pytest.raises(ShapeError):
+        mat_vec(((),), ())
+    assert mat_mul((), row) == ()
+    assert mat_mul(row, ()) == ()
+    assert mat_vec((), as_vec([1], P)) == ()
