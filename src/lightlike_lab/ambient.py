@@ -166,31 +166,6 @@ def validate_compatibility(
     return (not defects, defects)
 
 
-def bilinear_transfer_audit(
-    space: SignatureSpace, matrix: Mat
-) -> List[StructureDefect]:
-    """Residuals of <J e_i, J e_j> - p <e_i, J e_j> - q <e_i, e_j>.
-
-    Implied by the two validators, so a valid structure must return an
-    empty list; kept as an independent audit rather than trusted.
-    """
-    n = space.dim
-    defects = []
-    basis = [space.basis_vector(i) for i in range(n)]
-    images = [mat_vec(matrix, b) for b in basis]
-    zero = QuadScalar.zero(space.params)
-    for i in range(n):
-        for j in range(n):
-            residual = (
-                space.inner(images[i], images[j])
-                - space.params.p * space.inner(basis[i], images[j])
-                - space.params.q * space.inner(basis[i], basis[j])
-            )
-            if residual != zero:
-                defects.append(StructureDefect("bilinear-transfer", i, j, residual, zero))
-    return defects
-
-
 @dataclass(frozen=True)
 class MetallicStructure:
     """A validated-or-not structure endomorphism attached to its space."""

@@ -32,18 +32,15 @@ from .ambient import (
     validate_compatibility,
     validate_metallic,
 )
-from .errors import (
-    InternalInconsistency,
-    NotInSpan,
-    NotLightlike,
-)
+from .errors import InternalInconsistency, NotLightlike
 from .generators import null_dual_candidate
 from .geometry import (
-    AmbientField,
+    AmbientJet,
+    ChartJet,
     FieldKit,
-    TangentField,
+    TangentJet,
     build_field_kit,
-    coordinate_field,
+    chart_jet,
     derive,
     full_split,
     gauss_split,
@@ -53,7 +50,6 @@ from .geometry import (
     metric_deviation,
     rad_vector,
     split_tangent,
-    tangent_from_constants,
 )
 from .linalg import (
     Subspace,
@@ -68,7 +64,6 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .polynomials import Polynomial
 from .scalars import MetallicParams, QuadScalar
 from .submanifold import PolynomialImmersion, build_frame
 
@@ -162,20 +157,12 @@ def _residual_witness(samples: List[Tuple[List[int], Sequence[QuadScalar]]]) -> 
     }
 
 
-def apply_structure_field(structure: MetallicStructure, field: AmbientField) -> AmbientField:
-    """Compose the constant structure matrix with an ambient field."""
-    n = structure.space.dim
-    m = field.immersion.chart_dim
-    params = structure.space.params
-    comps = []
-    for i in range(n):
-        acc = Polynomial.zero(m, params)
-        for k in range(n):
-            c = structure.matrix[i][k]
-            if c != QuadScalar.zero(params):
-                acc = acc + field.components[k].scale(c)
-        comps.append(acc)
-    return AmbientField(field.immersion, tuple(comps))
+def apply_structure_field(structure: MetallicStructure, field: AmbientJet) -> AmbientJet:
+    """Compose the constant structure matrix with an ambient section:
+    J applies to the value and to each partial."""
+    return AmbientJet(
+        structure.apply(field.value), tuple(structure.apply(d) for d in field.partials)
+    )
 
 
 # ---- slot projections ----
@@ -305,7 +292,8 @@ class ProjectorSet:
 
 
 class PointContext:
-    """Frame, lazy kit, lazy predicates and projections at one point."""
+    """Frame, lazy chart jet and kit, lazy predicates and projections
+    at one point."""
 
     def __init__(
         self,
@@ -320,6 +308,7 @@ class PointContext:
         self.immersion = immersion
         self.structure = structure
         self.frame = build_frame(immersion, point, screen_override, normal_screen_override)
+        self._chart: Optional[ChartJet] = None
         self._kit: Optional[FieldKit] = None
         self._valid: Optional[bool] = None
         self._rad_trans: Optional[Tuple[bool, Dict[str, object]]] = None
@@ -335,9 +324,14 @@ class PointContext:
     def params(self) -> MetallicParams:
         return self.space.params
 
+    def chart(self) -> ChartJet:
+        if self._chart is None:
+            self._chart = chart_jet(self.immersion, self.frame)
+        return self._chart
+
     def kit(self) -> FieldKit:
         if self._kit is None:
-            self._kit = build_field_kit(self.immersion, self.frame)
+            self._kit = build_field_kit(self.chart(), self.frame)
         return self._kit
 
     def structure_valid(self) -> bool:
@@ -465,47 +459,6 @@ class PointContext:
         proj = ProjectorSet(self.structure, mode, labels, bases)
         self._proj[mode] = proj
         return proj
-
-
-# ---- structure image decompositions ----
-
-
-def decompose_tangent_image(
-    ctx: PointContext, v: Vec, mode: str
-) -> Dict[str, Vec]:
-    """Split the structure image of a tangent vector into named parts.
-
-    Mode 'radical-transversal' names the screen and transversal parts;
-    mode 'transversal' names the mapped-screen and transversal parts.
-    All slots are returned so the parts always sum to the image.
-    """
-    if not ctx.frame.tangent.contains(v):
-        raise NotInSpan("vector is not tangent at this point")
-    parts = ctx.projectors(mode).split(ctx.structure.apply(v))
-    return parts
-
-
-def decompose_normal_screen_image(ctx: PointContext, v: Vec) -> Dict[str, Vec]:
-    """Split the structure image of a normal-screen vector.
-
-    Returns the mapped-screen preimage part, its complement part, and
-    their structure images, which sum to the image of v.
-    """
-    if not ctx.frame.normal_screen.contains(v):
-        raise NotInSpan("vector is not in the normal screen at this point")
-    proj = ctx.projectors("transversal")
-    dv = proj.letter("D", v)
-    ev = proj.letter("E", v)
-    bv = ctx.structure.apply(dv)
-    cv = ctx.structure.apply(ev)
-    return {
-        "mapped-screen-part": dv,
-        "mu-part": ev,
-        "image-of-mapped-screen-part": bv,
-        "image-of-mu-part": cv,
-        "s1": proj.letter("S1", bv),
-        "s2": proj.letter("S2", bv),
-    }
 
 
 # ---- structure validators as checks ----
@@ -693,19 +646,16 @@ def check_mapped_screen_complement_invariance(ctx: PointContext) -> CheckEntry:
 
 def _constant_split_fields(
     ctx: PointContext, j: int
-) -> Tuple[TangentField, TangentField]:
+) -> Tuple[TangentJet, TangentJet]:
     """Coordinate field number j split into constant-coefficient screen
     and radical parts."""
     frame = ctx.frame
+    chart = ctx.chart()
     w0 = frame.tangent_jacobian[j]
     screen_part, rad_coeffs = split_tangent(frame, w0)
     rad_part = rad_vector(frame, rad_coeffs)
-    tw = tangent_from_constants(
-        ctx.immersion, coords_in_basis(frame.tangent_jacobian, screen_part)
-    )
-    qw = tangent_from_constants(
-        ctx.immersion, coords_in_basis(frame.tangent_jacobian, rad_part)
-    )
+    tw = chart.tangent(coords_in_basis(frame.tangent_jacobian, screen_part))
+    qw = chart.tangent(coords_in_basis(frame.tangent_jacobian, rad_part))
     return tw, qw
 
 
@@ -733,19 +683,17 @@ def _structure_equations_radical_transversal(ctx: PointContext) -> int:
     grouping is a pointwise identity once the predicate holds.
     """
     frame = ctx.frame
-    imm = ctx.immersion
+    coords = ctx.chart().coordinates
     J = ctx.structure
-    m = imm.chart_dim
     pairs = 0
-    for j in range(m):
+    for j, w in enumerate(coords):
         tw, qw = _constant_split_fields(ctx, j)
-        sw_field = apply_structure_field(J, tw.to_ambient())
-        lw_field = apply_structure_field(J, qw.to_ambient())
-        for i in range(m):
-            u = coordinate_field(imm, i)
-            sw = full_split(frame, derive(u, sw_field).value_at(frame.point))
-            lw = full_split(frame, derive(u, lw_field).value_at(frame.point))
-            g = gauss_split(frame, u, coordinate_field(imm, j))
+        sw_field = apply_structure_field(J, tw)
+        lw_field = apply_structure_field(J, qw)
+        for i, u in enumerate(coords):
+            sw = full_split(frame, derive(u, sw_field))
+            lw = full_split(frame, derive(u, lw_field))
+            g = gauss_split(frame, u, w)
             ind_screen, ind_rad = split_tangent(frame, g.induced)
             s_nabla = J.apply(ind_screen)
             l_nabla = J.apply(rad_vector(frame, ind_rad))
@@ -782,20 +730,18 @@ def _structure_equations_radical_transversal(ctx: PointContext) -> int:
 def _structure_equations_transversal(ctx: PointContext) -> int:
     """Slot-by-slot reassembly for the mapped-screen configuration."""
     frame = ctx.frame
-    imm = ctx.immersion
+    coords = ctx.chart().coordinates
     J = ctx.structure
     proj = ctx.projectors("transversal")
-    m = imm.chart_dim
     pairs = 0
-    for j in range(m):
+    for j, w in enumerate(coords):
         tw, qw = _constant_split_fields(ctx, j)
-        kw_field = apply_structure_field(J, tw.to_ambient())
-        lw_field = apply_structure_field(J, qw.to_ambient())
-        for i in range(m):
-            u = coordinate_field(imm, i)
-            kw = full_split(frame, derive(u, kw_field).value_at(frame.point))
-            lw = full_split(frame, derive(u, lw_field).value_at(frame.point))
-            g = gauss_split(frame, u, coordinate_field(imm, j))
+        kw_field = apply_structure_field(J, tw)
+        lw_field = apply_structure_field(J, qw)
+        for i, u in enumerate(coords):
+            kw = full_split(frame, derive(u, kw_field))
+            lw = full_split(frame, derive(u, lw_field))
+            g = gauss_split(frame, u, w)
             ind_screen, ind_rad = split_tangent(frame, g.induced)
             k_nabla = J.apply(ind_screen)
             l_nabla = J.apply(rad_vector(frame, ind_rad))
@@ -878,9 +824,7 @@ def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     """Deviation of the induced connection from metricity, on all
     coordinate triples; the deviation is a tensor, so coordinate fields
     span every case."""
-    imm = ctx.immersion
-    m = imm.chart_dim
-    fields = [coordinate_field(imm, j) for j in range(m)]
+    fields = ctx.chart().coordinates
     zero = QuadScalar.zero(ctx.params)
     checked = 0
     ok = True
@@ -902,7 +846,7 @@ def _screen_bracket_oracle(ctx: PointContext, kit: FieldKit) -> Tuple[bool, List
     for a in range(s):
         for b in range(a + 1, s):
             br = lie_bracket(kit.screen_adapted[a], kit.screen_adapted[b])
-            _, rad_coeffs = split_tangent(frame, br.value_at(frame.point))
+            _, rad_coeffs = split_tangent(frame, br)
             if any(c != QuadScalar.zero(ctx.params) for c in rad_coeffs):
                 bad.append(([a, b], rad_coeffs))
     return (not bad), bad
@@ -916,7 +860,7 @@ def _radical_bracket_oracle(ctx: PointContext, kit: FieldKit) -> Tuple[bool, Lis
     for c in range(r):
         for d in range(c + 1, r):
             br = lie_bracket(kit.radical[c], kit.radical[d])
-            screen_part, _ = split_tangent(frame, br.value_at(frame.point))
+            screen_part, _ = split_tangent(frame, br)
             if not is_zero_vec(screen_part):
                 bad.append(([c, d], screen_part))
     return (not bad), bad
@@ -981,12 +925,11 @@ def check_metric_connection_radical_transversal(ctx: PointContext) -> CheckEntry
         return gate
     kit = ctx.kit()
     frame = ctx.frame
-    imm = ctx.immersion
     samples: List[Tuple[List[int], Vec]] = []
     for c, xi_field in enumerate(kit.radical):
-        section = apply_structure_field(ctx.structure, xi_field.to_ambient())
-        for j in range(imm.chart_dim):
-            d = derive(coordinate_field(imm, j), section).value_at(frame.point)
+        section = apply_structure_field(ctx.structure, xi_field)
+        for j, u in enumerate(ctx.chart().coordinates):
+            d = derive(u, section)
             shape = vec_neg(full_split(frame, d).tangent)
             screen_part, _ = split_tangent(frame, shape)
             if not is_zero_vec(screen_part):
@@ -1016,18 +959,11 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
     samples: List[Tuple[List[int], Vec]] = []
     # the criterion uses the literal structure-composed adapted fields,
     # the same gauge the bracket oracle probes
-    plain = [
-        apply_structure_field(ctx.structure, kit.screen_adapted[b].to_ambient())
-        for b in range(s)
-    ]
+    plain = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
     for a in range(s):
         for b in range(a + 1, s):
-            left = full_split(
-                frame, derive(kit.screen_adapted[a], plain[b]).value_at(frame.point)
-            ).ltr_coeffs
-            right = full_split(
-                frame, derive(kit.screen_adapted[b], plain[a]).value_at(frame.point)
-            ).ltr_coeffs
+            left = full_split(frame, derive(kit.screen_adapted[a], plain[b])).ltr_coeffs
+            right = full_split(frame, derive(kit.screen_adapted[b], plain[a])).ltr_coeffs
             diff = tuple(x - y for x, y in zip(left, right))
             if any(c != QuadScalar.zero(ctx.params) for c in diff):
                 samples.append(([a, b], diff))
@@ -1049,17 +985,15 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
     kit = ctx.kit()
     frame = ctx.frame
     r = frame.radical_dim
-    sections = [
-        apply_structure_field(ctx.structure, f.to_ambient()) for f in kit.radical
-    ]
+    sections = [apply_structure_field(ctx.structure, f) for f in kit.radical]
     samples: List[Tuple[List[int], Vec]] = []
     for c in range(r):
         for d in range(c + 1, r):
             left = vec_neg(
-                full_split(frame, derive(kit.radical[d], sections[c]).value_at(frame.point)).tangent
+                full_split(frame, derive(kit.radical[d], sections[c])).tangent
             )
             right = vec_neg(
-                full_split(frame, derive(kit.radical[c], sections[d]).value_at(frame.point)).tangent
+                full_split(frame, derive(kit.radical[c], sections[d])).tangent
             )
             diff = vec_sub(left, right)
             if not is_zero_vec(diff):
@@ -1091,8 +1025,8 @@ def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry
     for c, w in enumerate(kit.radical):
         for b in range(s):
             z = kit.screen_adapted[b]
-            mapped = apply_structure_field(ctx.structure, z.to_ambient())
-            d_mapped = full_split(frame, derive(w, mapped).value_at(frame.point))
+            mapped = apply_structure_field(ctx.structure, z)
+            d_mapped = full_split(frame, derive(w, mapped))
             _, h1 = split_tangent(frame, d_mapped.tangent)
             g = gauss_split(frame, w, z)
             _, h0 = split_tangent(frame, g.induced)
@@ -1132,14 +1066,12 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     p = QuadScalar(ctx.params.p, 0, ctx.params)
     transfer = [_transfer_parts(ctx, n) for n in frame.ltr]
     no_transversal_component = all(is_zero_vec(k1) for k1, _ in transfer)
-    composed = [
-        apply_structure_field(ctx.structure, f.to_ambient()) for f in kit.screen_adapted
-    ]
+    composed = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
     samples: List[Tuple[List[int], List[QuadScalar]]] = []
     printed_samples: List[Tuple[List[int], Vec]] = []
     for a in range(s):
         for b in range(s):
-            d1 = full_split(frame, derive(kit.screen_adapted[a], composed[b]).value_at(frame.point))
+            d1 = full_split(frame, derive(kit.screen_adapted[a], composed[b]))
             _, h1_coeffs = split_tangent(frame, d1.tangent)
             h1 = rad_vector(frame, h1_coeffs)
             hl1 = hl_vector(frame, d1.ltr_coeffs)
@@ -1190,18 +1122,12 @@ def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
     kit = ctx.kit()
     frame = ctx.frame
     r = frame.radical_dim
-    sections = [
-        apply_structure_field(ctx.structure, f.to_ambient()) for f in kit.radical
-    ]
+    sections = [apply_structure_field(ctx.structure, f) for f in kit.radical]
     samples: List[Tuple[List[int], Vec]] = []
     for c in range(r):
         for d in range(c + 1, r):
-            left = full_split(
-                frame, derive(kit.radical[c], sections[d]).value_at(frame.point)
-            ).normal_screen
-            right = full_split(
-                frame, derive(kit.radical[d], sections[c]).value_at(frame.point)
-            ).normal_screen
+            left = full_split(frame, derive(kit.radical[c], sections[d])).normal_screen
+            right = full_split(frame, derive(kit.radical[d], sections[c])).normal_screen
             diff = vec_sub(left, right)
             if not is_zero_vec(diff):
                 samples.append(([c, d], diff))
@@ -1227,18 +1153,12 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
         return CheckEntry(
             "thm-4.6", Verdict.HOLDS, REFERENCES["thm-4.6"], {"vacuous": True}
         )
-    sections = [
-        apply_structure_field(ctx.structure, f.to_ambient()) for f in kit.screen_adapted
-    ]
+    sections = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
     samples: List[Tuple[List[int], Vec]] = []
     for a in range(s):
         for b in range(a + 1, s):
-            left = full_split(
-                frame, derive(kit.screen_adapted[a], sections[b]).value_at(frame.point)
-            ).ltr_coeffs
-            right = full_split(
-                frame, derive(kit.screen_adapted[b], sections[a]).value_at(frame.point)
-            ).ltr_coeffs
+            left = full_split(frame, derive(kit.screen_adapted[a], sections[b])).ltr_coeffs
+            right = full_split(frame, derive(kit.screen_adapted[b], sections[a])).ltr_coeffs
             diff = tuple(x - y for x, y in zip(left, right))
             if any(c != QuadScalar.zero(ctx.params) for c in diff):
                 samples.append(([a, b], diff))
@@ -1272,9 +1192,7 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
             "thm-4.7", Verdict.HOLDS, REFERENCES["thm-4.7"], {"vacuous": True}
         )
     p = QuadScalar(ctx.params.p, 0, ctx.params)
-    composed = [
-        apply_structure_field(ctx.structure, f.to_ambient()) for f in kit.screen_adapted
-    ]
+    composed = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
     j_ltr = [ctx.structure.apply(n) for n in frame.ltr]
     samples: List[Tuple[List[int], List[QuadScalar]]] = []
     conj_coupling = True
@@ -1282,7 +1200,7 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     conj_shape_clear = True
     for a in range(s):
         for b in range(s):
-            d1 = full_split(frame, derive(kit.screen_adapted[a], composed[b]).value_at(frame.point))
+            d1 = full_split(frame, derive(kit.screen_adapted[a], composed[b]))
             shape = vec_neg(d1.tangent)
             dl = hl_vector(frame, d1.ltr_coeffs)
             g0 = gauss_split(frame, kit.screen_adapted[a], kit.screen_adapted[b])
@@ -1343,8 +1261,8 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     for c, w in enumerate(kit.radical):
         for b in range(s):
             z = kit.screen_adapted[b]
-            mapped = apply_structure_field(ctx.structure, z.to_ambient())
-            d1 = full_split(frame, derive(w, mapped).value_at(frame.point))
+            mapped = apply_structure_field(ctx.structure, z)
+            d1 = full_split(frame, derive(w, mapped))
             shape = vec_neg(d1.tangent)
             g0 = gauss_split(frame, w, z)
             _, h0_coeffs = split_tangent(frame, g0.induced)
@@ -1380,15 +1298,13 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
         return gate
     kit = ctx.kit()
     frame = ctx.frame
-    imm = ctx.immersion
     proj = ctx.projectors("transversal")
     p = QuadScalar(ctx.params.p, 0, ctx.params)
     samples: List[Tuple[List[int], Vec]] = []
     for c, xi_field in enumerate(kit.radical):
-        section = apply_structure_field(ctx.structure, xi_field.to_ambient())
-        for j in range(imm.chart_dim):
-            u = coordinate_field(imm, j)
-            d = full_split(frame, derive(u, section).value_at(frame.point))
+        section = apply_structure_field(ctx.structure, xi_field)
+        for j, u in enumerate(ctx.chart().coordinates):
+            d = full_split(frame, derive(u, section))
             q1 = proj.letter("Q1", ctx.structure.apply(d.normal_screen))
             g = gauss_split(frame, u, xi_field)
             m1 = proj.letter("M1", ctx.structure.apply(g.hs))

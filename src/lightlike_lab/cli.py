@@ -26,17 +26,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Check lightlike submanifold scenes in exact arithmetic.",
     )
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a scene's requested checks")
-    verify.add_argument("scene", nargs="?", help="scene JSON file")
-    verify.add_argument("--report", metavar="OUT", help="write the JSON report here")
-    verify.add_argument("--seed", type=int, help="override the scene seed")
-    verify.add_argument(
+    parser.add_argument("scene", nargs="?", help="scene JSON file")
+    parser.add_argument("--report", metavar="OUT", help="write the JSON report here")
+    parser.add_argument("--seed", type=int, help="override the scene seed")
+    parser.add_argument(
         "--float-check",
         action="store_true",
         help="also run the floating-point frame oracle at 1e-9",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--list-checks",
         action="store_true",
         help="list known check identifiers and exit",

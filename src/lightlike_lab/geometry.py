@@ -1,12 +1,19 @@
-"""Fields along an immersion and exact splits of their flat derivatives.
+"""First-order jets of fields along an immersion, and exact splits of
+their flat derivatives.
 
-The ambient space is flat, so the ambient covariant derivative of a
-field given by chart-coordinate polynomials is literally the chain
-rule, computed exactly.  At a frame point any ambient vector splits
-uniquely into tangent + transversal-null + normal-screen parts, and any
-tangent vector further into screen + radical parts; the second
-fundamental forms, shape operators, and induced connections are read
-off those splits.
+Every criterion the checks evaluate is a pointwise identity in first
+derivatives of frame fields at one chart point, so a field is carried
+as its first-order jet there.  An ambient section is its value plus its
+chart partials.  A tangent field sum_j X^j W_j, where W_j = d_j f are
+the coordinate fields, is its chart coefficients X^j and their
+partials; its ambient jet follows from the immersion's Jacobian and
+Hessian at the point.  The ambient space is flat, so the derivative of
+a section V along X at the point is literally sum_j X^j d_j V, exact.
+
+At a frame point any ambient vector splits uniquely into tangent +
+transversal-null + normal-screen parts, and any tangent vector further
+into screen + radical parts; the second fundamental forms, shape
+operators, and induced connections are read off those splits.
 
 Conventions for the returned pieces (X tangent, Y tangent, N a
 transversal-null section, Z a normal-screen section, xi a radical
@@ -25,8 +32,9 @@ dual transversal frame, in matching order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from .ambient import SignatureSpace
 from .errors import InsufficientScene, InternalInconsistency, NotInSpan, ShapeError
 from .linalg import (
     Vec,
@@ -38,182 +46,126 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .polynomials import Polynomial
 from .scalars import QuadScalar
 from .submanifold import AdaptedFrame, PolynomialImmersion
 
 
 @dataclass(frozen=True)
-class AmbientField:
-    """Ambient-space-valued polynomial map over the chart."""
+class AmbientJet:
+    """An ambient section at the frame point: its value V and its chart
+    partials, partials[l] = d_l V."""
 
-    immersion: PolynomialImmersion
-    components: Tuple[Polynomial, ...]
-
-    def __post_init__(self) -> None:
-        space = self.immersion.space
-        if len(self.components) != space.dim:
-            raise ShapeError("component count does not match ambient dimension")
-        for c in self.components:
-            if c.nvars != self.immersion.chart_dim:
-                raise ShapeError("component variable count does not match chart")
-
-    def value_at(self, point: Sequence[QuadScalar]) -> Vec:
-        return tuple(c.eval(point) for c in self.components)
-
-    def __add__(self, other: "AmbientField") -> "AmbientField":
-        self._check(other)
-        return AmbientField(
-            self.immersion,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "AmbientField") -> "AmbientField":
-        self._check(other)
-        return AmbientField(
-            self.immersion,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
-
-    def scale(self, c: QuadScalar) -> "AmbientField":
-        return AmbientField(self.immersion, tuple(p.scale(c) for p in self.components))
-
-    def scale_poly(self, factor: Polynomial) -> "AmbientField":
-        return AmbientField(self.immersion, tuple(factor * p for p in self.components))
-
-    def _check(self, other: "AmbientField") -> None:
-        if self.immersion != other.immersion:
-            raise ShapeError("fields live along different immersions")
+    value: Vec
+    partials: Tuple[Vec, ...]
 
 
 @dataclass(frozen=True)
-class TangentField:
-    """Tangent field written in chart coefficients: sum_j coeffs[j] W_j."""
+class TangentJet(AmbientJet):
+    """A tangent field sum_j X^j W_j at the frame point.
 
-    immersion: PolynomialImmersion
-    coeffs: Tuple[Polynomial, ...]
+    Besides its ambient jet it keeps the chart coefficients X^j, their
+    partials coeff_partials[l][j] = d_l X^j, and the coordinate vectors
+    W_j they refer to, which is what a Lie bracket needs.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.immersion.chart_dim:
+    coeffs: Tuple[QuadScalar, ...]
+    coeff_partials: Tuple[Tuple[QuadScalar, ...], ...]
+    jacobian: Tuple[Vec, ...]
+
+
+@dataclass(frozen=True)
+class ChartJet:
+    """The immersion to second order at the frame point, held as the
+    coordinate fields W_j: value d_j f, partials d_l d_j f."""
+
+    coordinates: Tuple[TangentJet, ...]
+
+    def tangent(
+        self,
+        coeffs: Sequence[QuadScalar],
+        coeff_partials: Optional[Sequence[Sequence[QuadScalar]]] = None,
+    ) -> TangentJet:
+        """sum_j X^j W_j from X^j and d_l X^j (indexed [l][j]); the
+        partials default to zero, a constant-coefficient field."""
+        coords = self.coordinates
+        m = len(coords)
+        if len(coeffs) != m:
             raise ShapeError("coefficient count does not match chart dimension")
-        for c in self.coeffs:
-            if c.nvars != self.immersion.chart_dim:
-                raise ShapeError("coefficient variable count does not match chart")
-
-    def to_ambient(self) -> AmbientField:
-        comps = []
-        for i, f_i in enumerate(self.immersion.components):
-            acc = Polynomial.zero(self.immersion.chart_dim, self.immersion.space.params)
-            for j, coeff in enumerate(self.coeffs):
-                acc = acc + coeff * f_i.partial(j)
-            comps.append(acc)
-        return AmbientField(self.immersion, tuple(comps))
-
-    def value_at(self, point: Sequence[QuadScalar]) -> Vec:
-        return self.to_ambient().value_at(point)
-
-    def coeff_values(self, point: Sequence[QuadScalar]) -> Tuple[QuadScalar, ...]:
-        return tuple(c.eval(point) for c in self.coeffs)
-
-    def __add__(self, other: "TangentField") -> "TangentField":
-        if self.immersion != other.immersion:
-            raise ShapeError("fields live along different immersions")
-        return TangentField(
-            self.immersion, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        jac = coords[0].jacobian
+        # d_l (X^j W_j) = (d_l X^j) W_j + X^j d_l W_j
+        partials = [
+            lin_comb(coeffs, tuple(w.partials[l] for w in coords)) for l in range(m)
+        ]
+        if coeff_partials is None:
+            zero = QuadScalar.zero(jac[0][0].params)
+            coeff_partials = ((zero,) * m,) * m
+        else:
+            partials = [
+                vec_add(lin_comb(row, jac), d) for row, d in zip(coeff_partials, partials)
+            ]
+        return TangentJet(
+            lin_comb(coeffs, jac),
+            tuple(partials),
+            tuple(coeffs),
+            tuple(tuple(row) for row in coeff_partials),
+            jac,
         )
 
-    def scale_poly(self, factor: Polynomial) -> "TangentField":
-        return TangentField(self.immersion, tuple(factor * c for c in self.coeffs))
 
-
-def constant_field(immersion: PolynomialImmersion, vec: Vec) -> AmbientField:
-    """Ambient field with a fixed value everywhere."""
-    m = immersion.chart_dim
-    return AmbientField(
-        immersion,
-        tuple(Polynomial.constant(x, m, immersion.space.params) for x in vec),
+def chart_jet(immersion: PolynomialImmersion, frame: AdaptedFrame) -> ChartJet:
+    """Coordinate fields at the frame point.  This is the one place the
+    immersion's Hessian is evaluated, so callers build it lazily."""
+    jac = frame.tangent_jacobian
+    hessian = immersion.hessian(frame.point)
+    m = len(jac)
+    params = frame.space.params
+    zero, one = QuadScalar.zero(params), QuadScalar.one(params)
+    flat = ((zero,) * m,) * m
+    return ChartJet(
+        tuple(
+            TangentJet(
+                jac[j],
+                tuple(hessian[l][j] for l in range(m)),
+                tuple(one if k == j else zero for k in range(m)),
+                flat,
+                jac,
+            )
+            for j in range(m)
+        )
     )
 
 
-def coordinate_field(immersion: PolynomialImmersion, j: int) -> TangentField:
-    m = immersion.chart_dim
-    if not 0 <= j < m:
-        raise ShapeError(f"chart index {j} out of range")
-    params = immersion.space.params
+def lie_bracket(x: TangentJet, y: TangentJet) -> Vec:
+    """[X, Y] at the point: sum_k (sum_j X^j d_j Y^k - Y^j d_j X^k) W_k."""
+    m = len(x.coeffs)
+    zero = QuadScalar.zero(x.jacobian[0][0].params)
     coeffs = tuple(
-        Polynomial.constant(1 if i == j else 0, m, params) for i in range(m)
+        sum(
+            (
+                x.coeffs[j] * y.coeff_partials[j][k]
+                - y.coeffs[j] * x.coeff_partials[j][k]
+                for j in range(m)
+            ),
+            start=zero,
+        )
+        for k in range(m)
     )
-    return TangentField(immersion, coeffs)
+    return lin_comb(coeffs, x.jacobian)
 
 
-def tangent_from_constants(
-    immersion: PolynomialImmersion, consts: Sequence
-) -> TangentField:
-    m = immersion.chart_dim
-    params = immersion.space.params
-    if len(consts) != m:
-        raise ShapeError("constant count does not match chart dimension")
-    return TangentField(
-        immersion,
-        tuple(Polynomial.constant(c, m, params) for c in consts),
+def pairing_gradient(
+    space: SignatureSpace, u: AmbientJet, v: AmbientJet
+) -> Tuple[QuadScalar, ...]:
+    """d_l <U, V> at the point, for every chart direction l."""
+    return tuple(
+        space.inner(du, v.value) + space.inner(u.value, dv)
+        for du, dv in zip(u.partials, v.partials)
     )
 
 
-def lie_bracket(x: TangentField, y: TangentField) -> TangentField:
-    """[X, Y]^k = sum_j (X^j dY^k/du_j - Y^j dX^k/du_j), exact."""
-    if x.immersion != y.immersion:
-        raise ShapeError("fields live along different immersions")
-    m = x.immersion.chart_dim
-    out = []
-    for k in range(m):
-        acc = Polynomial.zero(m, x.immersion.space.params)
-        for j in range(m):
-            acc = acc + x.coeffs[j] * y.coeffs[k].partial(j)
-            acc = acc - y.coeffs[j] * x.coeffs[k].partial(j)
-        out.append(acc)
-    return TangentField(x.immersion, tuple(out))
-
-
-def scalar_derivative(x: TangentField, scalar: Polynomial) -> Polynomial:
-    """X applied to a chart function."""
-    if scalar.nvars != x.immersion.chart_dim:
-        raise ShapeError("scalar variable count does not match chart")
-    acc = Polynomial.zero(scalar.nvars, scalar.params)
-    for j, coeff in enumerate(x.coeffs):
-        acc = acc + coeff * scalar.partial(j)
-    return acc
-
-
-def pairing_poly(u: AmbientField, v: AmbientField) -> Polynomial:
-    """<U, V> as a chart polynomial."""
-    if u.immersion != v.immersion:
-        raise ShapeError("fields live along different immersions")
-    space = u.immersion.space
-    acc = Polynomial.zero(u.immersion.chart_dim, space.params)
-    for e, a, b in zip(space.eps, u.components, v.components):
-        term = a * b
-        if e == -1:
-            term = -term
-        acc = acc + term
-    return acc
-
-
-def derive(x: TangentField, v: AmbientField) -> AmbientField:
-    """Flat ambient derivative of V along X: componentwise chain rule."""
-    if x.immersion != v.immersion:
-        raise ShapeError("fields live along different immersions")
-    m = x.immersion.chart_dim
-    comps = []
-    for comp in v.components:
-        acc = Polynomial.zero(m, comp.params)
-        for j, coeff in enumerate(x.coeffs):
-            acc = acc + coeff * comp.partial(j)
-        comps.append(acc)
-    return AmbientField(x.immersion, tuple(comps))
-
-
-def derive_tangent(x: TangentField, y: TangentField) -> AmbientField:
-    return derive(x, y.to_ambient())
+def derive(x: TangentJet, v: AmbientJet) -> Vec:
+    """Flat ambient derivative of V along X at the point: sum_j X^j d_j V."""
+    return lin_comb(x.coeffs, v.partials)
 
 
 # ---- pointwise splits ----
@@ -283,8 +235,8 @@ class GaussSplit:
     hs: Vec
 
 
-def gauss_split(frame: AdaptedFrame, x: TangentField, y: TangentField) -> GaussSplit:
-    deriv = derive_tangent(x, y).value_at(frame.point)
+def gauss_split(frame: AdaptedFrame, x: TangentJet, y: TangentJet) -> GaussSplit:
+    deriv = derive(x, y)
     parts = full_split(frame, deriv)
     return GaussSplit(parts.tangent, parts.ltr_coeffs, parts.normal_screen)
 
@@ -299,9 +251,9 @@ class TransversalSplit:
 
 
 def weingarten_transversal(
-    frame: AdaptedFrame, x: TangentField, n_field: AmbientField
+    frame: AdaptedFrame, x: TangentJet, n_field: AmbientJet
 ) -> TransversalSplit:
-    deriv = derive(x, n_field).value_at(frame.point)
+    deriv = derive(x, n_field)
     parts = full_split(frame, deriv)
     return TransversalSplit(vec_neg(parts.tangent), parts.ltr_coeffs, parts.normal_screen)
 
@@ -316,9 +268,9 @@ class NormalScreenSplit:
 
 
 def weingarten_normal_screen(
-    frame: AdaptedFrame, x: TangentField, z_field: AmbientField
+    frame: AdaptedFrame, x: TangentJet, z_field: AmbientJet
 ) -> NormalScreenSplit:
-    deriv = derive(x, z_field).value_at(frame.point)
+    deriv = derive(x, z_field)
     parts = full_split(frame, deriv)
     return NormalScreenSplit(vec_neg(parts.tangent), parts.ltr_coeffs, parts.normal_screen)
 
@@ -332,7 +284,7 @@ class ScreenSplit:
 
 
 def star_forms_screen(
-    frame: AdaptedFrame, x: TangentField, u: TangentField
+    frame: AdaptedFrame, x: TangentJet, u: TangentJet
 ) -> ScreenSplit:
     """Screen connection and radical-valued second form of the screen."""
     induced = gauss_split(frame, x, u).induced
@@ -349,14 +301,14 @@ class RadicalSplit:
 
 
 def star_forms_radical(
-    frame: AdaptedFrame, x: TangentField, xi: TangentField
+    frame: AdaptedFrame, x: TangentJet, xi: TangentJet
 ) -> RadicalSplit:
     induced = gauss_split(frame, x, xi).induced
     screen_part, rad_coeffs = split_tangent(frame, induced)
     return RadicalSplit(vec_neg(screen_part), rad_coeffs)
 
 
-def induced_connection(frame: AdaptedFrame, x: TangentField, y: TangentField) -> Vec:
+def induced_connection(frame: AdaptedFrame, x: TangentJet, y: TangentJet) -> Vec:
     return gauss_split(frame, x, y).induced
 
 
@@ -386,7 +338,8 @@ def rad_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:
 # the frame to first order, not just at the point: radical fields must
 # stay radical to first order, and the section pairings that the
 # duality identities differentiate must be stationary.  The kit builds
-# all of that by exact linear solves.
+# all of that by exact linear solves, one per chart direction, whose
+# solutions are the fields' partials at the point.
 
 
 @dataclass(frozen=True)
@@ -401,27 +354,16 @@ class FieldKit:
     """
 
     frame: AdaptedFrame
-    radical: Tuple[TangentField, ...]
-    screen: Tuple[TangentField, ...]
-    normal_screen: Tuple[AmbientField, ...]
-    transversal: Tuple[AmbientField, ...]
-    screen_adapted: Tuple[TangentField, ...]
-
-    def tangent_spanning(self) -> Tuple[TangentField, ...]:
-        return self.screen + self.radical
-
-
-def _shifted_variable(
-    immersion: PolynomialImmersion, j: int, point: Sequence[QuadScalar]
-) -> Polynomial:
-    m = immersion.chart_dim
-    params = immersion.space.params
-    return Polynomial.variable(j, m, params) - Polynomial.constant(point[j], m, params)
+    radical: Tuple[TangentJet, ...]
+    screen: Tuple[TangentJet, ...]
+    normal_screen: Tuple[AmbientJet, ...]
+    transversal: Tuple[AmbientJet, ...]
+    screen_adapted: Tuple[TangentJet, ...]
 
 
 def radical_tangent_fields(
-    immersion: PolynomialImmersion, frame: AdaptedFrame
-) -> Tuple[TangentField, ...]:
+    chart: ChartJet, frame: AdaptedFrame
+) -> Tuple[TangentJet, ...]:
     """Tangent fields that equal the radical basis at the point and stay
     radical to first order.
 
@@ -431,33 +373,22 @@ def radical_tangent_fields(
     does not cannot support the checks that differentiate radical
     fields, hence InsufficientScene.
     """
-    m = immersion.chart_dim
-    params = immersion.space.params
-    point = frame.point
     if frame.radical_dim == 0:
         return ()
-    w_ambient = [
-        AmbientField(immersion, immersion.partial_polys(j)) for j in range(m)
-    ]
-    gram_polys = tuple(
-        tuple(pairing_poly(w_ambient[j], w_ambient[k]) for k in range(m))
-        for j in range(m)
-    )
-    gram0 = tuple(tuple(p.eval(point) for p in row) for row in gram_polys)
+    space = frame.space
+    coords = chart.coordinates
+    m = len(coords)
+    gram0 = tuple(tuple(space.inner(a.value, b.value) for b in coords) for a in coords)
+    d_gram = tuple(tuple(pairing_gradient(space, a, b) for b in coords) for a in coords)
     fields = []
     for xi in frame.rad_basis:
         c0 = coords_in_basis(frame.tangent_jacobian, xi)
-        coeff_polys = [
-            Polynomial.constant(c, m, params) for c in c0
-        ]
+        gammas = []
         for l in range(m):
-            d_gram = tuple(
-                tuple(p.partial(l).eval(point) for p in row) for row in gram_polys
-            )
             rhs = tuple(
                 -sum(
-                    (d_gram[j][k] * c0[j] for j in range(m)),
-                    start=QuadScalar.zero(params),
+                    (d_gram[j][k][l] * c0[j] for j in range(m)),
+                    start=QuadScalar.zero(space.params),
                 )
                 for k in range(m)
             )
@@ -466,190 +397,132 @@ def radical_tangent_fields(
                 raise InsufficientScene(
                     "radical direction does not extend to first order here"
                 )
-            shift = _shifted_variable(immersion, l, point)
-            coeff_polys = [
-                c + shift * Polynomial.constant(g, m, params)
-                for c, g in zip(coeff_polys, gamma)
-            ]
-        fields.append(TangentField(immersion, tuple(coeff_polys)))
+            gammas.append(gamma)
+        fields.append(chart.tangent(c0, gammas))
     return tuple(fields)
 
 
 def screen_tangent_fields(
-    immersion: PolynomialImmersion, frame: AdaptedFrame
-) -> Tuple[TangentField, ...]:
+    chart: ChartJet, frame: AdaptedFrame
+) -> Tuple[TangentJet, ...]:
     """Constant-coefficient tangent fields through the screen basis."""
-    params = immersion.space.params
-    m = immersion.chart_dim
-    fields = []
-    for s in frame.screen.basis:
-        coords = coords_in_basis(frame.tangent_jacobian, s)
-        fields.append(
-            TangentField(
-                immersion,
-                tuple(Polynomial.constant(c, m, params) for c in coords),
-            )
-        )
-    return tuple(fields)
+    return tuple(
+        chart.tangent(coords_in_basis(frame.tangent_jacobian, s))
+        for s in frame.screen.basis
+    )
 
 
 def _linear_corrected_section(
-    immersion: PolynomialImmersion,
     frame: AdaptedFrame,
     base: Vec,
-    targets: Sequence[AmbientField],
+    targets: Sequence[AmbientJet],
     rhs_extra: Sequence[Sequence[QuadScalar]] = (),
     extra_rows: Sequence[Vec] = (),
-) -> AmbientField:
-    """base + sum_l (u_l - pt_l) mu_l with <mu_l, target_k(pt)> forced.
+) -> AmbientJet:
+    """Section with value base and partials mu_l, <mu_l, T_k(pt)> forced.
 
-    For each chart direction l the correction solves
+    For each chart direction l the partial solves
         <mu_l, T_k(pt)> = -<base, (d_l T_k)(pt)>
-    so every pairing <section(u), T_k(u)> is stationary at the point.
+    so every pairing <section, T_k> is stationary at the point.
     extra_rows/rhs_extra append further exact linear conditions.
     """
-    space = immersion.space
-    m = immersion.chart_dim
-    point = frame.point
-    rows = [
-        tuple(space.eps[i] * t.value_at(point)[i] for i in range(space.dim))
-        for t in targets
-    ]
-    for row_vec in extra_rows:
-        rows.append(tuple(space.eps[i] * row_vec[i] for i in range(space.dim)))
-    comps = list(constant_field(immersion, base).components)
-    for l in range(m):
-        rhs = []
-        for t in targets:
-            dval = tuple(c.partial(l).eval(point) for c in t.components)
-            rhs.append(-space.inner(base, dval))
-        for extra in rhs_extra:
-            rhs.append(extra[l])
+    space = frame.space
+    rows = [tuple(e * x for e, x in zip(space.eps, t.value)) for t in targets]
+    rows += [tuple(e * x for e, x in zip(space.eps, row)) for row in extra_rows]
+    partials = []
+    for l in range(len(frame.point)):
+        rhs = [-space.inner(base, t.partials[l]) for t in targets]
+        rhs += [extra[l] for extra in rhs_extra]
         mu = solve(tuple(rows), tuple(rhs))
         if mu is None:
             raise InternalInconsistency(
                 "section correction system became inconsistent"
             )
-        shift = _shifted_variable(immersion, l, point)
-        comps = [
-            c + shift * Polynomial.constant(mu_i, m, immersion.space.params)
-            for c, mu_i in zip(comps, mu)
-        ]
-    return AmbientField(immersion, tuple(comps))
+        partials.append(mu)
+    return AmbientJet(base, tuple(partials))
 
 
 def normal_screen_sections(
-    immersion: PolynomialImmersion, frame: AdaptedFrame
-) -> Tuple[AmbientField, ...]:
+    chart: ChartJet, frame: AdaptedFrame
+) -> Tuple[AmbientJet, ...]:
     """Sections through the normal-screen basis, normal to first order."""
-    m = immersion.chart_dim
-    w_fields = [coordinate_field(immersion, j).to_ambient() for j in range(m)]
     return tuple(
-        _linear_corrected_section(immersion, frame, z, w_fields)
+        _linear_corrected_section(frame, z, chart.coordinates)
         for z in frame.normal_screen.basis
     )
 
 
 def transversal_sections(
-    immersion: PolynomialImmersion,
     frame: AdaptedFrame,
-    rad_fields: Sequence[TangentField],
-    screen_fields: Sequence[TangentField],
-    ns_sections: Sequence[AmbientField],
-) -> Tuple[AmbientField, ...]:
+    rad_fields: Sequence[TangentJet],
+    screen_fields: Sequence[TangentJet],
+    ns_sections: Sequence[AmbientJet],
+) -> Tuple[AmbientJet, ...]:
     """Sections through the transversal frame with every frame pairing
     stationary: against the corrected radical fields, the screen fields,
     the normal-screen sections, and the other transversal values."""
-    params = immersion.space.params
-    m = immersion.chart_dim
-    targets = [f.to_ambient() for f in rad_fields]
-    targets += [f.to_ambient() for f in screen_fields]
-    targets += list(ns_sections)
-    zero_rows = tuple(
-        tuple(QuadScalar.zero(params) for _ in range(m)) for _ in frame.ltr
-    )
-    out = []
-    for n0 in frame.ltr:
-        out.append(
-            _linear_corrected_section(
-                immersion,
-                frame,
-                n0,
-                targets,
-                rhs_extra=zero_rows,
-                extra_rows=frame.ltr,
-            )
+    zero = QuadScalar.zero(frame.space.params)
+    targets = list(rad_fields) + list(screen_fields) + list(ns_sections)
+    zero_rows = tuple((zero,) * len(frame.point) for _ in frame.ltr)
+    return tuple(
+        _linear_corrected_section(
+            frame, n0, targets, rhs_extra=zero_rows, extra_rows=frame.ltr
         )
-    return tuple(out)
+        for n0 in frame.ltr
+    )
 
 
 def screen_adapted_fields(
-    immersion: PolynomialImmersion,
+    chart: ChartJet,
     frame: AdaptedFrame,
-    trans_sections: Sequence[AmbientField],
-) -> Tuple[TangentField, ...]:
+    trans_sections: Sequence[AmbientJet],
+) -> Tuple[TangentJet, ...]:
     """Tangent fields through the screen basis whose pairings with the
     transversal sections are stationary, so their radical part vanishes
     to first order and brackets probe the screen distribution."""
-    params = immersion.space.params
-    space = immersion.space
-    m = immersion.chart_dim
-    point = frame.point
     if not trans_sections:
-        return screen_tangent_fields(immersion, frame)
-    w_fields = [coordinate_field(immersion, j).to_ambient() for j in range(m)]
+        return screen_tangent_fields(chart, frame)
+    space = frame.space
+    coords = chart.coordinates
+    m = len(coords)
     rows = tuple(
-        tuple(
-            space.inner(w_fields[a].value_at(point), n.value_at(point))
-            for a in range(m)
-        )
-        for n in trans_sections
+        tuple(space.inner(w.value, n.value) for w in coords) for n in trans_sections
     )
     fields = []
     for s in frame.screen.basis:
         c0 = coords_in_basis(frame.tangent_jacobian, s)
-        coeff_polys = [Polynomial.constant(c, m, params) for c in c0]
+        mus = []
         for l in range(m):
             rhs = []
             for n in trans_sections:
-                n_deriv = tuple(c.partial(l).eval(point) for c in n.components)
-                drift = space.inner(s, n_deriv)
+                drift = space.inner(s, n.partials[l])
                 for a in range(m):
-                    w_deriv = tuple(
-                        c.partial(l).eval(point) for c in w_fields[a].components
-                    )
-                    drift = drift + c0[a] * space.inner(w_deriv, n.value_at(point))
+                    drift = drift + c0[a] * space.inner(coords[a].partials[l], n.value)
                 rhs.append(-drift)
             mu = solve(rows, tuple(rhs))
             if mu is None:
                 raise InternalInconsistency(
                     "screen adaptation system became inconsistent"
                 )
-            shift = _shifted_variable(immersion, l, point)
-            coeff_polys = [
-                c + shift * Polynomial.constant(mu_a, m, params)
-                for c, mu_a in zip(coeff_polys, mu)
-            ]
-        fields.append(TangentField(immersion, tuple(coeff_polys)))
+            mus.append(mu)
+        fields.append(chart.tangent(c0, mus))
     return tuple(fields)
 
 
-def build_field_kit(
-    immersion: PolynomialImmersion, frame: AdaptedFrame
-) -> FieldKit:
-    rad = radical_tangent_fields(immersion, frame)
-    scr = screen_tangent_fields(immersion, frame)
-    ns = normal_screen_sections(immersion, frame)
-    trans = transversal_sections(immersion, frame, rad, scr, ns)
-    adapted = screen_adapted_fields(immersion, frame, trans)
+def build_field_kit(chart: ChartJet, frame: AdaptedFrame) -> FieldKit:
+    rad = radical_tangent_fields(chart, frame)
+    scr = screen_tangent_fields(chart, frame)
+    ns = normal_screen_sections(chart, frame)
+    trans = transversal_sections(frame, rad, scr, ns)
+    adapted = screen_adapted_fields(chart, frame, trans)
     return FieldKit(frame, rad, scr, ns, trans, adapted)
 
 
 def metric_deviation(
     frame: AdaptedFrame,
-    w: TangentField,
-    u: TangentField,
-    v: TangentField,
+    w: TangentJet,
+    u: TangentJet,
+    v: TangentJet,
     du: Vec,
     dv: Vec,
 ) -> QuadScalar:
@@ -660,10 +533,8 @@ def metric_deviation(
     each once.
     """
     space = frame.space
-    scalar = pairing_poly(u.to_ambient(), v.to_ambient())
-    w_of_scalar = scalar_derivative(w, scalar).eval(frame.point)
-    return (
-        w_of_scalar
-        - space.inner(du, v.value_at(frame.point))
-        - space.inner(u.value_at(frame.point), dv)
+    w_of_pairing = sum(
+        (c * g for c, g in zip(w.coeffs, pairing_gradient(space, u, v))),
+        start=QuadScalar.zero(space.params),
     )
+    return w_of_pairing - space.inner(du, v.value) - space.inner(u.value, dv)

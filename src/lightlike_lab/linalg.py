@@ -13,7 +13,7 @@ identity-heavy, diagonal and two-entry operands the generators build.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import NotInSpan, ShapeError
 from .scalars import MetallicParams, QuadScalar, RationalLike
@@ -232,37 +232,6 @@ def invert(a: Mat) -> Optional[Mat]:
     if tuple(pivots) != tuple(range(n)):
         return None
     return tuple(row[n:] for row in reduced)
-
-
-def gram_matrix(
-    vectors: Sequence[Vec], form: Callable[[Vec, Vec], QuadScalar]
-) -> Mat:
-    return tuple(tuple(form(u, v) for v in vectors) for u in vectors)
-
-
-def generalized_cross(vectors: Sequence[Vec], eps: Sequence[int]) -> Vec:
-    """The vector v with <v, w> = det(w; vectors) for the diagonal form eps.
-
-    Takes n-1 vectors in dimension n.  Component i is eps_i times the
-    signed cofactor obtained by deleting column i.
-    """
-    n = len(eps)
-    if n < 2:
-        raise ShapeError("cross product needs dimension at least 2")
-    if len(vectors) != n - 1:
-        raise ShapeError(f"need {n - 1} vectors in dimension {n}, got {len(vectors)}")
-    if any(len(v) != n for v in vectors):
-        raise ShapeError("vector length does not match dimension")
-    out = []
-    for i in range(n):
-        minor = tuple(
-            tuple(v[j] for j in range(n) if j != i) for v in vectors
-        )
-        cof = det(minor)
-        if i % 2 == 1:
-            cof = -cof
-        out.append(cof * eps[i])
-    return tuple(out)
 
 
 class Subspace:

@@ -210,54 +210,6 @@ class Polynomial:
         return f"Polynomial({self.to_string()!r}, nvars={self.nvars})"
 
 
-def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant by Laplace expansion: division-free, fine at these sizes."""
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ShapeError("determinant of a non-square polynomial matrix")
-    if n == 1:
-        return rows[0][0]
-    first = rows[0]
-    acc = Polynomial.zero(first[0].nvars, first[0].params)
-    for j in range(n):
-        if first[j].is_zero:
-            continue
-        minor = tuple(
-            tuple(row[t] for t in range(n) if t != j) for row in rows[1:]
-        )
-        cof = first[j] * poly_det(minor)
-        acc = acc + cof if j % 2 == 0 else acc - cof
-    return acc
-
-
-def poly_cross(
-    rows: Sequence[Sequence[Polynomial]], eps: Sequence[int]
-) -> Tuple[Polynomial, ...]:
-    """Polynomial-entry version of the metric cross product.
-
-    Takes n-1 polynomial vectors in dimension n; the result pairs to
-    the determinant against any test vector, so it is orthogonal to
-    every input row wherever they are evaluated.
-    """
-    n = len(eps)
-    if len(rows) != n - 1 or n < 2:
-        raise ShapeError(f"need {n - 1} vectors in dimension {n}")
-    if any(len(v) != n for v in rows):
-        raise ShapeError("vector length does not match dimension")
-    out = []
-    for i in range(n):
-        minor = tuple(
-            tuple(v[j] for j in range(n) if j != i) for v in rows
-        )
-        cof = poly_det(minor)
-        if i % 2 == 1:
-            cof = -cof
-        if eps[i] == -1:
-            cof = -cof
-        out.append(cof)
-    return tuple(out)
-
-
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<var>u\d+)|(?P<sym>s)|(?P<op>[-+*/^()]))"
 )

@@ -33,9 +33,10 @@ from .errors import (
     NotLightlike,
     ValidationError,
 )
-from .geometry import TangentField, coordinate_field, pairing_poly
-from .scalars import QuadScalar
+from .geometry import pairing_gradient
+from .linalg import rank
 from .scenes import Scene
+from .submanifold import polynomial_jet
 
 TOOL_VERSION = "0.1.0"
 
@@ -112,65 +113,47 @@ class _SceneRun:
         scene = self.scene
         if not (scene.radical_sections or scene.screen_sections):
             return
-        m = scene.immersion.chart_dim
-        coords = [coordinate_field(scene.immersion, j) for j in range(m)]
-        coord_amb = [c.to_ambient() for c in coords]
         for i in range(len(scene.points)):
             ctx = self.context(i)
-            point = scene.points[i]
-            frame = ctx.frame
-            zero = QuadScalar.zero(scene.params)
             if scene.radical_sections:
-                values = []
-                for k, fld in enumerate(scene.radical_sections):
-                    path = f"/sections/radical/{k}"
-                    amb = TangentField(scene.immersion, fld).to_ambient()
-                    value = amb.value_at(point)
-                    if not frame.radical.contains(value):
-                        raise ValidationError(
-                            f"{path}: value at point {i} is not in the radical"
-                        )
-                    values.append(value)
-                    for target in coord_amb:
-                        pairing = pairing_poly(amb, target)
-                        for j in range(m):
-                            if pairing.partial(j).eval(point) != zero:
-                                raise ValidationError(
-                                    f"{path}: tangent pairings are not stationary"
-                                    f" at point {i}"
-                                )
-                from .linalg import rank
-
-                if rank(tuple(values)) != frame.radical_dim:
-                    raise ValidationError(
-                        f"/sections/radical: values at point {i} do not span the radical"
-                    )
+                self._validate_section_family(
+                    i, "radical", scene.radical_sections, ctx.frame.radical,
+                    "tangent", ctx.chart().coordinates,
+                )
             if scene.screen_sections:
-                trans_amb = ctx.kit().transversal
-                values = []
-                for k, fld in enumerate(scene.screen_sections):
-                    path = f"/sections/screen/{k}"
-                    amb = TangentField(scene.immersion, fld).to_ambient()
-                    value = amb.value_at(point)
-                    if not frame.screen.contains(value):
-                        raise ValidationError(
-                            f"{path}: value at point {i} is not in the screen"
-                        )
-                    values.append(value)
-                    for target in trans_amb:
-                        pairing = pairing_poly(amb, target)
-                        for j in range(m):
-                            if pairing.partial(j).eval(point) != zero:
-                                raise ValidationError(
-                                    f"{path}: transversal pairings are not stationary"
-                                    f" at point {i}"
-                                )
-                from .linalg import rank
+                self._validate_section_family(
+                    i, "screen", scene.screen_sections, ctx.frame.screen,
+                    "transversal", ctx.kit().transversal,
+                )
 
-                if rank(tuple(values)) != frame.screen.dim:
+    def _validate_section_family(
+        self, i, kind, sections, bundle, target_kind, targets
+    ) -> None:
+        """At point i, each declared section takes its value in the
+        bundle and pairs stationarily with every target, and the values
+        span the bundle.  Sections enter as chart polynomials; each is
+        checked through its first-order jet at the point."""
+        ctx = self.context(i)
+        point = self.scene.points[i]
+        values = []
+        for k, fld in enumerate(sections):
+            path = f"/sections/{kind}/{k}"
+            jet = ctx.chart().tangent(*polynomial_jet(fld, point))
+            if not bundle.contains(jet.value):
+                raise ValidationError(
+                    f"{path}: value at point {i} is not in the {kind}"
+                )
+            values.append(jet.value)
+            for target in targets:
+                if any(pairing_gradient(ctx.space, jet, target)):
                     raise ValidationError(
-                        f"/sections/screen: values at point {i} do not span the screen"
+                        f"{path}: {target_kind} pairings are not stationary"
+                        f" at point {i}"
                     )
+        if rank(tuple(values)) != bundle.dim:
+            raise ValidationError(
+                f"/sections/{kind}: values at point {i} do not span the {kind}"
+            )
 
     # ---- claims ----
 

@@ -89,9 +89,6 @@ class PolynomialImmersion:
             if comp.params != self.space.params:
                 raise ShapeError(f"component {i} carries foreign scalar parameters")
 
-    def value_at(self, point: Sequence[QuadScalar]) -> Vec:
-        return tuple(c.eval(point) for c in self.components)
-
     def partial_polys(self, j: int) -> Tuple[Polynomial, ...]:
         """The j-th coordinate tangent field as ambient polynomial components."""
         return tuple(c.partial(j) for c in self.components)
@@ -108,6 +105,27 @@ class PolynomialImmersion:
             pretty = ", ".join(str(x) for x in point)
             raise ImmersionRankDrop(f"Jacobian rank drop at ({pretty})")
         return frame
+
+    def hessian(self, point: Sequence[QuadScalar]) -> Tuple[Tuple[Vec, ...], ...]:
+        """Second partials at the point: hessian[l][j] = d_l d_j f."""
+        m = self.chart_dim
+        first = [self.partial_polys(j) for j in range(m)]
+        return tuple(
+            tuple(tuple(c.partial(l).eval(point) for c in first[j]) for j in range(m))
+            for l in range(m)
+        )
+
+
+def polynomial_jet(
+    polys: Sequence[Polynomial], point: Sequence[QuadScalar]
+) -> Tuple[Vec, Tuple[Vec, ...]]:
+    """First-order jet of polynomial components at a point: the values
+    p_k(pt) and the partials, indexed [l][k] = d_l p_k(pt)."""
+    values = tuple(p.eval(point) for p in polys)
+    partials = tuple(
+        tuple(p.partial(l).eval(point) for p in polys) for l in range(len(point))
+    )
+    return values, partials
 
 
 def _greedy_complement(

@@ -26,8 +26,7 @@ from lightlike_lab.classifier import (
 from lightlike_lab.errors import InsufficientScene, NotLightlike
 from lightlike_lab.generators import perturbed_structured_scene
 from lightlike_lab.geometry import (
-    coordinate_field,
-    derive_tangent,
+    derive,
     full_split,
     gauss_split,
     hl_vector,
@@ -233,10 +232,9 @@ def scene_battery(g):
     frame = ctx.frame
     kit = ctx.kit()
     space = frame.space
-    pt = frame.point
     m = g.immersion.chart_dim
     zvec = space.zero()
-    coords = [coordinate_field(g.immersion, j) for j in range(m)]
+    coords = ctx.chart().coordinates
 
     assert m <= 3 and space.dim <= 6
     assert all(c.degree() <= 2 for c in g.immersion.components)
@@ -252,7 +250,7 @@ def scene_battery(g):
     ns_gram = tuple(tuple(space.inner(a, b) for b in ns_basis) for a in ns_basis)
     for i, x in enumerate(fields):
         for y in fields[i:]:
-            deriv = derive_tangent(x, y).value_at(pt)
+            deriv = derive(x, y)
             parts = full_split(frame, deriv)
             assert parts.assemble(frame) == deriv
             gxy = gauss_split(frame, x, y)
@@ -275,18 +273,18 @@ def scene_battery(g):
     # form, and between the transversal and normal-screen couplings
     if kit.normal_screen:
         z_field = kit.normal_screen[0]
-        z0 = z_field.value_at(pt)
+        z0 = z_field.value
         for w in coords:
             wparts = weingarten_normal_screen(frame, w, z_field)
             for u in fields:
-                u0 = u.value_at(pt)
+                u0 = u.value
                 gparts = gauss_split(frame, w, u)
                 lhs = space.inner(gparts.hs, z0) + space.inner(
                     u0, hl_vector(frame, wparts.dl)
                 )
                 assert lhs == space.inner(wparts.shape, u0)
         n_field = kit.transversal[0]
-        n0 = n_field.value_at(pt)
+        n0 = n_field.value
         for w in coords:
             nparts = weingarten_transversal(frame, w, n_field)
             zparts = weingarten_normal_screen(frame, w, z_field)
@@ -295,11 +293,11 @@ def scene_battery(g):
     # adjointness of the null form against the radical shape operator,
     # and that operator annihilating its own direction
     xi_f = kit.radical[0]
-    xi0 = xi_f.value_at(pt)
+    xi0 = xi_f.value
     for w in coords:
         star = star_forms_radical(frame, w, xi_f)
         for u in fields:
-            screen_u0, _ = split_tangent(frame, u.value_at(pt))
+            screen_u0, _ = split_tangent(frame, u.value)
             gparts = gauss_split(frame, w, u)
             lhs = space.inner(hl_vector(frame, gparts.hl), xi0)
             assert lhs == space.inner(star.shape, screen_u0)
@@ -313,8 +311,8 @@ def scene_battery(g):
                 hv = gauss_split(frame, w, v)
                 dev = metric_deviation(frame, w, u, v, hu.induced, hv.induced)
                 other = space.inner(
-                    hl_vector(frame, hu.hl), v.value_at(pt)
-                ) + space.inner(u.value_at(pt), hl_vector(frame, hv.hl))
+                    hl_vector(frame, hu.hl), v.value
+                ) + space.inner(u.value, hl_vector(frame, hv.hl))
                 assert dev == other
 
 

@@ -10,7 +10,6 @@ from lightlike_lab.ambient import (
     MetallicStructure,
     SignatureSpace,
     StructureDefect,
-    bilinear_transfer_audit,
     diag_branches,
     validate_compatibility,
     validate_metallic,
@@ -83,7 +82,6 @@ def test_diag_structure_silver_like():
     assert ok and defects == []
     ok2, defects2 = validate_compatibility(space, j)
     assert ok2 and defects2 == []
-    assert bilinear_transfer_audit(space, j) == []
 
 
 def test_diag_structure_golden():
@@ -106,13 +104,6 @@ def test_identity_is_not_metallic():
     assert first.got == 1
     assert first.expected == GOLDEN.p + GOLDEN.q
     assert "quadratic-relation" in first.message()
-
-
-def test_identity_transfer_audit_nonempty():
-    space = SignatureSpace(2, (-1, 1), GOLDEN)
-    residuals = bilinear_transfer_audit(space, identity(2, GOLDEN))
-    assert residuals
-    assert residuals[0].code == "bilinear-transfer"
 
 
 def test_incompatible_structure_witness():
@@ -144,7 +135,6 @@ def test_conjugated_structure_stays_valid():
     assert ok, [d.message() for d in defects]
     ok2, defects2 = validate_compatibility(space, j)
     assert ok2, [d.message() for d in defects2]
-    assert bilinear_transfer_audit(space, j) == []
 
 
 def test_bad_branch_name():

@@ -20,13 +20,11 @@ from lightlike_lab.classifier import (
     apply_structure_field,
     check_frame,
     check_single_null_obstruction,
-    decompose_normal_screen_image,
-    decompose_tangent_image,
 )
-from lightlike_lab.errors import InternalInconsistency, NotInSpan, NotLightlike
+from lightlike_lab.errors import InternalInconsistency, NotLightlike
 from lightlike_lab.generators import perturbed_structured_scene
-from lightlike_lab.geometry import lie_bracket, split_tangent
-from lightlike_lab.linalg import invert, mat_mul, transpose
+from lightlike_lab.geometry import derive, lie_bracket, split_tangent
+from lightlike_lab.linalg import invert, mat_mul, transpose, vec_add
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
@@ -265,7 +263,7 @@ def test_tangent_image_parts_reassemble(config, mode):
     v = tuple(
         sum(row[i] for row in frame.tangent.basis) for i in range(ctx.space.dim)
     )
-    parts = decompose_tangent_image(ctx, v, mode)
+    parts = ctx.projectors(mode).split(ctx.structure.apply(v))
     total = tuple(
         sum((p[i] for p in parts.values()), QuadScalar.zero(P0))
         for i in range(ctx.space.dim)
@@ -273,35 +271,44 @@ def test_tangent_image_parts_reassemble(config, mode):
     assert total == ctx.structure.apply(v)
 
 
-def test_tangent_decomposition_rejects_transversal_input():
-    ctx = scene_context("radical-transversal", (), 0)
-    with pytest.raises(NotInSpan):
-        decompose_tangent_image(ctx, ctx.frame.ltr[0], "radical-transversal")
-
-
-def test_normal_screen_decomposition_reassembles_and_rejects_tangent():
+def test_normal_screen_image_parts_reassemble():
     ctx = scene_context("transversal", (), 0)
+    proj = ctx.projectors("transversal")
     v = ctx.frame.normal_screen.basis[0]
-    parts = decompose_normal_screen_image(ctx, v)
-    image = ctx.structure.apply(v)
-    total = tuple(
-        a + b
-        for a, b in zip(
-            parts["image-of-mapped-screen-part"], parts["image-of-mu-part"]
-        )
+    total = vec_add(
+        ctx.structure.apply(proj.letter("D", v)),
+        ctx.structure.apply(proj.letter("E", v)),
     )
-    assert total == image
-    with pytest.raises(NotInSpan):
-        decompose_normal_screen_image(ctx, ctx.frame.rad_basis[0])
+    assert total == ctx.structure.apply(v)
+
+
+def test_hessian_is_evaluated_once_per_point_and_only_on_demand(monkeypatch):
+    calls = []
+    hessian = PolynomialImmersion.hessian
+
+    def counting(self, point):
+        calls.append(point)
+        return hessian(self, point)
+
+    monkeypatch.setattr(PolynomialImmersion, "hessian", counting)
+    sc = perturbed_structured_scene(random.Random(1), P0, "radical-transversal", ("rad",))
+    ctx = PointContext(
+        sc.immersion, sc.structure, sc.point, sc.screen_override, sc.normal_screen_override
+    )
+    check_frame(ctx)
+    assert calls == []
+    for check in POINT_CHECK_FUNCTIONS.values():
+        check(ctx)
+    assert calls == [ctx.frame.point]
 
 
 def test_structure_image_fields_compose_pointwise():
     ctx = scene_context("radical-transversal", (), 0)
-    field = ctx.kit().radical[0].to_ambient()
+    field = ctx.kit().radical[0]
     composed = apply_structure_field(ctx.structure, field)
-    assert composed.value_at(ctx.frame.point) == ctx.structure.apply(
-        field.value_at(ctx.frame.point)
-    )
+    assert composed.value == ctx.structure.apply(field.value)
+    for u in ctx.chart().coordinates:
+        assert derive(u, composed) == ctx.structure.apply(derive(u, field))
 
 
 def test_screen_brackets_close_in_the_stationarity_gauge():
@@ -324,7 +331,7 @@ def test_screen_brackets_close_in_the_stationarity_gauge():
         for a in range(len(kit.screen_adapted)):
             for b in range(a + 1, len(kit.screen_adapted)):
                 br = lie_bracket(kit.screen_adapted[a], kit.screen_adapted[b])
-                _, rad_coeffs = split_tangent(ctx.frame, br.value_at(ctx.frame.point))
+                _, rad_coeffs = split_tangent(ctx.frame, br)
                 assert all(c == zero for c in rad_coeffs)
 
 

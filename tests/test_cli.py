@@ -19,7 +19,7 @@ def fixture_path(name):
 
 
 def test_all_holds_scene_exits_zero(capsys):
-    code = main(["verify", fixture_path("radical-transversal-plane.json")])
+    code = main([fixture_path("radical-transversal-plane.json")])
     out = capsys.readouterr().out
     assert code == 0
     assert "def-3.1" in out
@@ -27,14 +27,14 @@ def test_all_holds_scene_exits_zero(capsys):
 
 
 def test_failing_scene_exits_one(capsys):
-    code = main(["verify", fixture_path("identity-structure.json")])
+    code = main([fixture_path("identity-structure.json")])
     out = capsys.readouterr().out
     assert code == 1
     assert re.search(r"^metallic-validate\s+FAILS$", out, re.M)
 
 
 def test_entry_lines_are_greppable(capsys):
-    main(["verify", fixture_path("paper-example.json")])
+    main([fixture_path("paper-example.json")])
     out = capsys.readouterr().out
     entry_lines = [
         line
@@ -47,13 +47,13 @@ def test_entry_lines_are_greppable(capsys):
 
 
 def test_notices_are_printed(capsys):
-    main(["verify", fixture_path("paper-example.json")])
+    main([fixture_path("paper-example.json")])
     out = capsys.readouterr().out
     assert "notice: point 0: declared radical dimension 1" in out
 
 
 def test_missing_file_exits_two(capsys):
-    code = main(["verify", "/no/such/scene.json"])
+    code = main(["/no/such/scene.json"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
@@ -62,7 +62,7 @@ def test_missing_file_exits_two(capsys):
 def test_malformed_scene_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"params": {"p": 0')
-    code = main(["verify", str(bad)])
+    code = main([str(bad)])
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1" in err
@@ -73,20 +73,20 @@ def test_invalid_scene_pointer_in_error(tmp_path, capsys):
     scene["seed"] = -5
     bad = tmp_path / "scene.json"
     bad.write_text(json.dumps(scene))
-    code = main(["verify", str(bad)])
+    code = main([str(bad)])
     err = capsys.readouterr().err
     assert code == 2
     assert "/seed" in err
 
 
 def test_scene_argument_required_without_list_checks(capsys):
-    code = main(["verify"])
+    code = main([])
     assert code == 2
     assert "scene file is required" in capsys.readouterr().err
 
 
 def test_list_checks(capsys):
-    code = main(["verify", "--list-checks"])
+    code = main(["--list-checks"])
     out = capsys.readouterr().out
     assert code == 0
     listed = [line.split()[0] for line in out.splitlines() if line.strip()]
@@ -96,8 +96,8 @@ def test_list_checks(capsys):
 def test_report_file_is_canonical_and_stable(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    main(["verify", fixture_path("transversal-plane.json"), "--report", str(out1)])
-    main(["verify", fixture_path("transversal-plane.json"), "--report", str(out2)])
+    main([fixture_path("transversal-plane.json"), "--report", str(out1)])
+    main([fixture_path("transversal-plane.json"), "--report", str(out2)])
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
@@ -109,7 +109,6 @@ def test_seed_flag_overrides_scene(tmp_path, capsys):
     out = tmp_path / "r.json"
     main(
         [
-            "verify",
             fixture_path("identity-structure.json"),
             "--seed",
             "123",
@@ -126,7 +125,6 @@ def test_env_seed_used_when_no_flag(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.json"
     main(
         [
-            "verify",
             fixture_path("identity-structure.json"),
             "--report",
             str(out),
@@ -141,7 +139,6 @@ def test_flag_beats_env_seed(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.json"
     main(
         [
-            "verify",
             fixture_path("identity-structure.json"),
             "--seed",
             "5",
@@ -158,7 +155,6 @@ def test_scene_seed_is_the_fallback(tmp_path, capsys, monkeypatch):
     out = tmp_path / "r.json"
     main(
         [
-            "verify",
             fixture_path("identity-structure.json"),
             "--report",
             str(out),
@@ -173,14 +169,14 @@ def test_scene_seed_is_the_fallback(tmp_path, capsys, monkeypatch):
 
 def test_garbage_env_seed_is_an_input_error(capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV, "not-a-number")
-    code = main(["verify", fixture_path("identity-structure.json")])
+    code = main([fixture_path("identity-structure.json")])
     err = capsys.readouterr().err
     assert code == 2
     assert SEED_ENV in err
 
 
 def test_float_check_prints_deviation(capsys):
-    main(["verify", fixture_path("paper-example.json"), "--float-check"])
+    main([fixture_path("paper-example.json"), "--float-check"])
     out = capsys.readouterr().out
     match = re.search(r"float-check: max abs deviation (\S+)", out)
     assert match
@@ -188,9 +184,9 @@ def test_float_check_prints_deviation(capsys):
 
 
 def test_stdout_is_deterministic(capsys):
-    main(["verify", fixture_path("transversal-recorded.json")])
+    main([fixture_path("transversal-recorded.json")])
     first = capsys.readouterr().out
-    main(["verify", fixture_path("transversal-recorded.json")])
+    main([fixture_path("transversal-recorded.json")])
     second = capsys.readouterr().out
     assert first == second
 
@@ -202,7 +198,6 @@ def test_console_script_runs_end_to_end(tmp_path):
             sys.executable,
             "-m",
             "lightlike_lab.cli",
-            "verify",
             fixture_path("identity-structure.json"),
             "--report",
             str(out),

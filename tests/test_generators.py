@@ -15,7 +15,7 @@ from lightlike_lab.generators import (
     ruled_scene,
     transform_immersion,
 )
-from lightlike_lab.geometry import build_field_kit, coordinate_field, gauss_split
+from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split
 from lightlike_lab.linalg import Subspace, is_zero_vec, mat_mul, transpose
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.submanifold import build_frame, construct_ltr
@@ -27,7 +27,7 @@ ZERO_Q = MetallicParams(0, 2)
 def hl_entries(scene):
     frame = scene.frame()
     m = scene.immersion.chart_dim
-    coords = [coordinate_field(scene.immersion, j) for j in range(m)]
+    coords = chart_jet(scene.immersion, frame).coordinates
     out = []
     for j in range(m):
         for k in range(j, m):
@@ -38,7 +38,7 @@ def hl_entries(scene):
 def hs_entries(scene):
     frame = scene.frame()
     m = scene.immersion.chart_dim
-    coords = [coordinate_field(scene.immersion, j) for j in range(m)]
+    coords = chart_jet(scene.immersion, frame).coordinates
     out = []
     for j in range(m):
         for k in range(j, m):
@@ -137,7 +137,7 @@ def test_rad_twist_scenes_accept_a_kit(seed):
     )
     frame = scene.frame()
     assert frame.radical_dim == 2
-    kit = build_field_kit(scene.immersion, frame)
+    kit = build_field_kit(chart_jet(scene.immersion, frame), frame)
     assert len(kit.radical) == 2
 
 
@@ -149,7 +149,8 @@ def test_generated_kits_build_everywhere(seed):
         ruled_scene(rng, P),
         perturbed_structured_scene(rng, ZERO_Q, "transversal", ("str", "ltr")),
     ):
-        kit = build_field_kit(scene.immersion, scene.frame())
+        frame = scene.frame()
+        kit = build_field_kit(chart_jet(scene.immersion, frame), frame)
         assert len(kit.transversal) == scene.expected_radical_dim
 
 

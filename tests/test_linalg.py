@@ -1,4 +1,4 @@
-"""Exact elimination, kernels, subspace lattice ops, cross products.
+"""Exact elimination, kernels, subspace lattice ops, products.
 
 Rank is cross-checked against numpy SVD on integer matrices, where the
 smallest nonzero singular value is provably far above the SVD tolerance
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.errors import NotInSpan, ShapeError
 from lightlike_lab.linalg import (
     Subspace,
@@ -19,8 +20,6 @@ from lightlike_lab.linalg import (
     as_vec,
     coords_in_basis,
     det,
-    generalized_cross,
-    gram_matrix,
     identity,
     invert,
     is_zero_vec,
@@ -192,36 +191,6 @@ def test_det_multiplicative(a, b):
     assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
-# ---- cross product ----
-
-
-CROSS_EPS = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1, 1), (-1, 1, 1, 1)]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.sampled_from(CROSS_EPS), st.data())
-def test_generalized_cross_orthogonality(eps, data):
-    n = len(eps)
-    vectors = tuple(
-        tuple(data.draw(entry, label=f"v{i}{j}") for j in range(n))
-        for i in range(n - 1)
-    )
-
-    def form(u, v):
-        return sum((e * x * y for e, x, y in zip(eps, u, v)), start=q(0))
-
-    cross = generalized_cross(vectors, eps)
-    for v in vectors:
-        assert not form(cross, v)
-    if rank(vectors) == n - 1:
-        assert not is_zero_vec(cross)
-        # <cross, w> reproduces the determinant with w stacked on top
-        w = tuple(data.draw(entry, label=f"w{j}") for j in range(n))
-        assert form(cross, w) == det((w,) + vectors)
-    else:
-        assert is_zero_vec(cross)
-
-
 # ---- subspaces ----
 
 
@@ -295,11 +264,7 @@ def test_coords_not_in_span():
 
 def test_gram_symmetric():
     vs = as_mat([[1, 2], [3, 4]], P)
-
-    def form(u, v):
-        return u[0] * v[0] - u[1] * v[1]
-
-    g = gram_matrix(vs, form)
+    g = SignatureSpace(2, (1, -1), P).gram(vs)
     assert g == transpose(g)
     assert g[0][0] == q(-3)
 

@@ -167,41 +167,3 @@ def test_degree_and_zero():
     assert z.degree() == -1
     assert z.to_string() == "0"
     assert parse_polynomial("u1*u2^2", 2, P).degree() == 3
-
-
-# ---- polynomial determinants and cross products ----
-
-
-def test_poly_det_matches_scalar_det():
-    from lightlike_lab.linalg import as_mat, det
-    from lightlike_lab.polynomials import poly_det
-
-    u1 = Polynomial.variable(0, 1, P)
-    one = Polynomial.constant(1, 1, P)
-    rows = ((u1, one), (one, u1))
-    d = poly_det(rows)
-    # u1^2 - 1 at u1 = 3 is 8
-    three = (QuadScalar(3, 0, P),)
-    assert d.eval(three) == QuadScalar(8, 0, P)
-    evaled = as_mat([[3, 1], [1, 3]], P)
-    assert det(evaled) == d.eval(three)
-
-
-def test_poly_cross_orthogonal_everywhere():
-    from lightlike_lab.polynomials import poly_cross
-
-    eps = (-1, 1, 1)
-    u1 = Polynomial.variable(0, 1, P)
-    one = Polynomial.constant(1, 1, P)
-    zero = Polynomial.zero(1, P)
-    rows = ((one, u1, zero), (zero, one, u1))
-    cross = poly_cross(rows, eps)
-    for pt in [(QuadScalar(t, 0, P),) for t in (-2, 0, 5)]:
-        cval = tuple(c.eval(pt) for c in cross)
-        for row in rows:
-            rval = tuple(c.eval(pt) for c in row)
-            inner = sum(
-                (e * a * b for e, a, b in zip(eps, cval, rval)),
-                start=QuadScalar.zero(P),
-            )
-            assert not inner

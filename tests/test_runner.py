@@ -424,14 +424,37 @@ def test_claims_force_context_construction():
 # ---- section preflight ----
 
 
+def coefficient_polynomials(field, point):
+    """Chart coefficients of a kit field as the affine polynomials with
+    the field's coefficients and coefficient partials at the point."""
+    m = len(point)
+    out = []
+    for j, c in enumerate(field.coeffs):
+        poly = Polynomial.constant(c, m, P0)
+        for l in range(m):
+            shift = Polynomial.variable(l, m, P0) - Polynomial.constant(point[l], m, P0)
+            poly = poly + shift * Polynomial.constant(field.coeff_partials[l][j], m, P0)
+        out.append(poly)
+    return tuple(out)
+
+
 def generated_scene_with_sections(radical=None, screen=None):
     g = perturbed_structured_scene(random.Random(11), P0, "radical-transversal", ("ltr",))
     ctx = PointContext(
         g.immersion, g.structure, g.point, g.screen_override, g.normal_screen_override
     )
     kit = ctx.kit()
-    rad = tuple(f.coeffs for f in kit.radical) if radical is None else radical
-    scr = tuple(f.coeffs for f in kit.screen_adapted) if screen is None else screen
+    point = ctx.frame.point
+    rad = (
+        tuple(coefficient_polynomials(f, point) for f in kit.radical)
+        if radical is None
+        else radical
+    )
+    scr = (
+        tuple(coefficient_polynomials(f, point) for f in kit.screen_adapted)
+        if screen is None
+        else screen
+    )
     scene = Scene(
         params=P0,
         space=g.immersion.space,
@@ -468,7 +491,7 @@ def kit_screen_field():
     ctx = PointContext(
         g.immersion, g.structure, g.point, g.screen_override, g.normal_screen_override
     )
-    return ctx.kit().screen_adapted[0].coeffs
+    return coefficient_polynomials(ctx.kit().screen_adapted[0], ctx.frame.point)
 
 
 def test_zero_radical_section_cannot_span():
@@ -480,21 +503,48 @@ def test_zero_radical_section_cannot_span():
         run(scene)
 
 
+def test_second_order_section_terms_pass_preflight():
+    # adding (u_k - pt_k)^2 times another field changes neither the value
+    # nor the first derivatives at the point, so the sections stay valid
+    scene, ctx, kit = generated_scene_with_sections()
+    m = ctx.immersion.chart_dim
+    point = scene.points[0]
+    rad_f = coefficient_polynomials(kit.radical[0], point)
+    for k in range(m):
+        shift = Polynomial.variable(k, m, P0) - Polynomial.constant(point[k], m, P0)
+        curved = tuple(a + shift * shift * b for a, b in zip(scene.screen_sections[0], rad_f))
+        bent = Scene(
+            params=scene.params,
+            space=scene.space,
+            structure=scene.structure,
+            immersion=scene.immersion,
+            points=scene.points,
+            checks=scene.checks,
+            seed=scene.seed,
+            screen=scene.screen,
+            normal_screen=scene.normal_screen,
+            radical_sections=scene.radical_sections,
+            screen_sections=(curved,) + scene.screen_sections[1:],
+            claims=SceneClaims(),
+        )
+        assert run(bent).entries[0]["verdict"] == "HOLDS"
+
+
 def test_drifting_screen_section_fails_stationarity():
     # shift a good screen section by u_k * (radical section): value at the
     # point is unchanged, but the pairing against the transversal frame
     # picks up a nonvanishing derivative
     scene, ctx, kit = generated_scene_with_sections()
-    screen_f = kit.screen_adapted[0]
-    rad_f = kit.radical[0]
     m = ctx.immersion.chart_dim
     point = scene.points[0]
+    screen_f = coefficient_polynomials(kit.screen_adapted[0], point)
+    rad_f = coefficient_polynomials(kit.radical[0], point)
     for k in range(m):
         shift = Polynomial.variable(k, m, P0) - Polynomial.constant(
             point[k], m, P0
         )
         drifted = tuple(
-            a + shift * b for a, b in zip(screen_f.coeffs, rad_f.coeffs)
+            a + shift * b for a, b in zip(screen_f, rad_f)
         )
         bad = Scene(
             params=scene.params,
