@@ -23,7 +23,7 @@ import copy
 import random
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,11 +52,13 @@ from .geometry import (
     split_tangent,
 )
 from .linalg import (
+    FactoredBasis,
+    Mat,
     Subspace,
     Vec,
-    coords_in_basis,
     is_zero_vec,
     lin_comb,
+    mat_vec,
     rank,
     vec_add,
     vec_neg,
@@ -208,25 +210,26 @@ class ProjectorSet:
 
     The slots jointly span the ambient space, so every vector splits
     uniquely and each labeled projector is the sum of its slots'
-    components.  Letter aliases name the projections the split
-    bookkeeping uses; audit() re-derives idempotence, image and kernel
-    membership, and complement sums instead of trusting construction.
+    components.  The stacked slot basis is factored once (``factor``),
+    and each letter's projector matrix is built from that factorization
+    on first use, so a split is one matrix-vector product and so is a
+    letter.  Letter aliases name the projections the split bookkeeping
+    uses; audit() re-derives idempotence, image and kernel membership,
+    and complement sums instead of trusting construction.
     """
 
     structure: MetallicStructure
     mode: str
     labels: Tuple[str, ...]
     bases: Tuple[Tuple[Vec, ...], ...]
-
-    def _stacked(self) -> Tuple[Vec, ...]:
-        out: Tuple[Vec, ...] = ()
-        for basis in self.bases:
-            out = out + basis
-        return out
+    factor: FactoredBasis
+    _letters: Dict[str, Mat] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def split(self, v: Vec) -> Dict[str, Vec]:
         space = self.structure.space
-        coords = coords_in_basis(self._stacked(), v)
+        coords = self.factor.coords(v)
         parts: Dict[str, Vec] = {}
         at = 0
         for label, basis in zip(self.labels, self.bases):
@@ -239,22 +242,24 @@ class ProjectorSet:
             at += k
         return parts
 
-    def part(self, v: Vec, *slots: str) -> Vec:
-        space = self.structure.space
-        parts = self.split(v)
-        acc = zero_vec(space.dim, space.params)
-        for s in slots:
-            acc = vec_add(acc, parts[s])
-        return acc
-
     def letter(self, name: str, v: Vec) -> Vec:
-        slots = LETTER_SLOTS[name]
-        missing = [s for s in slots if s not in self.labels]
-        if missing:
-            raise InternalInconsistency(
-                f"projection {name} needs slots {missing} absent from mode {self.mode}"
-            )
-        return self.part(v, *slots)
+        matrix = self._letters.get(name)
+        if matrix is None:
+            slots = LETTER_SLOTS[name]
+            missing = [s for s in slots if s not in self.labels]
+            if missing:
+                raise InternalInconsistency(
+                    f"projection {name} needs slots {missing} absent from mode {self.mode}",
+                    mode=self.mode,
+                )
+            indices = []
+            at = 0
+            for label, basis in zip(self.labels, self.bases):
+                if label in slots:
+                    indices.extend(range(at, at + len(basis)))
+                at += len(basis)
+            matrix = self._letters[name] = self.factor.projector(indices)
+        return mat_vec(matrix, v)
 
     def audit(self) -> List[str]:
         """Idempotence, image fixing, kernel killing, complement sums."""
@@ -452,11 +457,14 @@ class PointContext:
                 self.mu_subspace().basis,
             )
         else:
-            raise InternalInconsistency(f"unknown projection mode {mode!r}")
-        total = sum(len(b) for b in bases)
-        if total != self.space.dim or rank(tuple(v for b in bases for v in b)) != total:
-            raise InternalInconsistency("slot bases do not decompose the ambient space")
-        proj = ProjectorSet(self.structure, mode, labels, bases)
+            raise InternalInconsistency(f"unknown projection mode {mode!r}", mode=mode)
+        factor = frame.factored([v for b in bases for v in b])
+        # a basis of the ambient space: independent and spanning
+        if not len(factor.basis) == factor.rank == self.space.dim:
+            raise InternalInconsistency(
+                "slot bases do not decompose the ambient space", mode=mode
+            )
+        proj = ProjectorSet(self.structure, mode, labels, bases, factor)
         self._proj[mode] = proj
         return proj
 
@@ -654,8 +662,8 @@ def _constant_split_fields(
     w0 = frame.tangent_jacobian[j]
     screen_part, rad_coeffs = split_tangent(frame, w0)
     rad_part = rad_vector(frame, rad_coeffs)
-    tw = chart.tangent(coords_in_basis(frame.tangent_jacobian, screen_part))
-    qw = chart.tangent(coords_in_basis(frame.tangent_jacobian, rad_part))
+    tw = chart.tangent(frame.jacobian_factor.coords(screen_part))
+    qw = chart.tangent(frame.jacobian_factor.coords(rad_part))
     return tw, qw
 
 
@@ -790,11 +798,7 @@ def check_structure_equations(ctx: PointContext) -> CheckEntry:
     rt, _ = ctx.radical_transversal()
     if rt:
         mode = "radical-transversal"
-        proj = ctx.projectors(mode)
-        problems = proj.audit()
-        if problems:
-            raise InternalInconsistency("; ".join(problems[:3]))
-        pairs = _structure_equations_radical_transversal(ctx)
+        equations = _structure_equations_radical_transversal
     else:
         tr, _ = ctx.transversal()
         if not tr:
@@ -802,11 +806,16 @@ def check_structure_equations(ctx: PointContext) -> CheckEntry:
                 "structure-eqs", "point is in neither named configuration"
             )
         mode = "transversal"
-        proj = ctx.projectors(mode)
-        problems = proj.audit()
+        equations = _structure_equations_transversal
+    try:
+        problems = ctx.projectors(mode).audit()
         if problems:
             raise InternalInconsistency("; ".join(problems[:3]))
-        pairs = _structure_equations_transversal(ctx)
+        pairs = equations(ctx)
+    except InternalInconsistency as exc:
+        if exc.mode is None:
+            exc.mode = mode
+        raise
     witness = {
         "mode": mode,
         "coordinate_pairs": pairs,
@@ -1389,7 +1398,8 @@ def _single_null_sweep(rng: random.Random, trials: int) -> Dict[str, object]:
                 b = space.inner(jxi, jxi)
                 if b != QuadScalar(p, 0, params) * a:
                     raise InternalInconsistency(
-                        "transfer identity failed on a generated candidate"
+                        "transfer identity failed on a generated candidate",
+                        check="audit-nonexistence",
                     )
                 if b == zero and a == QuadScalar.one(params):
                     satisfied += 1
@@ -1397,7 +1407,8 @@ def _single_null_sweep(rng: random.Random, trials: int) -> Dict[str, object]:
                     image_in_span += 1
             if satisfied or image_in_span:
                 raise InternalInconsistency(
-                    "randomized audit produced a forbidden single-null candidate"
+                    "randomized audit produced a forbidden single-null candidate",
+                    check="audit-nonexistence",
                 )
             zero_counts[f"p={p},q={q}"] = {
                 "trials": trials,

@@ -82,7 +82,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        print(f"internal inconsistency: {exc.source()}: {exc}", file=sys.stderr)
         return 1
 
     for entry in report.entries:

@@ -7,6 +7,8 @@ the same quantity disagreed; that is a bug in this package or a broken
 input scene, never a recoverable user error.
 """
 
+from typing import Optional
+
 
 class LightlikeLabError(Exception):
     """Base class for all package errors."""
@@ -65,4 +67,27 @@ class ValidationError(LightlikeLabError):
 
 
 class InternalInconsistency(LightlikeLabError):
-    """Two independent routes to the same value disagreed."""
+    """Two independent routes to the same value disagreed.
+
+    check, point and mode name where it happened, as far as the raiser
+    and the callers it passes through know it: the check identifier, the
+    index of the scene point, and the configuration mode.
+    """
+
+    def __init__(
+        self,
+        message: str = "",
+        *,
+        check: Optional[str] = None,
+        point: Optional[int] = None,
+        mode: Optional[str] = None,
+    ) -> None:
+        super().__init__(message)
+        self.check = check
+        self.point = point
+        self.mode = mode
+
+    def source(self) -> str:
+        """check=<id> point=<index> mode=<mode>, '-' where unknown."""
+        fields = (("check", self.check), ("point", self.point), ("mode", self.mode))
+        return " ".join(f"{k}={'-' if v is None else v}" for k, v in fields)

@@ -38,9 +38,8 @@ from .ambient import SignatureSpace
 from .errors import InsufficientScene, InternalInconsistency, NotInSpan, ShapeError
 from .linalg import (
     Vec,
-    coords_in_basis,
+    factor_system,
     lin_comb,
-    solve,
     vec_add,
     vec_neg,
     vec_scale,
@@ -188,9 +187,8 @@ class FullSplit:
 
 def full_split(frame: AdaptedFrame, v: Vec) -> FullSplit:
     space = frame.space
-    stacked = frame.tangent.basis + frame.ltr + frame.normal_screen.basis
     try:
-        coords = coords_in_basis(stacked, v)
+        coords = frame.full_factor.coords(v)
     except NotInSpan as exc:
         raise InternalInconsistency(
             "adapted frame failed to span the ambient space"
@@ -212,8 +210,7 @@ def full_split(frame: AdaptedFrame, v: Vec) -> FullSplit:
 
 def split_tangent(frame: AdaptedFrame, v: Vec) -> Tuple[Vec, Tuple[QuadScalar, ...]]:
     """Tangent vector -> (screen part, radical coefficients)."""
-    stacked = frame.screen.basis + frame.rad_basis
-    coords = coords_in_basis(stacked, v)
+    coords = frame.tangent_factor.coords(v)
     s = frame.screen.dim
     screen_part = (
         lin_comb(coords[:s], frame.screen.basis)
@@ -339,7 +336,8 @@ def rad_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:
 # stay radical to first order, and the section pairings that the
 # duality identities differentiate must be stationary.  The kit builds
 # all of that by exact linear solves, one per chart direction, whose
-# solutions are the fields' partials at the point.
+# solutions are the fields' partials at the point.  Each system matrix is
+# factored once and reused for every right-hand side.
 
 
 @dataclass(frozen=True)
@@ -380,9 +378,10 @@ def radical_tangent_fields(
     m = len(coords)
     gram0 = tuple(tuple(space.inner(a.value, b.value) for b in coords) for a in coords)
     d_gram = tuple(tuple(pairing_gradient(space, a, b) for b in coords) for a in coords)
+    system = factor_system(gram0, space.params)
     fields = []
     for xi in frame.rad_basis:
-        c0 = coords_in_basis(frame.tangent_jacobian, xi)
+        c0 = frame.jacobian_factor.coords(xi)
         gammas = []
         for l in range(m):
             rhs = tuple(
@@ -392,12 +391,12 @@ def radical_tangent_fields(
                 )
                 for k in range(m)
             )
-            gamma = solve(gram0, rhs)
-            if gamma is None:
+            try:
+                gammas.append(system.coords(rhs))
+            except NotInSpan as exc:
                 raise InsufficientScene(
                     "radical direction does not extend to first order here"
-                )
-            gammas.append(gamma)
+                ) from exc
         fields.append(chart.tangent(c0, gammas))
     return tuple(fields)
 
@@ -407,49 +406,52 @@ def screen_tangent_fields(
 ) -> Tuple[TangentJet, ...]:
     """Constant-coefficient tangent fields through the screen basis."""
     return tuple(
-        chart.tangent(coords_in_basis(frame.tangent_jacobian, s))
-        for s in frame.screen.basis
+        chart.tangent(frame.jacobian_factor.coords(s)) for s in frame.screen.basis
     )
 
 
-def _linear_corrected_section(
+def _corrected_sections(
     frame: AdaptedFrame,
-    base: Vec,
+    bases: Sequence[Vec],
     targets: Sequence[AmbientJet],
     rhs_extra: Sequence[Sequence[QuadScalar]] = (),
     extra_rows: Sequence[Vec] = (),
-) -> AmbientJet:
-    """Section with value base and partials mu_l, <mu_l, T_k(pt)> forced.
+) -> Tuple[AmbientJet, ...]:
+    """Sections with values bases and partials mu_l, <mu_l, T_k(pt)> forced.
 
-    For each chart direction l the partial solves
+    For each base and chart direction l the partial solves
         <mu_l, T_k(pt)> = -<base, (d_l T_k)(pt)>
     so every pairing <section, T_k> is stationary at the point.
-    extra_rows/rhs_extra append further exact linear conditions.
+    extra_rows/rhs_extra append further exact linear conditions.  The
+    system matrix does not depend on the base, so it is factored once.
     """
+    if not bases:
+        return ()
     space = frame.space
     rows = [tuple(e * x for e, x in zip(space.eps, t.value)) for t in targets]
     rows += [tuple(e * x for e, x in zip(space.eps, row)) for row in extra_rows]
-    partials = []
-    for l in range(len(frame.point)):
-        rhs = [-space.inner(base, t.partials[l]) for t in targets]
-        rhs += [extra[l] for extra in rhs_extra]
-        mu = solve(tuple(rows), tuple(rhs))
-        if mu is None:
-            raise InternalInconsistency(
-                "section correction system became inconsistent"
-            )
-        partials.append(mu)
-    return AmbientJet(base, tuple(partials))
+    system = factor_system(tuple(rows), space.params)
+    out = []
+    for base in bases:
+        partials = []
+        for l in range(len(frame.point)):
+            rhs = [-space.inner(base, t.partials[l]) for t in targets]
+            rhs += [extra[l] for extra in rhs_extra]
+            try:
+                partials.append(system.coords(tuple(rhs)))
+            except NotInSpan as exc:
+                raise InternalInconsistency(
+                    "section correction system became inconsistent"
+                ) from exc
+        out.append(AmbientJet(base, tuple(partials)))
+    return tuple(out)
 
 
 def normal_screen_sections(
     chart: ChartJet, frame: AdaptedFrame
 ) -> Tuple[AmbientJet, ...]:
     """Sections through the normal-screen basis, normal to first order."""
-    return tuple(
-        _linear_corrected_section(frame, z, chart.coordinates)
-        for z in frame.normal_screen.basis
-    )
+    return _corrected_sections(frame, frame.normal_screen.basis, chart.coordinates)
 
 
 def transversal_sections(
@@ -464,11 +466,8 @@ def transversal_sections(
     zero = QuadScalar.zero(frame.space.params)
     targets = list(rad_fields) + list(screen_fields) + list(ns_sections)
     zero_rows = tuple((zero,) * len(frame.point) for _ in frame.ltr)
-    return tuple(
-        _linear_corrected_section(
-            frame, n0, targets, rhs_extra=zero_rows, extra_rows=frame.ltr
-        )
-        for n0 in frame.ltr
+    return _corrected_sections(
+        frame, frame.ltr, targets, rhs_extra=zero_rows, extra_rows=frame.ltr
     )
 
 
@@ -485,12 +484,15 @@ def screen_adapted_fields(
     space = frame.space
     coords = chart.coordinates
     m = len(coords)
-    rows = tuple(
-        tuple(space.inner(w.value, n.value) for w in coords) for n in trans_sections
+    system = factor_system(
+        tuple(
+            tuple(space.inner(w.value, n.value) for w in coords) for n in trans_sections
+        ),
+        space.params,
     )
     fields = []
     for s in frame.screen.basis:
-        c0 = coords_in_basis(frame.tangent_jacobian, s)
+        c0 = frame.jacobian_factor.coords(s)
         mus = []
         for l in range(m):
             rhs = []
@@ -499,12 +501,12 @@ def screen_adapted_fields(
                 for a in range(m):
                     drift = drift + c0[a] * space.inner(coords[a].partials[l], n.value)
                 rhs.append(-drift)
-            mu = solve(rows, tuple(rhs))
-            if mu is None:
+            try:
+                mus.append(system.coords(tuple(rhs)))
+            except NotInSpan as exc:
                 raise InternalInconsistency(
                     "screen adaptation system became inconsistent"
-                )
-            mus.append(mu)
+                ) from exc
         fields.append(chart.tangent(c0, mus))
     return tuple(fields)
 

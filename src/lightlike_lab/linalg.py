@@ -1,9 +1,17 @@
 """Dense exact linear algebra over QuadScalar.
 
 Everything is small (ambient dimension stays in single digits), so the
-implementation favors transparency: plain tuples, textbook Gaussian
-elimination with deterministic first-nonzero pivoting, no fraction-free
-tricks.  Division is exact in the scalar field, so elimination is too.
+implementation favors transparency: plain tuples and Gauss-Jordan
+elimination with deterministic first-nonzero pivoting.  Division is
+exact in the scalar field, so elimination is too.
+
+A basis that many vectors are split against is eliminated once:
+FactoredBasis reduces [B^T | I] and keeps the row transform, so the
+coordinates of each further vector are one matrix-vector product plus a
+residual test, and a projection onto some of the basis vectors along
+the rest is one precomputed matrix.  Subspace keeps its canonical
+reduced-echelon basis with its pivot columns, so membership reads the
+coordinates off those columns instead of eliminating again.
 
 Matrix products skip every term with a zero factor.  Exact sums do not
 depend on which zero terms they include, so the skipped terms change no
@@ -13,10 +21,10 @@ identity-heavy, diagonal and two-entry operands the generators build.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotInSpan, ShapeError
-from .scalars import MetallicParams, QuadScalar, RationalLike
+from .scalars import MetallicParams, QuadScalar
 
 Vec = Tuple[QuadScalar, ...]
 Mat = Tuple[Vec, ...]
@@ -124,19 +132,16 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def rref(a: Mat) -> Tuple[Mat, Tuple[int, ...]]:
-    """Reduced row echelon form with the pivot column indices.
+def _reduce(rows: List[List[QuadScalar]], limit: int) -> Tuple[int, ...]:
+    """Gauss-Jordan in place, pivoting only in the first ``limit`` columns.
 
     Pivoting is deterministic: first row with a nonzero entry in the
     current column.  Exact arithmetic makes stability a non-issue.
     """
-    if not a:
-        return (), ()
-    rows = [list(r) for r in a]
-    nrows, ncols = len(rows), len(rows[0])
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(limit):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -151,7 +156,16 @@ def rref(a: Mat) -> Tuple[Mat, Tuple[int, ...]]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return tuple(pivots)
+
+
+def rref(a: Mat) -> Tuple[Mat, Tuple[int, ...]]:
+    """Reduced row echelon form with the pivot column indices."""
+    if not a:
+        return (), ()
+    rows = [list(r) for r in a]
+    pivots = _reduce(rows, len(rows[0]))
+    return tuple(tuple(row) for row in rows), pivots
 
 
 def rank(a: Mat) -> int:
@@ -241,7 +255,7 @@ class Subspace:
     subspace: the canonical basis is unique.
     """
 
-    __slots__ = ("ambient_dim", "params", "basis")
+    __slots__ = ("ambient_dim", "params", "basis", "pivots")
 
     def __init__(
         self,
@@ -258,6 +272,7 @@ class Subspace:
         self.params = params
         reduced, pivots = rref(tuple(spanning))
         self.basis: Mat = tuple(reduced[r] for r in range(len(pivots)))
+        self.pivots: Tuple[int, ...] = pivots
 
     @property
     def dim(self) -> int:
@@ -266,10 +281,13 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length does not match ambient dimension")
-        if is_zero_vec(v):
-            return True
-        stacked = self.basis + (v,)
-        return rank(stacked) == self.dim
+        # Basis row i is 1 at pivot i and 0 at every other pivot, so the
+        # only candidate coordinates are v's own pivot entries.
+        picked = [(v[p], row) for p, row in zip(self.pivots, self.basis) if v[p]]
+        if not picked:
+            return is_zero_vec(v)
+        coeffs, rows = zip(*picked)
+        return lin_comb(coeffs, rows) == v
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -311,14 +329,77 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def coords_in_basis(basis: Sequence[Vec], v: Vec) -> Vec:
-    """Coefficients of v in an independent spanning list, else NotInSpan."""
-    if not basis:
-        if is_zero_vec(v):
-            return ()
-        raise NotInSpan("nonzero vector against an empty basis")
-    columns = transpose(tuple(basis))
-    sol = solve(columns, v)
-    if sol is None:
-        raise NotInSpan("vector is outside the span of the basis")
-    return sol
+class FactoredBasis:
+    """A list of vectors eliminated once, for many coordinate reads.
+
+    [B^T | I] is reduced with pivots taken only among the basis columns,
+    which leaves a transform E with E B^T in reduced echelon form.  The
+    rows of E at the pivots give the coordinates of v as one product
+    E v; the remaining rows vanish on v exactly when v lies in the span.
+    Coordinates of non-pivot (dependent) vectors are zero, as in solve.
+    """
+
+    __slots__ = ("basis", "ambient_dim", "pivots", "_coord_rows", "_residual_rows", "_zero")
+
+    def __init__(
+        self, basis: Sequence[Vec], ambient_dim: int, params: MetallicParams
+    ) -> None:
+        self.basis: Mat = tuple(basis)
+        for v in self.basis:
+            if len(v) != ambient_dim:
+                raise ShapeError(
+                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
+                )
+        self.ambient_dim = ambient_dim
+        k = len(self.basis)
+        one = QuadScalar.one(params)
+        self._zero = QuadScalar.zero(params)
+        rows = [
+            [v[i] for v in self.basis]
+            + [one if i == j else self._zero for j in range(ambient_dim)]
+            for i in range(ambient_dim)
+        ]
+        self.pivots = _reduce(rows, k)
+        r = len(self.pivots)
+        self._coord_rows: Mat = tuple(tuple(row[k:]) for row in rows[:r])
+        self._residual_rows: Mat = tuple(tuple(row[k:]) for row in rows[r:])
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def coords(self, v: Vec) -> Vec:
+        """Coefficients c with sum_i c_i basis[i] = v, else NotInSpan."""
+        if len(v) != self.ambient_dim:
+            raise ShapeError("vector length does not match ambient dimension")
+        if not is_zero_vec(mat_vec(self._residual_rows, v)):
+            raise NotInSpan("vector is outside the span of the basis")
+        values = mat_vec(self._coord_rows, v)
+        if len(values) == len(self.basis):
+            return values  # independent list: every column is a pivot
+        out = [self._zero] * len(self.basis)
+        for p, x in zip(self.pivots, values):
+            out[p] = x
+        return tuple(out)
+
+    def projector(self, indices: Iterable[int]) -> Mat:
+        """Matrix of v -> sum_{i in indices} coords(v)_i basis[i], for v
+        in the span: the projection onto those basis vectors along the
+        others."""
+        chosen = set(indices)
+        picked = [
+            (self.basis[p], row)
+            for p, row in zip(self.pivots, self._coord_rows)
+            if p in chosen
+        ]
+        if not picked:
+            return tuple(
+                (self._zero,) * self.ambient_dim for _ in range(self.ambient_dim)
+            )
+        vectors, rows = zip(*picked)
+        return mat_mul(transpose(vectors), rows)
+
+
+def factor_system(a: Mat, params: MetallicParams) -> FactoredBasis:
+    """The columns of a, factored once: coords(b) solves a x = b."""
+    return FactoredBasis(transpose(a), len(a), params)

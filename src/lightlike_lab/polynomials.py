@@ -157,8 +157,8 @@ class Polynomial:
         for expos, coef in self.terms.items():
             term = coef
             for x, e in zip(point, expos):
-                for _ in range(e):
-                    term = term * x
+                if e:
+                    term = term * x**e
             acc = acc + term
         return acc
 

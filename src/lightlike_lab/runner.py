@@ -29,6 +29,7 @@ from .classifier import (
 )
 from .errors import (
     InsufficientScene,
+    InternalInconsistency,
     LightlikeLabError,
     NotLightlike,
     ValidationError,
@@ -238,6 +239,9 @@ class _SceneRun:
                     REFERENCES[cid],
                     {"reason": f"insufficient scene data: {exc}"},
                 )
+            except InternalInconsistency as exc:
+                exc.check, exc.point = cid, i
+                raise
             per_point.append(
                 {
                     "point": _point_json(scene.points[i]),

@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DivByZero, ParamError, ParseError
 
@@ -255,15 +255,20 @@ class QuadScalar:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadScalar.one(self.params)
+        if exponent == 0:
+            return QuadScalar.one(self.params)
+        # binary powering; the first factor is taken as is rather than
+        # multiplied into one, and the base is not squared past the top bit
+        result: Optional[QuadScalar] = None
         base = self
         n = exponent
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # ---- equality ----
 

@@ -15,9 +15,10 @@ automatically invertible.  Both are asserted rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 from .ambient import SignatureSpace
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    FactoredBasis,
     Subspace,
     Vec,
     det,
@@ -283,6 +285,13 @@ class AdaptedFrame:
     tangent_jacobian keeps the coordinate order of the chart, while the
     Subspace fields carry canonical bases.  ltr[i] pairs with
     rad_basis[i].
+
+    Bases that vectors get split against are factored on first use
+    through factored(), which keeps each factorization for the life of
+    the frame, so each distinct basis is eliminated at most once per
+    point and every later split is a matrix-vector product.
+    full_factor, tangent_factor and jacobian_factor name the three that
+    geometry splits against; build_frame factors none of them.
     """
 
     space: SignatureSpace
@@ -295,6 +304,9 @@ class AdaptedFrame:
     normal_screen: Subspace
     ltr: Tuple[Vec, ...]
     case: CaseKind
+    _factors: Dict[Tuple[Vec, ...], FactoredBasis] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def rad_basis(self) -> Tuple[Vec, ...]:
@@ -303,6 +315,30 @@ class AdaptedFrame:
     @property
     def radical_dim(self) -> int:
         return self.radical.dim
+
+    def factored(self, basis: Sequence[Vec]) -> FactoredBasis:
+        """The list factored once per frame; equal lists share it."""
+        key = tuple(basis)
+        factor = self._factors.get(key)
+        if factor is None:
+            factor = FactoredBasis(key, self.space.dim, self.space.params)
+            self._factors[key] = factor
+        return factor
+
+    @cached_property
+    def full_factor(self) -> FactoredBasis:
+        """Tangent basis, then ltr, then normal-screen basis."""
+        return self.factored(self.tangent.basis + self.ltr + self.normal_screen.basis)
+
+    @cached_property
+    def tangent_factor(self) -> FactoredBasis:
+        """Screen basis, then radical basis."""
+        return self.factored(self.screen.basis + self.rad_basis)
+
+    @cached_property
+    def jacobian_factor(self) -> FactoredBasis:
+        """The coordinate tangent vectors, in chart order."""
+        return self.factored(self.tangent_jacobian)
 
 
 def build_frame(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lightlike_lab.ambient import (
     MetallicStructure,
     SignatureSpace,
-    StructureDefect,
     diag_branches,
     validate_compatibility,
     validate_metallic,

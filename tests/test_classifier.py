@@ -4,6 +4,7 @@ algebra rules out must abort instead of reporting a verdict."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -24,7 +25,7 @@ from lightlike_lab.classifier import (
 from lightlike_lab.errors import InternalInconsistency, NotLightlike
 from lightlike_lab.generators import perturbed_structured_scene
 from lightlike_lab.geometry import derive, lie_bracket, split_tangent
-from lightlike_lab.linalg import invert, mat_mul, transpose, vec_add
+from lightlike_lab.linalg import FactoredBasis, invert, mat_mul, transpose, vec_add
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
@@ -300,6 +301,27 @@ def test_hessian_is_evaluated_once_per_point_and_only_on_demand(monkeypatch):
     for check in POINT_CHECK_FUNCTIONS.values():
         check(ctx)
     assert calls == [ctx.frame.point]
+
+
+@pytest.mark.parametrize("name", ["transversal-plane", "radical-transversal-plane"])
+def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
+    eliminated = Counter()
+    factor = FactoredBasis.__init__
+
+    def counting(self, basis, ambient_dim, params):
+        eliminated[tuple(basis)] += 1
+        factor(self, basis, ambient_dim, params)
+
+    monkeypatch.setattr(FactoredBasis, "__init__", counting)
+    fixture = resources.files("lightlike_lab") / "fixtures" / f"{name}.json"
+    sc = parse_scene(fixture.read_bytes())
+    ctx = PointContext(sc.immersion, sc.structure, sc.points[0], sc.screen, sc.normal_screen)
+    assert not eliminated  # building the frame factors nothing
+    for check in POINT_CHECK_FUNCTIONS.values():
+        check(ctx)
+    # at least the frame's split and Jacobian bases and the kit systems
+    assert len(eliminated) >= 6
+    assert max(eliminated.values()) == 1
 
 
 def test_structure_image_fields_compose_pointwise():

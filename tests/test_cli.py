@@ -6,9 +6,9 @@ import subprocess
 import sys
 from importlib import resources
 
-import pytest
-
+from lightlike_lab import classifier
 from lightlike_lab.classifier import CHECK_ORDER
+from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.cli import SEED_ENV, main
 
 FIXTURES = resources.files("lightlike_lab") / "fixtures"
@@ -208,3 +208,30 @@ def test_console_script_runs_end_to_end(tmp_path):
     assert proc.returncode == 1
     assert "metallic-validate" in proc.stdout
     assert json.loads(out.read_text())["summary"]["FAILS"] == 1
+
+
+def test_internal_inconsistency_names_check_point_and_mode(capsys, monkeypatch):
+    monkeypatch.setattr(
+        classifier.ProjectorSet, "audit", lambda self: ["T does not fix its image slot screen"]
+    )
+    code = main([fixture_path("transversal-recorded.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "internal inconsistency: check=structure-eqs point=0 mode=transversal:"
+        " T does not fix its image slot screen\n"
+    )
+
+
+def test_internal_inconsistency_from_the_equations_gets_the_mode(capsys, monkeypatch):
+    def broken(ctx):
+        raise InternalInconsistency("split regrouping failed in the tangent slot at pair (0, 0)")
+
+    monkeypatch.setattr(classifier, "_structure_equations_radical_transversal", broken)
+    code = main([fixture_path("radical-transversal-plane.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "internal inconsistency: check=structure-eqs point=0 mode=radical-transversal:"
+        " split regrouping failed in the tangent slot at pair (0, 0)\n"
+    )

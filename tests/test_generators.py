@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.generators import (
     cylinder_scene,
     null_dual_candidate,
@@ -13,12 +12,11 @@ from lightlike_lab.generators import (
     random_flag_data,
     random_isometry,
     ruled_scene,
-    transform_immersion,
 )
 from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split
 from lightlike_lab.linalg import Subspace, is_zero_vec, mat_mul, transpose
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
-from lightlike_lab.submanifold import build_frame, construct_ltr
+from lightlike_lab.submanifold import construct_ltr
 
 P = GOLDEN
 ZERO_Q = MetallicParams(0, 2)

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.errors import NotInSpan, ShapeError
 from lightlike_lab.linalg import (
+    FactoredBasis,
     Subspace,
     as_mat,
     as_vec,
-    coords_in_basis,
     det,
     identity,
     invert,
@@ -240,23 +240,113 @@ def test_zero_subspace():
     assert not u.contains(as_vec([1, 0, 0], P))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices(4), st.data())
+def test_subspace_contains_matches_rank(a, data):
+    n = len(a[0])
+    u = Subspace(a, n, P)
+    v = tuple(data.draw(entry, label=f"v{i}") for i in range(n))
+    assert u.contains(v) == (rank(u.basis + (v,)) == u.dim)
+
+
 # ---- coordinates ----
+
+
+def coords_in(basis, v):
+    return FactoredBasis(basis, len(v), P).coords(v)
 
 
 def test_coords_round_trip():
     basis = as_mat([[1, 1, 0], [0, 1, 1]], P)
     v = vec_add(vec_scale(q(2), basis[0]), vec_scale(QuadScalar.sigma(P), basis[1]))
-    coeffs = coords_in_basis(basis, v)
+    coeffs = coords_in(basis, v)
     assert coeffs == (q(2), QuadScalar.sigma(P))
 
 
 def test_coords_not_in_span():
     basis = as_mat([[1, 0, 0]], P)
     with pytest.raises(NotInSpan):
-        coords_in_basis(basis, as_vec([0, 1, 0], P))
+        coords_in(basis, as_vec([0, 1, 0], P))
     with pytest.raises(NotInSpan):
-        coords_in_basis((), as_vec([0, 1], P))
-    assert coords_in_basis((), as_vec([0, 0], P)) == ()
+        coords_in((), as_vec([0, 1], P))
+    assert coords_in((), as_vec([0, 0], P)) == ()
+
+
+def _scalars(params: MetallicParams):
+    return st.builds(
+        lambda a, b: QuadScalar(a, b, params),
+        st.integers(-3, 3),
+        st.sampled_from([0, 0, 1, -1]),
+    )
+
+
+def _draw_basis(data, params: MetallicParams):
+    """0..4 vectors in dimension 1..4: square, tall and wide lists, and
+    dependent ones (the last vector combined from the first two)."""
+    scalar = _scalars(params)
+    n = data.draw(st.integers(1, 4), label="n")
+    k = data.draw(st.integers(0, 4), label="k")
+    vecs = [tuple(data.draw(scalar, label=f"b{i}") for _ in range(n)) for i in range(k)]
+    if k >= 2 and data.draw(st.booleans(), label="dependent"):
+        c = data.draw(scalar, label="c")
+        vecs[-1] = vec_add(vecs[0], vec_scale(c, vecs[1]))
+    return n, tuple(vecs)
+
+
+@pytest.mark.parametrize("params", [GOLDEN, SILVER], ids=["golden", "silver"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_factored_coords_match_solve(params, data):
+    n, basis = _draw_basis(data, params)
+    scalar = _scalars(params)
+    factored = FactoredBasis(basis, n, params)
+    assert factored.rank == (rank(basis) if basis else 0)
+    # a vector inside the span: coordinates agree with solve and rebuild it
+    coeffs = tuple(data.draw(scalar, label="coeff") for _ in basis)
+    inside = lin_comb(coeffs, basis) if basis else as_vec([0] * n, params)
+    got = factored.coords(inside)
+    if basis:
+        assert got == solve(transpose(basis), inside)
+        assert lin_comb(got, basis) == inside
+    else:
+        assert got == ()
+    # an arbitrary vector: NotInSpan exactly where solve finds no solution
+    probe = tuple(data.draw(scalar, label="probe") for _ in range(n))
+    if basis:
+        expected = solve(transpose(basis), probe)
+    else:
+        expected = () if is_zero_vec(probe) else None
+    if expected is None:
+        with pytest.raises(NotInSpan):
+            factored.coords(probe)
+    else:
+        assert factored.coords(probe) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_projector_matrix_matches_coordinates(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    a = tuple(tuple(data.draw(entry, label="a") for _ in range(n)) for _ in range(n))
+    if rank(a) != n:
+        return
+    factored = FactoredBasis(a, n, P)
+    chosen = data.draw(st.sets(st.integers(0, n - 1)), label="chosen")
+    proj = factored.projector(chosen)
+    v = tuple(data.draw(entry, label=f"v{j}") for j in range(n))
+    c = factored.coords(v)
+    want = as_vec([0] * n, P)
+    for i in chosen:
+        want = vec_add(want, vec_scale(c[i], a[i]))
+    assert mat_vec(proj, v) == want
+    assert mat_mul(proj, proj) == proj
+
+
+def test_factored_basis_shape_guards():
+    with pytest.raises(ShapeError):
+        FactoredBasis(as_mat([[1, 0]], P), 3, P)
+    with pytest.raises(ShapeError):
+        FactoredBasis(as_mat([[1, 0, 0]], P), 3, P).coords(as_vec([1, 0], P))
 
 
 # ---- misc ----

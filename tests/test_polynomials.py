@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lightlike_lab.errors import ParseError, ShapeError
 from lightlike_lab.polynomials import Polynomial, parse_polynomial
-from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
+from lightlike_lab.scalars import GOLDEN, QuadScalar
 
 P = GOLDEN
 S = sympy.Symbol("S")
@@ -124,6 +124,30 @@ def test_eval_frozen():
 
 
 # ---- text ----
+
+
+def test_eval_costs_no_more_products_than_the_degree(monkeypatch):
+    point = (QuadScalar(Fraction(1, 2), 1, P), QuadScalar(-2, Fraction(1, 3), P))
+    multiply = QuadScalar.__mul__
+    count = [0]
+
+    def counting(self, other):
+        count[0] += 1
+        return multiply(self, other)
+
+    for e in range(0, 9):
+        for f in range(0, 9):
+            mono = parse_polynomial(f"3*u1^{e}*u2^{f}", 2, P)
+            expected = QuadScalar(3, 0, P)
+            for _ in range(e):
+                expected = expected * point[0]
+            for _ in range(f):
+                expected = expected * point[1]
+            monkeypatch.setattr(QuadScalar, "__mul__", counting)
+            count[0] = 0
+            assert mono.eval(point) == expected
+            monkeypatch.undo()
+            assert count[0] <= e + f
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

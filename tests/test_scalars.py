@@ -265,3 +265,31 @@ def test_hash_consistent_with_eq():
     y = QuadScalar(Fraction(2, 2), Fraction(4, 2), GOLDEN)
     assert x == y and hash(x) == hash(y)
     assert len({x, y}) == 1
+
+
+# ---- powers ----
+
+
+@pytest.mark.parametrize("params", [GOLDEN, SILVER], ids=["golden", "silver"])
+def test_power_is_binary_powering_without_spare_products(params, monkeypatch):
+    x = QuadScalar(Fraction(2, 3), -1, params)
+    products = [QuadScalar.one(params)]
+    for _ in range(40):
+        products.append(products[-1] * x)
+    multiply = QuadScalar.__mul__
+    count = [0]
+
+    def counting(self, other):
+        count[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(QuadScalar, "__mul__", counting)
+    for e, expected in enumerate(products):
+        count[0] = 0
+        assert x**e == expected
+        # squarings below the top bit, plus one product per further set bit
+        assert count[0] == max(e.bit_length() - 1, 0) + max(bin(e).count("1") - 1, 0)
+        assert count[0] <= max(e - 1, 0)
+    monkeypatch.undo()
+    assert x**-3 == (x * x * x).inverse()
+    assert QuadScalar.zero(params) ** 5 == QuadScalar.zero(params)

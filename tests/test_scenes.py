@@ -7,8 +7,6 @@ import pytest
 from lightlike_lab.classifier import CHECK_ORDER
 from lightlike_lab.errors import ParseError, ValidationError
 from lightlike_lab.scenes import (
-    Scene,
-    SceneClaims,
     parse_scene,
     scene_to_dict,
     serialize_scene,

@@ -19,7 +19,7 @@ from lightlike_lab.errors import (
     ShapeError,
     ValidationError,
 )
-from lightlike_lab.linalg import Subspace, as_mat, as_vec, rank
+from lightlike_lab.linalg import as_mat, as_vec, rank
 from lightlike_lab.polynomials import Polynomial, parse_polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.submanifold import (
@@ -27,9 +27,7 @@ from lightlike_lab.submanifold import (
     CaseKind,
     PolynomialImmersion,
     build_frame,
-    choose_screen,
     classify_case,
-    construct_ltr,
 )
 
 P02 = MetallicParams(0, 2)
