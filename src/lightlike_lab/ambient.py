@@ -21,7 +21,6 @@ from .linalg import (
     identity,
     mat_mul,
     mat_vec,
-    null_space,
 )
 from .scalars import MetallicParams, QuadScalar
 
@@ -51,11 +50,16 @@ class SignatureSpace:
         return sum(1 for e in self.eps if e == -1)
 
     def inner(self, u: Vec, v: Vec) -> QuadScalar:
+        """sum_i eps_i u_i v_i.  Each weight is +1 or -1, so a term is
+        added or subtracted as it stands instead of being multiplied by
+        the weight, and a term with a zero factor is skipped (exact sums
+        do not depend on the zero terms they include)."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ShapeError("vector length does not match ambient dimension")
         acc = QuadScalar.zero(self.params)
         for e, x, y in zip(self.eps, u, v):
-            acc = acc + e * x * y
+            if x and y:
+                acc = acc + x * y if e > 0 else acc - x * y
         return acc
 
     def basis_vector(self, i: int) -> Vec:
@@ -71,17 +75,38 @@ class SignatureSpace:
 
     def orthogonal_complement(self, sub: Subspace) -> Subspace:
         """All vectors orthogonal to sub.  The form is nondegenerate, so
-        dimensions are complementary even when the two spaces overlap."""
+        dimensions are complementary even when the two spaces overlap.
+
+        x is orthogonal to sub exactly when B diag(eps) x = 0 for sub's
+        basis B, i.e. x = diag(eps) y with y in ker(B).  B is already in
+        reduced echelon form, so ker(B) is read off its pivots, one
+        vector per free column, with no elimination; the one
+        elimination left is the canonical basis of the result.
+        """
         if sub.ambient_dim != self.dim:
             raise ShapeError("subspace does not live in this ambient space")
-        rows = tuple(
-            tuple(self.eps[j] * b[j] for j in range(self.dim)) for b in sub.basis
-        )
-        kernel = null_space(rows, self.dim, self.params)
-        return Subspace(kernel, self.dim, self.params)
+        one = QuadScalar.one(self.params)
+        zero = QuadScalar.zero(self.params)
+        pivot_set = set(sub.pivots)
+        kernel = []
+        for free in range(self.dim):
+            if free in pivot_set:
+                continue
+            y = [zero] * self.dim
+            y[free] = one
+            for row, pc in zip(sub.basis, sub.pivots):
+                y[pc] = -row[free]
+            kernel.append(tuple(-x if e < 0 else x for e, x in zip(self.eps, y)))
+        return Subspace(tuple(kernel), self.dim, self.params)
 
     def gram(self, vectors: Sequence[Vec]) -> Mat:
-        return tuple(tuple(self.inner(u, v) for v in vectors) for u in vectors)
+        """Symmetric matrix of inner products; one triangle is computed."""
+        n = len(vectors)
+        rows = [[None] * n for _ in range(n)]
+        for i, u in enumerate(vectors):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = self.inner(u, vectors[j])
+        return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)

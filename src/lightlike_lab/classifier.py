@@ -518,10 +518,7 @@ def check_frame(
     """
     frame = ctx.frame
     space = ctx.space
-    gram = tuple(
-        tuple(space.inner(u, v) for v in frame.tangent_jacobian)
-        for u in frame.tangent_jacobian
-    )
+    gram = frame.tangent_gram
     notices: List[str] = []
     witness: Dict[str, object] = {
         "case": frame.case.value,

@@ -376,7 +376,7 @@ def radical_tangent_fields(
     space = frame.space
     coords = chart.coordinates
     m = len(coords)
-    gram0 = tuple(tuple(space.inner(a.value, b.value) for b in coords) for a in coords)
+    gram0 = frame.tangent_gram  # the coordinate values are the Jacobian rows
     d_gram = tuple(tuple(pairing_gradient(space, a, b) for b in coords) for a in coords)
     system = factor_system(gram0, space.params)
     fields = []

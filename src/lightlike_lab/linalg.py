@@ -11,7 +11,9 @@ coordinates of each further vector are one matrix-vector product plus a
 residual test, and a projection onto some of the basis vectors along
 the rest is one precomputed matrix.  Subspace keeps its canonical
 reduced-echelon basis with its pivot columns, so membership reads the
-coordinates off those columns instead of eliminating again.
+coordinates off those columns instead of eliminating again.  A list
+that grows one vector at a time stays open in OpenElimination, so each
+independence test is one forward reduction of the new vector.
 
 Matrix products skip every term with a zero factor.  Exact sums do not
 depend on which zero terms they include, so the skipped terms change no
@@ -398,6 +400,49 @@ class FactoredBasis:
             )
         vectors, rows = zip(*picked)
         return mat_mul(transpose(vectors), rows)
+
+
+class OpenElimination:
+    """An independent list kept in echelon form while it grows.
+
+    Each kept row is 1 at its pivot and 0 at the pivots of the rows
+    kept before it.  Reducing a vector against the rows in the order
+    they were kept leaves it 0 at every pivot, and a nonzero combination
+    of the rows is nonzero at the pivot of the earliest row it uses, so the
+    residual vanishes exactly when the vector lies in the span: one
+    forward pass per candidate instead of eliminating the stacked list.
+    It starts from a Subspace, whose reduced basis already has this form.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, seed: Subspace) -> None:
+        self.rows: List[Vec] = list(seed.basis)
+        self.pivots: List[int] = list(seed.pivots)
+
+    def reduce(self, v: Vec) -> Vec:
+        """v minus its components along the kept rows; zero iff v is in their span."""
+        w = v
+        for row, p in zip(self.rows, self.pivots):
+            f = w[p]
+            if f:
+                w = tuple(x - f * y if y else x for x, y in zip(w, row))
+        return w
+
+    def keep(self, residual: Vec) -> None:
+        """Append a nonzero residual returned by reduce() as a new row."""
+        c = next(i for i, x in enumerate(residual) if x)
+        inv = residual[c].inverse()
+        self.rows.append(tuple(inv * x if x else x for x in residual))
+        self.pivots.append(c)
+
+    def extend(self, v: Vec) -> bool:
+        """Keep v when it is independent of the rows; report whether it was."""
+        residual = self.reduce(v)
+        if is_zero_vec(residual):
+            return False
+        self.keep(residual)
+        return True
 
 
 def factor_system(a: Mat, params: MetallicParams) -> FactoredBasis:

@@ -104,6 +104,10 @@ class _SceneRun:
                     self.scene.screen,
                     self.scene.normal_screen,
                 )
+            except InternalInconsistency as exc:
+                # a bug, not bad input: exit 1 with its source, never 2
+                exc.point = i
+                raise
             except LightlikeLabError as exc:
                 raise ValidationError(f"/points/{i}: {exc}") from exc
         return self._contexts[i]
@@ -267,13 +271,14 @@ class _SceneRun:
         for i in range(len(scene.points)):
             ctx = self.context(i)
             jac = ctx.frame.tangent_jacobian
+            gram = ctx.frame.tangent_gram
             m = len(jac)
             jf = np.array([[float(x) for x in row] for row in jac])
             gram_float = jf @ np.diag(eps) @ jf.T
             deviation = 0.0
             for a in range(m):
                 for b in range(m):
-                    exact = ctx.space.inner(jac[a], jac[b])
+                    exact = gram[a][b]
                     deviation = max(
                         deviation, abs(float(exact) - float(gram_float[a, b]))
                     )

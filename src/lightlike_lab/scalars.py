@@ -156,11 +156,17 @@ class QuadScalar:
 
     # ---- ring operations ----
 
+    # A plain int operand (never a bool: type() is exact) scales or
+    # shifts the Fraction coefficients directly instead of being lifted
+    # into a QuadScalar first; the result is the same normalized value.
+
     def __add__(self, other: object) -> "QuadScalar":
         if type(other) is QuadScalar:
             if self.params is not other.params:
                 self._check_params(other)
             return QuadScalar._fast(self.a + other.a, self.b + other.b, self.params)
+        if type(other) is int:
+            return QuadScalar._fast(self.a + other, self.b, self.params)
         try:
             o = self._lift(other)
         except TypeError:
@@ -177,6 +183,8 @@ class QuadScalar:
             if self.params is not other.params:
                 self._check_params(other)
             return QuadScalar._fast(self.a - other.a, self.b - other.b, self.params)
+        if type(other) is int:
+            return QuadScalar._fast(self.a - other, self.b, self.params)
         try:
             o = self._lift(other)
         except TypeError:
@@ -184,6 +192,8 @@ class QuadScalar:
         return QuadScalar._fast(self.a - o.a, self.b - o.b, self.params)
 
     def __rsub__(self, other: object) -> "QuadScalar":
+        if type(other) is int:
+            return QuadScalar._fast(other - self.a, -self.b, self.params)
         try:
             o = self._lift(other)
         except TypeError:
@@ -195,6 +205,8 @@ class QuadScalar:
             o = other
             if self.params is not o.params:
                 self._check_params(o)
+        elif type(other) is int:
+            return QuadScalar._fast(self.a * other, self.b * other, self.params)
         else:
             try:
                 o = self._lift(other)
@@ -220,7 +232,7 @@ class QuadScalar:
 
     def conjugate(self) -> "QuadScalar":
         """Image under sigma -> p - sigma, the other root of the defining relation."""
-        return QuadScalar(self.a + self.b * self.params.p, -self.b, self.params)
+        return QuadScalar._fast(self.a + self.b * self.params.p, -self.b, self.params)
 
     def field_norm(self) -> Fraction:
         """self * self.conjugate(), always rational."""
@@ -228,13 +240,17 @@ class QuadScalar:
         return self.a * self.a + self.a * self.b * p - self.b * self.b * q
 
     def inverse(self) -> "QuadScalar":
+        if not self.b:
+            if not self.a:
+                raise DivByZero("inverse of zero")
+            return QuadScalar._fast(1 / self.a, self.b, self.params)
         n = self.field_norm()
         if n == 0:
             # norm vanishes only at zero: sigma irrational excludes a = -b*sigma,
             # and square discriminants collapse to b == 0 where norm == a^2
             raise DivByZero("inverse of zero")
         c = self.conjugate()
-        return QuadScalar(c.a / n, c.b / n, self.params)
+        return QuadScalar._fast(c.a / n, c.b / n, self.params)
 
     def __truediv__(self, other: object) -> "QuadScalar":
         try:

@@ -11,6 +11,16 @@ the radical inside the tangent space (or inside the normal space) is
 automatically nondegenerate, and the pairing matrix between the radical
 and any complement of it inside the orthogonal space of both screens is
 automatically invertible.  Both are asserted rather than trusted.
+
+Each piece of linear algebra is done once per point.  The Jacobian is
+eliminated once, for its rank and its span together.  The radical is
+J^T ker G, the image of the kernel of the m x m tangent Gram matrix G
+(J has full rank, so J^T c is orthogonal to the tangent space exactly
+when G c = 0), and the frame keeps G.  The greedy complements test each
+candidate with one forward reduction against an elimination they keep
+open, and their Gram matrix gains one row per accepted vector.  Still
+asserted on every frame: the complements are nondegenerate, the
+transversal frame is null and dual to the radical basis.
 """
 
 from __future__ import annotations
@@ -31,12 +41,17 @@ from .errors import (
 )
 from .linalg import (
     FactoredBasis,
+    Mat,
+    OpenElimination,
     Subspace,
     Vec,
     det,
     invert,
+    is_zero_vec,
     lin_comb,
-    rank,
+    mat_vec,
+    null_space,
+    transpose,
     vec_scale,
     vec_sub,
 )
@@ -91,30 +106,47 @@ class PolynomialImmersion:
             if comp.params != self.space.params:
                 raise ShapeError(f"component {i} carries foreign scalar parameters")
 
-    def partial_polys(self, j: int) -> Tuple[Polynomial, ...]:
-        """The j-th coordinate tangent field as ambient polynomial components."""
-        return tuple(c.partial(j) for c in self.components)
+    @cached_property
+    def jacobian_polys(self) -> Tuple[Tuple[Polynomial, ...], ...]:
+        """[j][k] = d_j f_k: the coordinate tangent fields, differentiated
+        once per immersion rather than once per point."""
+        return tuple(
+            tuple(c.partial(j) for c in self.components) for j in range(self.chart_dim)
+        )
 
-    def tangent_frame(self, point: Sequence[QuadScalar]) -> Tuple[Vec, ...]:
-        """Coordinate tangent vectors at the point; full rank or a raise."""
+    @cached_property
+    def hessian_polys(self) -> Tuple[Tuple[Tuple[Polynomial, ...], ...], ...]:
+        """[l][j][k] = d_l d_j f_k, differentiated once per immersion."""
+        return tuple(
+            tuple(tuple(d.partial(l) for d in row) for row in self.jacobian_polys)
+            for l in range(self.chart_dim)
+        )
+
+    def tangent_space(
+        self, point: Sequence[QuadScalar]
+    ) -> Tuple[Tuple[Vec, ...], Subspace]:
+        """Coordinate tangent vectors at the point and their span, from
+        one elimination; full rank or a raise."""
         if len(point) != self.chart_dim:
             raise ShapeError("point length does not match chart dimension")
         frame = tuple(
-            tuple(c.partial(j).eval(point) for c in self.components)
-            for j in range(self.chart_dim)
+            tuple(d.eval(point) for d in row) for row in self.jacobian_polys
         )
-        if rank(frame) != self.chart_dim:
+        tangent = Subspace(frame, self.space.dim, self.space.params)
+        if tangent.dim != self.chart_dim:
             pretty = ", ".join(str(x) for x in point)
             raise ImmersionRankDrop(f"Jacobian rank drop at ({pretty})")
-        return frame
+        return frame, tangent
+
+    def tangent_frame(self, point: Sequence[QuadScalar]) -> Tuple[Vec, ...]:
+        """Coordinate tangent vectors at the point; full rank or a raise."""
+        return self.tangent_space(point)[0]
 
     def hessian(self, point: Sequence[QuadScalar]) -> Tuple[Tuple[Vec, ...], ...]:
         """Second partials at the point: hessian[l][j] = d_l d_j f."""
-        m = self.chart_dim
-        first = [self.partial_polys(j) for j in range(m)]
         return tuple(
-            tuple(tuple(c.partial(l).eval(point) for c in first[j]) for j in range(m))
-            for l in range(m)
+            tuple(tuple(d.eval(point) for d in row) for row in rows)
+            for rows in self.hessian_polys
         )
 
 
@@ -140,35 +172,49 @@ def _greedy_complement(
     alone.  The final complement is nondegenerate regardless (a vector
     of whole orthogonal to both sub and the complement sits in the
     radical of whole, which is contained in sub), and that is asserted.
+
+    Independence is one forward reduction of the candidate against an
+    elimination of sub plus the vectors chosen so far, kept open across
+    candidates, and the Gram matrix of the chosen vectors gains one row
+    per accepted vector.
     """
     if not whole.contains_subspace(sub):
         raise ShapeError("sub is not inside whole")
     target = whole.dim - sub.dim
     chosen: list = []
+    gram: Mat = ()
+    elimination = OpenElimination(sub)
 
-    def independent(v: Vec) -> bool:
-        return rank(sub.basis + tuple(chosen) + (v,)) == sub.dim + len(chosen) + 1
+    def bordered(v: Vec) -> Mat:
+        """The chosen vectors' Gram matrix with v appended."""
+        row = tuple(space.inner(c, v) for c in chosen)
+        return tuple(g + (x,) for g, x in zip(gram, row)) + (row + (space.inner(v, v),),)
 
     for v in whole.basis:
         if len(chosen) == target:
             break
-        if not independent(v):
+        residual = elimination.reduce(v)
+        if is_zero_vec(residual):
             continue
-        candidate = chosen + [v]
-        if det(space.gram(tuple(candidate))):
-            chosen = candidate
+        candidate = bordered(v)
+        if det(candidate):
+            elimination.keep(residual)
+            chosen.append(v)
+            gram = candidate
     if len(chosen) < target:
         for v in whole.basis:
             if len(chosen) == target:
                 break
-            if independent(v):
+            if elimination.extend(v):
+                gram = bordered(v)
                 chosen.append(v)
     if len(chosen) != target:
         raise InternalInconsistency("greedy complement failed to reach full size")
-    result = Subspace(tuple(chosen), space.dim, space.params)
-    if result.dim and not det(space.gram(result.basis)):
+    # nondegeneracy does not depend on the basis, so the chosen vectors'
+    # Gram matrix answers for the canonical basis of their span
+    if chosen and not det(gram):
         raise InternalInconsistency("complement of the radical came out degenerate")
-    return result
+    return Subspace(tuple(chosen), space.dim, space.params)
 
 
 def _validate_override(
@@ -184,15 +230,16 @@ def _validate_override(
             raise ScreenInvalid(f"{label}: vector length does not match ambient")
         if not whole.contains(v):
             raise ScreenInvalid(f"{label}: vector outside the bundle it must refine")
-    if rank(vectors) != len(vectors):
+    candidate = Subspace(vectors, space.dim, space.params)
+    if candidate.dim != len(vectors):
         raise ScreenInvalid(f"{label}: spanning vectors are dependent")
     if len(vectors) != whole.dim - sub.dim:
         raise ScreenInvalid(
             f"{label}: got {len(vectors)} vectors, need {whole.dim - sub.dim}"
         )
-    if rank(sub.basis + vectors) != whole.dim:
+    elimination = OpenElimination(sub)
+    if not all(elimination.extend(v) for v in candidate.basis):
         raise ScreenInvalid(f"{label}: does not complement the radical")
-    candidate = Subspace(vectors, space.dim, space.params)
     if candidate.dim and not det(space.gram(candidate.basis)):
         raise ScreenInvalid(f"{label}: induced metric on the override is degenerate")
     return candidate
@@ -250,10 +297,11 @@ def construct_ltr(
         raise LtrConstructionFailed("radical escaped the orthogonal space of the screens")
 
     chosen: list = []
+    elimination = OpenElimination(radical)
     for v in lam.basis:
         if len(chosen) == r:
             break
-        if rank(radical.basis + tuple(chosen) + (v,)) == r + len(chosen) + 1:
+        if elimination.extend(v):
             chosen.append(v)
     if len(chosen) != r:
         raise LtrConstructionFailed("no complement of the radical inside the pairing space")
@@ -283,8 +331,9 @@ class AdaptedFrame:
     """Everything the pointwise checks need, all exact.
 
     tangent_jacobian keeps the coordinate order of the chart, while the
-    Subspace fields carry canonical bases.  ltr[i] pairs with
-    rad_basis[i].
+    Subspace fields carry canonical bases.  tangent_gram is the Gram
+    matrix of tangent_jacobian, which the radical was read from.  ltr[i]
+    pairs with rad_basis[i].
 
     Bases that vectors get split against are factored on first use
     through factored(), which keeps each factorization for the life of
@@ -297,6 +346,7 @@ class AdaptedFrame:
     space: SignatureSpace
     point: Tuple[QuadScalar, ...]
     tangent_jacobian: Tuple[Vec, ...]
+    tangent_gram: Mat
     tangent: Subspace
     normal: Subspace
     radical: Subspace
@@ -348,10 +398,16 @@ def build_frame(
     normal_screen_override: Optional[Sequence[Vec]] = None,
 ) -> AdaptedFrame:
     space = immersion.space
-    jac = immersion.tangent_frame(point)
-    tangent = Subspace(jac, space.dim, space.params)
+    jac, tangent = immersion.tangent_space(point)
     normal = space.orthogonal_complement(tangent)
-    radical = tangent.intersect(normal)
+    # J has full rank, so J^T c is orthogonal to the tangent space exactly
+    # when G c = 0: the radical is the image of the Gram kernel
+    gram = space.gram(jac)
+    kernel = null_space(gram, len(jac), space.params)
+    columns = transpose(jac)
+    radical = Subspace(
+        tuple(mat_vec(columns, c) for c in kernel), space.dim, space.params
+    )
     case = classify_case(tangent.dim, normal.dim, radical.dim)
 
     screen = choose_screen(space, tangent, radical, screen_override)
@@ -373,6 +429,7 @@ def build_frame(
         space=space,
         point=tuple(point),
         tangent_jacobian=jac,
+        tangent_gram=gram,
         tangent=tangent,
         normal=normal,
         radical=radical,

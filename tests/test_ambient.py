@@ -14,7 +14,15 @@ from lightlike_lab.ambient import (
     validate_metallic,
 )
 from lightlike_lab.errors import ShapeError, ValidationError
-from lightlike_lab.linalg import Subspace, as_mat, as_vec, identity, mat_mul, transpose
+from lightlike_lab.linalg import (
+    Subspace,
+    as_mat,
+    as_vec,
+    identity,
+    mat_mul,
+    null_space,
+    transpose,
+)
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 
 P02 = MetallicParams(0, 2)
@@ -68,6 +76,67 @@ def test_complement_dimension_and_involution(eps, data):
     for b in sub.basis:
         for c in perp.basis:
             assert not space.inner(b, c)
+
+
+def _textbook_inner(space, u, v):
+    return sum(
+        (QuadScalar(e, 0, space.params) * x * y for e, x, y in zip(space.eps, u, v)),
+        start=QuadScalar.zero(space.params),
+    )
+
+
+def _null_space_complement(space, sub):
+    """The complement as a kernel: null_space of B diag(eps), then the
+    canonical basis of that kernel (two eliminations)."""
+    rows = tuple(
+        tuple(space.eps[j] * b[j] for j in range(space.dim)) for b in sub.basis
+    )
+    return Subspace(null_space(rows, space.dim, space.params), space.dim, space.params)
+
+
+def _sparse_vectors(data, params, dim, count):
+    entry = st.builds(
+        lambda a, b: QuadScalar(a, b, params),
+        st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2)]),
+        st.sampled_from([0, 0, 1, -1]),
+    )
+    return tuple(
+        tuple(data.draw(entry) for _ in range(dim)) for _ in range(count)
+    )
+
+
+@pytest.mark.parametrize(
+    "params", [GOLDEN, P02, MetallicParams(1, 2)], ids=["golden", "p0", "square"]
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    eps=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=6), data=st.data()
+)
+def test_inner_and_gram_match_the_textbook_sum(params, eps, data):
+    space = SignatureSpace(len(eps), tuple(eps), params)
+    vectors = _sparse_vectors(data, params, len(eps), data.draw(st.integers(0, 4)))
+    gram = space.gram(vectors)
+    assert len(gram) == len(vectors)
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            expected = _textbook_inner(space, u, v)
+            assert space.inner(u, v) == expected
+            assert gram[i][j] == expected
+
+
+@pytest.mark.parametrize(
+    "params", [GOLDEN, P02, MetallicParams(1, 2)], ids=["golden", "p0", "square"]
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    eps=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=6), data=st.data()
+)
+def test_pivot_read_complement_matches_the_null_space_route(params, eps, data):
+    space = SignatureSpace(len(eps), tuple(eps), params)
+    vectors = _sparse_vectors(data, params, len(eps), data.draw(st.integers(0, 6)))
+    sub = Subspace(vectors, space.dim, params)
+    perp = space.orthogonal_complement(sub)
+    assert perp == _null_space_complement(space, sub)
 
 
 # ---- structure validators ----

@@ -235,3 +235,37 @@ def test_internal_inconsistency_from_the_equations_gets_the_mode(capsys, monkeyp
         "internal inconsistency: check=structure-eqs point=0 mode=radical-transversal:"
         " split regrouping failed in the tangent slot at pair (0, 0)\n"
     )
+
+
+def test_internal_inconsistency_in_the_frame_build_is_not_an_input_error(
+    capsys, monkeypatch
+):
+    from lightlike_lab import submanifold
+
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("transversal frame lost duality")
+
+    monkeypatch.setattr(submanifold, "construct_ltr", broken)
+    code = main([fixture_path("transversal-plane.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "internal inconsistency: check=- point=0 mode=-:"
+        " transversal frame lost duality\n"
+    )
+
+
+def test_bad_point_in_the_frame_build_is_still_an_input_error(tmp_path, capsys):
+    scene = json.loads((FIXTURES / "transversal-plane.json").read_text())
+    # a chart point where the Jacobian drops rank is bad input, not a bug
+    scene["submanifold"]["components"] = [
+        [{"powers": [2] + [0] * (scene["submanifold"]["chart_dim"] - 1), "coeff": "1"}]
+    ] * len(scene["submanifold"]["components"])
+    scene["points"] = [["0"] * scene["submanifold"]["chart_dim"]]
+    bad = tmp_path / "scene.json"
+    bad.write_text(json.dumps(scene))
+    code = main([str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: /points/0: Jacobian rank drop at (0")

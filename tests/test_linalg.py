@@ -16,6 +16,7 @@ from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.errors import NotInSpan, ShapeError
 from lightlike_lab.linalg import (
     FactoredBasis,
+    OpenElimination,
     Subspace,
     as_mat,
     as_vec,
@@ -350,6 +351,52 @@ def test_factored_basis_shape_guards():
 
 
 # ---- misc ----
+
+
+@pytest.mark.parametrize("params", [GOLDEN, SILVER], ids=["golden", "silver"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_open_elimination_verdicts_match_rank(params, data):
+    """Independence one vector at a time equals rank on the stacked list,
+    seeded with the zero or a drawn subspace, over candidate lists
+    that mix drawn vectors, combinations of earlier ones and zeros."""
+    dim = data.draw(st.integers(1, 5), label="dim")
+    scal = _scalars(params)
+
+    def drawn():
+        return tuple(data.draw(scal) for _ in range(dim))
+
+    seed_rows = tuple(drawn() for _ in range(data.draw(st.integers(0, dim))))
+    seed = Subspace(seed_rows, dim, params)
+    elimination = OpenElimination(seed)
+    kept = list(seed.basis)
+    for _ in range(data.draw(st.integers(0, 2 * dim), label="count")):
+        kind = data.draw(st.sampled_from(["drawn", "combination", "zero"]))
+        if kind == "combination" and kept:
+            v = lin_comb([data.draw(scal) for _ in kept], kept)
+        elif kind == "zero":
+            v = tuple(QuadScalar.zero(params) for _ in range(dim))
+        else:
+            v = drawn()
+        independent = rank(tuple(kept) + (v,)) == len(kept) + 1
+        assert is_zero_vec(elimination.reduce(v)) == (not independent)
+        assert elimination.extend(v) == independent
+        if independent:
+            kept.append(v)
+    assert len(elimination.rows) == len(kept) == rank(tuple(kept))
+    assert Subspace(tuple(elimination.rows), dim, params) == Subspace(
+        tuple(kept), dim, params
+    )
+
+
+def test_open_elimination_seed_is_taken_as_is():
+    sub = Subspace(as_mat([[2, 4, 1], [1, 2, 0]], P), 3, P)
+    elimination = OpenElimination(sub)
+    assert elimination.rows == list(sub.basis)
+    assert elimination.pivots == list(sub.pivots)
+    assert not elimination.extend(as_vec([3, 6, 1], P))
+    assert elimination.extend(as_vec([0, 1, 0], P))
+    assert not elimination.extend(as_vec([5, -1, 7], P))  # now full rank
 
 
 def test_gram_symmetric():

@@ -599,3 +599,116 @@ def test_configuration_claim_mismatch_is_a_notice_not_a_failure():
 def test_all_fixture_reports_are_json_serializable():
     for name in sorted(PINNED):
         json.loads(fixture_report(name).serialize())
+
+
+# ---- report bytes pinned by digest ----
+#
+# sha256 of run(...).serialize(), recorded before the frame build was
+# reworked to do each elimination once; any change to frame construction
+# that moves a byte of a report fails here.  The float oracle stays off
+# because float reprs depend on the BLAS build.
+
+PINNED_REPORT_SHA256 = {
+    "paper-example.json": (
+        "9e2411b73244c5e701bafa14aaad2d2e"
+        "99a5146625ed6c26e05fad6d617fd044"
+    ),
+    "radical-transversal-plane.json": (
+        "5b96a85daf118470cafbba8c4c7fa13f"
+        "38ab5699c9acbe94df1e7ce80b9b1979"
+    ),
+    "radical-transversal-deep.json": (
+        "cfce0e3de81b583d486289063a409bea"
+        "77e86270fb174e65bd08a4f060807882"
+    ),
+    "transversal-plane.json": (
+        "b1e602d050937cf1055597c20f9417ab"
+        "973306488a96cc33149b32738159e961"
+    ),
+    "transversal-recorded.json": (
+        "f01b9daeb809c786f393abc42970b00b"
+        "923d62bf0391d71cf97a902a2a62e6e7"
+    ),
+    "isotropic-screenless.json": (
+        "d29a4a381e2d876035f8aafc6d01e6a3"
+        "76a4d08fd713b36c31d8d7dd9db24f4b"
+    ),
+    "identity-structure.json": (
+        "548bac0edb73897d49e9eab85ae78bd5"
+        "d176aec4ad13f0343c9420a90490ed4a"
+    ),
+}
+
+# (generator seed, (p, q), configuration, flavors): multi-point scenes,
+# all with p > 0, so both the rational and the irrational sigma parts
+# of every frame are covered.
+GENERATED_SPECS = (
+    (11, (1, 1), "radical-transversal", ("str",)),
+    (12, (2, 1), "transversal", ("ltr",)),
+    (13, (1, 2), "radical-transversal", ("ltr",)),
+    (14, (3, 1), "transversal", ("str",)),
+    (15, (2, 2), "radical-transversal", ()),
+    (16, (1, 1), "transversal", ("screen",)),
+)
+
+PINNED_GENERATED_SHA256 = {
+    11: "aa3003c73f1854c481f0e4b8fbda08e3fb204d78d29210061f09ebe4066e945a",
+    12: "de304f86db11af08eb1b97721459979b7c0d105a754eb7ee78730669c2c286e3",
+    13: "0e22b18bd7ee1085642374ec6352bd5949e5e3147e40d51218f0f992b806749b",
+    14: "36a663549dff36a37eea6b21f29ed5fdd46c7832d7b90bf8b214cce821e17d8e",
+    15: "45bf18478010413c69fc68259f666d91a66ec038593dddd9d2907dae0a54246a",
+    16: "591affc3cfb6d570098dfac2c8955791f1f7caca3535618e914d7fd24bceb799",
+}
+
+
+def sha256_hex(data):
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def generated_multipoint_scene(seed, pq, config, flavors, extra_points=4):
+    """The generated base point plus drawn chart points where the
+    Jacobian keeps full rank; the screens are left to build_frame."""
+    from fractions import Fraction
+
+    from lightlike_lab.errors import ImmersionRankDrop
+    from lightlike_lab.scalars import QuadScalar
+
+    params = MetallicParams(*pq)
+    rng = random.Random(seed)
+    g = perturbed_structured_scene(rng, params, config, flavors)
+    points = [tuple(g.point)]
+    while len(points) < 1 + extra_points:
+        point = tuple(
+            QuadScalar(Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3))), 0, params)
+            for _ in range(g.immersion.chart_dim)
+        )
+        if point in points:
+            continue
+        try:
+            g.immersion.tangent_frame(point)
+        except ImmersionRankDrop:
+            continue
+        points.append(point)
+    return Scene(
+        params=params,
+        space=g.immersion.space,
+        structure=g.structure,
+        immersion=g.immersion,
+        points=tuple(points),
+        checks=("metallic-validate", "frame"),
+        seed=seed,
+        claims=SceneClaims(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORT_SHA256))
+def test_fixture_report_bytes_are_pinned(name):
+    assert sha256_hex(fixture_report(name).serialize()) == PINNED_REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("spec", GENERATED_SPECS, ids=lambda s: f"g{s[0]}")
+def test_generated_multipoint_report_bytes_are_pinned(spec):
+    report = run(generated_multipoint_scene(*spec))
+    assert sha256_hex(report.serialize()) == PINNED_GENERATED_SHA256[spec[0]]

@@ -293,3 +293,55 @@ def test_power_is_binary_powering_without_spare_products(params, monkeypatch):
     monkeypatch.undo()
     assert x**-3 == (x * x * x).inverse()
     assert QuadScalar.zero(params) ** 5 == QuadScalar.zero(params)
+
+
+# ---- int operands without a lift ----
+
+INT_OPERAND_PARAMS = [GOLDEN, SILVER, MetallicParams(1, 2)]  # (1, 2): sigma = 2
+
+
+@pytest.mark.parametrize(
+    "params", INT_OPERAND_PARAMS, ids=["golden", "silver", "square-discriminant"]
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=rationals, b=rationals, n=st.integers(-(10**12), 10**12))
+def test_int_operands_match_the_lifted_result(params, a, b, n):
+    x = QuadScalar(a, b, params)
+    lifted = QuadScalar(n, 0, params)
+    pairs = (
+        (x * n, x * lifted),
+        (n * x, lifted * x),
+        (x + n, x + lifted),
+        (n + x, lifted + x),
+        (x - n, x - lifted),
+        (n - x, lifted - x),
+    )
+    for got, want in pairs:
+        assert type(got) is QuadScalar
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+        assert (got.a, got.b, got.params) == (want.a, want.b, want.params)
+
+
+def test_int_operands_are_not_lifted(monkeypatch):
+    def refuse(self, value):
+        raise AssertionError(f"lifted {value!r}")
+
+    monkeypatch.setattr(QuadScalar, "_lift", refuse)
+    x = QuadScalar(Fraction(1, 3), 2, GOLDEN)
+    assert x * 3 == QuadScalar(1, 6, GOLDEN) == 3 * x
+    assert x + 2 == QuadScalar(Fraction(7, 3), 2, GOLDEN) == 2 + x
+    assert x - 1 == QuadScalar(Fraction(-2, 3), 2, GOLDEN)
+    assert 1 - x == QuadScalar(Fraction(2, 3), -2, GOLDEN)
+    assert not x * 0
+
+
+@pytest.mark.parametrize("other", [True, False, 1.5, "1", None, 1j])
+def test_bool_and_foreign_operands_are_refused(other):
+    import operator
+
+    x = QuadScalar(1, 1, GOLDEN)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)

@@ -5,7 +5,10 @@ frames) was worked out by hand; tests freeze those values and also
 assert the frame contracts that must hold regardless of basis choices.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -19,14 +22,19 @@ from lightlike_lab.errors import (
     ShapeError,
     ValidationError,
 )
-from lightlike_lab.linalg import as_mat, as_vec, rank
+from lightlike_lab import linalg
+from lightlike_lab.generators import perturbed_structured_scene
+from lightlike_lab.linalg import Subspace, as_mat, as_vec, det, rank
 from lightlike_lab.polynomials import Polynomial, parse_polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
+from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import (
     AdaptedFrame,
     CaseKind,
     PolynomialImmersion,
     build_frame,
+    choose_normal_screen,
+    choose_screen,
     classify_case,
 )
 
@@ -339,3 +347,141 @@ def test_random_linear_frames(eps, data):
     imm = PolynomialImmersion(space, m, tuple(comps))
     frame = build_frame(imm, origin(space, m))
     assert_frame_contracts(frame)
+
+
+# ---- the frame build against the routes it replaced ----
+
+
+def _rank_greedy_complement(space, whole, sub):
+    """The greedy complement with a full rank test per candidate and the
+    candidate Gram rebuilt each time: the oracle for the incremental one."""
+    target = whole.dim - sub.dim
+    chosen = []
+
+    def independent(v):
+        return rank(sub.basis + tuple(chosen) + (v,)) == sub.dim + len(chosen) + 1
+
+    for v in whole.basis:
+        if len(chosen) == target:
+            break
+        if independent(v) and det(space.gram(tuple(chosen) + (v,))):
+            chosen.append(v)
+    for v in whole.basis:
+        if len(chosen) == target:
+            break
+        if independent(v):
+            chosen.append(v)
+    return Subspace(tuple(chosen), space.dim, space.params)
+
+
+def _generated_frames(seed, pq, config, r, extra_points=2):
+    params = MetallicParams(*pq)
+    rng = random.Random(seed)
+    g = perturbed_structured_scene(rng, params, config, ("str",), r=r)
+    frames = [g.frame()]
+    while len(frames) < 1 + extra_points:
+        point = tuple(
+            QuadScalar(Fraction(rng.randrange(-3, 4), rng.choice((1, 2))), 0, params)
+            for _ in range(g.immersion.chart_dim)
+        )
+        try:
+            frames.append(build_frame(g.immersion, point))
+        except ImmersionRankDrop:
+            continue
+    return frames
+
+
+@pytest.mark.parametrize("config", ["radical-transversal", "transversal"])
+@pytest.mark.parametrize("pq", [(0, 2), (1, 1), (2, 1), (1, 2)], ids=str)
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_frame_build_matches_the_routes_it_replaced(seed, r, pq, config):
+    """Radical from the Gram kernel = tangent intersect normal; the kept
+    tangent Gram = the inner products of the Jacobian rows; the greedy
+    screens = the rank-tested greedy pass, vector for vector."""
+    frames = _generated_frames(seed, pq, config, r)
+    assert frames[0].radical_dim == r
+    for frame in frames:
+        space = frame.space
+        assert frame.radical == frame.tangent.intersect(frame.normal)
+        jac = frame.tangent_jacobian
+        assert frame.tangent_gram == tuple(
+            tuple(space.inner(u, v) for v in jac) for u in jac
+        )
+        assert_frame_contracts(frame)
+        assert choose_screen(space, frame.tangent, frame.radical) == (
+            _rank_greedy_complement(space, frame.tangent, frame.radical)
+        )
+        assert choose_normal_screen(space, frame.normal, frame.radical) == (
+            _rank_greedy_complement(space, frame.normal, frame.radical)
+        )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(-1, 1, 1), (-1, 1, 1, 1), (-1, -1, 1, 1), (-1, -1, 1, 1, 1)]),
+    st.data(),
+)
+def test_greedy_complement_matches_the_rank_tested_pass(eps, data):
+    """Any subspace of any signature: the same complement of its radical
+    as the rank-tested greedy pass."""
+    space = SignatureSpace(len(eps), eps, GOLDEN)
+    small = st.sampled_from([0, 0, 1, -1, 2])
+    rows = [
+        tuple(QuadScalar(data.draw(small), 0, GOLDEN) for _ in eps)
+        for _ in range(data.draw(st.integers(1, len(eps)), label="k"))
+    ]
+    whole = Subspace(tuple(rows), space.dim, GOLDEN)
+    radical = whole.intersect(space.orthogonal_complement(whole))
+    assert choose_screen(space, whole, radical) == (
+        _rank_greedy_complement(space, whole, radical)
+    )
+
+
+def test_one_frame_eliminates_the_jacobian_once(monkeypatch):
+    """On radical-transversal-deep (r = 2, both screens declared) one
+    build_frame reduces the Jacobian once and makes at most 10 reductions
+    in all; eliminating it again for its rank, or rank-testing each
+    candidate, raises the count."""
+    fixture = resources.files("lightlike_lab") / "fixtures" / "radical-transversal-deep.json"
+    sc = parse_scene(fixture.read_bytes())
+    reductions = [0]
+    eliminated = Counter()
+    reduce, rref = linalg._reduce, linalg.rref
+
+    def counting_reduce(rows, limit):
+        reductions[0] += 1
+        return reduce(rows, limit)
+
+    def counting_rref(a):
+        eliminated[tuple(a)] += 1
+        return rref(a)
+
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    frame = build_frame(sc.immersion, sc.points[0], sc.screen, sc.normal_screen)
+    assert frame.radical_dim == 2
+    assert eliminated[frame.tangent_jacobian] == 1
+    assert reductions[0] <= 10
+
+
+def test_immersion_is_differentiated_once(monkeypatch):
+    space = SignatureSpace(4, (-1, 1, 1, 1), GOLDEN)
+    imm = immersion(space, 2, ["u1", "u1 + u2^2", "u2", "u1^2 + u2^2"])
+    partial = Polynomial.partial
+    calls = [0]
+
+    def counting(self, i):
+        calls[0] += 1
+        return partial(self, i)
+
+    monkeypatch.setattr(Polynomial, "partial", counting)
+    one = QuadScalar.one(GOLDEN)
+    build_frame(imm, origin(space, 2))
+    assert calls[0] == 2 * 4  # every component once per chart direction
+    build_frame(imm, (one, one))
+    imm.hessian((one, one))
+    assert calls[0] == 2 * 4 + 2 * 2 * 4
+    imm.hessian(origin(space, 2))
+    build_frame(imm, (one, -one))
+    assert calls[0] == 2 * 4 + 2 * 2 * 4
