@@ -284,12 +284,28 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length does not match ambient dimension")
         # Basis row i is 1 at pivot i and 0 at every other pivot, so the
-        # only candidate coordinates are v's own pivot entries.
+        # only candidate coordinates are v's own pivot entries, and the
+        # combination they give matches v at every pivot by construction.
+        # Only the other entries are compared, each summed over the
+        # picked rows that are nonzero there.
         picked = [(v[p], row) for p, row in zip(self.pivots, self.basis) if v[p]]
         if not picked:
             return is_zero_vec(v)
-        coeffs, rows = zip(*picked)
-        return lin_comb(coeffs, rows) == v
+        pivots = set(self.pivots)
+        for k, x in enumerate(v):
+            if k in pivots:
+                continue
+            total = None
+            for c, row in picked:
+                if row[k]:
+                    term = c * row[k]
+                    total = term if total is None else total + term
+            if total is None:
+                if x:
+                    return False
+            elif total != x:
+                return False
+        return True
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

@@ -1,14 +1,20 @@
 """Exact arithmetic in the quadratic extension Q(sigma), sigma^2 = p*sigma + q.
 
 sigma is the positive root (p + sqrt(p^2 + 4q)) / 2.  Every scalar in
-the package is a QuadScalar: a pair of Fractions (a, b) standing for
-a + b*sigma, tagged with the integer parameters (p, q).  All ring and
-field operations, the sign, and ordering are exact; floats only enter
-through the one-way embed/__float__ bridge used by oracles.
+the package is a QuadScalar: an integer triple (A, B, D) standing for
+(A + B*sigma) / D, tagged with the integer parameters (p, q).  The
+triple is kept canonical: D > 0 and gcd(A, B, D) == 1, so each value
+has exactly one triple.  p and q are integers, so sums and products
+stay in this form and each result is reduced by one gcd; the inverse
+is D*conj(x)/N with the integer norm N = A^2 + A*B*p - B^2*q.  The
+Fraction coefficients a = A/D and b = B/D are read-only properties.
+All ring and field operations, the sign, and ordering are exact;
+floats only enter through the one-way embed/__float__ bridge used by
+oracles.
 
 When p^2 + 4q is a perfect square sigma itself is rational and the
 representation would be non-unique, so construction collapses b into a
-and the invariant b == 0 holds for every value with such parameters.
+and the invariant B == 0 holds for every value with such parameters.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import DivByZero, ParamError, ParseError
 
@@ -81,12 +87,71 @@ def _coerce_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot treat {type(value).__name__} as a rational")
 
 
-@dataclass(frozen=True, eq=False)
-class QuadScalar:
-    """a + b*sigma with exact Fraction coefficients."""
+# log10(2) rounded down to 20 places: (k * _LOG10_2_NUM) // _LOG10_2_DEN is
+# floor(k * log10 2) for every k below 1.5e9 (checked against the continued
+# fraction of log10 2), which covers ints of up to about 190 MB
+_LOG10_2_NUM = 30102999566398119521
+_LOG10_2_DEN = 10**20
 
-    a: Fraction
-    b: Fraction
+
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, without the int-to-str conversion.
+
+    2^(L-1) <= n < 2^L gives floor(log10 n) within one of
+    floor((L-1) log10 2), so a single power of ten settles it.
+    """
+    low = ((n.bit_length() - 1) * _LOG10_2_NUM) // _LOG10_2_DEN
+    return low + 1 + (n >= 10 ** (low + 1))
+
+
+_gcd = math.gcd
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = _gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+_new = object.__new__
+
+
+def _make(A: int, B: int, D: int, params: MetallicParams) -> "QuadScalar":
+    """Internal: a QuadScalar from a triple already in canonical form."""
+    x = _new(QuadScalar)
+    x.A = A
+    x.B = B
+    x.D = D
+    x.params = params
+    return x
+
+
+def _reduced(A: int, B: int, D: int, params: MetallicParams) -> "QuadScalar":
+    """Internal: a QuadScalar from a triple with D > 0, divided by its gcd."""
+    g = _gcd(A, B, D)
+    if g != 1:
+        return _make(A // g, B // g, D // g, params)
+    return _make(A, B, D, params)
+
+
+class QuadScalar:
+    """(A + B*sigma) / D with integer A, B, D, tagged with its parameters.
+
+    The triple is canonical: D > 0, gcd(A, B, D) == 1, and B == 0 when
+    the discriminant is a square.  Equal values therefore have equal
+    triples, and zero is (0, 0, 1).  No code assigns to the triple after
+    construction; the Fraction coefficients of a + b*sigma are the
+    read-only properties a and b.
+    """
+
+    __slots__ = ("A", "B", "D", "params")
+
+    A: int
+    B: int
+    D: int
     params: MetallicParams
 
     def __init__(
@@ -95,30 +160,33 @@ class QuadScalar:
         b: RationalLike,
         params: MetallicParams,
     ) -> None:
+        if type(b) is int and not b:
+            # a rational, the common case (the audit builds tens of
+            # thousands of them from ints and Fractions)
+            if type(a) is int:
+                self.A, self.B, self.D = a, 0, 1
+                self.params = params
+                return
+            if type(a) is Fraction:
+                self.A, self.B, self.D = a.numerator, 0, a.denominator
+                self.params = params
+                return
         fa = _coerce_fraction(a)
         fb = _coerce_fraction(b)
         if fb != 0 and params.square_discriminant:
             fa = fa + fb * params.sigma_rational()
             fb = Fraction(0)
-        object.__setattr__(self, "a", fa)
-        object.__setattr__(self, "b", fb)
-        object.__setattr__(self, "params", params)
+        # over the lcm of two reduced denominators the triple is already
+        # coprime: a prime at its full power in D divides one of them,
+        # whose numerator it does not divide
+        da, db = fa.denominator, fb.denominator
+        d = da // _gcd(da, db) * db
+        self.A = fa.numerator * (d // da)
+        self.B = fb.numerator * (d // db)
+        self.D = d
+        self.params = params
 
     # ---- constructors ----
-
-    @classmethod
-    def _fast(cls, fa: Fraction, fb: Fraction, params: MetallicParams) -> "QuadScalar":
-        """Internal: both coefficients are already normalized Fractions.
-
-        Arithmetic on normalized values stays normalized (a square
-        discriminant forces b = 0, and sums and products of b = 0
-        values keep b = 0), so the constructor checks can be skipped.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", fa)
-        object.__setattr__(self, "b", fb)
-        object.__setattr__(self, "params", params)
-        return self
 
     @classmethod
     def of(cls, value: RationalLike, params: MetallicParams) -> "QuadScalar":
@@ -126,11 +194,11 @@ class QuadScalar:
 
     @classmethod
     def zero(cls, params: MetallicParams) -> "QuadScalar":
-        return cls(0, 0, params)
+        return _make(0, 0, 1, params)
 
     @classmethod
     def one(cls, params: MetallicParams) -> "QuadScalar":
-        return cls(1, 0, params)
+        return _make(1, 0, 1, params)
 
     @classmethod
     def sigma(cls, params: MetallicParams) -> "QuadScalar":
@@ -139,8 +207,18 @@ class QuadScalar:
     # ---- structure ----
 
     @property
+    def a(self) -> Fraction:
+        """Rational coefficient of a + b*sigma."""
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        """Sigma coefficient of a + b*sigma."""
+        return Fraction(self.B, self.D)
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     def _check_params(self, other: "QuadScalar") -> None:
         if self.params != other.params:
@@ -154,46 +232,80 @@ class QuadScalar:
             return value
         return QuadScalar(_coerce_fraction(value), 0, self.params)
 
+    def __reduce__(self):
+        return (_make, (self.A, self.B, self.D, self.params))
+
     # ---- ring operations ----
 
-    # A plain int operand (never a bool: type() is exact) scales or
-    # shifts the Fraction coefficients directly instead of being lifted
-    # into a QuadScalar first; the result is the same normalized value.
+    # A plain int operand (never a bool: type() is exact) acts on the
+    # triple directly instead of being lifted into a QuadScalar first.
+    # Sums over a shared denominator need a gcd only when D > 1; over
+    # different denominators one gcd of the cross-multiplied triple.
+    # Integer sums and rational products, the most frequent results,
+    # are built in place rather than through _make.
 
     def __add__(self, other: object) -> "QuadScalar":
-        if type(other) is QuadScalar:
-            if self.params is not other.params:
-                self._check_params(other)
-            return QuadScalar._fast(self.a + other.a, self.b + other.b, self.params)
-        if type(other) is int:
-            return QuadScalar._fast(self.a + other, self.b, self.params)
-        try:
-            o = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return QuadScalar._fast(self.a + o.a, self.b + o.b, self.params)
+        if type(other) is not QuadScalar:
+            if type(other) is int:
+                # gcd(A + n*D, B, D) == gcd(A, B, D) == 1
+                return _make(self.A + other * self.D, self.B, self.D, self.params)
+            try:
+                other = self._lift(other)
+            except TypeError:
+                return NotImplemented
+        params = self.params
+        if params is not other.params:
+            self._check_params(other)
+        d = self.D
+        e = other.D
+        if d == e:
+            if d == 1:
+                x = _new(QuadScalar)
+                x.A = self.A + other.A
+                x.B = self.B + other.B
+                x.D = 1
+                x.params = params
+                return x
+            return _reduced(self.A + other.A, self.B + other.B, d, params)
+        return _reduced(
+            self.A * e + other.A * d, self.B * e + other.B * d, d * e, params
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadScalar":
-        return QuadScalar._fast(-self.a, -self.b, self.params)
+        return _make(-self.A, -self.B, self.D, self.params)
 
     def __sub__(self, other: object) -> "QuadScalar":
-        if type(other) is QuadScalar:
-            if self.params is not other.params:
-                self._check_params(other)
-            return QuadScalar._fast(self.a - other.a, self.b - other.b, self.params)
-        if type(other) is int:
-            return QuadScalar._fast(self.a - other, self.b, self.params)
-        try:
-            o = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return QuadScalar._fast(self.a - o.a, self.b - o.b, self.params)
+        if type(other) is not QuadScalar:
+            if type(other) is int:
+                # gcd(A - n*D, B, D) == gcd(A, B, D) == 1
+                return _make(self.A - other * self.D, self.B, self.D, self.params)
+            try:
+                other = self._lift(other)
+            except TypeError:
+                return NotImplemented
+        params = self.params
+        if params is not other.params:
+            self._check_params(other)
+        d = self.D
+        e = other.D
+        if d == e:
+            if d == 1:
+                x = _new(QuadScalar)
+                x.A = self.A - other.A
+                x.B = self.B - other.B
+                x.D = 1
+                x.params = params
+                return x
+            return _reduced(self.A - other.A, self.B - other.B, d, params)
+        return _reduced(
+            self.A * e - other.A * d, self.B * e - other.B * d, d * e, params
+        )
 
     def __rsub__(self, other: object) -> "QuadScalar":
         if type(other) is int:
-            return QuadScalar._fast(other - self.a, -self.b, self.params)
+            return _make(other * self.D - self.A, -self.B, self.D, self.params)
         try:
             o = self._lift(other)
         except TypeError:
@@ -201,56 +313,79 @@ class QuadScalar:
         return o - self
 
     def __mul__(self, other: object) -> "QuadScalar":
-        if type(other) is QuadScalar:
-            o = other
-            if self.params is not o.params:
-                self._check_params(o)
-        elif type(other) is int:
-            return QuadScalar._fast(self.a * other, self.b * other, self.params)
-        else:
+        if type(other) is not QuadScalar:
+            if type(other) is int:
+                if not other:
+                    return _make(0, 0, 1, self.params)
+                # n/g and D/g are coprime, and D/g shares no factor with (A, B)
+                d = self.D
+                g = _gcd(other, d)
+                if g != 1:
+                    other //= g
+                    d //= g
+                return _make(self.A * other, self.B * other, d, self.params)
             try:
-                o = self._lift(other)
+                other = self._lift(other)
             except TypeError:
                 return NotImplemented
-        # (a + b s)(c + d s) = ac + bd q + (ad + bc + bd p) s  using s^2 = p s + q
-        a, b, c, d = self.a, self.b, o.a, o.b
+        params = self.params
+        if params is not other.params:
+            self._check_params(other)
+        # (A + B s)(C + E s) = AC + BE q + (AE + BC + BE p) s  using s^2 = p s + q
+        a, b, d = self.A, self.B, self.D
+        c, e, f = other.A, other.B, other.D
         if not b:
-            if not d:
-                return QuadScalar._fast(a * c, b, self.params)
-            return QuadScalar._fast(a * c, a * d, self.params)
-        if not d:
-            return QuadScalar._fast(a * c, b * c, self.params)
-        p, q = self.params.p, self.params.q
-        bd = b * d
-        return QuadScalar._fast(
-            a * c + bd * q,
-            a * d + b * c + bd * p,
-            self.params,
+            if not e:
+                # rational times rational: cross-cancel as Fraction does
+                if not a or not c:
+                    return _make(0, 0, 1, params)
+                g1 = _gcd(a, f)
+                g2 = _gcd(c, d)
+                x = _new(QuadScalar)
+                x.A = (a // g1) * (c // g2)
+                x.B = 0
+                x.D = (d // g2) * (f // g1)
+                x.params = params
+                return x
+            return _reduced(a * c, a * e, d * f, params)
+        if not e:
+            return _reduced(a * c, b * c, d * f, params)
+        be = b * e
+        return _reduced(
+            a * c + be * params.q, a * e + b * c + be * params.p, d * f, params
         )
 
     __rmul__ = __mul__
 
+    def _norm_numerator(self) -> int:
+        """A^2 + A*B*p - B^2*q, the integer norm of A + B*sigma."""
+        a, b = self.A, self.B
+        return a * a + a * b * self.params.p - b * b * self.params.q
+
     def conjugate(self) -> "QuadScalar":
         """Image under sigma -> p - sigma, the other root of the defining relation."""
-        return QuadScalar._fast(self.a + self.b * self.params.p, -self.b, self.params)
+        # gcd(A + B*p, -B, D) == gcd(A, B, D) == 1
+        return _make(self.A + self.B * self.params.p, -self.B, self.D, self.params)
 
     def field_norm(self) -> Fraction:
         """self * self.conjugate(), always rational."""
-        p, q = self.params.p, self.params.q
-        return self.a * self.a + self.a * self.b * p - self.b * self.b * q
+        return Fraction(self._norm_numerator(), self.D * self.D)
 
     def inverse(self) -> "QuadScalar":
-        if not self.b:
-            if not self.a:
+        a, b, d = self.A, self.B, self.D
+        if not b:
+            if not a:
                 raise DivByZero("inverse of zero")
-            return QuadScalar._fast(1 / self.a, self.b, self.params)
-        n = self.field_norm()
+            return _make(d, 0, a, self.params) if a > 0 else _make(-d, 0, -a, self.params)
+        n = self._norm_numerator()
         if n == 0:
             # norm vanishes only at zero: sigma irrational excludes a = -b*sigma,
             # and square discriminants collapse to b == 0 where norm == a^2
             raise DivByZero("inverse of zero")
-        c = self.conjugate()
-        return QuadScalar._fast(c.a / n, c.b / n, self.params)
+        # 1/x = D * conj(A + B sigma) / N(A + B sigma)
+        if n < 0:
+            d, n = -d, -n
+        return _reduced(d * (a + b * self.params.p), -d * b, n, self.params)
 
     def __truediv__(self, other: object) -> "QuadScalar":
         try:
@@ -290,50 +425,57 @@ class QuadScalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadScalar):
-            if self.b == 0 and other.b == 0:
+            if not self.B and not other.B:
                 # rationals are the same number regardless of which
                 # extension they were tagged with
-                return self.a == other.a
+                return self.A == other.A and self.D == other.D
             return (
-                self.params == other.params
-                and self.a == other.a
-                and self.b == other.b
+                self.A == other.A
+                and self.B == other.B
+                and self.D == other.D
+                and self.params == other.params
             )
         if isinstance(other, bool):
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+        if isinstance(other, int):
+            return not self.B and self.D == 1 and self.A == other
+        if isinstance(other, Fraction):
+            return (
+                not self.B
+                and self.A == other.numerator
+                and self.D == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.params))
+        if not self.B:
+            # the hash of the equal int or Fraction
+            return hash(self.A) if self.D == 1 else hash(Fraction(self.A, self.D))
+        return hash((self.A, self.B, self.D, self.params))
 
     # ---- order ----
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}, no floating point involved."""
-        if self.b == 0:
-            if self.a == 0:
-                return 0
-            return 1 if self.a > 0 else -1
-        # never reached for square discriminants (b collapses to 0 there)
-        p, q = self.params.p, self.params.q
-        t = -self.a / self.b
-        chi = t * t - p * t - q
-        # sign(a + b sigma) = sign(b) * sign(sigma - t); sigma is the larger root
-        # of chi, so sigma > t iff chi(t) < 0 or (chi(t) > 0 and t < p/2).
-        # chi(t) == 0 would make sigma rational, impossible here.
-        assert chi != 0
-        if chi < 0:
-            s = 1
-        else:
-            s = 1 if t < Fraction(p, 2) else -1
-        return s if self.b > 0 else -s
+        a, b = self.A, self.B
+        if not b:
+            return (a > 0) - (a < 0)
+        # never reached for square discriminants (b collapses to 0 there).
+        # D > 0, so the sign is that of 2(A + B sigma) = u + B sqrt(disc)
+        # with u = 2A + B p; when u and B disagree in sign, the larger
+        # of u^2 and B^2 disc wins, and u^2 - B^2 disc = 4 N(A + B sigma),
+        # which is never zero while sigma is irrational.
+        u = 2 * a + b * self.params.p
+        if (u >= 0) == (b > 0) or not u:
+            return 1 if b > 0 else -1
+        n = self._norm_numerator()
+        assert n != 0
+        if n > 0:
+            return 1 if u > 0 else -1
+        return 1 if b > 0 else -1
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     def __lt__(self, other: object) -> bool:
         try:
@@ -373,35 +515,45 @@ class QuadScalar:
 
         Exact for rational scalars.  Otherwise sqrt(discriminant) is
         bracketed by a scaled integer square root taken with enough
-        guard digits to absorb the b/2 multiplier.
+        guard digits to absorb the b/2 multiplier: one more than the
+        decimal digits of b's reduced numerator.
         """
+        return Fraction(*self._embed_ratio(places))
+
+    def _embed_ratio(self, places: int) -> Tuple[int, int]:
+        """embed(places) as an unreduced numerator and positive denominator."""
         if places < 0:
             raise ValueError("places must be nonnegative")
-        if self.b == 0:
-            return self.a
-        d = self.params.discriminant
-        guard = len(str(abs(self.b.numerator))) + 1
-        t = places + guard
-        scale = 10**t
-        root_floor = Fraction(math.isqrt(d * scale * scale), scale)
-        # a + b(p + sqrt(d))/2 with sqrt(d) in [root_floor, root_floor + 10^-t)
-        return self.a + self.b * (self.params.p + root_floor) / 2
+        A, B, D = self.A, self.B, self.D
+        if not B:
+            return A, D
+        disc = self.params.discriminant
+        guard = _decimal_digits(abs(B) // _gcd(B, D)) + 1
+        scale = 10 ** (places + guard)
+        root_floor = math.isqrt(disc * scale * scale)
+        # (A + B (p + sqrt(disc)) / 2) / D with sqrt(disc) in
+        # [root_floor, root_floor + 1) / scale
+        return 2 * A * scale + B * (self.params.p * scale + root_floor), 2 * D * scale
 
     def __float__(self) -> float:
-        return float(self.embed(20))
+        # int true division rounds the exact ratio correctly, as
+        # float(Fraction) does, so reducing first would not change it
+        num, den = self._embed_ratio(20)
+        return num / den
 
     # ---- text ----
 
     def to_string(self) -> str:
         """Canonical text, round-tripped by parse_scalar."""
-        if self.b == 0:
-            return str(self.a)
-        mag = -self.b if self.b < 0 else self.b
-        s_term = "s" if mag == 1 else f"{mag}*s"
-        if self.a == 0:
-            return s_term if self.b > 0 else f"-{s_term}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {s_term}"
+        A, B, D = self.A, self.B, self.D
+        if not B:
+            return _ratio_text(A, D)
+        mag = _ratio_text(-B if B < 0 else B, D)
+        s_term = "s" if mag == "1" else f"{mag}*s"
+        if not A:
+            return s_term if B > 0 else f"-{s_term}"
+        op = "+" if B > 0 else "-"
+        return f"{_ratio_text(A, D)} {op} {s_term}"
 
     def __str__(self) -> str:
         return self.to_string()
@@ -420,6 +572,21 @@ _TERM_RE = re.compile(
 )
 
 
+_INTEGER_TEXT = re.compile(r"(-?)(\d+)\Z")
+
+
+def _digits_to_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # the only digit strings int() refuses are those past the
+        # interpreter's int-string conversion limit (4300 digits by default)
+        raise ParseError(
+            f"coefficient of {len(digits)} digits exceeds the integer "
+            "conversion limit"
+        ) from None
+
+
 def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
     """Parse sums of rational and sigma terms: '3/2', '-s', '1 - 2/3*s'.
 
@@ -428,6 +595,11 @@ def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected scalar text, got {type(text).__name__}")
+    m = _INTEGER_TEXT.match(text)
+    if m is not None:
+        # the common case, a bare integer
+        n = _digits_to_int(m.group(2))
+        return _make(-n if m.group(1) else n, 0, 1, params)
     pos = 0
     a = Fraction(0)
     b = Fraction(0)
@@ -442,12 +614,12 @@ def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
         coef_text = m.group("coef")
         if coef_text is not None:
             if "/" in coef_text:
-                num, den = coef_text.split("/")
-                if int(den) == 0:
+                num, den = (_digits_to_int(t) for t in coef_text.split("/"))
+                if den == 0:
                     raise ParseError(f"zero denominator in {text!r}")
-                coef = Fraction(int(num), int(den))
+                coef = Fraction(num, den)
             else:
-                coef = Fraction(int(coef_text))
+                coef = Fraction(_digits_to_int(coef_text))
             if m.group("sym_after"):
                 b += sign * coef
             else:

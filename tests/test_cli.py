@@ -6,6 +6,8 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
 from lightlike_lab import classifier
 from lightlike_lab.classifier import CHECK_ORDER
 from lightlike_lab.errors import InternalInconsistency
@@ -269,3 +271,50 @@ def test_bad_point_in_the_frame_build_is_still_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: /points/0: Jacobian rank drop at (0")
+
+
+@pytest.fixture
+def default_int_limit():
+    """Python's default int-string conversion limit, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def _scene_with_first_coordinate(tmp_path, text):
+    scene = json.loads((FIXTURES / "transversal-plane.json").read_text())
+    scene["points"][0][0] = text
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    return str(path)
+
+
+def _long_coordinate(form, digits):
+    return "1" + "0" * (digits - 1) if form == "numerator" else "1/" + "3" * digits
+
+
+@pytest.mark.parametrize("form", ["numerator", "denominator"])
+def test_coefficient_at_the_int_limit_is_accepted(tmp_path, capsys, default_int_limit, form):
+    path = _scene_with_first_coordinate(tmp_path, _long_coordinate(form, default_int_limit))
+    code = main([path])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    assert "summary:" in captured.out
+
+
+@pytest.mark.parametrize("form", ["numerator", "denominator"])
+@pytest.mark.parametrize("extra", [1, 20000 - 4300])
+def test_coefficient_past_the_int_limit_is_an_input_error(
+    tmp_path, capsys, default_int_limit, form, extra
+):
+    digits = default_int_limit + extra
+    path = _scene_with_first_coordinate(tmp_path, _long_coordinate(form, digits))
+    code = main([path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        f"error: /points/0/0: coefficient of {digits} digits exceeds the"
+        " integer conversion limit\n"
+    )

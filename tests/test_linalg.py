@@ -250,6 +250,22 @@ def test_subspace_contains_matches_rank(a, data):
     assert u.contains(v) == (rank(u.basis + (v,)) == u.dim)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrices(4), st.data())
+def test_subspace_contains_a_nudged_combination_matches_rank(a, data):
+    # a member of the span moved in one entry: membership now hinges on
+    # that entry alone, pivot or not
+    n = len(a[0])
+    u = Subspace(a, n, P)
+    coeffs = tuple(data.draw(entry, label=f"c{i}") for i in range(len(a)))
+    k = data.draw(st.integers(0, n - 1), label="k")
+    nudge = data.draw(entry.filter(bool), label="nudge")
+    v = list(lin_comb(coeffs, a))
+    v[k] = v[k] + nudge
+    v = tuple(v)
+    assert u.contains(v) == (rank(u.basis + (v,)) == u.dim)
+
+
 # ---- coordinates ----
 
 

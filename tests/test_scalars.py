@@ -6,6 +6,7 @@ is bounded away from zero far above the oracle precision (quadratic
 irrationals are badly approximable), so sign comparisons are safe.
 """
 
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,7 @@ from lightlike_lab.scalars import (
     SILVER,
     MetallicParams,
     QuadScalar,
+    _decimal_digits,
     parse_scalar,
 )
 
@@ -234,6 +236,34 @@ def test_embed_nine_places():
     assert abs(float(approx) - 1.618033988749895) < 1e-9
 
 
+def test_decimal_digits_counts_like_str():
+    # powers of two (and their neighbours) that str() can still print, and
+    # powers of ten and their neighbours on both sides of the int-string limit
+    for j in range(0, 14000, 7):
+        for n in (2**j, 2 ** (j + 1) - 1):
+            assert _decimal_digits(n) == len(str(n))
+    for k in range(1, 12000, 7):
+        assert _decimal_digits(10**k - 1) == k
+        assert _decimal_digits(10**k) == k + 1
+        assert _decimal_digits(10**k + 1) == k + 1
+
+
+@pytest.mark.parametrize("params", [GOLDEN, SILVER], ids=["golden", "silver"])
+def test_embed_with_a_5000_digit_sigma_coefficient(params):
+    # b = (10^5000 - 1) / 10^5000 - 1/7: 5000-digit numerator and denominator
+    b = Fraction(10**5000 - 1, 10**5000) - Fraction(1, 7)
+    assert _decimal_digits(b.numerator) >= 5000
+    x = QuadScalar(Fraction(-2, 3), b, params)
+    with mpmath.workdps(120):
+        sigma = (params.p + mpmath.sqrt(params.discriminant)) / 2
+        true = mpmath.mpf(-2) / 3 + (mpmath.mpf(b.numerator) / b.denominator) * sigma
+        for places in (0, 9, 40, 90):
+            approx = x.embed(places)
+            err = abs(true - mpmath.mpf(approx.numerator) / approx.denominator)
+            assert err <= mpmath.mpf(10) ** (-places)
+        assert abs(float(x) - float(true)) <= 1e-12
+
+
 # ---- text round-trip ----
 
 
@@ -255,6 +285,38 @@ def test_parse_rejects_garbage():
     for bad in ["", "x", "1 +", "++1", "1 1", "1/0", "s s"]:
         with pytest.raises(ParseError):
             parse_scalar(bad, GOLDEN)
+
+
+@pytest.fixture
+def default_int_limit():
+    """Python's default int-string conversion limit, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_parse_takes_coefficients_up_to_the_int_limit(default_int_limit):
+    n = 10 ** (default_int_limit - 1)
+    assert parse_scalar(str(n), GOLDEN) == n
+    assert parse_scalar(f"1/{n}*s", GOLDEN) == QuadScalar(0, Fraction(1, n), GOLDEN)
+    assert parse_scalar(f"-{n}/3 + s", GOLDEN) == QuadScalar(Fraction(-n, 3), 1, GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1" + "0" * 4300,
+        "1/" + "3" * 4301,
+        "1 - " + "7" * 4301 + "*s",
+        "1" + "0" * 20000,
+        "1/" + "3" * 20000,
+    ],
+    ids=["numerator", "denominator", "sigma", "numerator-20000", "denominator-20000"],
+)
+def test_parse_refuses_coefficients_past_the_int_limit(default_int_limit, text):
+    with pytest.raises(ParseError, match="digits exceeds the integer conversion limit"):
+        parse_scalar(text, GOLDEN)
 
 
 # ---- hashing ----
