@@ -15,20 +15,30 @@ coherent field kit, with structure-image sections realized literally as
 the structure matrix composed with a kit field.  That composition is
 what makes the criterion-to-oracle equivalences exact identities at the
 point rather than statements about an ambient neighborhood.
+
+Both configurations split the ambient space into the same slots (screen,
+radical, null transversal, and the normal screen) and differ only in
+where the structure map sends the screen: onto itself in the
+radical-transversal mode, into the normal screen in the transversal
+mode, which then splits into the mapped screen and its complement mu.
+A mode picks the predicate's screen target and the slots of its
+ProjectorSet, which holds one exact projector matrix per slot.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import random
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .ambient import (
     MetallicStructure,
+    SignatureSpace,
     validate_compatibility,
     validate_metallic,
 )
@@ -52,19 +62,17 @@ from .geometry import (
     split_tangent,
 )
 from .linalg import (
-    FactoredBasis,
     Mat,
     Subspace,
     Vec,
+    identity,
     is_zero_vec,
-    lin_comb,
     mat_vec,
     rank,
     vec_add,
     vec_neg,
     vec_scale,
     vec_sub,
-    zero_vec,
 )
 from .scalars import MetallicParams, QuadScalar
 from .submanifold import PolynomialImmersion, build_frame
@@ -173,123 +181,54 @@ def apply_structure_field(structure: MetallicStructure, field: AmbientJet) -> Am
 RADICAL_TRANSVERSAL_SLOTS = ("screen", "radical", "transversal", "normal-screen")
 TRANSVERSAL_SLOTS = ("screen", "radical", "transversal", "mapped-screen", "mu")
 
-# Single-letter aliases used by the split bookkeeping: each maps to the
-# slots it projects onto.  Pairs listed in _COMPLEMENT_PAIRS must sum to
-# the identity on their shared domain.
-LETTER_SLOTS: Dict[str, Tuple[str, ...]] = {
-    "T": ("screen",),
-    "Q": ("radical",),
-    "K1": ("transversal",),
-    "K2": ("radical",),
-    "D": ("mapped-screen",),
-    "E": ("mu",),
-    "S1": ("mapped-screen",),
-    "S2": ("screen",),
-    "T1": ("radical",),
-    "T2": ("transversal",),
-    "M1": ("screen",),
-    "M2": ("mapped-screen",),
-    "Q1": ("screen",),
-    "Q2": ("mapped-screen", "mu"),
+# mode -> (frame subspace the screen images must lie in, witness key);
+# structure-eqs tries the modes in this order, so a point in both
+# configurations is audited in the radical-transversal mode
+_SCREEN_TARGETS = {
+    "radical-transversal": ("screen", "screen_invariant"),
+    "transversal": ("normal_screen", "screen_maps_into_normal_screen"),
 }
-
-_COMPLEMENT_PAIRS = (
-    ("T", "Q", ("screen", "radical")),
-    ("K1", "K2", ("transversal", "radical")),
-    ("D", "E", ("mapped-screen", "mu")),
-    ("S1", "S2", ("mapped-screen", "screen")),
-    ("T1", "T2", ("radical", "transversal")),
-    ("M1", "M2", ("screen", "mapped-screen")),
-    ("Q1", "Q2", ("screen", "mapped-screen", "mu")),
-)
 
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Exact slot projections for one configuration mode at a point.
+    """Exact slot projectors for one configuration mode at a point.
 
-    The slots jointly span the ambient space, so every vector splits
-    uniquely and each labeled projector is the sum of its slots'
-    components.  The stacked slot basis is factored once (``factor``),
-    and each letter's projector matrix is built from that factorization
-    on first use, so a split is one matrix-vector product and so is a
-    letter.  Letter aliases name the projections the split bookkeeping
-    uses; audit() re-derives idempotence, image and kernel membership,
-    and complement sums instead of trusting construction.
+    The slot bases together form a basis of the ambient space, so every
+    vector splits uniquely into one component per slot.  The stacked
+    basis is factored once and each slot's projector matrix is read off
+    that factorization, so a slot component is one matrix-vector
+    product.  audit() checks every matrix against the slot bases
+    instead of trusting construction.
     """
 
-    structure: MetallicStructure
-    mode: str
-    labels: Tuple[str, ...]
-    bases: Tuple[Tuple[Vec, ...], ...]
-    factor: FactoredBasis
-    _letters: Dict[str, Mat] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    space: SignatureSpace
+    bases: Dict[str, Tuple[Vec, ...]]
+    matrices: Dict[str, Mat]
 
-    def split(self, v: Vec) -> Dict[str, Vec]:
-        space = self.structure.space
-        coords = self.factor.coords(v)
-        parts: Dict[str, Vec] = {}
-        at = 0
-        for label, basis in zip(self.labels, self.bases):
-            k = len(basis)
-            parts[label] = (
-                lin_comb(coords[at : at + k], basis)
-                if k
-                else zero_vec(space.dim, space.params)
-            )
-            at += k
-        return parts
-
-    def letter(self, name: str, v: Vec) -> Vec:
-        matrix = self._letters.get(name)
-        if matrix is None:
-            slots = LETTER_SLOTS[name]
-            missing = [s for s in slots if s not in self.labels]
-            if missing:
-                raise InternalInconsistency(
-                    f"projection {name} needs slots {missing} absent from mode {self.mode}",
-                    mode=self.mode,
-                )
-            indices = []
-            at = 0
-            for label, basis in zip(self.labels, self.bases):
-                if label in slots:
-                    indices.extend(range(at, at + len(basis)))
-                at += len(basis)
-            matrix = self._letters[name] = self.factor.projector(indices)
-        return mat_vec(matrix, v)
+    def project(self, slot: str, v: Vec) -> Vec:
+        return mat_vec(self.matrices[slot], v)
 
     def audit(self) -> List[str]:
-        """Idempotence, image fixing, kernel killing, complement sums."""
+        """Each P_a fixes the basis vectors of slot a and kills those of
+        every other slot, and the P_a sum to the identity.  The slot
+        bases form a basis of the ambient space, so the first check pins
+        each P_a exactly, and every idempotence, kernel and complement
+        identity between sums of slot projectors follows."""
         problems: List[str] = []
-        slot_basis = dict(zip(self.labels, self.bases))
-        for name, slots in LETTER_SLOTS.items():
-            if any(s not in self.labels for s in slots):
-                continue
-            for s in slots:
-                for v in slot_basis[s]:
-                    if self.letter(name, v) != v:
-                        problems.append(f"{name} does not fix its image slot {s}")
-            for s in self.labels:
-                if s in slots:
-                    continue
-                for v in slot_basis[s]:
-                    img = self.letter(name, v)
-                    if not is_zero_vec(img):
-                        problems.append(f"{name} does not kill slot {s}")
-                    if self.letter(name, img) != img:
-                        problems.append(f"{name} is not idempotent")
-        for a, b, domain in _COMPLEMENT_PAIRS:
-            needed = set(LETTER_SLOTS[a]) | set(LETTER_SLOTS[b])
-            if any(s not in self.labels for s in needed):
-                continue
-            for s in domain:
-                for v in slot_basis[s]:
-                    total = vec_add(self.letter(a, v), self.letter(b, v))
-                    if total != v:
-                        problems.append(f"{a}+{b} is not the identity on {s}")
+        for a, matrix in self.matrices.items():
+            for b, basis in self.bases.items():
+                for v in basis:
+                    image = mat_vec(matrix, v)
+                    if a == b and image != v:
+                        problems.append(f"P[{a}] does not fix slot {b}")
+                    elif a != b and not is_zero_vec(image):
+                        problems.append(f"P[{a}] does not kill slot {b}")
+        total = functools.reduce(
+            lambda x, y: tuple(map(vec_add, x, y)), self.matrices.values()
+        )
+        if total != identity(self.space.dim, self.space.params):
+            problems.append("slot projectors do not sum to the identity")
         return problems
 
 
@@ -316,8 +255,7 @@ class PointContext:
         self._chart: Optional[ChartJet] = None
         self._kit: Optional[FieldKit] = None
         self._valid: Optional[bool] = None
-        self._rad_trans: Optional[Tuple[bool, Dict[str, object]]] = None
-        self._trans: Optional[Tuple[bool, Dict[str, object]]] = None
+        self._config: Dict[str, Tuple[bool, Dict[str, object]]] = {}
         self._mu: Optional[Subspace] = None
         self._proj: Dict[str, ProjectorSet] = {}
 
@@ -381,46 +319,29 @@ class PointContext:
             )
         return radical_clause, j_rad
 
-    def radical_transversal(self) -> Tuple[bool, Dict[str, object]]:
-        """Radical maps onto the transversal span, screen is invariant."""
-        if self._rad_trans is not None:
-            return self._rad_trans
+    def configuration(self, mode: str) -> Tuple[bool, Dict[str, object]]:
+        """Radical maps onto the transversal span, and the screen maps
+        into itself (radical-transversal) or into the normal screen
+        (transversal)."""
+        if mode in self._config:
+            return self._config[mode]
+        if mode not in _SCREEN_TARGETS:
+            raise InternalInconsistency(f"unknown configuration mode {mode!r}", mode=mode)
+        target, key = _SCREEN_TARGETS[mode]
         self._require_lightlike()
-        frame = self.frame
         radical_clause, j_rad = self._radical_clause()
         j_scr = self.mapped_screen()
-        screen_clause = all(frame.screen.contains(v) for v in j_scr) and (
-            rank(j_scr) == frame.screen.dim
+        screen_clause = all(getattr(self.frame, target).contains(v) for v in j_scr) and (
+            rank(j_scr) == self.frame.screen.dim
         )
         witness: Dict[str, object] = {
             "radical_images": _smat(j_rad),
             "radical_images_span_transversal": radical_clause,
             "screen_images": _smat(j_scr),
-            "screen_invariant": screen_clause,
+            key: screen_clause,
         }
-        self._rad_trans = (radical_clause and screen_clause, witness)
-        return self._rad_trans
-
-    def transversal(self) -> Tuple[bool, Dict[str, object]]:
-        """Radical maps onto the transversal span, screen maps into the
-        normal screen."""
-        if self._trans is not None:
-            return self._trans
-        self._require_lightlike()
-        frame = self.frame
-        radical_clause, j_rad = self._radical_clause()
-        j_scr = self.mapped_screen()
-        screen_clause = all(frame.normal_screen.contains(v) for v in j_scr) and (
-            rank(j_scr) == frame.screen.dim
-        )
-        witness: Dict[str, object] = {
-            "radical_images": _smat(j_rad),
-            "radical_images_span_transversal": radical_clause,
-            "screen_images": _smat(j_scr),
-            "screen_maps_into_normal_screen": screen_clause,
-        }
-        self._trans = (radical_clause and screen_clause, witness)
-        return self._trans
+        self._config[mode] = (radical_clause and screen_clause, witness)
+        return self._config[mode]
 
     def mu_subspace(self) -> Subspace:
         """Orthogonal complement of the mapped screen inside the normal screen."""
@@ -441,30 +362,25 @@ class PointContext:
         frame = self.frame
         if mode == "radical-transversal":
             labels = RADICAL_TRANSVERSAL_SLOTS
-            bases = (
-                frame.screen.basis,
-                frame.rad_basis,
-                frame.ltr,
-                frame.normal_screen.basis,
-            )
+            last = (frame.normal_screen.basis,)
         elif mode == "transversal":
             labels = TRANSVERSAL_SLOTS
-            bases = (
-                frame.screen.basis,
-                frame.rad_basis,
-                frame.ltr,
-                self.mapped_screen(),
-                self.mu_subspace().basis,
-            )
+            last = (self.mapped_screen(), self.mu_subspace().basis)
         else:
             raise InternalInconsistency(f"unknown projection mode {mode!r}", mode=mode)
-        factor = frame.factored([v for b in bases for v in b])
+        bases = dict(zip(labels, (frame.screen.basis, frame.rad_basis, frame.ltr) + last))
+        factor = frame.factored([v for b in bases.values() for v in b])
         # a basis of the ambient space: independent and spanning
         if not len(factor.basis) == factor.rank == self.space.dim:
             raise InternalInconsistency(
                 "slot bases do not decompose the ambient space", mode=mode
             )
-        proj = ProjectorSet(self.structure, mode, labels, bases, factor)
+        matrices: Dict[str, Mat] = {}
+        at = 0
+        for label, basis in bases.items():
+            matrices[label] = factor.projector(range(at, at + len(basis)))
+            at += len(basis)
+        proj = ProjectorSet(self.space, bases, matrices)
         self._proj[mode] = proj
         return proj
 
@@ -563,28 +479,19 @@ def check_frame(
 # ---- configuration predicates as checks ----
 
 
-def check_radical_transversal_config(ctx: PointContext) -> CheckEntry:
+def _configuration_entry(ctx: PointContext, name: str, mode: str) -> CheckEntry:
     if not ctx.structure_valid():
-        return _not_applicable("def-3.1", "structure endomorphism fails its validators")
-    holds, witness = ctx.radical_transversal()
-    return CheckEntry(
-        "def-3.1",
-        Verdict.HOLDS if holds else Verdict.FAILS,
-        REFERENCES["def-3.1"],
-        witness,
-    )
+        return _not_applicable(name, "structure endomorphism fails its validators")
+    holds, witness = ctx.configuration(mode)
+    return CheckEntry(name, Verdict.HOLDS if holds else Verdict.FAILS, REFERENCES[name], witness)
+
+
+def check_radical_transversal_config(ctx: PointContext) -> CheckEntry:
+    return _configuration_entry(ctx, "def-3.1", "radical-transversal")
 
 
 def check_transversal_config(ctx: PointContext) -> CheckEntry:
-    if not ctx.structure_valid():
-        return _not_applicable("def-4.1", "structure endomorphism fails its validators")
-    holds, witness = ctx.transversal()
-    return CheckEntry(
-        "def-4.1",
-        Verdict.HOLDS if holds else Verdict.FAILS,
-        REFERENCES["def-4.1"],
-        witness,
-    )
+    return _configuration_entry(ctx, "def-4.1", "transversal")
 
 
 def _not_applicable(name: str, reason: str) -> CheckEntry:
@@ -595,16 +502,8 @@ def _gate(ctx: PointContext, name: str, mode: str) -> Optional[CheckEntry]:
     """Common hypothesis gate: valid structure plus the mode predicate."""
     if not ctx.structure_valid():
         return _not_applicable(name, "structure endomorphism fails its validators")
-    if mode == "radical-transversal":
-        holds, _ = ctx.radical_transversal()
-        if not holds:
-            return _not_applicable(name, "point is not in the radical-transversal configuration")
-    elif mode == "transversal":
-        holds, _ = ctx.transversal()
-        if not holds:
-            return _not_applicable(name, "point is not in the transversal configuration")
-    else:
-        raise InternalInconsistency(f"unknown gate mode {mode!r}")
+    if not ctx.configuration(mode)[0]:
+        return _not_applicable(name, f"point is not in the {mode} configuration")
     return None
 
 
@@ -680,64 +579,20 @@ def _transfer_parts(ctx: PointContext, v: Vec) -> Tuple[Vec, Vec]:
 # ---- structure equation audit ----
 
 
-def _structure_equations_radical_transversal(ctx: PointContext) -> int:
-    """Slot-by-slot reassembly for the invariant-screen configuration.
+def _structure_equations(ctx: PointContext, mode: str) -> int:
+    """Slot-by-slot reassembly of the structure-composed derivative splits.
 
     For every coordinate pair the three regrouped split equations must
     vanish exactly; any nonzero residual is an internal bug because the
-    grouping is a pointwise identity once the predicate holds.
+    grouping is a pointwise identity once the predicate holds.  The
+    tangent and null-transversal regroupings are shared; the mode adds
+    its own tangent and screen-transversal terms, because it decides
+    where the structure map sends the screen.
     """
     frame = ctx.frame
     coords = ctx.chart().coordinates
     J = ctx.structure
-    pairs = 0
-    for j, w in enumerate(coords):
-        tw, qw = _constant_split_fields(ctx, j)
-        sw_field = apply_structure_field(J, tw)
-        lw_field = apply_structure_field(J, qw)
-        for i, u in enumerate(coords):
-            sw = full_split(frame, derive(u, sw_field))
-            lw = full_split(frame, derive(u, lw_field))
-            g = gauss_split(frame, u, w)
-            ind_screen, ind_rad = split_tangent(frame, g.induced)
-            s_nabla = J.apply(ind_screen)
-            l_nabla = J.apply(rad_vector(frame, ind_rad))
-            jhl = full_split(frame, J.apply(hl_vector(frame, g.hl)))
-            k1_jhl = hl_vector(frame, jhl.ltr_coeffs)
-            k2_jhl = jhl.tangent
-            jhs = J.apply(g.hs)
-            res_tangent = vec_sub(
-                vec_sub(vec_add(sw.tangent, lw.tangent), s_nabla), k2_jhl
-            )
-            res_screen_transversal = vec_sub(
-                vec_add(sw.normal_screen, lw.normal_screen), jhs
-            )
-            res_null_transversal = vec_sub(
-                vec_sub(
-                    vec_add(hl_vector(frame, sw.ltr_coeffs), hl_vector(frame, lw.ltr_coeffs)),
-                    l_nabla,
-                ),
-                k1_jhl,
-            )
-            for label, res in (
-                ("tangent", res_tangent),
-                ("screen-transversal", res_screen_transversal),
-                ("null-transversal", res_null_transversal),
-            ):
-                if not is_zero_vec(res):
-                    raise InternalInconsistency(
-                        f"split regrouping failed in the {label} slot at pair ({i}, {j})"
-                    )
-            pairs += 1
-    return pairs
-
-
-def _structure_equations_transversal(ctx: PointContext) -> int:
-    """Slot-by-slot reassembly for the mapped-screen configuration."""
-    frame = ctx.frame
-    coords = ctx.chart().coordinates
-    J = ctx.structure
-    proj = ctx.projectors("transversal")
+    proj = ctx.projectors(mode)
     pairs = 0
     for j, w in enumerate(coords):
         tw, qw = _constant_split_fields(ctx, j)
@@ -748,33 +603,35 @@ def _structure_equations_transversal(ctx: PointContext) -> int:
             lw = full_split(frame, derive(u, lw_field))
             g = gauss_split(frame, u, w)
             ind_screen, ind_rad = split_tangent(frame, g.induced)
-            k_nabla = J.apply(ind_screen)
+            j_nabla = J.apply(ind_screen)
             l_nabla = J.apply(rad_vector(frame, ind_rad))
             jhl = full_split(frame, J.apply(hl_vector(frame, g.hl)))
-            k1_jhl = hl_vector(frame, jhl.ltr_coeffs)
-            k2_jhl = jhl.tangent
-            d_hs = proj.letter("D", g.hs)
-            e_hs = proj.letter("E", g.hs)
-            b_hs = J.apply(d_hs)
-            c_hs = J.apply(e_hs)
-            s1_b = proj.letter("S1", b_hs)
-            s2_b = proj.letter("S2", b_hs)
+            if mode == "radical-transversal":
+                # J keeps the screen, hence the normal screen (thm-3.3),
+                # so J hs stays in the normal screen
+                tangent_term = j_nabla
+                screen_term = J.apply(g.hs)
+            else:
+                # hs splits over the mapped screen and mu; J of the first
+                # part splits over the mapped screen and the screen
+                b_hs = J.apply(proj.project("mapped-screen", g.hs))
+                c_hs = J.apply(proj.project("mu", g.hs))
+                tangent_term = proj.project("screen", b_hs)
+                screen_term = vec_add(
+                    vec_add(j_nabla, proj.project("mapped-screen", b_hs)), c_hs
+                )
             res_tangent = vec_sub(
-                vec_sub(vec_add(kw.tangent, lw.tangent), k2_jhl), s2_b
+                vec_sub(vec_add(kw.tangent, lw.tangent), jhl.tangent), tangent_term
             )
             res_screen_transversal = vec_sub(
-                vec_sub(
-                    vec_sub(vec_add(kw.normal_screen, lw.normal_screen), k_nabla),
-                    s1_b,
-                ),
-                c_hs,
+                vec_add(kw.normal_screen, lw.normal_screen), screen_term
             )
             res_null_transversal = vec_sub(
                 vec_sub(
                     vec_add(hl_vector(frame, kw.ltr_coeffs), hl_vector(frame, lw.ltr_coeffs)),
                     l_nabla,
                 ),
-                k1_jhl,
+                hl_vector(frame, jhl.ltr_coeffs),
             )
             for label, res in (
                 ("tangent", res_tangent),
@@ -792,23 +649,14 @@ def _structure_equations_transversal(ctx: PointContext) -> int:
 def check_structure_equations(ctx: PointContext) -> CheckEntry:
     if not ctx.structure_valid():
         return _not_applicable("structure-eqs", "structure endomorphism fails its validators")
-    rt, _ = ctx.radical_transversal()
-    if rt:
-        mode = "radical-transversal"
-        equations = _structure_equations_radical_transversal
-    else:
-        tr, _ = ctx.transversal()
-        if not tr:
-            return _not_applicable(
-                "structure-eqs", "point is in neither named configuration"
-            )
-        mode = "transversal"
-        equations = _structure_equations_transversal
+    mode = next((m for m in _SCREEN_TARGETS if ctx.configuration(m)[0]), None)
+    if mode is None:
+        return _not_applicable("structure-eqs", "point is in neither named configuration")
     try:
         problems = ctx.projectors(mode).audit()
         if problems:
             raise InternalInconsistency("; ".join(problems[:3]))
-        pairs = equations(ctx)
+        pairs = _structure_equations(ctx, mode)
     except InternalInconsistency as exc:
         if exc.mode is None:
             exc.mode = mode
@@ -844,59 +692,24 @@ def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     return ok, checked
 
 
-def _screen_bracket_oracle(ctx: PointContext, kit: FieldKit) -> Tuple[bool, List[Tuple[List[int], Vec]]]:
-    """Radical components of adapted screen field brackets."""
+def _component_oracle(
+    ctx: PointContext, fields: Sequence[TangentJet], *, geodesic: bool, keep: str
+) -> Tuple[bool, List[Tuple[List[int], Vec]]]:
+    """Nonzero tangent components of field pairs: of the brackets
+    [f_a, f_b] for a < b, or, when geodesic, of the induced derivatives
+    of f_b along f_a for every ordered pair (diagonal included).  keep
+    is "screen" (the screen vector) or "radical" (the radical
+    coefficients)."""
     frame = ctx.frame
     bad: List[Tuple[List[int], Vec]] = []
-    s = len(kit.screen_adapted)
-    for a in range(s):
-        for b in range(a + 1, s):
-            br = lie_bracket(kit.screen_adapted[a], kit.screen_adapted[b])
-            _, rad_coeffs = split_tangent(frame, br)
-            if any(c != QuadScalar.zero(ctx.params) for c in rad_coeffs):
-                bad.append(([a, b], rad_coeffs))
-    return (not bad), bad
-
-
-def _radical_bracket_oracle(ctx: PointContext, kit: FieldKit) -> Tuple[bool, List[Tuple[List[int], Vec]]]:
-    """Screen components of radical field brackets."""
-    frame = ctx.frame
-    bad: List[Tuple[List[int], Vec]] = []
-    r = len(kit.radical)
-    for c in range(r):
-        for d in range(c + 1, r):
-            br = lie_bracket(kit.radical[c], kit.radical[d])
-            screen_part, _ = split_tangent(frame, br)
-            if not is_zero_vec(screen_part):
-                bad.append(([c, d], screen_part))
-    return (not bad), bad
-
-
-def _radical_geodesic_oracle(ctx: PointContext, kit: FieldKit) -> Tuple[bool, List[Tuple[List[int], Vec]]]:
-    """Screen components of induced derivatives of radical fields along
-    radical directions (ordered pairs, diagonal included)."""
-    frame = ctx.frame
-    bad: List[Tuple[List[int], Vec]] = []
-    for c, w in enumerate(kit.radical):
-        for d, u in enumerate(kit.radical):
-            g = gauss_split(frame, w, u)
-            screen_part, _ = split_tangent(frame, g.induced)
-            if not is_zero_vec(screen_part):
-                bad.append(([c, d], screen_part))
-    return (not bad), bad
-
-
-def _screen_geodesic_oracle(ctx: PointContext, kit: FieldKit) -> Tuple[bool, List[Tuple[List[int], Vec]]]:
-    """Radical components of induced derivatives of adapted screen
-    fields along each other (ordered pairs, diagonal included)."""
-    frame = ctx.frame
-    bad: List[Tuple[List[int], Vec]] = []
-    for a, w in enumerate(kit.screen_adapted):
-        for b, u in enumerate(kit.screen_adapted):
-            g = gauss_split(frame, w, u)
-            _, rad_coeffs = split_tangent(frame, g.induced)
-            if any(c != QuadScalar.zero(ctx.params) for c in rad_coeffs):
-                bad.append(([a, b], rad_coeffs))
+    for a, x in enumerate(fields):
+        for b in range(0 if geodesic else a + 1, len(fields)):
+            y = fields[b]
+            v = gauss_split(frame, x, y).induced if geodesic else lie_bracket(x, y)
+            screen_part, rad_coeffs = split_tangent(frame, v)
+            part = screen_part if keep == "screen" else rad_coeffs
+            if not is_zero_vec(part):
+                bad.append(([a, b], part))
     return (not bad), bad
 
 
@@ -974,7 +787,7 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
             if any(c != QuadScalar.zero(ctx.params) for c in diff):
                 samples.append(([a, b], diff))
     criterion = not samples
-    oracle, bad = _screen_bracket_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
     witness: Dict[str, object] = {
         "asymmetry": _residual_witness(samples),
         "bracket_radical_components": _residual_witness(bad),
@@ -1005,7 +818,7 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
             if not is_zero_vec(diff):
                 samples.append(([c, d], diff))
     criterion = not samples
-    oracle, bad = _radical_bracket_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
     witness: Dict[str, object] = {
         "shape_asymmetry": _residual_witness(samples),
         "bracket_screen_components": _residual_witness(bad),
@@ -1040,7 +853,7 @@ def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry
             if not is_zero_vec(diff):
                 samples.append(([c, b], diff))
     criterion = not samples
-    oracle, bad = _radical_geodesic_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
     witness: Dict[str, object] = {
         "transfer_residuals": _residual_witness(samples),
         "induced_screen_components": _residual_witness(bad),
@@ -1103,7 +916,7 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
             if not is_zero_vec(printed):
                 printed_samples.append(([a, b], printed))
     criterion = not samples
-    oracle, bad = _screen_geodesic_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
     printed_first = not printed_samples
     printed_verdict = printed_first or no_transversal_component
     witness: Dict[str, object] = {
@@ -1138,7 +951,7 @@ def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
             if not is_zero_vec(diff):
                 samples.append(([c, d], diff))
     criterion = not samples
-    oracle, bad = _radical_bracket_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
     witness: Dict[str, object] = {
         "coupling_asymmetry": _residual_witness(samples),
         "bracket_screen_components": _residual_witness(bad),
@@ -1169,7 +982,7 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
             if any(c != QuadScalar.zero(ctx.params) for c in diff):
                 samples.append(([a, b], diff))
     criterion = not samples
-    oracle, bad = _screen_bracket_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
     witness: Dict[str, object] = {
         "coupling_asymmetry": _residual_witness(samples),
         "bracket_radical_components": _residual_witness(bad),
@@ -1228,7 +1041,7 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
             if any(c != QuadScalar.zero(ctx.params) for c in shape_rad):
                 conj_shape_clear = False
     criterion = not samples
-    oracle, bad = _screen_geodesic_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
     printed = conj_coupling and conj_screen_form and conj_shape_clear
     witness: Dict[str, object] = {
         "balanced_residuals": _residual_witness(samples),
@@ -1281,7 +1094,7 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
             if any(x != QuadScalar.zero(ctx.params) for x in shape_rad):
                 printed_clear = False
     criterion = not samples
-    oracle, bad = _radical_geodesic_oracle(ctx, kit)
+    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
     witness: Dict[str, object] = {
         "corrected_radical_components": _residual_witness(samples),
         "induced_screen_components": _residual_witness(bad),
@@ -1311,9 +1124,9 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
         section = apply_structure_field(ctx.structure, xi_field)
         for j, u in enumerate(ctx.chart().coordinates):
             d = full_split(frame, derive(u, section))
-            q1 = proj.letter("Q1", ctx.structure.apply(d.normal_screen))
+            q1 = proj.project("screen", ctx.structure.apply(d.normal_screen))
             g = gauss_split(frame, u, xi_field)
-            m1 = proj.letter("M1", ctx.structure.apply(g.hs))
+            m1 = proj.project("screen", ctx.structure.apply(g.hs))
             res = vec_sub(q1, vec_scale(p, m1))
             if not is_zero_vec(res):
                 samples.append(([c, j], res))

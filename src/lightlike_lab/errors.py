@@ -50,14 +50,6 @@ class LtrConstructionFailed(LightlikeLabError):
     """Null transversal frame construction could not complete."""
 
 
-class NotTransversalConfig(LightlikeLabError):
-    """Operation requires the screen of the normal bundle to be nontrivial."""
-
-
-class FrameIncomplete(LightlikeLabError):
-    """Adapted frame is missing a component the operation needs."""
-
-
 class InsufficientScene(LightlikeLabError):
     """Scene lacks the fields or sections a requested check needs."""
 

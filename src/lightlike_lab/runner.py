@@ -203,10 +203,7 @@ class _SceneRun:
         for i in range(len(self.scene.points)):
             ctx = self.context(i)
             try:
-                if configuration == "radical-transversal":
-                    holds, _ = ctx.radical_transversal()
-                else:
-                    holds, _ = ctx.transversal()
+                holds, _ = ctx.configuration(configuration)
             except NotLightlike:
                 self.notices.append(
                     f"point {i}: claimed configuration {configuration!r} but the"

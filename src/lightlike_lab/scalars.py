@@ -587,6 +587,18 @@ def _digits_to_int(digits: str) -> int:
         ) from None
 
 
+# Error messages quote at most this many characters of the text, so a
+# hostile coordinate cannot make its error as long as the input.
+_QUOTE_LIMIT = 24
+
+
+def _quote(text: str) -> str:
+    """The text for an error message, cut to a fixed prefix when long."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
     """Parse sums of rational and sigma terms: '3/2', '-s', '1 - 2/3*s'.
 
@@ -607,16 +619,16 @@ def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or m.end() == pos:
-            raise ParseError(f"bad scalar text at offset {pos}: {text!r}")
+            raise ParseError(f"bad scalar text at offset {pos}: {_quote(text)}")
         if saw_term and m.group("sign") is None:
-            raise ParseError(f"missing sign between terms in {text!r}")
+            raise ParseError(f"missing sign between terms in {_quote(text)}")
         sign = -1 if m.group("sign") == "-" else 1
         coef_text = m.group("coef")
         if coef_text is not None:
             if "/" in coef_text:
                 num, den = (_digits_to_int(t) for t in coef_text.split("/"))
                 if den == 0:
-                    raise ParseError(f"zero denominator in {text!r}")
+                    raise ParseError(f"zero denominator in {_quote(text)}")
                 coef = Fraction(num, den)
             else:
                 coef = Fraction(_digits_to_int(coef_text))
@@ -629,7 +641,7 @@ def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
         saw_term = True
         pos = m.end()
     if not saw_term:
-        raise ParseError(f"empty scalar text {text!r}")
+        raise ParseError(f"empty scalar text {_quote(text)}")
     return QuadScalar(a, b, params)
 
 

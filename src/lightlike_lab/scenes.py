@@ -281,11 +281,15 @@ def parse_scene(data) -> Scene:
         )
         for i, pt in enumerate(points_raw)
     )
+    first_index: Dict[Tuple[QuadScalar, ...], int] = {}
     for i, pt in enumerate(points):
         if len(pt) != chart_dim:
             raise ValidationError(
                 f"/points/{i}: expected {chart_dim} coordinates, got {len(pt)}"
             )
+        first = first_index.setdefault(pt, i)
+        if first != i:
+            raise ValidationError(f"/points/{i}: repeats sample point {first}")
 
     screen = None
     if "screen" in root:

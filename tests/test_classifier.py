@@ -2,6 +2,8 @@
 criterion must agree with its independent oracle, and configurations the
 algebra rules out must abort instead of reporting a verdict."""
 
+import dataclasses
+import functools
 import json
 import random
 from collections import Counter
@@ -24,8 +26,16 @@ from lightlike_lab.classifier import (
 )
 from lightlike_lab.errors import InternalInconsistency, NotLightlike
 from lightlike_lab.generators import perturbed_structured_scene
-from lightlike_lab.geometry import derive, lie_bracket, split_tangent
-from lightlike_lab.linalg import FactoredBasis, invert, mat_mul, transpose, vec_add
+from lightlike_lab.geometry import derive, gauss_split, lie_bracket, split_tangent
+from lightlike_lab.linalg import (
+    FactoredBasis,
+    invert,
+    is_zero_vec,
+    mat_mul,
+    mat_vec,
+    transpose,
+    vec_add,
+)
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
@@ -195,7 +205,7 @@ def test_nondegenerate_point_raises_not_lightlike():
     ctx = sigma_identity_context()
     flat = PointContext(imm, MetallicStructure(space, ctx.structure.matrix), origin)
     with pytest.raises(NotLightlike):
-        flat.radical_transversal()
+        flat.configuration("radical-transversal")
 
 
 def test_invalid_structure_gates_every_check_not_applicable():
@@ -212,7 +222,7 @@ def test_impossible_spanning_image_aborts_when_structure_claims_validity():
     ctx = crooked_golden_context()
     ctx._valid = True
     with pytest.raises(InternalInconsistency):
-        ctx.radical_transversal()
+        ctx.configuration("radical-transversal")
 
 
 def test_frame_claims_in_agreement_produce_no_notices():
@@ -251,6 +261,115 @@ def test_projector_audit_is_clean_on_holding_scenes(config, mode):
     assert ctx.projectors(mode).audit() == []
 
 
+# The lettered projections the structure equations are written with,
+# each the sum of the slot projectors it names, and the complement pairs
+# that must sum to the identity on their shared domain.
+LETTER_SLOTS = {
+    "T": ("screen",),
+    "Q": ("radical",),
+    "K1": ("transversal",),
+    "K2": ("radical",),
+    "D": ("mapped-screen",),
+    "E": ("mu",),
+    "S1": ("mapped-screen",),
+    "S2": ("screen",),
+    "T1": ("radical",),
+    "T2": ("transversal",),
+    "M1": ("screen",),
+    "M2": ("mapped-screen",),
+    "Q1": ("screen",),
+    "Q2": ("mapped-screen", "mu"),
+}
+COMPLEMENT_PAIRS = (
+    ("T", "Q", ("screen", "radical")),
+    ("K1", "K2", ("transversal", "radical")),
+    ("D", "E", ("mapped-screen", "mu")),
+    ("S1", "S2", ("mapped-screen", "screen")),
+    ("T1", "T2", ("radical", "transversal")),
+    ("M1", "M2", ("screen", "mapped-screen")),
+    ("Q1", "Q2", ("screen", "mapped-screen", "mu")),
+)
+
+
+def _mat_sum(matrices):
+    return functools.reduce(lambda a, b: tuple(map(vec_add, a, b)), matrices)
+
+
+@pytest.mark.parametrize("config", ["radical-transversal", "transversal"])
+@pytest.mark.parametrize("seed", range(4))
+def test_letters_rebuilt_from_slot_projectors_pass_the_letter_audit(config, seed):
+    flavors = ("ltr",) if seed % 2 else ("rad-twist",)
+    ctx = scene_context(config, flavors, 60 + seed)
+    proj = ctx.projectors(config)
+    letters = {
+        name: _mat_sum(proj.matrices[s] for s in slots)
+        for name, slots in LETTER_SLOTS.items()
+        if all(s in proj.matrices for s in slots)
+    }
+    assert len(letters) == (14 if config == "transversal" else 9)
+    for name, matrix in letters.items():
+        assert mat_mul(matrix, matrix) == matrix, name
+        for slot, basis in proj.bases.items():
+            for v in basis:
+                image = mat_vec(matrix, v)
+                if slot in LETTER_SLOTS[name]:
+                    assert image == v, (name, slot)
+                else:
+                    assert is_zero_vec(image), (name, slot)
+    checked = 0
+    for a, b, domain in COMPLEMENT_PAIRS:
+        if a in letters and b in letters:
+            checked += 1
+            total = _mat_sum((letters[a], letters[b]))
+            for slot in domain:
+                for v in proj.bases[slot]:
+                    assert mat_vec(total, v) == v, (a, b, slot)
+    assert checked == (7 if config == "transversal" else 3)
+
+
+@pytest.mark.parametrize(
+    "config,seed",
+    [
+        ("radical-transversal", 0),
+        ("radical-transversal", 1),
+        ("transversal", 1),
+        ("transversal", 3),
+        ("transversal", 7),
+    ],
+)
+def test_structure_equations_hold_with_every_mode_term_live(config, seed):
+    # the induced connection has a screen part and the second fundamental
+    # form hs has a part on every normal-screen slot of the mode, so each
+    # mode-specific term of the regrouped equations is nonzero somewhere
+    ctx = scene_context(config, ("str", "screen"), seed)
+    proj = ctx.projectors(config)
+    coords = ctx.chart().coordinates
+    splits = [gauss_split(ctx.frame, u, w) for u in coords for w in coords]
+    assert any(not is_zero_vec(split_tangent(ctx.frame, g.induced)[0]) for g in splits)
+    slots = ("normal-screen",) if config == "radical-transversal" else ("mapped-screen", "mu")
+    for slot in slots:
+        assert any(not is_zero_vec(proj.project(slot, g.hs)) for g in splits), slot
+    if config == "transversal":
+        assert not ctx.configuration("radical-transversal")[0]
+    entry = POINT_CHECK_FUNCTIONS["structure-eqs"](ctx)
+    assert (entry.verdict, entry.witness["mode"]) == (Verdict.HOLDS, config)
+
+
+@pytest.mark.parametrize("mode", ["radical-transversal", "transversal"])
+def test_projector_audit_reports_a_perturbed_slot_matrix(mode):
+    ctx = scene_context(mode, (), 0)
+    proj = ctx.projectors(mode)
+    for slot, matrix in proj.matrices.items():
+        for i, j in ((0, 0), (len(matrix) - 1, 1)):
+            rows = [list(row) for row in matrix]
+            rows[i][j] = rows[i][j] + q0(1)
+            bent = dict(proj.matrices)
+            bent[slot] = tuple(tuple(row) for row in rows)
+            problems = dataclasses.replace(proj, matrices=bent).audit()
+            assert any(p.startswith(f"P[{slot}] ") for p in problems), (slot, i, j)
+            assert "slot projectors do not sum to the identity" in problems
+
+
 @pytest.mark.parametrize(
     "config,mode",
     [
@@ -264,9 +383,10 @@ def test_tangent_image_parts_reassemble(config, mode):
     v = tuple(
         sum(row[i] for row in frame.tangent.basis) for i in range(ctx.space.dim)
     )
-    parts = ctx.projectors(mode).split(ctx.structure.apply(v))
+    proj = ctx.projectors(mode)
+    parts = [proj.project(slot, ctx.structure.apply(v)) for slot in proj.matrices]
     total = tuple(
-        sum((p[i] for p in parts.values()), QuadScalar.zero(P0))
+        sum((p[i] for p in parts), QuadScalar.zero(P0))
         for i in range(ctx.space.dim)
     )
     assert total == ctx.structure.apply(v)
@@ -277,8 +397,8 @@ def test_normal_screen_image_parts_reassemble():
     proj = ctx.projectors("transversal")
     v = ctx.frame.normal_screen.basis[0]
     total = vec_add(
-        ctx.structure.apply(proj.letter("D", v)),
-        ctx.structure.apply(proj.letter("E", v)),
+        ctx.structure.apply(proj.project("mapped-screen", v)),
+        ctx.structure.apply(proj.project("mu", v)),
     )
     assert total == ctx.structure.apply(v)
 
@@ -404,7 +524,7 @@ def test_radical_images_qualify_under_any_screen():
     moved = PointContext(
         sc.immersion, sc.structure, sc.point, tuple(sheared), sc.normal_screen_override
     )
-    _, base_witness = base.radical_transversal()
+    _, base_witness = base.configuration("radical-transversal")
     assert base_witness["radical_images_span_transversal"] is True
     zero = QuadScalar.zero(P0)
     for ctx in (base, moved):

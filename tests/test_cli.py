@@ -214,7 +214,7 @@ def test_console_script_runs_end_to_end(tmp_path):
 
 def test_internal_inconsistency_names_check_point_and_mode(capsys, monkeypatch):
     monkeypatch.setattr(
-        classifier.ProjectorSet, "audit", lambda self: ["T does not fix its image slot screen"]
+        classifier.ProjectorSet, "audit", lambda self: ["P[screen] does not fix slot screen"]
     )
     code = main([fixture_path("transversal-recorded.json")])
     captured = capsys.readouterr()
@@ -222,15 +222,15 @@ def test_internal_inconsistency_names_check_point_and_mode(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == (
         "internal inconsistency: check=structure-eqs point=0 mode=transversal:"
-        " T does not fix its image slot screen\n"
+        " P[screen] does not fix slot screen\n"
     )
 
 
 def test_internal_inconsistency_from_the_equations_gets_the_mode(capsys, monkeypatch):
-    def broken(ctx):
+    def broken(ctx, mode):
         raise InternalInconsistency("split regrouping failed in the tangent slot at pair (0, 0)")
 
-    monkeypatch.setattr(classifier, "_structure_equations_radical_transversal", broken)
+    monkeypatch.setattr(classifier, "_structure_equations", broken)
     code = main([fixture_path("radical-transversal-plane.json")])
     assert code == 1
     assert capsys.readouterr().err == (
@@ -318,3 +318,34 @@ def test_coefficient_past_the_int_limit_is_an_input_error(
         f"error: /points/0/0: coefficient of {digits} digits exceeds the"
         " integer conversion limit\n"
     )
+
+
+def _verify_subprocess(path):
+    return subprocess.run(
+        [sys.executable, "-m", "lightlike_lab.cli", path],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_malformed_long_coordinate_gives_a_short_error(tmp_path):
+    # 4001 characters, malformed right after the leading digit
+    path = _scene_with_first_coordinate(tmp_path, "1" + "x" * 4000)
+    proc = _verify_subprocess(path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 300
+    assert proc.stderr == (
+        "error: /points/0/0: bad scalar text at offset 1: "
+        f"{('1' + 'x' * 23)!r}... (4001 characters)\n"
+    )
+
+
+def test_repeated_point_is_an_input_error(tmp_path):
+    scene = json.loads((FIXTURES / "transversal-plane.json").read_text())
+    scene["points"] = scene["points"] * 3
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    proc = _verify_subprocess(str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: /points/1: repeats sample point 0\n"

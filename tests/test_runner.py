@@ -4,6 +4,7 @@ Fixture verdicts pinned here were recorded from the first accepted run
 and guard against regressions in any layer below the runner.
 """
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -712,3 +713,31 @@ def test_fixture_report_bytes_are_pinned(name):
 def test_generated_multipoint_report_bytes_are_pinned(spec):
     report = run(generated_multipoint_scene(*spec))
     assert sha256_hex(report.serialize()) == PINNED_GENERATED_SHA256[spec[0]]
+
+
+# ---- invariance under reordering the points ----
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(21, (0, 2), "transversal", ("ltr",)), (22, (0, 2), "radical-transversal", ("rad-twist",))],
+    ids=lambda s: f"g{s[0]}",
+)
+def test_reversing_the_points_keeps_verdicts_and_reverses_point_entries(spec):
+    # p = 0 scenes whose base point is in the configuration and whose
+    # drawn points mostly are not, so the per-point verdicts are mixed
+    scene = dataclasses.replace(
+        generated_multipoint_scene(*spec),
+        checks=tuple(c for c in CHECK_ORDER if c != "audit-nonexistence"),
+    )
+    forward = run(scene).to_dict()
+    backward = run(dataclasses.replace(scene, points=scene.points[::-1])).to_dict()
+    assert backward["summary"] == forward["summary"]
+    assert len(backward["entries"]) == len(forward["entries"])
+    mixed = 0
+    for f, b in zip(forward["entries"], backward["entries"]):
+        assert (b["check"], b["verdict"]) == (f["check"], f["verdict"])
+        if "points" in f:
+            assert b["points"] == f["points"][::-1]
+            mixed += len({p["verdict"] for p in f["points"]}) > 1
+    assert mixed

@@ -169,6 +169,7 @@ def test_top_level_must_be_an_object():
         (lambda d: d.update(points=[]), "/points"),
         (lambda d: d.update(points=[["0"]]), "/points/0"),
         (lambda d: d.update(points=[["0", "oops"]]), "/points/0/1"),
+        (lambda d: d.update(points=[["0", "0"], ["1", "0"], ["0/3", "-0"]]), "/points/2"),
         (lambda d: d.update(checks=[]), "/checks"),
         (lambda d: d.update(checks=["thm-9.9"]), "/checks/0"),
         (lambda d: d.update(checks=[3]), "/checks/0"),
