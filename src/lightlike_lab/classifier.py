@@ -55,9 +55,7 @@ from .geometry import (
     full_split,
     gauss_split,
     hl_vector,
-    induced_connection,
     lie_bracket,
-    metric_deviation,
     rad_vector,
     split_tangent,
 )
@@ -67,8 +65,12 @@ from .linalg import (
     Vec,
     identity,
     is_zero_vec,
+    mat_add,
+    mat_mul,
+    mat_sub,
     mat_vec,
     rank,
+    transpose,
     vec_add,
     vec_neg,
     vec_scale,
@@ -224,9 +226,7 @@ class ProjectorSet:
                         problems.append(f"P[{a}] does not fix slot {b}")
                     elif a != b and not is_zero_vec(image):
                         problems.append(f"P[{a}] does not kill slot {b}")
-        total = functools.reduce(
-            lambda x, y: tuple(map(vec_add, x, y)), self.matrices.values()
-        )
+        total = functools.reduce(mat_add, self.matrices.values())
         if total != identity(self.space.dim, self.space.params):
             problems.append("slot projectors do not sum to the identity")
         return problems
@@ -548,21 +548,6 @@ def check_mapped_screen_complement_invariance(ctx: PointContext) -> CheckEntry:
 # ---- split helpers used by the criterion checks ----
 
 
-def _constant_split_fields(
-    ctx: PointContext, j: int
-) -> Tuple[TangentJet, TangentJet]:
-    """Coordinate field number j split into constant-coefficient screen
-    and radical parts."""
-    frame = ctx.frame
-    chart = ctx.chart()
-    w0 = frame.tangent_jacobian[j]
-    screen_part, rad_coeffs = split_tangent(frame, w0)
-    rad_part = rad_vector(frame, rad_coeffs)
-    tw = chart.tangent(frame.jacobian_factor.coords(screen_part))
-    qw = chart.tangent(frame.jacobian_factor.coords(rad_part))
-    return tw, qw
-
-
 def _transfer_parts(ctx: PointContext, v: Vec) -> Tuple[Vec, Vec]:
     """Structure image of a transversal-frame vector split into its
     transversal and radical parts, returned as ambient vectors."""
@@ -579,71 +564,94 @@ def _transfer_parts(ctx: PointContext, v: Vec) -> Tuple[Vec, Vec]:
 # ---- structure equation audit ----
 
 
+def _hessian_columns(ctx: PointContext) -> Mat:
+    """The second derivatives d_i d_j f as the columns of one n x m^2
+    matrix, column j*m + i holding d_i W_j (pair order: j outer, i inner)."""
+    coords = ctx.chart().coordinates
+    return transpose(tuple(w.partials[i] for w in coords for i in range(len(coords))))
+
+
+def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat], ...]:
+    """The residual operator of each slot, composed once per point and mode.
+
+    For the pair (i, j) the regrouped split equations take the coordinate
+    field W_j apart into its screen part tw and radical part qw, and
+    differentiate J tw and J qw along W_i.  Both are constant-coefficient
+    fields summing to W_j, so kw + lw = J h_ij with h_ij = d_i d_j f, and
+    every residual is a fixed linear map applied to h_ij:
+
+        tangent             T J - T J L - tangent_term
+        screen-transversal  S J - screen_term
+        null-transversal    L J - J P_radical T - L J L
+
+    T, L and S split the ambient space over the tangent space, the null
+    transversal frame and the normal screen; P_screen and P_radical split
+    a tangent vector.  The mode supplies the two terms that depend on
+    where J sends the screen.
+    """
+    frame = ctx.frame
+    m, r, s = frame.tangent.dim, len(frame.ltr), frame.screen.dim
+    full = frame.full_factor
+    T = full.projector(range(m))
+    L = full.projector(range(m, m + r))
+    S = full.projector(range(m + r, len(full.basis)))
+    p_screen_t = mat_mul(frame.tangent_factor.projector(range(s)), T)
+    p_radical_t = mat_mul(frame.tangent_factor.projector(range(s, s + r)), T)
+    J = ctx.structure.matrix
+    proj = ctx.projectors(mode)
+    TJ, LJ = mat_mul(T, J), mat_mul(L, J)
+    j_nabla = mat_mul(J, p_screen_t)
+    if mode == "radical-transversal":
+        # J keeps the screen, hence the normal screen (thm-3.3), so J hs
+        # stays in the normal screen
+        tangent_term = j_nabla
+        screen_term = mat_mul(J, S)
+    else:
+        # hs splits over the mapped screen and mu; J of the first part
+        # splits over the mapped screen and the screen
+        mapped = proj.matrices["mapped-screen"]
+        b_hs = mat_mul(J, mat_mul(mapped, S))
+        tangent_term = mat_mul(proj.matrices["screen"], b_hs)
+        screen_term = mat_add(
+            mat_add(j_nabla, mat_mul(mapped, b_hs)),
+            mat_mul(J, mat_mul(proj.matrices["mu"], S)),
+        )
+    return (
+        ("tangent", mat_sub(mat_sub(TJ, mat_mul(TJ, L)), tangent_term)),
+        ("screen-transversal", mat_sub(mat_mul(S, J), screen_term)),
+        (
+            "null-transversal",
+            mat_sub(mat_sub(LJ, mat_mul(J, p_radical_t)), mat_mul(LJ, L)),
+        ),
+    )
+
+
 def _structure_equations(ctx: PointContext, mode: str) -> int:
     """Slot-by-slot reassembly of the structure-composed derivative splits.
 
     For every coordinate pair the three regrouped split equations must
     vanish exactly; any nonzero residual is an internal bug because the
-    grouping is a pointwise identity once the predicate holds.  The
-    tangent and null-transversal regroupings are shared; the mode adds
-    its own tangent and screen-transversal terms, because it decides
-    where the structure map sends the screen.
+    grouping is a pointwise identity once the predicate holds.  Each
+    slot's residual is one operator applied to the pair's second
+    derivative (see _structure_operators), so all pairs are checked by
+    one product with the stacked Hessian columns.  Column c holds the
+    residual of exactly one pair, and the columns follow the pair order
+    (j outer, i inner), so the first nonzero column names the first
+    failing pair, and within it the first nonzero slot is reported.
     """
-    frame = ctx.frame
-    coords = ctx.chart().coordinates
-    J = ctx.structure
-    proj = ctx.projectors(mode)
-    pairs = 0
-    for j, w in enumerate(coords):
-        tw, qw = _constant_split_fields(ctx, j)
-        kw_field = apply_structure_field(J, tw)
-        lw_field = apply_structure_field(J, qw)
-        for i, u in enumerate(coords):
-            kw = full_split(frame, derive(u, kw_field))
-            lw = full_split(frame, derive(u, lw_field))
-            g = gauss_split(frame, u, w)
-            ind_screen, ind_rad = split_tangent(frame, g.induced)
-            j_nabla = J.apply(ind_screen)
-            l_nabla = J.apply(rad_vector(frame, ind_rad))
-            jhl = full_split(frame, J.apply(hl_vector(frame, g.hl)))
-            if mode == "radical-transversal":
-                # J keeps the screen, hence the normal screen (thm-3.3),
-                # so J hs stays in the normal screen
-                tangent_term = j_nabla
-                screen_term = J.apply(g.hs)
-            else:
-                # hs splits over the mapped screen and mu; J of the first
-                # part splits over the mapped screen and the screen
-                b_hs = J.apply(proj.project("mapped-screen", g.hs))
-                c_hs = J.apply(proj.project("mu", g.hs))
-                tangent_term = proj.project("screen", b_hs)
-                screen_term = vec_add(
-                    vec_add(j_nabla, proj.project("mapped-screen", b_hs)), c_hs
+    m = len(ctx.chart().coordinates)
+    hessian = _hessian_columns(ctx)
+    residuals = [
+        (label, transpose(mat_mul(op, hessian)))
+        for label, op in _structure_operators(ctx, mode)
+    ]
+    for c in range(m * m):
+        for label, columns in residuals:
+            if not is_zero_vec(columns[c]):
+                raise InternalInconsistency(
+                    f"split regrouping failed in the {label} slot at pair ({c % m}, {c // m})"
                 )
-            res_tangent = vec_sub(
-                vec_sub(vec_add(kw.tangent, lw.tangent), jhl.tangent), tangent_term
-            )
-            res_screen_transversal = vec_sub(
-                vec_add(kw.normal_screen, lw.normal_screen), screen_term
-            )
-            res_null_transversal = vec_sub(
-                vec_sub(
-                    vec_add(hl_vector(frame, kw.ltr_coeffs), hl_vector(frame, lw.ltr_coeffs)),
-                    l_nabla,
-                ),
-                hl_vector(frame, jhl.ltr_coeffs),
-            )
-            for label, res in (
-                ("tangent", res_tangent),
-                ("screen-transversal", res_screen_transversal),
-                ("null-transversal", res_null_transversal),
-            ):
-                if not is_zero_vec(res):
-                    raise InternalInconsistency(
-                        f"split regrouping failed in the {label} slot at pair ({i}, {j})"
-                    )
-            pairs += 1
-    return pairs
+    return m * m
 
 
 def check_structure_equations(ctx: PointContext) -> CheckEntry:
@@ -677,19 +685,36 @@ def check_structure_equations(ctx: PointContext) -> CheckEntry:
 def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     """Deviation of the induced connection from metricity, on all
     coordinate triples; the deviation is a tensor, so coordinate fields
-    span every case."""
-    fields = ctx.chart().coordinates
-    zero = QuadScalar.zero(ctx.params)
-    checked = 0
-    ok = True
-    for w in fields:
-        induced = [induced_connection(ctx.frame, w, u) for u in fields]
-        for u, du in zip(fields, induced):
-            for v, dv in zip(fields, induced):
-                checked += 1
-                if metric_deviation(ctx.frame, w, u, v, du, dv) != zero:
-                    ok = False
-    return ok, checked
+    span every case.
+
+    Along W_k the pairing <W_i, W_j> changes by <h_ki, W_j> + <W_i, h_kj>
+    and the induced connection keeps the tangent part T h_ki, so
+
+        (nabla_{W_k} g)(W_i, W_j) = <(I - T) h_ki, W_j> + <W_i, (I - T) h_kj>.
+
+    Every such inner product is an entry of the one product
+    (W^T diag(eps) (I - T)) H, with H the stacked Hessian columns.
+    """
+    frame = ctx.frame
+    space = ctx.space
+    coords = ctx.chart().coordinates
+    m = len(coords)
+    normal = mat_sub(
+        identity(space.dim, space.params),
+        frame.full_factor.projector(range(frame.tangent.dim)),
+    )
+    rows = tuple(
+        tuple(-x if e < 0 else x for e, x in zip(space.eps, w.value)) for w in coords
+    )
+    # pairings[j][i*m + k] = <W_j, (I - T) h_ki>
+    pairings = mat_mul(mat_mul(rows, normal), _hessian_columns(ctx))
+    ok = all(
+        not (pairings[j][i * m + k] + pairings[i][j * m + k])
+        for k in range(m)
+        for i in range(m)
+        for j in range(m)
+    )
+    return ok, m**3
 
 
 def _component_oracle(
@@ -1213,7 +1238,13 @@ def _single_null_sweep(rng: random.Random, trials: int) -> Dict[str, object]:
                     )
                 if b == zero and a == QuadScalar.one(params):
                     satisfied += 1
-                if not is_zero_vec(jxi) and rank((nv, jxi)) == 1:
+                # J xi lies on the line of N exactly when every 2 x 2
+                # minor of (N, J xi) vanishes
+                if not is_zero_vec(jxi) and not any(
+                    nv[a] * jxi[b] - nv[b] * jxi[a]
+                    for a in range(len(nv))
+                    for b in range(a + 1, len(nv))
+                ):
                     image_in_span += 1
             if satisfied or image_in_span:
                 raise InternalInconsistency(

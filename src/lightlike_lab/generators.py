@@ -79,22 +79,32 @@ def _int_matrix_invertible(rng: random.Random, n: int) -> Tuple[Tuple[int, ...],
 # ---- exact isometries ----
 
 
+def _mix_rows(
+    acc: List[Vec], i: int, j: int, a: QuadScalar, b: QuadScalar, c: QuadScalar, d: QuadScalar
+) -> None:
+    """Rows i and j of acc become a r_i + b r_j and c r_i + d r_j: the
+    left product by the identity with that 2 x 2 block at (i, j)."""
+    ri, rj = acc[i], acc[j]
+    acc[i] = tuple(a * x + b * y for x, y in zip(ri, rj))
+    acc[j] = tuple(c * x + d * y for x, y in zip(ri, rj))
+
+
 def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[int] = None) -> Mat:
     """Exact rational matrix S with S^T diag(eps) S = diag(eps).
 
     Composed from hyperbolic boosts across a (-,+) coordinate pair,
     rational-point rotations inside a same-sign pair, sign flips, and
-    same-sign swaps.
+    same-sign swaps, each applied to the rows of the accumulated product
+    it multiplies from the left.
     """
     params = space.params
     n = space.dim
-    acc = identity(n, params)
+    acc = list(identity(n, params))
     minus = [i for i in range(n) if space.eps[i] == -1]
     plus = [i for i in range(n) if space.eps[i] == 1]
     if steps is None:
         steps = rng.randrange(0, 7)
     for _ in range(steps):
-        rows = [[_q(1 if i == j else 0, params) for j in range(n)] for i in range(n)]
         kind = rng.choice(("boost", "rotate", "flip", "swap"))
         if kind == "boost" and minus and plus:
             i = rng.choice(minus)
@@ -104,10 +114,7 @@ def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[i
                 continue
             c = _q((lam + 1 / lam) / 2, params)
             s = _q((lam - 1 / lam) / 2, params)
-            rows[i][i] = c
-            rows[i][j] = s
-            rows[j][i] = s
-            rows[j][j] = c
+            _mix_rows(acc, i, j, c, s, s, c)
         elif kind == "rotate":
             pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
             if len(pool) < 2:
@@ -118,24 +125,17 @@ def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[i
             t = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 2, 3]))
             c = _q((1 - t * t) / (1 + t * t), params)
             s = _q(2 * t / (1 + t * t), params)
-            rows[i][i] = c
-            rows[i][j] = -s
-            rows[j][i] = s
-            rows[j][j] = c
+            _mix_rows(acc, i, j, c, -s, s, c)
         elif kind == "flip":
             i = rng.randrange(n)
-            rows[i][i] = _q(-1, params)
+            acc[i] = tuple(-x for x in acc[i])
         else:
             pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
             if len(pool) < 2:
                 continue
             i, j = rng.sample(pool, 2)
-            rows[i][i] = _q(0, params)
-            rows[j][j] = _q(0, params)
-            rows[i][j] = _q(1, params)
-            rows[j][i] = _q(1, params)
-        acc = mat_mul(tuple(tuple(r) for r in rows), acc)
-    return acc
+            acc[i], acc[j] = acc[j], acc[i]
+    return tuple(acc)
 
 
 def isometry_inverse(space: SignatureSpace, iso: Mat) -> Mat:
@@ -883,7 +883,7 @@ def null_dual_candidate(
         eps[pos] = -1 if kind == "pair-" else (1 if kind == "pair+" else rng.choice((-1, 1)))
         branches[pos] = rng.choice(("sigma", "p-sigma"))
     space = SignatureSpace(n, tuple(eps), params)
-    structure = MetallicStructure(space, diag_branches(params, branches))
+    diag = diag_branches(params, branches)
 
     a = _rational(rng, nonzero=True)
     xi = [Fraction(0)] * n
@@ -898,7 +898,8 @@ def null_dual_candidate(
     inv = isometry_inverse(space, iso)
     if mat_mul(iso, inv) != identity(n, params):
         raise InternalInconsistency("isometry adjoint inverse failed")
-    conj = mat_mul(mat_mul(iso, structure.matrix), inv)
+    # iso D inv with D diagonal: D scales the rows of inv
+    conj = mat_mul(iso, tuple(vec_scale(diag[k][k], row) for k, row in enumerate(inv)))
     return (
         space,
         MetallicStructure(space, conj),

@@ -305,10 +305,6 @@ def star_forms_radical(
     return RadicalSplit(vec_neg(screen_part), rad_coeffs)
 
 
-def induced_connection(frame: AdaptedFrame, x: TangentJet, y: TangentJet) -> Vec:
-    return gauss_split(frame, x, y).induced
-
-
 def hl_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:
     """Assemble sum_i c_i N_i as an ambient vector."""
     if len(coeffs) != len(frame.ltr):

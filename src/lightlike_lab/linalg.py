@@ -89,6 +89,18 @@ def lin_comb(coeffs: Sequence[QuadScalar], vectors: Sequence[Vec]) -> Vec:
     return acc
 
 
+def mat_add(a: Mat, b: Mat) -> Mat:
+    if len(a) != len(b):
+        raise ShapeError(f"height {len(a)} vs {len(b)}")
+    return tuple(map(vec_add, a, b))
+
+
+def mat_sub(a: Mat, b: Mat) -> Mat:
+    if len(a) != len(b):
+        raise ShapeError(f"height {len(a)} vs {len(b)}")
+    return tuple(map(vec_sub, a, b))
+
+
 def identity(n: int, params: MetallicParams) -> Mat:
     one = QuadScalar.one(params)
     zero = QuadScalar.zero(params)

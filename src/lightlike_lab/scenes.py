@@ -38,6 +38,12 @@ Vec = Tuple[QuadScalar, ...]
 
 CONFIGURATIONS = ("radical-transversal", "transversal")
 
+# Largest total degree of one polynomial term.  The digits of an exact
+# power, and the time to form it, grow with the degree, so an unbounded
+# exponent lets one term stall a run; every shipped fixture stays at
+# degree 2 or below.
+MAX_TERM_DEGREE = 64
+
 
 @dataclass(frozen=True)
 class SceneClaims:
@@ -148,6 +154,10 @@ def _polynomial(x, nvars: int, params: MetallicParams, path: str) -> Polynomial:
         )
         if any(p < 0 for p in powers):
             raise ValidationError(f"{path}/{i}/powers: exponents must be nonnegative")
+        if sum(powers) > MAX_TERM_DEGREE:
+            raise ValidationError(
+                f"{path}/{i}/powers: total degree {sum(powers)} exceeds {MAX_TERM_DEGREE}"
+            )
         if powers in terms:
             raise ValidationError(f"{path}/{i}/powers: duplicate exponent tuple")
         coeff = _scalar(_required(term, "coeff", f"{path}/{i}"), params, f"{path}/{i}/coeff")

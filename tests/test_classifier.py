@@ -25,7 +25,12 @@ from lightlike_lab.classifier import (
     check_single_null_obstruction,
 )
 from lightlike_lab.errors import InternalInconsistency, NotLightlike
-from lightlike_lab.generators import perturbed_structured_scene
+from lightlike_lab.generators import (
+    perturbed_structured_scene,
+    random_isometry,
+    transform_immersion,
+    transform_structure,
+)
 from lightlike_lab.geometry import derive, gauss_split, lie_bracket, split_tangent
 from lightlike_lab.linalg import (
     FactoredBasis,
@@ -565,6 +570,62 @@ def test_failure_witnesses_carry_exact_residual_samples():
     assert entry.verdict == Verdict.FAILS
     blob = json.dumps(entry.witness)
     assert "sigma" in blob or any(ch.isdigit() for ch in blob)
+
+
+# For two or more radical directions the null transversal frame is
+# unique only up to an antisymmetric radical shift, and build_frame picks
+# it by a greedy pass over ambient coordinates.  On these scenes the
+# conjugated frame lands on another transversal span (radical and screen
+# are carried over exactly), so the definition predicate flips; the
+# marks record that known defect and fail loudly once it is mended.
+_GAUGE_DEPENDENT = {
+    (config, ("rad-twist",), q, 1)
+    for config in ("radical-transversal", "transversal")
+    for q in (2, 3, 5)
+}
+
+
+def _isometry_cases():
+    for config in ("radical-transversal", "transversal"):
+        for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
+            for q in (2, 3, 5):
+                for seed in range(2):
+                    marks = ()
+                    if (config, flavors, q, seed) in _GAUGE_DEPENDENT:
+                        marks = pytest.mark.xfail(
+                            strict=True,
+                            reason="transversal frame choice is not isometry-equivariant for r >= 2",
+                        )
+                    yield pytest.param(config, flavors, q, seed, marks=marks)
+
+
+def _point_verdicts(ctx):
+    return {cid: fn(ctx).verdict for cid, fn in POINT_CHECK_FUNCTIONS.items()}
+
+
+@pytest.mark.parametrize("config,flavors,q,seed", _isometry_cases())
+def test_point_verdicts_survive_an_ambient_isometry(config, flavors, q, seed):
+    params = MetallicParams(0, q)
+    sc = perturbed_structured_scene(random.Random(seed), params, config, flavors)
+    iso = random_isometry(random.Random(1000 + seed), sc.immersion.space)
+    moved = tuple(mat_vec(iso, v) for v in sc.normal_screen_override or ())
+    before = PointContext(
+        sc.immersion, sc.structure, sc.point, sc.screen_override, sc.normal_screen_override
+    )
+    after = PointContext(
+        transform_immersion(sc.immersion, iso),
+        transform_structure(sc.structure, iso),
+        sc.point,
+        tuple(mat_vec(iso, v) for v in sc.screen_override),
+        moved or None,
+    )
+    # every screen choice is declared: an undeclared normal screen is {0}
+    assert after.frame.normal_screen.dim == len(moved)
+    verdicts = _point_verdicts(before)
+    assert verdicts[{"radical-transversal": "def-3.1", "transversal": "def-4.1"}[config]] == (
+        Verdict.HOLDS
+    )
+    assert _point_verdicts(after) == verdicts
 
 
 def test_single_null_obstruction_sweeps_every_parameter_pair():

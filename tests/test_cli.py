@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from lightlike_lab import classifier
+from lightlike_lab import classifier, scenes
 from lightlike_lab.classifier import CHECK_ORDER
 from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.cli import SEED_ENV, main
@@ -349,3 +349,44 @@ def test_repeated_point_is_an_input_error(tmp_path):
     proc = _verify_subprocess(str(path))
     assert proc.returncode == 2
     assert proc.stderr == "error: /points/1: repeats sample point 0\n"
+
+
+def _scene_with_term(tmp_path, powers):
+    """radical-transversal-plane with one more term on component 0,
+    sampled at the chart point (2, 3); the declared screen fits only the
+    plane, so it goes."""
+    scene = json.loads((FIXTURES / "radical-transversal-plane.json").read_text())
+    del scene["screen"]
+    scene["submanifold"]["components"][0].append({"coeff": "1", "powers": powers})
+    scene["points"] = [["2", "3"]]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    return str(path)
+
+
+def test_term_at_the_degree_bound_is_verified(tmp_path, capsys):
+    half = scenes.MAX_TERM_DEGREE // 2
+    code = main([_scene_with_term(tmp_path, [half, scenes.MAX_TERM_DEGREE - half])])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    assert "summary:" in captured.out
+
+
+@pytest.mark.parametrize(
+    "powers", [[scenes.MAX_TERM_DEGREE // 2, scenes.MAX_TERM_DEGREE // 2 + 1], [10**6, 10**6]]
+)
+def test_term_past_the_degree_bound_is_an_input_error(tmp_path, powers):
+    # evaluated, x^e y^e at (2, 3) takes about a second at e = 10^5 and
+    # more than a minute at e = 10^6, so the term is refused while parsing
+    proc = subprocess.run(
+        [sys.executable, "-m", "lightlike_lab.cli", _scene_with_term(tmp_path, powers)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: /submanifold/components/0/1/powers: total degree {sum(powers)}"
+        f" exceeds {scenes.MAX_TERM_DEGREE}\n"
+    )

@@ -2,11 +2,15 @@
 claim, and the same seed must reproduce the same scene."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from lightlike_lab import generators
+from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.generators import (
     cylinder_scene,
+    isometry_inverse,
     null_dual_candidate,
     perturbed_structured_scene,
     random_flag_data,
@@ -14,7 +18,7 @@ from lightlike_lab.generators import (
     ruled_scene,
 )
 from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split
-from lightlike_lab.linalg import Subspace, is_zero_vec, mat_mul, transpose
+from lightlike_lab.linalg import Subspace, identity, is_zero_vec, mat_mul, transpose
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.submanifold import construct_ltr
 
@@ -171,6 +175,81 @@ def test_flag_data_supports_the_transversal_frame(seed, r):
             assert space.inner(n_i, s) == 0
         for z in ns_vecs:
             assert space.inner(n_i, z) == 0
+
+
+def isometry_by_step_matrices(rng, space, steps=None):
+    """random_isometry as a product of explicit n x n step matrices, with
+    the same draws in the same order: the reference for the row updates."""
+    params = space.params
+    n = space.dim
+    q = lambda x: QuadScalar(x, 0, params)  # noqa: E731
+    acc = identity(n, params)
+    minus = [i for i in range(n) if space.eps[i] == -1]
+    plus = [i for i in range(n) if space.eps[i] == 1]
+    if steps is None:
+        steps = rng.randrange(0, 7)
+    for _ in range(steps):
+        rows = [[q(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        kind = rng.choice(("boost", "rotate", "flip", "swap"))
+        if kind == "boost" and minus and plus:
+            i, j = rng.choice(minus), rng.choice(plus)
+            lam = Fraction(rng.choice([2, 3, 1, 2]), rng.choice([1, 2, 3]))
+            if lam == 1:
+                continue
+            c, s = q((lam + 1 / lam) / 2), q((lam - 1 / lam) / 2)
+            rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, s, s, c
+        elif kind == "rotate":
+            pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
+            if len(pool) < 2:
+                pool = minus if len(minus) >= 2 else plus
+            if len(pool) < 2:
+                continue
+            i, j = rng.sample(pool, 2)
+            t = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 2, 3]))
+            c, s = q((1 - t * t) / (1 + t * t)), q(2 * t / (1 + t * t))
+            rows[i][i], rows[i][j], rows[j][i], rows[j][j] = c, -s, s, c
+        elif kind == "flip":
+            i = rng.randrange(n)
+            rows[i][i] = q(-1)
+        else:
+            pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
+            if len(pool) < 2:
+                continue
+            i, j = rng.sample(pool, 2)
+            rows[i][i], rows[j][j], rows[i][j], rows[j][i] = q(0), q(0), q(1), q(1)
+        acc = mat_mul(tuple(map(tuple, rows)), acc)
+    return acc
+
+
+@pytest.mark.parametrize("params", [GOLDEN, ZERO_Q], ids=["golden", "p0"])
+def test_row_updates_match_the_step_matrix_product(params):
+    for seed in range(60):
+        shape = random.Random(seed)
+        n = shape.randrange(2, 7)
+        space = SignatureSpace(n, tuple(shape.choice((-1, 1)) for _ in range(n)), params)
+        steps = None if seed % 3 else shape.randrange(0, 12)
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_isometry(rng, space, steps) == isometry_by_step_matrices(ref, space, steps)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_null_dual_candidate_conjugates_its_diagonal_structure(seed, monkeypatch):
+    drawn = {}
+
+    def keep(name, fn):
+        def wrapper(*args, **kwargs):
+            drawn[name] = fn(*args, **kwargs)
+            return drawn[name]
+
+        monkeypatch.setattr(generators, name, wrapper)
+
+    keep("random_isometry", generators.random_isometry)
+    keep("diag_branches", generators.diag_branches)
+    space, structure, _, _ = null_dual_candidate(random.Random(seed), MetallicParams(2, 1))
+    iso = drawn["random_isometry"]
+    expected = mat_mul(mat_mul(iso, drawn["diag_branches"]), isometry_inverse(space, iso))
+    assert structure.matrix == expected
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -7,6 +7,7 @@ import pytest
 from lightlike_lab.classifier import CHECK_ORDER
 from lightlike_lab.errors import ParseError, ValidationError
 from lightlike_lab.scenes import (
+    MAX_TERM_DEGREE,
     parse_scene,
     scene_to_dict,
     serialize_scene,
@@ -192,6 +193,39 @@ def test_validation_pointer(mutate, pointer):
     mutate(d)
     with pytest.raises(ValidationError, match=pointer.replace(".", r"\.")):
         parse(d)
+
+
+def _with_term(d, powers, where="components"):
+    term = {"powers": powers, "coeff": "1"}
+    if where == "components":
+        d["submanifold"]["components"][2].append(term)
+    else:
+        d["sections"] = {"radical": [[[term], []]]}
+    return d
+
+
+@pytest.mark.parametrize("where", ["components", "sections"])
+def test_term_at_the_degree_bound_parses(where):
+    half = MAX_TERM_DEGREE // 2
+    scene = parse(_with_term(base_scene_dict(), [half, MAX_TERM_DEGREE - half], where))
+    polys = scene.immersion.components if where == "components" else scene.radical_sections[0]
+    assert max(sum(powers) for poly in polys for powers in poly.terms) == MAX_TERM_DEGREE
+
+
+@pytest.mark.parametrize(
+    "where, pointer",
+    [
+        ("components", "/submanifold/components/2/1/powers"),
+        ("sections", "/sections/radical/0/0/0/powers"),
+    ],
+)
+@pytest.mark.parametrize("powers", [[MAX_TERM_DEGREE + 1, 0], [10**6, 10**6]])
+def test_term_past_the_degree_bound_is_rejected(where, pointer, powers):
+    with pytest.raises(ValidationError) as info:
+        parse(_with_term(base_scene_dict(), powers, where))
+    assert str(info.value) == (
+        f"{pointer}: total degree {sum(powers)} exceeds {MAX_TERM_DEGREE}"
+    )
 
 
 def test_structure_entries_must_match_param_family():
