@@ -15,10 +15,12 @@ coordinates off those columns instead of eliminating again.  A list
 that grows one vector at a time stays open in OpenElimination, so each
 independence test is one forward reduction of the new vector.
 
-Matrix products skip every term with a zero factor.  Exact sums do not
-depend on which zero terms they include, so the skipped terms change no
-value; they only save the scalar products, which dominate on the
-identity-heavy, diagonal and two-entry operands the generators build.
+Matrix products skip every term with a zero factor, and every
+elimination skips the zero entries of its pivot row when it scales that
+row and subtracts it from the others.  Exact sums do not depend on which
+zero terms they include, so the skipped terms change no value; they only
+save the scalar products, which dominate on the identity-heavy, diagonal
+and two-entry operands the generators build.
 """
 
 from __future__ import annotations
@@ -163,11 +165,11 @@ def _reduce(rows: List[List[QuadScalar]], limit: int) -> Tuple[int, ...]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
+        rows[r] = [inv * x if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -205,25 +207,6 @@ def null_space(a: Mat, ncols: int, params: MetallicParams) -> Tuple[Vec, ...]:
     return tuple(basis)
 
 
-def solve(a: Mat, b: Vec) -> Optional[Vec]:
-    """One solution of a x = b with free variables set to zero, or None."""
-    if len(a) != len(b):
-        raise ShapeError(f"matrix height {len(a)} vs rhs length {len(b)}")
-    if not a:
-        return ()
-    ncols = len(a[0])
-    params = b[0].params if b else a[0][0].params
-    augmented = tuple(row + (rhs,) for row, rhs in zip(a, b))
-    reduced, pivots = rref(augmented)
-    if pivots and pivots[-1] == ncols:
-        return None  # a pivot in the rhs column: inconsistent system
-    zero = QuadScalar.zero(params)
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][ncols]
-    return tuple(x)
-
-
 def det(a: Mat) -> QuadScalar:
     n = len(a)
     if any(len(row) != n for row in a):
@@ -245,7 +228,7 @@ def det(a: Mat) -> QuadScalar:
         for i in range(c + 1, n):
             if rows[i][c]:
                 f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[c])]
     return result
 
 
@@ -291,6 +274,21 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def span_of_rows(self, indices: Iterable[int]) -> "Subspace":
+        """The span of the basis rows at the given indices.
+
+        Each basis row is 1 at its own pivot and 0 at every other pivot,
+        so any of the rows, kept in pivot order, are already the
+        canonical basis of their span and nothing is eliminated.
+        """
+        picked = sorted(indices)
+        out = object.__new__(Subspace)
+        out.ambient_dim = self.ambient_dim
+        out.params = self.params
+        out.basis = tuple(self.basis[i] for i in picked)
+        out.pivots = tuple(self.pivots[i] for i in picked)
+        return out
 
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
@@ -366,7 +364,7 @@ class FactoredBasis:
     which leaves a transform E with E B^T in reduced echelon form.  The
     rows of E at the pivots give the coordinates of v as one product
     E v; the remaining rows vanish on v exactly when v lies in the span.
-    Coordinates of non-pivot (dependent) vectors are zero, as in solve.
+    Coordinates of non-pivot (dependent) vectors are zero.
     """
 
     __slots__ = ("basis", "ambient_dim", "pivots", "_coord_rows", "_residual_rows", "_zero")

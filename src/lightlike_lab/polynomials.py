@@ -2,18 +2,17 @@
 
 Terms live in a dict keyed by exponent tuples; zero coefficients are
 dropped eagerly so equality is structural.  Differentiation and
-evaluation are exact.  The text format is round-trippable: sums of
-terms like '3/2*u1^2*u2', '(1 - s)*u2', '(-2)', with 's' denoting
-sigma and explicit '*' between all factors.
+evaluation are exact.  to_string writes sums of terms like
+'3/2*u1^2*u2', '(1 - s)*u2', '(-2)', with 's' denoting sigma and
+explicit '*' between all factors; scenes carry polynomials as JSON
+terms, so the package itself never parses that text.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .errors import ParseError, ShapeError
+from .errors import ShapeError
 from .scalars import MetallicParams, QuadScalar
 
 Expos = Tuple[int, ...]
@@ -121,14 +120,6 @@ class Polynomial:
             {e: c * v for e, v in self.terms.items()}, self.nvars, self.params
         )
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ShapeError("negative polynomial power")
-        result = Polynomial.constant(1, self.nvars, self.params)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     # ---- calculus and evaluation ----
 
     def partial(self, i: int) -> "Polynomial":
@@ -208,126 +199,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()!r}, nvars={self.nvars})"
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<var>u\d+)|(?P<sym>s)|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"bad character at offset {pos} in {text!r}")
-            break
-        if m.group("num"):
-            tokens.append(("num", int(m.group("num"))))
-        elif m.group("var"):
-            tokens.append(("var", int(m.group("var")[1:]) - 1))
-        elif m.group("sym"):
-            tokens.append(("sym", "s"))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, nvars: int, params: MetallicParams):
-        self.tokens = tokens
-        self.pos = 0
-        self.nvars = nvars
-        self.params = params
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of polynomial text")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok != ("op", op):
-            raise ParseError(f"expected {op!r}, got {tok!r}")
-
-    def parse(self) -> Polynomial:
-        result = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing tokens from {self.peek()!r}")
-        return result
-
-    def expr(self) -> Polynomial:
-        value = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> Polynomial:
-        value = self.factor()
-        while self.peek() == ("op", "*"):
-            self.take()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> Polynomial:
-        negate = False
-        while self.peek() == ("op", "-"):
-            self.take()
-            negate = not negate
-        value = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            tok = self.take()
-            if tok[0] != "num":
-                raise ParseError(f"exponent must be a literal, got {tok!r}")
-            value = value ** tok[1]
-        return -value if negate else value
-
-    def atom(self) -> Polynomial:
-        tok = self.take()
-        kind, payload = tok
-        if kind == "num":
-            numer = payload
-            if self.peek() == ("op", "/"):
-                self.take()
-                den_tok = self.take()
-                if den_tok[0] != "num" or den_tok[1] == 0:
-                    raise ParseError(f"bad denominator {den_tok!r}")
-                return Polynomial.constant(
-                    Fraction(numer, den_tok[1]), self.nvars, self.params
-                )
-            return Polynomial.constant(numer, self.nvars, self.params)
-        if kind == "sym":
-            return Polynomial.constant(
-                QuadScalar.sigma(self.params), self.nvars, self.params
-            )
-        if kind == "var":
-            if not 0 <= payload < self.nvars:
-                raise ParseError(
-                    f"variable u{payload + 1} out of range for {self.nvars} variables"
-                )
-            return Polynomial.variable(payload, self.nvars, self.params)
-        if tok == ("op", "("):
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected token {tok!r}")
-
-
-def parse_polynomial(text: str, nvars: int, params: MetallicParams) -> Polynomial:
-    if not isinstance(text, str):
-        raise ParseError(f"expected polynomial text, got {type(text).__name__}")
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    return _Parser(tokens, nvars, params).parse()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +44,19 @@ CONFIGURATIONS = ("radical-transversal", "transversal")
 # exponent lets one term stall a run; every shipped fixture stays at
 # degree 2 or below.
 MAX_TERM_DEGREE = 64
+
+# Largest ambient dimension, number of sample points and number of
+# digits in one integer of a scalar.  Each caps work that grows with it:
+# every frame and check is polynomial in the dimension, the checks run
+# once per point, and the exact arithmetic grows with the digits.  The
+# digit bound sits well below the interpreter's 4300-digit int-string
+# limit.  The shipped fixtures and generated scenes reach dimension 6,
+# 12 points and integers of a few digits.
+MAX_AMBIENT_DIM = 12
+MAX_POINTS = 64
+MAX_SCALAR_DIGITS = 1000
+
+_LONG_INTEGER = re.compile(r"\d{%d}" % (MAX_SCALAR_DIGITS + 1))
 
 
 @dataclass(frozen=True)
@@ -125,6 +139,10 @@ def _no_extras(obj: Dict, allowed: Sequence[str], path: str) -> None:
 
 def _scalar(x, params: MetallicParams, path: str) -> QuadScalar:
     text = _string(x, path)
+    if len(text) > MAX_SCALAR_DIGITS and _LONG_INTEGER.search(text):
+        raise ValidationError(
+            f"{path}: an integer in the scalar has more than {MAX_SCALAR_DIGITS} digits"
+        )
     try:
         return parse_scalar(text, params)
     except LightlikeLabError as exc:
@@ -220,6 +238,9 @@ def parse_scene(data) -> Scene:
         raise ParseError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # a JSON number past the interpreter's int-string limit
+        raise ParseError(f"scene is not valid JSON: {exc}") from exc
     root = _object(root, "")
     _no_extras(root, _TOP_KEYS, "")
 
@@ -235,6 +256,8 @@ def parse_scene(data) -> Scene:
     ambient_obj = _object(_required(root, "ambient", ""), "/ambient")
     _no_extras(ambient_obj, ("dim", "signature"), "/ambient")
     dim = _integer(_required(ambient_obj, "dim", "/ambient"), "/ambient/dim")
+    if dim > MAX_AMBIENT_DIM:
+        raise ValidationError(f"/ambient/dim: {dim} exceeds {MAX_AMBIENT_DIM}")
     sig_raw = _array(_required(ambient_obj, "signature", "/ambient"), "/ambient/signature")
     if len(sig_raw) != dim:
         raise ValidationError(
@@ -284,6 +307,8 @@ def parse_scene(data) -> Scene:
     points_raw = _array(_required(root, "points", ""), "/points")
     if not points_raw:
         raise ValidationError("/points: at least one sample point is required")
+    if len(points_raw) > MAX_POINTS:
+        raise ValidationError(f"/points: {len(points_raw)} sample points exceed {MAX_POINTS}")
     points = tuple(
         tuple(
             _scalar(c, params, f"/points/{i}/{j}")

@@ -16,11 +16,16 @@ Each piece of linear algebra is done once per point.  The Jacobian is
 eliminated once, for its rank and its span together.  The radical is
 J^T ker G, the image of the kernel of the m x m tangent Gram matrix G
 (J has full rank, so J^T c is orthogonal to the tangent space exactly
-when G c = 0), and the frame keeps G.  The greedy complements test each
-candidate with one forward reduction against an elimination they keep
-open, and their Gram matrix gains one row per accepted vector.  Still
-asserted on every frame: the complements are nondegenerate, the
-transversal frame is null and dual to the radical basis.
+when G c = 0), and the frame keeps G.  Each greedy complement reads
+one Gram matrix of its bundle's basis: a candidate is tested for
+independence with one forward reduction against an elimination kept
+open, and for nondegeneracy with its Schur pivot against an L D L^T
+factor of the vectors chosen so far.  With no radical the complement
+is the bundle itself, and otherwise it is the chosen rows of the
+bundle's reduced basis in pivot order, which is already the reduced
+basis of their span.  Still asserted on every frame: the complements
+are nondegenerate, the transversal frame is null and dual to the
+radical basis.
 """
 
 from __future__ import annotations
@@ -173,48 +178,71 @@ def _greedy_complement(
     of whole orthogonal to both sub and the complement sits in the
     radical of whole, which is contained in sub), and that is asserted.
 
-    Independence is one forward reduction of the candidate against an
-    elimination of sub plus the vectors chosen so far, kept open across
-    candidates, and the Gram matrix of the chosen vectors gains one row
-    per accepted vector.
+    Every nondegeneracy decision reads the one Gram matrix G of whole's
+    basis.  The chosen vectors' block of G is kept as L D L^T, one row
+    per accepted vector, and a candidate k is accepted when its Schur
+    pivot G_kk - sum_t d_t l_t^2 is nonzero: the bordered determinant
+    is det(chosen block) times that pivot, and the chosen block is
+    nonsingular by induction.  Independence is one forward reduction
+    of the candidate against an elimination of sub plus the vectors
+    chosen so far, kept open across candidates.  When sub is zero the
+    complement is whole itself.  The chosen rows of whole's reduced
+    basis, in pivot order, are already the reduced basis of their span,
+    so the result is not eliminated again.
     """
     if not whole.contains_subspace(sub):
         raise ShapeError("sub is not inside whole")
+    gram = space.gram(whole.basis)
+    if not sub.dim:
+        if whole.dim and not det(gram):
+            raise InternalInconsistency("complement of the radical came out degenerate")
+        return whole
     target = whole.dim - sub.dim
-    chosen: list = []
-    gram: Mat = ()
+    chosen: list = []  # indices into whole.basis
+    # L D L^T of the first-pass block: index, L row and 1/d per vector
+    factor: list = []
     elimination = OpenElimination(sub)
-
-    def bordered(v: Vec) -> Mat:
-        """The chosen vectors' Gram matrix with v appended."""
-        row = tuple(space.inner(c, v) for c in chosen)
-        return tuple(g + (x,) for g, x in zip(gram, row)) + (row + (space.inner(v, v),),)
-
-    for v in whole.basis:
+    for k, v in enumerate(whole.basis):
         if len(chosen) == target:
             break
         residual = elimination.reduce(v)
         if is_zero_vec(residual):
             continue
-        candidate = bordered(v)
-        if det(candidate):
+        # forward substitution L w = G[chosen, k], then l_t = w_t / d_t
+        # and the Schur pivot G_kk - sum_t l_t w_t
+        g_k = gram[k]
+        pivot = g_k[k]
+        w: list = []
+        lower: list = []
+        for i, lower_i, inv_d in factor:
+            w_t = g_k[i]
+            for l_u, w_u in zip(lower_i, w):
+                if l_u and w_u:
+                    w_t = w_t - l_u * w_u
+            w.append(w_t)
+            if w_t:
+                l_t = w_t * inv_d
+                pivot = pivot - l_t * w_t
+                lower.append(l_t)
+            else:
+                lower.append(w_t)
+        if pivot:
+            factor.append((k, lower, pivot.inverse()))
             elimination.keep(residual)
-            chosen.append(v)
-            gram = candidate
+            chosen.append(k)
     if len(chosen) < target:
-        for v in whole.basis:
+        for k, v in enumerate(whole.basis):
             if len(chosen) == target:
                 break
             if elimination.extend(v):
-                gram = bordered(v)
-                chosen.append(v)
+                chosen.append(k)
     if len(chosen) != target:
         raise InternalInconsistency("greedy complement failed to reach full size")
     # nondegeneracy does not depend on the basis, so the chosen vectors'
-    # Gram matrix answers for the canonical basis of their span
-    if chosen and not det(gram):
+    # block of G answers for the canonical basis of their span
+    if chosen and not det(tuple(tuple(gram[i][j] for j in chosen) for i in chosen)):
         raise InternalInconsistency("complement of the radical came out degenerate")
-    return Subspace(tuple(chosen), space.dim, space.params)
+    return whole.span_of_rows(chosen)
 
 
 def _validate_override(

@@ -4,7 +4,9 @@ PairScalar stores a + b*sigma as two Fractions and works every operation
 out on those coefficients, independently of the integer triple that
 lightlike_lab.scalars keeps.  The differential tests in
 test_scalar_oracle.py run both classes on the same inputs.  Only
-MetallicParams is shared with the package.
+MetallicParams is shared with the package.  gauss_jordan and
+det_by_elimination are the textbook eliminations, with no zero skips,
+that the package's elimination kernels are compared against.
 """
 
 from __future__ import annotations
@@ -369,3 +371,56 @@ def det_by_cofactors(rows: Sequence[Sequence[PairScalar]]) -> PairScalar:
         term = x * det_by_cofactors(minor)
         total = total - term if j % 2 else total + term
     return total
+
+
+def gauss_jordan(rows: Sequence[Sequence[PairScalar]], limit: Optional[int] = None):
+    """Reduced rows and pivot columns by textbook Gauss-Jordan on a copy.
+
+    The pivot of a column is the first row at or below the current one
+    that is nonzero there, and only the first ``limit`` columns (all by
+    default) are pivoted.  Nothing is skipped: the pivot row is scaled
+    entry by entry and every other row gets the full row update, zero
+    entries and zero factors included.
+    """
+    rows = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    limit = width if limit is None else limit
+    pivots = []
+    r = 0
+    for c in range(limit):
+        if r == len(rows):
+            break
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def det_by_elimination(rows: Sequence[Sequence[PairScalar]]) -> PairScalar:
+    """Product of the pivots of a plain forward elimination, sign-corrected
+    for every row swap; no entry or factor is skipped."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    result = PairScalar.one(rows[0][0].params)
+    for c in range(n):
+        found = next((i for i in range(c, n) if rows[i][c]), None)
+        if found is None:
+            return PairScalar.zero(rows[0][0].params)
+        if found != c:
+            rows[c], rows[found] = rows[found], rows[c]
+            result = -result
+        result = result * rows[c][c]
+        inv = rows[c][c].inverse()
+        for i in range(c + 1, n):
+            f = rows[i][c] * inv
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result

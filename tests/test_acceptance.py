@@ -36,7 +36,7 @@ from lightlike_lab.geometry import (
     weingarten_normal_screen,
     weingarten_transversal,
 )
-from lightlike_lab.linalg import identity, invert, mat_mul, solve
+from lightlike_lab.linalg import identity, invert, mat_mul
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.runner import run
 from lightlike_lab.scalars import (
@@ -48,6 +48,7 @@ from lightlike_lab.scalars import (
 )
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion, build_frame, construct_ltr
+from helpers import solve
 
 FIXTURES = resources.files("lightlike_lab") / "fixtures"
 

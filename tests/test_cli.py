@@ -273,15 +273,6 @@ def test_bad_point_in_the_frame_build_is_still_an_input_error(tmp_path, capsys):
     assert err.startswith("error: /points/0: Jacobian rank drop at (0")
 
 
-@pytest.fixture
-def default_int_limit():
-    """Python's default int-string conversion limit, whatever the environment set."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
-
-
 def _scene_with_first_coordinate(tmp_path, text):
     scene = json.loads((FIXTURES / "transversal-plane.json").read_text())
     scene["points"][0][0] = text
@@ -295,8 +286,10 @@ def _long_coordinate(form, digits):
 
 
 @pytest.mark.parametrize("form", ["numerator", "denominator"])
-def test_coefficient_at_the_int_limit_is_accepted(tmp_path, capsys, default_int_limit, form):
-    path = _scene_with_first_coordinate(tmp_path, _long_coordinate(form, default_int_limit))
+def test_coefficient_at_the_digit_bound_is_accepted(tmp_path, capsys, form):
+    path = _scene_with_first_coordinate(
+        tmp_path, _long_coordinate(form, scenes.MAX_SCALAR_DIGITS)
+    )
     code = main([path])
     captured = capsys.readouterr()
     assert code in (0, 1)
@@ -305,19 +298,31 @@ def test_coefficient_at_the_int_limit_is_accepted(tmp_path, capsys, default_int_
 
 
 @pytest.mark.parametrize("form", ["numerator", "denominator"])
-@pytest.mark.parametrize("extra", [1, 20000 - 4300])
-def test_coefficient_past_the_int_limit_is_an_input_error(
-    tmp_path, capsys, default_int_limit, form, extra
-):
-    digits = default_int_limit + extra
+@pytest.mark.parametrize("extra", [1, 20000 - scenes.MAX_SCALAR_DIGITS])
+def test_coefficient_past_the_digit_bound_is_an_input_error(tmp_path, capsys, form, extra):
+    digits = scenes.MAX_SCALAR_DIGITS + extra
     path = _scene_with_first_coordinate(tmp_path, _long_coordinate(form, digits))
     code = main([path])
     err = capsys.readouterr().err
     assert code == 2
     assert err == (
-        f"error: /points/0/0: coefficient of {digits} digits exceeds the"
-        " integer conversion limit\n"
+        f"error: /points/0/0: an integer in the scalar has more than"
+        f" {scenes.MAX_SCALAR_DIGITS} digits\n"
     )
+
+
+def test_scene_past_the_size_bounds_is_an_input_error(tmp_path, capsys):
+    fixture = json.loads((FIXTURES / "transversal-plane.json").read_text())
+    too_many = dict(fixture, points=[[str(i), "0"] for i in range(scenes.MAX_POINTS + 1)])
+    too_wide = dict(fixture, ambient={"dim": 10**6, "signature": []})
+    for name, scene, message in [
+        ("points", too_many, f"/points: {scenes.MAX_POINTS + 1} sample points exceed {scenes.MAX_POINTS}"),
+        ("dim", too_wide, f"/ambient/dim: {10**6} exceeds {scenes.MAX_AMBIENT_DIM}"),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scene))
+        assert main([str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _verify_subprocess(path):

@@ -37,10 +37,11 @@ from lightlike_lab.geometry import (
     weingarten_normal_screen,
     weingarten_transversal,
 )
-from lightlike_lab.linalg import as_vec, solve, vec_add, vec_neg, vec_scale, vec_sub
-from lightlike_lab.polynomials import Polynomial, parse_polynomial
+from lightlike_lab.linalg import as_vec, vec_add, vec_neg, vec_scale, vec_sub
+from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, SILVER, QuadScalar
 from lightlike_lab.submanifold import PolynomialImmersion, build_frame, polynomial_jet
+from helpers import parse_polynomial, solve
 from test_polynomials import S, U, to_sympy
 
 P = GOLDEN

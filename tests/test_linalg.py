@@ -30,13 +30,13 @@ from lightlike_lab.linalg import (
     null_space,
     rank,
     rref,
-    solve,
     transpose,
     vec_add,
     vec_scale,
     vec_sub,
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
+from helpers import solve
 
 P = GOLDEN
 

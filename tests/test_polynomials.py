@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightlike_lab.errors import ParseError, ShapeError
-from lightlike_lab.polynomials import Polynomial, parse_polynomial
+from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, QuadScalar
+from helpers import parse_polynomial
 
 P = GOLDEN
 S = sympy.Symbol("S")

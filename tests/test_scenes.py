@@ -6,7 +6,11 @@ import pytest
 
 from lightlike_lab.classifier import CHECK_ORDER
 from lightlike_lab.errors import ParseError, ValidationError
+from lightlike_lab.runner import run
 from lightlike_lab.scenes import (
+    MAX_AMBIENT_DIM,
+    MAX_POINTS,
+    MAX_SCALAR_DIGITS,
     MAX_TERM_DEGREE,
     parse_scene,
     scene_to_dict,
@@ -226,6 +230,91 @@ def test_term_past_the_degree_bound_is_rejected(where, pointer, powers):
     assert str(info.value) == (
         f"{pointer}: total degree {sum(powers)} exceeds {MAX_TERM_DEGREE}"
     )
+
+
+def _widened(d, dim):
+    """The base scene in R^{1, dim-1}: extra positive coordinates, where
+    the structure is s and the immersion is 0."""
+    extra = dim - 3
+    d["ambient"] = {"dim": dim, "signature": [-1] + [1] * (dim - 1)}
+    d["structure"] = [["s" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    d["submanifold"]["components"] += [[] for _ in range(extra)]
+    return d
+
+
+def test_ambient_at_the_dimension_bound_parses_and_runs():
+    scene = parse(_widened(base_scene_dict(), MAX_AMBIENT_DIM))
+    assert scene.space.dim == MAX_AMBIENT_DIM
+    assert run(scene).exit_status() in (0, 1)
+
+
+@pytest.mark.parametrize("dim", [MAX_AMBIENT_DIM + 1, 10**6])
+def test_ambient_past_the_dimension_bound_is_rejected(dim):
+    d = base_scene_dict()
+    d["ambient"]["dim"] = dim  # refused before the signature is read
+    with pytest.raises(ValidationError) as info:
+        parse(d)
+    assert str(info.value) == f"/ambient/dim: {dim} exceeds {MAX_AMBIENT_DIM}"
+
+
+def _points(count):
+    return [[str(i), "0"] for i in range(count)]
+
+
+def test_points_at_the_count_bound_parse():
+    d = base_scene_dict()
+    d["points"] = _points(MAX_POINTS)
+    assert len(parse(d).points) == MAX_POINTS
+
+
+def test_points_past_the_count_bound_are_rejected():
+    d = base_scene_dict()
+    d["points"] = _points(MAX_POINTS + 1)
+    with pytest.raises(ValidationError) as info:
+        parse(d)
+    assert str(info.value) == f"/points: {MAX_POINTS + 1} sample points exceed {MAX_POINTS}"
+
+
+def _digits(n):
+    return "1" + "0" * (n - 1)
+
+
+def _place_scalar(d, where, text):
+    if where == "/points/0/1":
+        d["points"][0][1] = text
+    elif where == "/structure/1/2":
+        d["structure"][1][2] = text
+    else:
+        d["submanifold"]["components"][0][0]["coeff"] = text
+    return d
+
+
+WHERES = ["/points/0/1", "/structure/1/2", "/submanifold/components/0/0/coeff"]
+
+
+@pytest.mark.parametrize("where", WHERES)
+def test_scalar_at_the_digit_bound_parses(where):
+    big = _digits(MAX_SCALAR_DIGITS)
+    for text in (big, f"1/{big}*s", f"-{big}/3 + {big}*s"):
+        parse(_place_scalar(base_scene_dict(), where, text))
+
+
+@pytest.mark.parametrize("where", WHERES)
+@pytest.mark.parametrize("digits", [MAX_SCALAR_DIGITS + 1, 20000])
+def test_scalar_past_the_digit_bound_is_rejected(where, digits):
+    big = _digits(digits)
+    for text in (big, f"1/{big}*s", f"2 - {big}*s"):
+        with pytest.raises(ValidationError) as info:
+            parse(_place_scalar(base_scene_dict(), where, text))
+        assert str(info.value) == (
+            f"{where}: an integer in the scalar has more than {MAX_SCALAR_DIGITS} digits"
+        )
+
+
+def test_json_integer_past_the_int_string_limit_is_a_parse_error():
+    blob = json.dumps(base_scene_dict()).replace('"seed": 0', '"seed": ' + "1" * 5000)
+    with pytest.raises(ParseError):
+        parse_scene(blob)
 
 
 def test_structure_entries_must_match_param_family():

@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.errors import (
     ImmersionRankDrop,
+    InternalInconsistency,
     ScreenInvalid,
     ShapeError,
     ValidationError,
 )
 from lightlike_lab import linalg
-from lightlike_lab.generators import perturbed_structured_scene
-from lightlike_lab.linalg import Subspace, as_mat, as_vec, det, rank
-from lightlike_lab.polynomials import Polynomial, parse_polynomial
+from lightlike_lab.generators import perturbed_structured_scene, random_isometry
+from lightlike_lab.linalg import Subspace, as_mat, as_vec, det, mat_vec, rank
+from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import (
@@ -37,6 +38,7 @@ from lightlike_lab.submanifold import (
     choose_screen,
     classify_case,
 )
+from helpers import parse_polynomial
 
 P02 = MetallicParams(0, 2)
 
@@ -374,6 +376,12 @@ def _rank_greedy_complement(space, whole, sub):
     return Subspace(tuple(chosen), space.dim, space.params)
 
 
+def assert_canonical(sub: Subspace) -> None:
+    """sub carries the basis and pivots that rref gives its own rows."""
+    again = Subspace(sub.basis, sub.ambient_dim, sub.params)
+    assert (sub.basis, sub.pivots) == (again.basis, again.pivots)
+
+
 def _generated_frames(seed, pq, config, r, extra_points=2):
     params = MetallicParams(*pq)
     rng = random.Random(seed)
@@ -415,27 +423,129 @@ def test_frame_build_matches_the_routes_it_replaced(seed, r, pq, config):
         assert choose_normal_screen(space, frame.normal, frame.radical) == (
             _rank_greedy_complement(space, frame.normal, frame.radical)
         )
+        assert_canonical(frame.screen)
+        assert_canonical(frame.normal_screen)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.sampled_from([(-1, 1, 1), (-1, 1, 1, 1), (-1, -1, 1, 1), (-1, -1, 1, 1, 1)]),
-    st.data(),
-)
-def test_greedy_complement_matches_the_rank_tested_pass(eps, data):
-    """Any subspace of any signature: the same complement of its radical
-    as the rank-tested greedy pass."""
-    space = SignatureSpace(len(eps), eps, GOLDEN)
-    small = st.sampled_from([0, 0, 1, -1, 2])
-    rows = [
-        tuple(QuadScalar(data.draw(small), 0, GOLDEN) for _ in eps)
-        for _ in range(data.draw(st.integers(1, len(eps)), label="k"))
+def _radical_rows(space, data):
+    """Rows whose span has a radical of dimension at least 2: two null,
+    mutually orthogonal vectors plus vectors orthogonal to both, all
+    moved by a random isometry."""
+    params = space.params
+    minus = [i for i, e in enumerate(space.eps) if e < 0]
+    plus = [i for i, e in enumerate(space.eps) if e > 0]
+    pairs = ((minus[0], plus[0]), (minus[1], plus[1]))
+    nulls = [
+        tuple(QuadScalar(1 if k in pair else 0, 0, params) for k in range(space.dim))
+        for pair in pairs
     ]
+    rest = [k for k in range(space.dim) if all(k not in pair for pair in pairs)]
+    small = st.sampled_from([0, 0, 1, -1, 2])
+    rows = list(nulls)
+    for _ in range(data.draw(st.integers(0, len(rest)), label="extras")):
+        c1, c2 = data.draw(small), data.draw(small)
+        rows.append(
+            tuple(
+                QuadScalar(data.draw(small) if k in rest else 0, 0, params)
+                + c1 * nulls[0][k]
+                + c2 * nulls[1][k]
+                for k in range(space.dim)
+            )
+        )
+    iso = random_isometry(random.Random(data.draw(st.integers(0, 10**6))), space)
+    return [mat_vec(iso, v) for v in rows]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_greedy_complement_matches_the_rank_tested_pass(data):
+    """Any subspace of any signature, nondegenerate ones (returned
+    whole) and ones with a radical of dimension 2 or more included: the
+    same screen and normal screen as the rank-tested greedy pass, each
+    in its canonical basis."""
+    kind = data.draw(st.sampled_from(["any", "nondegenerate", "radical"]), label="kind")
+    if kind == "radical":
+        eps = data.draw(st.sampled_from([(-1, -1, 1, 1), (-1, -1, 1, 1, 1), (-1, -1, -1, 1, 1, 1)]))
+    else:
+        eps = data.draw(st.sampled_from([(-1, 1, 1), (-1, 1, 1, 1), (-1, -1, 1, 1), (-1, -1, 1, 1, 1)]))
+    space = SignatureSpace(len(eps), eps, GOLDEN)
+    if kind == "radical":
+        rows = _radical_rows(space, data)
+    else:
+        small = st.sampled_from([0, 0, 1, -1, 2])
+        rows = [
+            tuple(QuadScalar(data.draw(small), 0, GOLDEN) for _ in eps)
+            for _ in range(data.draw(st.integers(1, len(eps)), label="k"))
+        ]
     whole = Subspace(tuple(rows), space.dim, GOLDEN)
-    radical = whole.intersect(space.orthogonal_complement(whole))
-    assert choose_screen(space, whole, radical) == (
-        _rank_greedy_complement(space, whole, radical)
+    normal = space.orthogonal_complement(whole)
+    radical = whole.intersect(normal)
+    if kind == "nondegenerate":
+        assume(whole.dim and not radical.dim)
+    if kind == "radical":
+        assert radical.dim >= 2
+    screen = choose_screen(space, whole, radical)
+    assert screen == _rank_greedy_complement(space, whole, radical)
+    normal_screen = choose_normal_screen(space, normal, radical)
+    assert normal_screen == _rank_greedy_complement(space, normal, radical)
+    for sub in (screen, normal_screen):
+        assert_canonical(sub)
+    if not radical.dim:
+        assert (screen.basis, screen.pivots) == (whole.basis, whole.pivots)
+
+
+def test_screens_are_canonical_reduced_bases():
+    """Each fixture's screens, grown greedily or declared, carry the
+    basis and pivots rref gives their own rows."""
+    for fixture in sorted((resources.files("lightlike_lab") / "fixtures").iterdir()):
+        if not fixture.name.endswith(".json"):
+            continue
+        sc = parse_scene(fixture.read_bytes())
+        for point in sc.points:
+            for screen, normal_screen in ((sc.screen, sc.normal_screen), (None, None)):
+                frame = build_frame(sc.immersion, point, screen, normal_screen)
+                assert_canonical(frame.screen)
+                assert_canonical(frame.normal_screen)
+
+
+def test_greedy_screen_reads_the_full_schur_pivot():
+    """A hyperplane of R^{2,4} with a one-dimensional radical.  The
+    candidates e1 - 3e5 and e2 - 2e5 are kept; the block they span with
+    e3 + 2e5 has determinant 0, so e3 + 2e5 is skipped.  Its Schur pivot
+    only comes out 0 once the L entry of e2 - 2e5 against e1 - 3e5 has
+    entered the forward substitution."""
+    space = SignatureSpace(6, (-1, -1, 1, 1, 1, 1), GOLDEN)
+    basis = tuple(
+        as_vec(row, GOLDEN)
+        for row in (
+            [1, 0, 0, 0, 0, 1],
+            [0, 1, 0, 0, 0, -3],
+            [0, 0, 1, 0, 0, -2],
+            [0, 0, 0, 1, 0, 2],
+            [0, 0, 0, 0, 1, 1],
+        )
     )
+    whole = Subspace(basis, 6, GOLDEN)
+    radical = whole.intersect(space.orthogonal_complement(whole))
+    assert radical == Subspace((as_vec([1, -3, 2, -2, -1, 1], GOLDEN),), 6, GOLDEN)
+    assert not det(space.gram(basis[1:4]))
+    screen = choose_screen(space, whole, radical)
+    assert screen.basis == (basis[0], basis[1], basis[2], basis[4])
+    assert screen == _rank_greedy_complement(space, whole, radical)
+
+
+def test_greedy_complement_refuses_a_degenerate_result():
+    """A radical passed in too small leaves a degenerate complement,
+    which is refused rather than returned: a null line with no radical,
+    and a null plane with only one of its null directions as radical."""
+    space = SignatureSpace(4, (-1, -1, 1, 1), GOLDEN)
+    n1 = as_vec([1, 0, 1, 0], GOLDEN)
+    n2 = as_vec([0, 1, 0, 1], GOLDEN)
+    zero = Subspace((), 4, GOLDEN)
+    with pytest.raises(InternalInconsistency):
+        choose_screen(space, Subspace((n1,), 4, GOLDEN), zero)
+    with pytest.raises(InternalInconsistency):
+        choose_normal_screen(space, Subspace((n1, n2), 4, GOLDEN), Subspace((n1,), 4, GOLDEN))
 
 
 def test_one_frame_eliminates_the_jacobian_once(monkeypatch):
