@@ -14,7 +14,12 @@ Field conventions: every derivative-based quantity is evaluated on the
 coherent field kit, with structure-image sections realized literally as
 the structure matrix composed with a kit field.  That composition is
 what makes the criterion-to-oracle equivalences exact identities at the
-point rather than statements about an ambient neighborhood.
+point rather than statements about an ambient neighborhood.  J is
+constant, so D(X, J V) = J D(X, V), and no composed section is built:
+each criterion is one residual operator, composed from the point's
+FrameSplits, applied to the stacked derivative columns D(X_a, V_b) of
+its pair domain.  The oracles stay per-vector, splitting one bracket or
+induced derivative at a time, and read nothing from FrameSplits.
 
 Both configurations split the ambient space into the same slots (screen,
 radical, null transversal, and the normal screen) and differ only in
@@ -52,11 +57,8 @@ from .geometry import (
     build_field_kit,
     chart_jet,
     derive,
-    full_split,
     gauss_split,
-    hl_vector,
     lie_bracket,
-    rad_vector,
     split_tangent,
 )
 from .linalg import (
@@ -71,8 +73,6 @@ from .linalg import (
     mat_vec,
     rank,
     transpose,
-    vec_add,
-    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -169,14 +169,6 @@ def _residual_witness(samples: List[Tuple[List[int], Sequence[QuadScalar]]]) -> 
     }
 
 
-def apply_structure_field(structure: MetallicStructure, field: AmbientJet) -> AmbientJet:
-    """Compose the constant structure matrix with an ambient section:
-    J applies to the value and to each partial."""
-    return AmbientJet(
-        structure.apply(field.value), tuple(structure.apply(d) for d in field.partials)
-    )
-
-
 # ---- slot projections ----
 
 
@@ -232,12 +224,32 @@ class ProjectorSet:
         return problems
 
 
+@dataclass(frozen=True)
+class FrameSplits:
+    """The frame's split maps at a point as exact matrices.
+
+    tangent (T), transversal (L) and normal_screen (S) split an ambient
+    vector over the tangent space, the null transversal frame and the
+    normal screen; screen (P_screen T) and radical (P_radical T) split
+    its tangent part; transversal_coeffs maps it to its coefficients on
+    the null transversal frame.  structure-eqs and the ten criteria read
+    these; no oracle does.
+    """
+
+    tangent: Mat
+    transversal: Mat
+    normal_screen: Mat
+    screen: Mat
+    radical: Mat
+    transversal_coeffs: Mat
+
+
 # ---- per-point shared state ----
 
 
 class PointContext:
-    """Frame, lazy chart jet and kit, lazy predicates and projections
-    at one point."""
+    """Frame, lazy chart jet and kit, lazy predicates, split matrices
+    and slot projectors at one point."""
 
     def __init__(
         self,
@@ -258,6 +270,7 @@ class PointContext:
         self._config: Dict[str, Tuple[bool, Dict[str, object]]] = {}
         self._mu: Optional[Subspace] = None
         self._proj: Dict[str, ProjectorSet] = {}
+        self._splits: Optional[FrameSplits] = None
 
     @property
     def space(self):
@@ -355,6 +368,22 @@ class PointContext:
                 )
             self._mu = mu
         return self._mu
+
+    def splits(self) -> FrameSplits:
+        if self._splits is None:
+            frame = self.frame
+            m, r, s = frame.tangent.dim, len(frame.ltr), frame.screen.dim
+            full = frame.full_factor
+            T = full.projector(range(m))
+            self._splits = FrameSplits(
+                T,
+                full.projector(range(m, m + r)),
+                full.projector(range(m + r, len(full.basis))),
+                mat_mul(frame.tangent_factor.projector(range(s)), T),
+                mat_mul(frame.tangent_factor.projector(range(s, s + r)), T),
+                full.coordinate_map(range(m, m + r)),
+            )
+        return self._splits
 
     def projectors(self, mode: str) -> ProjectorSet:
         if mode in self._proj:
@@ -545,22 +574,6 @@ def check_mapped_screen_complement_invariance(ctx: PointContext) -> CheckEntry:
     return CheckEntry("prop-4.2", Verdict.HOLDS, REFERENCES["prop-4.2"], witness)
 
 
-# ---- split helpers used by the criterion checks ----
-
-
-def _transfer_parts(ctx: PointContext, v: Vec) -> Tuple[Vec, Vec]:
-    """Structure image of a transversal-frame vector split into its
-    transversal and radical parts, returned as ambient vectors."""
-    parts = full_split(ctx.frame, ctx.structure.apply(v))
-    k1 = hl_vector(ctx.frame, parts.ltr_coeffs)
-    k2 = parts.tangent
-    if not ctx.frame.radical.contains(k2):
-        raise InternalInconsistency(
-            "transversal image acquired a screen component"
-        )
-    return k1, k2
-
-
 # ---- structure equation audit ----
 
 
@@ -585,18 +598,14 @@ def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat],
         null-transversal    L J - J P_radical T - L J L
 
     T, L and S split the ambient space over the tangent space, the null
-    transversal frame and the normal screen; P_screen and P_radical split
-    a tangent vector.  The mode supplies the two terms that depend on
-    where J sends the screen.
+    transversal frame and the normal screen, and P_screen T and
+    P_radical T split its tangent part: the point's FrameSplits, which
+    the ten criteria share.  The mode supplies the two terms that depend
+    on where J sends the screen.
     """
-    frame = ctx.frame
-    m, r, s = frame.tangent.dim, len(frame.ltr), frame.screen.dim
-    full = frame.full_factor
-    T = full.projector(range(m))
-    L = full.projector(range(m, m + r))
-    S = full.projector(range(m + r, len(full.basis)))
-    p_screen_t = mat_mul(frame.tangent_factor.projector(range(s)), T)
-    p_radical_t = mat_mul(frame.tangent_factor.projector(range(s, s + r)), T)
+    splits = ctx.splits()
+    T, L, S = splits.tangent, splits.transversal, splits.normal_screen
+    p_screen_t, p_radical_t = splits.screen, splits.radical
     J = ctx.structure.matrix
     proj = ctx.projectors(mode)
     TJ, LJ = mat_mul(T, J), mat_mul(L, J)
@@ -682,6 +691,11 @@ def check_structure_equations(ctx: PointContext) -> CheckEntry:
 # ---- oracles shared by the criterion checks ----
 
 
+def _lowered(space: SignatureSpace, vectors: Sequence[Vec]) -> Mat:
+    """Rows eps * v, so that row . w = <v, w>."""
+    return tuple(tuple(-x if e < 0 else x for e, x in zip(space.eps, v)) for v in vectors)
+
+
 def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     """Deviation of the induced connection from metricity, on all
     coordinate triples; the deviation is a tensor, so coordinate fields
@@ -703,9 +717,7 @@ def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
         identity(space.dim, space.params),
         frame.full_factor.projector(range(frame.tangent.dim)),
     )
-    rows = tuple(
-        tuple(-x if e < 0 else x for e, x in zip(space.eps, w.value)) for w in coords
-    )
+    rows = _lowered(space, [w.value for w in coords])
     # pairings[j][i*m + k] = <W_j, (I - T) h_ki>
     pairings = mat_mul(mat_mul(rows, normal), _hessian_columns(ctx))
     ok = all(
@@ -758,26 +770,79 @@ def _bind(
     )
 
 
+# ---- criteria as operators on stacked derivative columns ----
+#
+# Every criterion is linear in first derivatives D(X, V) = sum_j X^j d_j V
+# of kit fields at the point, and J is constant, so a structure-composed
+# section differentiates as D(X, J V) = J D(X, V).  Each criterion is
+# therefore one residual matrix, composed from the point's FrameSplits,
+# applied to the stacked derivative columns of its pair domain; column
+# c of the product is the residual of pair c, so its nonzero columns,
+# in pair order, are the samples.
+
+Column = Tuple[List[int], Vec]
+
+
+def _pairs(xs: Sequence[TangentJet], vs: Sequence[AmbientJet]) -> List[Column]:
+    """D(X_a, V_b) keyed [a, b], a outer."""
+    return [([a, b], derive(x, v)) for a, x in enumerate(xs) for b, v in enumerate(vs)]
+
+
+def _antisymmetrised(fields: Sequence[TangentJet]) -> List[Column]:
+    """D(F_a, F_b) - D(F_b, F_a) keyed [a, b], for a < b."""
+    return [
+        ([a, b], vec_sub(derive(fields[a], fields[b]), derive(fields[b], fields[a])))
+        for a in range(len(fields))
+        for b in range(a + 1, len(fields))
+    ]
+
+
+def _radical_along_coordinates(ctx: PointContext) -> List[Column]:
+    """D(W_j, xi_c) keyed [c, j], c outer: each radical field along every
+    coordinate field."""
+    coords = ctx.chart().coordinates
+    return [
+        ([c, j], derive(w, xi))
+        for c, xi in enumerate(ctx.kit().radical)
+        for j, w in enumerate(coords)
+    ]
+
+
+def _nonzero(op: Mat, columns: Sequence[Column]) -> List[Column]:
+    """op applied to every stacked column; the nonzero images, in pair order."""
+    if not columns:
+        return []
+    images = transpose(mat_mul(op, transpose(tuple(col for _, col in columns))))
+    return [(key, v) for (key, _), v in zip(columns, images) if not is_zero_vec(v)]
+
+
+def _scaled(c: QuadScalar, a: Mat) -> Mat:
+    return tuple(vec_scale(c, row) for row in a)
+
+
+def _coefficient(ctx: PointContext) -> Tuple[QuadScalar, Mat, Mat]:
+    """p, J and J - p I."""
+    p = QuadScalar(ctx.params.p, 0, ctx.params)
+    J = ctx.structure.matrix
+    return p, J, mat_sub(J, _scaled(p, identity(ctx.space.dim, ctx.params)))
+
+
+def _vacuous(name: str) -> CheckEntry:
+    return CheckEntry(name, Verdict.HOLDS, REFERENCES[name], {"vacuous": True})
+
+
 # ---- invariant-screen configuration criteria ----
 
 
 def check_metric_connection_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Induced connection metric iff no mapped-radical shape operator
-    has a screen component."""
+    has a screen component: -P_screen T J on the radical fields along
+    every coordinate field."""
     gate = _gate(ctx, "thm-3.5", "radical-transversal")
     if gate is not None:
         return gate
-    kit = ctx.kit()
-    frame = ctx.frame
-    samples: List[Tuple[List[int], Vec]] = []
-    for c, xi_field in enumerate(kit.radical):
-        section = apply_structure_field(ctx.structure, xi_field)
-        for j, u in enumerate(ctx.chart().coordinates):
-            d = derive(u, section)
-            shape = vec_neg(full_split(frame, d).tangent)
-            screen_part, _ = split_tangent(frame, shape)
-            if not is_zero_vec(screen_part):
-                samples.append(([c, j], screen_part))
+    op = _scaled(-QuadScalar.one(ctx.params), mat_mul(ctx.splits().screen, ctx.structure.matrix))
+    samples = _nonzero(op, _radical_along_coordinates(ctx))
     criterion = not samples
     oracle, checked = _metric_oracle(ctx)
     witness: Dict[str, object] = {
@@ -789,28 +854,18 @@ def check_metric_connection_radical_transversal(ctx: PointContext) -> CheckEntry
 
 def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution integrable iff the null form is symmetric on
-    mapped screen pairs."""
+    mapped screen pairs: the transversal coefficients of J on the
+    antisymmetrised screen pairs."""
     gate = _gate(ctx, "thm-3.6", "radical-transversal")
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    s = frame.screen.dim
-    if s == 0:
-        return CheckEntry(
-            "thm-3.6", Verdict.HOLDS, REFERENCES["thm-3.6"], {"vacuous": True}
-        )
-    samples: List[Tuple[List[int], Vec]] = []
+    if ctx.frame.screen.dim == 0:
+        return _vacuous("thm-3.6")
     # the criterion uses the literal structure-composed adapted fields,
     # the same gauge the bracket oracle probes
-    plain = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
-    for a in range(s):
-        for b in range(a + 1, s):
-            left = full_split(frame, derive(kit.screen_adapted[a], plain[b])).ltr_coeffs
-            right = full_split(frame, derive(kit.screen_adapted[b], plain[a])).ltr_coeffs
-            diff = tuple(x - y for x, y in zip(left, right))
-            if any(c != QuadScalar.zero(ctx.params) for c in diff):
-                samples.append(([a, b], diff))
+    op = mat_mul(ctx.splits().transversal_coeffs, ctx.structure.matrix)
+    samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
     witness: Dict[str, object] = {
@@ -822,26 +877,14 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
 
 def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution integrable iff the mapped-radical shape
-    operators are symmetric on radical pairs."""
+    operators are symmetric on radical pairs: T J on the antisymmetrised
+    radical pairs."""
     gate = _gate(ctx, "thm-3.7", "radical-transversal")
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    r = frame.radical_dim
-    sections = [apply_structure_field(ctx.structure, f) for f in kit.radical]
-    samples: List[Tuple[List[int], Vec]] = []
-    for c in range(r):
-        for d in range(c + 1, r):
-            left = vec_neg(
-                full_split(frame, derive(kit.radical[d], sections[c])).tangent
-            )
-            right = vec_neg(
-                full_split(frame, derive(kit.radical[c], sections[d])).tangent
-            )
-            diff = vec_sub(left, right)
-            if not is_zero_vec(diff):
-                samples.append(([c, d], diff))
+    op = mat_mul(ctx.splits().tangent, ctx.structure.matrix)
+    samples = _nonzero(op, _antisymmetrised(kit.radical))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
     witness: Dict[str, object] = {
@@ -853,30 +896,17 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
 
 def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution totally geodesic iff the screen form
-    transfers through the structure map with the linear coefficient."""
+    transfers through the structure map with the linear coefficient:
+    P_radical T (J - p) on the screen fields along the radical ones."""
     gate = _gate(ctx, "thm-3.8", "radical-transversal")
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    s = frame.screen.dim
-    if s == 0:
-        return CheckEntry(
-            "thm-3.8", Verdict.HOLDS, REFERENCES["thm-3.8"], {"vacuous": True}
-        )
-    p = QuadScalar(ctx.params.p, 0, ctx.params)
-    samples: List[Tuple[List[int], Vec]] = []
-    for c, w in enumerate(kit.radical):
-        for b in range(s):
-            z = kit.screen_adapted[b]
-            mapped = apply_structure_field(ctx.structure, z)
-            d_mapped = full_split(frame, derive(w, mapped))
-            _, h1 = split_tangent(frame, d_mapped.tangent)
-            g = gauss_split(frame, w, z)
-            _, h0 = split_tangent(frame, g.induced)
-            diff = vec_sub(rad_vector(frame, h1), vec_scale(p, rad_vector(frame, h0)))
-            if not is_zero_vec(diff):
-                samples.append(([c, b], diff))
+    if ctx.frame.screen.dim == 0:
+        return _vacuous("thm-3.8")
+    _, _, j_minus_p = _coefficient(ctx)
+    op = mat_mul(ctx.splits().radical, j_minus_p)
+    samples = _nonzero(op, _pairs(kit.radical, kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
     witness: Dict[str, object] = {
@@ -890,6 +920,11 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution totally geodesic iff the transferred screen
     and null couplings balance against every transversal image.
 
+    J N_k splits into its transversal part k1 = L J N_k and its tangent
+    part k2 = T J N_k, which must be radical.  On the screen pairs the
+    balance against N_k is <P_radical T (J - p) D, k1> +
+    <L (J - p) D, k2>, one row per k.
+
     The printed form of this criterion groups its terms so that one of
     its two alternatives silently trivializes when the transversal
     images lose their transversal component; the verdict is bound to
@@ -900,49 +935,27 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    space = ctx.space
-    s = frame.screen.dim
-    if s == 0:
-        return CheckEntry(
-            "thm-3.9", Verdict.HOLDS, REFERENCES["thm-3.9"], {"vacuous": True}
-        )
-    p = QuadScalar(ctx.params.p, 0, ctx.params)
-    transfer = [_transfer_parts(ctx, n) for n in frame.ltr]
-    no_transversal_component = all(is_zero_vec(k1) for k1, _ in transfer)
-    composed = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
-    samples: List[Tuple[List[int], List[QuadScalar]]] = []
-    printed_samples: List[Tuple[List[int], Vec]] = []
-    for a in range(s):
-        for b in range(s):
-            d1 = full_split(frame, derive(kit.screen_adapted[a], composed[b]))
-            _, h1_coeffs = split_tangent(frame, d1.tangent)
-            h1 = rad_vector(frame, h1_coeffs)
-            hl1 = hl_vector(frame, d1.ltr_coeffs)
-            g0 = gauss_split(frame, kit.screen_adapted[a], kit.screen_adapted[b])
-            _, h0_coeffs = split_tangent(frame, g0.induced)
-            h0 = rad_vector(frame, h0_coeffs)
-            hl0 = hl_vector(frame, g0.hl)
-            row: List[QuadScalar] = []
-            for k1, k2 in transfer:
-                res = (
-                    space.inner(h1, k1)
-                    + space.inner(hl1, k2)
-                    - p * (space.inner(h0, k1) + space.inner(hl0, k2))
-                )
-                row.append(res)
-            if any(x != QuadScalar.zero(ctx.params) for x in row):
-                samples.append(([a, b], row))
-            k2_hl1 = full_split(frame, ctx.structure.apply(hl1)).tangent
-            k2_hl0 = full_split(frame, ctx.structure.apply(hl0)).tangent
-            printed = vec_sub(
-                vec_add(h1, k2_hl1), vec_scale(p, vec_add(h0, k2_hl0))
-            )
-            if not is_zero_vec(printed):
-                printed_samples.append(([a, b], printed))
+    if ctx.frame.screen.dim == 0:
+        return _vacuous("thm-3.9")
+    splits = ctx.splits()
+    _, J, j_minus_p = _coefficient(ctx)
+    j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
+    if any(not is_zero_vec(mat_vec(splits.screen, v)) for v in j_ltr):
+        raise InternalInconsistency("transversal image acquired a screen component")
+    k1 = [mat_vec(splits.transversal, v) for v in j_ltr]
+    k2 = [mat_vec(splits.tangent, v) for v in j_ltr]
+    no_transversal_component = all(is_zero_vec(v) for v in k1)
+    balance = mat_add(
+        mat_mul(_lowered(ctx.space, k1), splits.radical),
+        mat_mul(_lowered(ctx.space, k2), splits.transversal),
+    )
+    # the printed display: P_radical T + T J L, both after J - p
+    printed = mat_add(splits.radical, mat_mul(mat_mul(splits.tangent, J), splits.transversal))
+    columns = _pairs(kit.screen_adapted, kit.screen_adapted)
+    samples = _nonzero(mat_mul(balance, j_minus_p), columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
-    printed_first = not printed_samples
+    printed_first = not _nonzero(mat_mul(printed, j_minus_p), columns)
     printed_verdict = printed_first or no_transversal_component
     witness: Dict[str, object] = {
         "balanced_residuals": _residual_witness(samples),
@@ -959,22 +972,14 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
 
 def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution integrable iff the normal-screen couplings
-    of the mapped radical sections agree on radical pairs."""
+    of the mapped radical sections agree on radical pairs: S J on the
+    antisymmetrised radical pairs."""
     gate = _gate(ctx, "thm-4.5", "transversal")
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    r = frame.radical_dim
-    sections = [apply_structure_field(ctx.structure, f) for f in kit.radical]
-    samples: List[Tuple[List[int], Vec]] = []
-    for c in range(r):
-        for d in range(c + 1, r):
-            left = full_split(frame, derive(kit.radical[c], sections[d])).normal_screen
-            right = full_split(frame, derive(kit.radical[d], sections[c])).normal_screen
-            diff = vec_sub(left, right)
-            if not is_zero_vec(diff):
-                samples.append(([c, d], diff))
+    op = mat_mul(ctx.splits().normal_screen, ctx.structure.matrix)
+    samples = _nonzero(op, _antisymmetrised(kit.radical))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
     witness: Dict[str, object] = {
@@ -986,26 +991,16 @@ def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
 
 def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution integrable iff the null couplings of the
-    mapped screen sections agree on screen pairs."""
+    mapped screen sections agree on screen pairs: the transversal
+    coefficients of J on the antisymmetrised screen pairs."""
     gate = _gate(ctx, "thm-4.6", "transversal")
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    s = frame.screen.dim
-    if s == 0:
-        return CheckEntry(
-            "thm-4.6", Verdict.HOLDS, REFERENCES["thm-4.6"], {"vacuous": True}
-        )
-    sections = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
-    samples: List[Tuple[List[int], Vec]] = []
-    for a in range(s):
-        for b in range(a + 1, s):
-            left = full_split(frame, derive(kit.screen_adapted[a], sections[b])).ltr_coeffs
-            right = full_split(frame, derive(kit.screen_adapted[b], sections[a])).ltr_coeffs
-            diff = tuple(x - y for x, y in zip(left, right))
-            if any(c != QuadScalar.zero(ctx.params) for c in diff):
-                samples.append(([a, b], diff))
+    if ctx.frame.screen.dim == 0:
+        return _vacuous("thm-4.6")
+    op = mat_mul(ctx.splits().transversal_coeffs, ctx.structure.matrix)
+    samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
     witness: Dict[str, object] = {
@@ -1017,7 +1012,8 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
 
 def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution totally geodesic iff the mapped-screen split
-    balances against every transversal image.
+    balances against every transversal image: on the screen pairs, the
+    display (T + L) J - p (P_radical T + L) paired with each J N_k.
 
     The printed form of this criterion carries a sign slip between its
     statement and its own derivation; the verdict is bound to the
@@ -1028,45 +1024,22 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    space = ctx.space
-    s = frame.screen.dim
-    if s == 0:
-        return CheckEntry(
-            "thm-4.7", Verdict.HOLDS, REFERENCES["thm-4.7"], {"vacuous": True}
-        )
-    p = QuadScalar(ctx.params.p, 0, ctx.params)
-    composed = [apply_structure_field(ctx.structure, f) for f in kit.screen_adapted]
-    j_ltr = [ctx.structure.apply(n) for n in frame.ltr]
-    samples: List[Tuple[List[int], List[QuadScalar]]] = []
-    conj_coupling = True
-    conj_screen_form = True
-    conj_shape_clear = True
-    for a in range(s):
-        for b in range(s):
-            d1 = full_split(frame, derive(kit.screen_adapted[a], composed[b]))
-            shape = vec_neg(d1.tangent)
-            dl = hl_vector(frame, d1.ltr_coeffs)
-            g0 = gauss_split(frame, kit.screen_adapted[a], kit.screen_adapted[b])
-            _, h0_coeffs = split_tangent(frame, g0.induced)
-            h0 = rad_vector(frame, h0_coeffs)
-            hl0 = hl_vector(frame, g0.hl)
-            display = vec_add(
-                vec_add(vec_neg(shape), dl),
-                vec_neg(vec_add(vec_scale(p, h0), vec_scale(p, hl0))),
-            )
-            row = [space.inner(display, jn) for jn in j_ltr]
-            if any(x != QuadScalar.zero(ctx.params) for x in row):
-                samples.append(([a, b], row))
-            if not is_zero_vec(vec_add(dl, vec_scale(p, hl0))):
-                conj_coupling = False
-            if not is_zero_vec(h0):
-                conj_screen_form = False
-            _, shape_rad = split_tangent(frame, shape)
-            if any(c != QuadScalar.zero(ctx.params) for c in shape_rad):
-                conj_shape_clear = False
+    if ctx.frame.screen.dim == 0:
+        return _vacuous("thm-4.7")
+    splits = ctx.splits()
+    p, J, _ = _coefficient(ctx)
+    T, L, radical = splits.tangent, splits.transversal, splits.radical
+    display = mat_sub(mat_mul(mat_add(T, L), J), _scaled(p, mat_add(radical, L)))
+    j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
+    columns = _pairs(kit.screen_adapted, kit.screen_adapted)
+    samples = _nonzero(mat_mul(_lowered(ctx.space, j_ltr), display), columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
+    # the printed conjunction: L (J + p), P_radical T and P_radical T J
+    # vanish on every screen pair
+    conj_coupling = not _nonzero(mat_add(mat_mul(L, J), _scaled(p, L)), columns)
+    conj_screen_form = not _nonzero(radical, columns)
+    conj_shape_clear = not _nonzero(mat_mul(radical, J), columns)
     printed = conj_coupling and conj_screen_form and conj_shape_clear
     witness: Dict[str, object] = {
         "balanced_residuals": _residual_witness(samples),
@@ -1083,7 +1056,8 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
 
 def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution totally geodesic iff the mapped-screen shape
-    operators stay out of the radical after the screen-form correction.
+    operators stay out of the radical after the screen-form correction:
+    -P_radical T (J - p) on the screen fields along the radical ones.
 
     The printed form of this criterion drops the screen-form correction
     term; the verdict is bound to the corrected display and the printed
@@ -1093,31 +1067,14 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     if gate is not None:
         return gate
     kit = ctx.kit()
-    frame = ctx.frame
-    s = frame.screen.dim
-    if s == 0:
-        return CheckEntry(
-            "thm-4.8", Verdict.HOLDS, REFERENCES["thm-4.8"], {"vacuous": True}
-        )
-    p = QuadScalar(ctx.params.p, 0, ctx.params)
-    samples: List[Tuple[List[int], Vec]] = []
-    printed_clear = True
-    for c, w in enumerate(kit.radical):
-        for b in range(s):
-            z = kit.screen_adapted[b]
-            mapped = apply_structure_field(ctx.structure, z)
-            d1 = full_split(frame, derive(w, mapped))
-            shape = vec_neg(d1.tangent)
-            g0 = gauss_split(frame, w, z)
-            _, h0_coeffs = split_tangent(frame, g0.induced)
-            h0 = rad_vector(frame, h0_coeffs)
-            corrected = vec_add(shape, vec_scale(p, h0))
-            _, rad_coeffs = split_tangent(frame, corrected)
-            if any(x != QuadScalar.zero(ctx.params) for x in rad_coeffs):
-                samples.append(([c, b], rad_vector(frame, rad_coeffs)))
-            _, shape_rad = split_tangent(frame, shape)
-            if any(x != QuadScalar.zero(ctx.params) for x in shape_rad):
-                printed_clear = False
+    if ctx.frame.screen.dim == 0:
+        return _vacuous("thm-4.8")
+    radical = ctx.splits().radical
+    _, J, j_minus_p = _coefficient(ctx)
+    columns = _pairs(kit.radical, kit.screen_adapted)
+    op = _scaled(-QuadScalar.one(ctx.params), mat_mul(radical, j_minus_p))
+    samples = _nonzero(op, columns)
+    printed_clear = not _nonzero(mat_mul(radical, J), columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
     witness: Dict[str, object] = {
@@ -1131,7 +1088,8 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
 
 def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
     """Induced connection metric iff the screen components of the mapped
-    couplings of the radical images balance.
+    couplings of the radical images balance: P_screen J S (J - p) on the
+    radical fields along every coordinate field.
 
     The two named projections in the printed statement are only defined
     inside its own derivation; they are realized here as the screen
@@ -1140,21 +1098,11 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
     gate = _gate(ctx, "thm-4.9", "transversal")
     if gate is not None:
         return gate
-    kit = ctx.kit()
-    frame = ctx.frame
-    proj = ctx.projectors("transversal")
-    p = QuadScalar(ctx.params.p, 0, ctx.params)
-    samples: List[Tuple[List[int], Vec]] = []
-    for c, xi_field in enumerate(kit.radical):
-        section = apply_structure_field(ctx.structure, xi_field)
-        for j, u in enumerate(ctx.chart().coordinates):
-            d = full_split(frame, derive(u, section))
-            q1 = proj.project("screen", ctx.structure.apply(d.normal_screen))
-            g = gauss_split(frame, u, xi_field)
-            m1 = proj.project("screen", ctx.structure.apply(g.hs))
-            res = vec_sub(q1, vec_scale(p, m1))
-            if not is_zero_vec(res):
-                samples.append(([c, j], res))
+    columns = _radical_along_coordinates(ctx)
+    slot_screen = ctx.projectors("transversal").matrices["screen"]
+    _, J, j_minus_p = _coefficient(ctx)
+    op = mat_mul(mat_mul(mat_mul(slot_screen, J), ctx.splits().normal_screen), j_minus_p)
+    samples = _nonzero(op, columns)
     criterion = not samples
     oracle, checked = _metric_oracle(ctx)
     witness: Dict[str, object] = {

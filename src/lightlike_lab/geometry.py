@@ -305,26 +305,6 @@ def star_forms_radical(
     return RadicalSplit(vec_neg(screen_part), rad_coeffs)
 
 
-def hl_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:
-    """Assemble sum_i c_i N_i as an ambient vector."""
-    if len(coeffs) != len(frame.ltr):
-        raise ShapeError("coefficient count does not match the transversal frame")
-    acc = zero_vec(frame.space.dim, frame.space.params)
-    for c, n in zip(coeffs, frame.ltr):
-        acc = vec_add(acc, vec_scale(c, n))
-    return acc
-
-
-def rad_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:
-    """Assemble sum_i c_i xi_i as an ambient vector."""
-    if len(coeffs) != len(frame.rad_basis):
-        raise ShapeError("coefficient count does not match the radical basis")
-    acc = zero_vec(frame.space.dim, frame.space.params)
-    for c, xi in zip(coeffs, frame.rad_basis):
-        acc = vec_add(acc, vec_scale(c, xi))
-    return acc
-
-
 # ---- coherent field kits ----
 #
 # The pointwise checks differentiate fields, so the fields must respect

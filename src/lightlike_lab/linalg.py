@@ -410,22 +410,24 @@ class FactoredBasis:
             out[p] = x
         return tuple(out)
 
+    def coordinate_map(self, indices: Iterable[int]) -> Mat:
+        """Matrix of v -> (coords(v)_i for i in indices), for v in the
+        span; a dependent basis vector's row is zero."""
+        rows = dict(zip(self.pivots, self._coord_rows))
+        zero = (self._zero,) * self.ambient_dim
+        return tuple(rows.get(i, zero) for i in indices)
+
     def projector(self, indices: Iterable[int]) -> Mat:
         """Matrix of v -> sum_{i in indices} coords(v)_i basis[i], for v
         in the span: the projection onto those basis vectors along the
         others."""
-        chosen = set(indices)
-        picked = [
-            (self.basis[p], row)
-            for p, row in zip(self.pivots, self._coord_rows)
-            if p in chosen
-        ]
-        if not picked:
+        indices = tuple(indices)
+        if not indices:
             return tuple(
                 (self._zero,) * self.ambient_dim for _ in range(self.ambient_dim)
             )
-        vectors, rows = zip(*picked)
-        return mat_mul(transpose(vectors), rows)
+        vectors = tuple(self.basis[i] for i in indices)
+        return mat_mul(transpose(vectors), self.coordinate_map(indices))
 
 
 class OpenElimination:

@@ -184,19 +184,26 @@ def _polynomial(x, nvars: int, params: MetallicParams, path: str) -> Polynomial:
 
 
 def _field_list(
-    x, count: int, nvars: int, params: MetallicParams, path: str
+    x, chart_dim: int, params: MetallicParams, path: str
 ) -> Tuple[Tuple[Polynomial, ...], ...]:
+    """Tangent fields in chart coordinates.  More than chart_dim of them
+    cannot be independent, and each is revalidated at every point, so a
+    longer family is refused before any component is read."""
     arr = _array(x, path)
+    if len(arr) > chart_dim:
+        raise ValidationError(
+            f"{path}: {len(arr)} sections exceed the chart dimension {chart_dim}"
+        )
     out = []
     for i, raw in enumerate(arr):
         comps = _array(raw, f"{path}/{i}")
-        if len(comps) != count:
+        if len(comps) != chart_dim:
             raise ValidationError(
-                f"{path}/{i}: expected {count} components, got {len(comps)}"
+                f"{path}/{i}: expected {chart_dim} components, got {len(comps)}"
             )
         out.append(
             tuple(
-                _polynomial(c, nvars, params, f"{path}/{i}/{j}")
+                _polynomial(c, chart_dim, params, f"{path}/{i}/{j}")
                 for j, c in enumerate(comps)
             )
         )
@@ -241,6 +248,8 @@ def parse_scene(data) -> Scene:
     except ValueError as exc:
         # a JSON number past the interpreter's int-string limit
         raise ParseError(f"scene is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("scene nests arrays or objects too deeply to read") from exc
     root = _object(root, "")
     _no_extras(root, _TOP_KEYS, "")
 
@@ -346,11 +355,11 @@ def parse_scene(data) -> Scene:
         _no_extras(sections_obj, ("radical", "screen"), "/sections")
         if "radical" in sections_obj:
             radical_sections = _field_list(
-                sections_obj["radical"], chart_dim, chart_dim, params, "/sections/radical"
+                sections_obj["radical"], chart_dim, params, "/sections/radical"
             )
         if "screen" in sections_obj:
             screen_sections = _field_list(
-                sections_obj["screen"], chart_dim, chart_dim, params, "/sections/screen"
+                sections_obj["screen"], chart_dim, params, "/sections/screen"
             )
 
     checks_raw = _array(_required(root, "checks", ""), "/checks")

@@ -1,21 +1,28 @@
-"""Helpers only the tests use: polynomial text and a linear solve.
+"""Helpers only the tests use: polynomial text, a linear solve, and
+frame vectors assembled one at a time.
 
 parse_polynomial reads the text Polynomial.to_string writes, so tests
 can state immersions as 'u1 + s*u2' instead of exponent dictionaries.
 solve returns one solution of a linear system through a plain rref,
 an oracle independent of the factored bases the package splits with.
+hl_vector, rad_vector and apply_structure_field rebuild, one vector at
+a time, what the package's split matrices compose: the per-vector
+oracles in pair_loops.py and criterion_loops.py are written in them.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
+from lightlike_lab.ambient import MetallicStructure
 from lightlike_lab.errors import ParseError, ShapeError
-from lightlike_lab.linalg import Mat, Vec, rref
+from lightlike_lab.geometry import AmbientJet
+from lightlike_lab.linalg import Mat, Vec, rref, vec_add, vec_scale, zero_vec
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import MetallicParams, QuadScalar
+from lightlike_lab.submanifold import AdaptedFrame
 
 
 def power(f: Polynomial, exponent: int) -> Polynomial:
@@ -168,3 +175,31 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     return tuple(x)
+
+
+def hl_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:
+    """Assemble sum_i c_i N_i as an ambient vector."""
+    if len(coeffs) != len(frame.ltr):
+        raise ShapeError("coefficient count does not match the transversal frame")
+    acc = zero_vec(frame.space.dim, frame.space.params)
+    for c, n in zip(coeffs, frame.ltr):
+        acc = vec_add(acc, vec_scale(c, n))
+    return acc
+
+
+def rad_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:
+    """Assemble sum_i c_i xi_i as an ambient vector."""
+    if len(coeffs) != len(frame.rad_basis):
+        raise ShapeError("coefficient count does not match the radical basis")
+    acc = zero_vec(frame.space.dim, frame.space.params)
+    for c, xi in zip(coeffs, frame.rad_basis):
+        acc = vec_add(acc, vec_scale(c, xi))
+    return acc
+
+
+def apply_structure_field(structure: MetallicStructure, field: AmbientJet) -> AmbientJet:
+    """Compose the constant structure matrix with an ambient section:
+    J applies to the value and to each partial."""
+    return AmbientJet(
+        structure.apply(field.value), tuple(structure.apply(d) for d in field.partials)
+    )

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from lightlike_lab.classifier import PointContext, apply_structure_field
+from lightlike_lab.classifier import PointContext
 from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.geometry import (
     TangentJet,
     derive,
     full_split,
     gauss_split,
-    hl_vector,
     metric_deviation,
-    rad_vector,
     split_tangent,
 )
 from lightlike_lab.linalg import is_zero_vec, vec_add, vec_sub
 from lightlike_lab.scalars import QuadScalar
+
+from helpers import apply_structure_field, hl_vector, rad_vector
 
 
 def constant_split_fields(ctx: PointContext, j: int) -> Tuple[TangentJet, TangentJet]:

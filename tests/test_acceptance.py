@@ -29,7 +29,6 @@ from lightlike_lab.geometry import (
     derive,
     full_split,
     gauss_split,
-    hl_vector,
     metric_deviation,
     split_tangent,
     star_forms_radical,
@@ -48,7 +47,7 @@ from lightlike_lab.scalars import (
 )
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion, build_frame, construct_ltr
-from helpers import solve
+from helpers import hl_vector, solve
 
 FIXTURES = resources.files("lightlike_lab") / "fixtures"
 

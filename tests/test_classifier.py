@@ -20,7 +20,6 @@ from lightlike_lab.classifier import (
     REFERENCES,
     PointContext,
     Verdict,
-    apply_structure_field,
     check_frame,
     check_single_null_obstruction,
 )
@@ -45,6 +44,7 @@ from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion
+from helpers import apply_structure_field
 
 P0 = MetallicParams(0, 2)
 

@@ -315,9 +315,13 @@ def test_scene_past_the_size_bounds_is_an_input_error(tmp_path, capsys):
     fixture = json.loads((FIXTURES / "transversal-plane.json").read_text())
     too_many = dict(fixture, points=[[str(i), "0"] for i in range(scenes.MAX_POINTS + 1)])
     too_wide = dict(fixture, ambient={"dim": 10**6, "signature": []})
+    chart_dim = fixture["submanifold"]["chart_dim"]
+    section = [[] for _ in range(chart_dim)]
+    too_long = dict(fixture, sections={"radical": [section] * (chart_dim + 1)})
     for name, scene, message in [
         ("points", too_many, f"/points: {scenes.MAX_POINTS + 1} sample points exceed {scenes.MAX_POINTS}"),
         ("dim", too_wide, f"/ambient/dim: {10**6} exceeds {scenes.MAX_AMBIENT_DIM}"),
+        ("sections", too_long, f"/sections/radical: {chart_dim + 1} sections exceed the chart dimension {chart_dim}"),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(scene))

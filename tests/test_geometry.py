@@ -27,7 +27,6 @@ from lightlike_lab.geometry import (
     derive,
     full_split,
     gauss_split,
-    hl_vector,
     lie_bracket,
     metric_deviation,
     pairing_gradient,
@@ -41,7 +40,7 @@ from lightlike_lab.linalg import as_vec, vec_add, vec_neg, vec_scale, vec_sub
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, SILVER, QuadScalar
 from lightlike_lab.submanifold import PolynomialImmersion, build_frame, polynomial_jet
-from helpers import parse_polynomial, solve
+from helpers import hl_vector, parse_polynomial, solve
 from test_polynomials import S, U, to_sympy
 
 P = GOLDEN

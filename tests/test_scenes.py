@@ -1,6 +1,7 @@
 """Scene JSON parsing, validation pointers, and canonical serialization."""
 
 import json
+import sys
 
 import pytest
 
@@ -364,6 +365,38 @@ def test_sections_parse_into_field_coefficients():
     assert len(fld) == 2
     assert not fld[0].is_zero
     assert fld[1].is_zero
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    # the JSON reader recurses once per level; a deeper document once
+    # escaped as a raw RecursionError
+    depth = 10 * sys.getrecursionlimit()
+    with pytest.raises(ParseError) as info:
+        parse_scene("[" * depth + "]" * depth)
+    assert str(info.value) == "scene nests arrays or objects too deeply to read"
+
+
+def _zero_sections(count):
+    """count zero tangent fields on the base scene's two-dimensional chart."""
+    return [[[], []] for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["radical", "screen"])
+def test_sections_at_the_chart_dimension_bound_parse(kind):
+    d = base_scene_dict()
+    d["sections"] = {kind: _zero_sections(2)}
+    assert len(getattr(parse(d), f"{kind}_sections")) == 2
+
+
+@pytest.mark.parametrize("kind", ["radical", "screen"])
+def test_sections_past_the_chart_dimension_bound_are_rejected(kind):
+    d = base_scene_dict()
+    # the extra section is malformed: the count is refused before any
+    # section is read
+    d["sections"] = {kind: _zero_sections(2) + ["oops"]}
+    with pytest.raises(ValidationError) as info:
+        parse(d)
+    assert str(info.value) == f"/sections/{kind}: 3 sections exceed the chart dimension 2"
 
 
 def test_claimed_radical_vectors_are_ambient_sized():
