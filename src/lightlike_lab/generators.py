@@ -31,13 +31,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .ambient import MetallicStructure, SignatureSpace, diag_branches
+from .classifier import _q, _rational, random_isometry
 from .errors import InternalInconsistency
 from .linalg import (
     Mat,
     Vec,
     as_vec,
     det,
-    identity,
     invert,
     mat_mul,
     mat_vec,
@@ -53,17 +53,6 @@ from .submanifold import AdaptedFrame, PolynomialImmersion, build_frame
 MAX_RESAMPLE = 50
 
 
-def _q(x, params: MetallicParams) -> QuadScalar:
-    return QuadScalar(x, 0, params)
-
-
-def _rational(rng: random.Random, *, nonzero: bool = False) -> Fraction:
-    num = rng.randrange(-3, 4)
-    while nonzero and num == 0:
-        num = rng.randrange(-3, 4)
-    return Fraction(num, rng.choice([1, 1, 2, 3]))
-
-
 def _int_matrix_invertible(rng: random.Random, n: int) -> Tuple[Tuple[int, ...], ...]:
     params = MetallicParams(1, 1)
     for _ in range(MAX_RESAMPLE):
@@ -74,80 +63,6 @@ def _int_matrix_invertible(rng: random.Random, n: int) -> Tuple[Tuple[int, ...],
         if det(exact):
             return rows
     raise InternalInconsistency("could not draw an invertible integer matrix")
-
-
-# ---- exact isometries ----
-
-
-def _mix_rows(
-    acc: List[Vec], i: int, j: int, a: QuadScalar, b: QuadScalar, c: QuadScalar, d: QuadScalar
-) -> None:
-    """Rows i and j of acc become a r_i + b r_j and c r_i + d r_j: the
-    left product by the identity with that 2 x 2 block at (i, j)."""
-    ri, rj = acc[i], acc[j]
-    acc[i] = tuple(a * x + b * y for x, y in zip(ri, rj))
-    acc[j] = tuple(c * x + d * y for x, y in zip(ri, rj))
-
-
-def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[int] = None) -> Mat:
-    """Exact rational matrix S with S^T diag(eps) S = diag(eps).
-
-    Composed from hyperbolic boosts across a (-,+) coordinate pair,
-    rational-point rotations inside a same-sign pair, sign flips, and
-    same-sign swaps, each applied to the rows of the accumulated product
-    it multiplies from the left.
-    """
-    params = space.params
-    n = space.dim
-    acc = list(identity(n, params))
-    minus = [i for i in range(n) if space.eps[i] == -1]
-    plus = [i for i in range(n) if space.eps[i] == 1]
-    if steps is None:
-        steps = rng.randrange(0, 7)
-    for _ in range(steps):
-        kind = rng.choice(("boost", "rotate", "flip", "swap"))
-        if kind == "boost" and minus and plus:
-            i = rng.choice(minus)
-            j = rng.choice(plus)
-            lam = Fraction(rng.choice([2, 3, 1, 2]), rng.choice([1, 2, 3]))
-            if lam == 1:
-                continue
-            c = _q((lam + 1 / lam) / 2, params)
-            s = _q((lam - 1 / lam) / 2, params)
-            _mix_rows(acc, i, j, c, s, s, c)
-        elif kind == "rotate":
-            pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
-            if len(pool) < 2:
-                pool = minus if len(minus) >= 2 else plus
-            if len(pool) < 2:
-                continue
-            i, j = rng.sample(pool, 2)
-            t = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 2, 3]))
-            c = _q((1 - t * t) / (1 + t * t), params)
-            s = _q(2 * t / (1 + t * t), params)
-            _mix_rows(acc, i, j, c, -s, s, c)
-        elif kind == "flip":
-            i = rng.randrange(n)
-            acc[i] = tuple(-x for x in acc[i])
-        else:
-            pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
-            if len(pool) < 2:
-                continue
-            i, j = rng.sample(pool, 2)
-            acc[i], acc[j] = acc[j], acc[i]
-    return tuple(acc)
-
-
-def isometry_inverse(space: SignatureSpace, iso: Mat) -> Mat:
-    """Inverse of a signature isometry: eps-conjugated transpose."""
-    n = space.dim
-    return tuple(
-        tuple(
-            iso[j][i] * QuadScalar(space.eps[i] * space.eps[j], 0, space.params)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
 
 
 def transform_immersion(immersion: PolynomialImmersion, iso: Mat) -> PolynomialImmersion:
@@ -860,49 +775,4 @@ def random_flag_data(
         tuple(mat_vec(iso, v) for v in rad_basis),
         tuple(mat_vec(iso, v) for v in screen),
         tuple(mat_vec(iso, v) for v in ns),
-    )
-
-
-# ---- one-null-direction candidates for the nonexistence audit ----
-
-
-def null_dual_candidate(
-    rng: random.Random, params: MetallicParams
-) -> Tuple[SignatureSpace, MetallicStructure, Vec, Vec]:
-    """Random (space, structure, xi, N) with xi null, N null, <xi,N> = 1
-    and a diagonal-branch structure hidden behind an isometry."""
-    extra = rng.randrange(0, 3)
-    n = 2 + extra
-    roles: List[Tuple[str, int]] = [("pair-", 0), ("pair+", 0)]
-    roles += [("extra", c) for c in range(extra)]
-    roles = _shuffled_roles(rng, roles)
-    slot = _slot_map(roles)
-    eps = [0] * n
-    branches = [""] * n
-    for pos, (kind, _) in enumerate(roles):
-        eps[pos] = -1 if kind == "pair-" else (1 if kind == "pair+" else rng.choice((-1, 1)))
-        branches[pos] = rng.choice(("sigma", "p-sigma"))
-    space = SignatureSpace(n, tuple(eps), params)
-    diag = diag_branches(params, branches)
-
-    a = _rational(rng, nonzero=True)
-    xi = [Fraction(0)] * n
-    xi[slot[("pair-", 0)]] = a
-    xi[slot[("pair+", 0)]] = a
-    nv = [Fraction(0)] * n
-    nv[slot[("pair-", 0)]] = Fraction(-1, 2) / a
-    nv[slot[("pair+", 0)]] = Fraction(1, 2) / a
-    # short compositions and the adjoint inverse keep the sweep cheap;
-    # candidate volume matters more here than isometry depth
-    iso = random_isometry(rng, space, steps=rng.randrange(0, 4))
-    inv = isometry_inverse(space, iso)
-    if mat_mul(iso, inv) != identity(n, params):
-        raise InternalInconsistency("isometry adjoint inverse failed")
-    # iso D inv with D diagonal: D scales the rows of inv
-    conj = mat_mul(iso, tuple(vec_scale(diag[k][k], row) for k, row in enumerate(inv)))
-    return (
-        space,
-        MetallicStructure(space, conj),
-        mat_vec(iso, as_vec(xi, params)),
-        mat_vec(iso, as_vec(nv, params)),
     )

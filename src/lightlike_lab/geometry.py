@@ -12,21 +12,16 @@ a section V along X at the point is literally sum_j X^j d_j V, exact.
 
 At a frame point any ambient vector splits uniquely into tangent +
 transversal-null + normal-screen parts, and any tangent vector further
-into screen + radical parts; the second fundamental forms, shape
-operators, and induced connections are read off those splits.
-
-Conventions for the returned pieces (X tangent, Y tangent, N a
-transversal-null section, Z a normal-screen section, xi a radical
-section):
+into screen + radical parts; the second fundamental forms are read off
+those splits.  For X, Y tangent and N_i the transversal-null frame:
 
     D_X Y   = induced(X,Y) + sum_i hl_i N_i + hs                (Gauss)
-    D_X N   = -shape(N)X + sum_i nabla_l_i N_i + ds             (null Weingarten)
-    D_X Z   = -shape(Z)X + sum_i dl_i N_i + nabla_s             (screen Weingarten)
-    induced(X,U)  = star_screen + sum_i hstar_i xi_i            (U screen-valued)
-    induced(X,xi) = -star_shape + sum_i star_conn_i xi_i        (xi radical)
 
-All coefficients are taken against the frame's radical basis and its
-dual transversal frame, in matching order.
+The Weingarten and screen splits are the same decomposition applied to
+the derivative of a transversal, normal-screen or radical section; the
+classifier composes them as split matrices instead of one vector at a
+time.  All coefficients are taken against the frame's radical basis and
+its dual transversal frame, in matching order.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from .linalg import (
     factor_system,
     lin_comb,
     vec_add,
-    vec_neg,
     vec_scale,
     zero_vec,
 )
@@ -238,73 +232,6 @@ def gauss_split(frame: AdaptedFrame, x: TangentJet, y: TangentJet) -> GaussSplit
     return GaussSplit(parts.tangent, parts.ltr_coeffs, parts.normal_screen)
 
 
-@dataclass(frozen=True)
-class TransversalSplit:
-    """D_X N = -shape + sum conn_i N_i + ds, shape tangent, ds normal-screen."""
-
-    shape: Vec
-    conn: Tuple[QuadScalar, ...]
-    ds: Vec
-
-
-def weingarten_transversal(
-    frame: AdaptedFrame, x: TangentJet, n_field: AmbientJet
-) -> TransversalSplit:
-    deriv = derive(x, n_field)
-    parts = full_split(frame, deriv)
-    return TransversalSplit(vec_neg(parts.tangent), parts.ltr_coeffs, parts.normal_screen)
-
-
-@dataclass(frozen=True)
-class NormalScreenSplit:
-    """D_X Z = -shape + sum dl_i N_i + conn, shape tangent, conn normal-screen."""
-
-    shape: Vec
-    dl: Tuple[QuadScalar, ...]
-    conn: Vec
-
-
-def weingarten_normal_screen(
-    frame: AdaptedFrame, x: TangentJet, z_field: AmbientJet
-) -> NormalScreenSplit:
-    deriv = derive(x, z_field)
-    parts = full_split(frame, deriv)
-    return NormalScreenSplit(vec_neg(parts.tangent), parts.ltr_coeffs, parts.normal_screen)
-
-
-@dataclass(frozen=True)
-class ScreenSplit:
-    """induced(X, U) = screen + sum rad_i xi_i for screen-valued U."""
-
-    screen: Vec
-    rad: Tuple[QuadScalar, ...]
-
-
-def star_forms_screen(
-    frame: AdaptedFrame, x: TangentJet, u: TangentJet
-) -> ScreenSplit:
-    """Screen connection and radical-valued second form of the screen."""
-    induced = gauss_split(frame, x, u).induced
-    screen_part, rad_coeffs = split_tangent(frame, induced)
-    return ScreenSplit(screen_part, rad_coeffs)
-
-
-@dataclass(frozen=True)
-class RadicalSplit:
-    """induced(X, xi) = -shape + sum conn_i xi_i for radical xi."""
-
-    shape: Vec
-    conn: Tuple[QuadScalar, ...]
-
-
-def star_forms_radical(
-    frame: AdaptedFrame, x: TangentJet, xi: TangentJet
-) -> RadicalSplit:
-    induced = gauss_split(frame, x, xi).induced
-    screen_part, rad_coeffs = split_tangent(frame, induced)
-    return RadicalSplit(vec_neg(screen_part), rad_coeffs)
-
-
 # ---- coherent field kits ----
 #
 # The pointwise checks differentiate fields, so the fields must respect
@@ -494,25 +421,3 @@ def build_field_kit(chart: ChartJet, frame: AdaptedFrame) -> FieldKit:
     trans = transversal_sections(frame, rad, scr, ns)
     adapted = screen_adapted_fields(chart, frame, trans)
     return FieldKit(frame, rad, scr, ns, trans, adapted)
-
-
-def metric_deviation(
-    frame: AdaptedFrame,
-    w: TangentJet,
-    u: TangentJet,
-    v: TangentJet,
-    du: Vec,
-    dv: Vec,
-) -> QuadScalar:
-    """(nabla_W g)(U, V) = W<U, V> - <du, V> - <U, dv>.
-
-    ``du`` and ``dv`` are induced(W, U) and induced(W, V); the caller
-    passes them because it sweeps many pairs along one W and computes
-    each once.
-    """
-    space = frame.space
-    w_of_pairing = sum(
-        (c * g for c, g in zip(w.coeffs, pairing_gradient(space, u, v))),
-        start=QuadScalar.zero(space.params),
-    )
-    return w_of_pairing - space.inner(du, v.value) - space.inner(u.value, dv)

@@ -107,13 +107,28 @@ def _decimal_digits(n: int) -> int:
 _gcd = math.gcd
 
 
+def _int_text(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit: an
+    integer str refuses is split by a power of ten and its two halves
+    printed in turn, the low half padded to its full width."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = _decimal_digits(n) // 2
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
 def _ratio_text(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0."""
+    """str(Fraction(n, d)) for d > 0, exact at any size."""
     g = _gcd(n, d)
     if g != 1:
         n //= g
         d //= g
-    return str(n) if d == 1 else f"{n}/{d}"
+    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
 
 
 _new = object.__new__

@@ -299,24 +299,24 @@ def choose_normal_screen(
 
 def construct_ltr(
     space: SignatureSpace,
-    rad_basis: Sequence[Vec],
+    radical: Subspace,
     screen: Subspace,
     normal_screen: Subspace,
 ) -> Tuple[Vec, ...]:
-    """Null transversal frame N_i dual to the given radical basis.
+    """Null transversal frame N_i dual to the radical's canonical basis.
 
     The N_i satisfy <N_i, xi_j> = delta_ij, <N_i, N_j> = 0 and are
     orthogonal to both screens.  Construction: inside the orthogonal
     space of the two screens, take any complement of the radical, apply
     the inverse pairing matrix, then strip quadratic self-terms.
     """
+    rad_basis = radical.basis
     r = len(rad_basis)
     if r == 0:
         return ()
     params = space.params
     both = screen.sum(normal_screen)
     lam = space.orthogonal_complement(both)
-    radical = Subspace(tuple(rad_basis), space.dim, params)
     if lam.dim != 2 * r:
         raise LtrConstructionFailed(
             f"orthogonal space of the screens has dimension {lam.dim}, expected {2 * r}"
@@ -442,7 +442,7 @@ def build_frame(
     normal_screen = choose_normal_screen(
         space, normal, radical, normal_screen_override
     )
-    ltr = construct_ltr(space, radical.basis, screen, normal_screen)
+    ltr = construct_ltr(space, radical, screen, normal_screen)
 
     # paranoid contracts, all cheap at these sizes
     for i, n_i in enumerate(ltr):

@@ -29,7 +29,7 @@ from lightlike_lab.geometry import derive, full_split, gauss_split, split_tangen
 from lightlike_lab.linalg import Vec, is_zero_vec, vec_add, vec_neg, vec_scale, vec_sub
 from lightlike_lab.scalars import QuadScalar
 
-from helpers import apply_structure_field, hl_vector, rad_vector
+from helpers import apply_structure_field, hl_vector, project, rad_vector
 
 
 # ---- split helpers used by the criterion checks ----
@@ -439,9 +439,9 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
         section = apply_structure_field(ctx.structure, xi_field)
         for j, u in enumerate(ctx.chart().coordinates):
             d = full_split(frame, derive(u, section))
-            q1 = proj.project("screen", ctx.structure.apply(d.normal_screen))
+            q1 = project(proj, "screen", ctx.structure.apply(d.normal_screen))
             g = gauss_split(frame, u, xi_field)
-            m1 = proj.project("screen", ctx.structure.apply(g.hs))
+            m1 = project(proj, "screen", ctx.structure.apply(g.hs))
             res = vec_sub(q1, vec_scale(p, m1))
             if not is_zero_vec(res):
                 samples.append(([c, j], res))

@@ -5,21 +5,34 @@ parse_polynomial reads the text Polynomial.to_string writes, so tests
 can state immersions as 'u1 + s*u2' instead of exponent dictionaries.
 solve returns one solution of a linear system through a plain rref,
 an oracle independent of the factored bases the package splits with.
-hl_vector, rad_vector and apply_structure_field rebuild, one vector at
-a time, what the package's split matrices compose: the per-vector
-oracles in pair_loops.py and criterion_loops.py are written in them.
+hl_vector, rad_vector, apply_structure_field, project, the Weingarten
+and star-form splits and metric_deviation rebuild, one vector at a
+time, what the package's split matrices compose: the per-vector oracles
+in pair_loops.py and criterion_loops.py are written in them.
+isometry_inverse builds the full inverse matrix of a signature isometry,
+which the nonexistence audit only ever applies to one vector.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
-from lightlike_lab.ambient import MetallicStructure
+from lightlike_lab.ambient import MetallicStructure, SignatureSpace
+from lightlike_lab.classifier import ProjectorSet
 from lightlike_lab.errors import ParseError, ShapeError
-from lightlike_lab.geometry import AmbientJet
-from lightlike_lab.linalg import Mat, Vec, rref, vec_add, vec_scale, zero_vec
+from lightlike_lab.geometry import (
+    AmbientJet,
+    TangentJet,
+    derive,
+    full_split,
+    gauss_split,
+    pairing_gradient,
+    split_tangent,
+)
+from lightlike_lab.linalg import Mat, Vec, mat_vec, rref, vec_add, vec_neg, vec_scale, zero_vec
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import MetallicParams, QuadScalar
 from lightlike_lab.submanifold import AdaptedFrame
@@ -203,3 +216,114 @@ def apply_structure_field(structure: MetallicStructure, field: AmbientJet) -> Am
     return AmbientJet(
         structure.apply(field.value), tuple(structure.apply(d) for d in field.partials)
     )
+
+
+def project(proj: ProjectorSet, slot: str, v: Vec) -> Vec:
+    """The slot component of v: one product with the slot's projector."""
+    return mat_vec(proj.matrices[slot], v)
+
+
+def isometry_inverse(space: SignatureSpace, iso: Mat) -> Mat:
+    """Inverse of a signature isometry: eps-conjugated transpose."""
+    n = space.dim
+    return tuple(
+        tuple(
+            iso[j][i] * QuadScalar(space.eps[i] * space.eps[j], 0, space.params)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+# ---- Weingarten and star-form splits, one derivative at a time ----
+
+
+@dataclass(frozen=True)
+class TransversalSplit:
+    """D_X N = -shape + sum conn_i N_i + ds, shape tangent, ds normal-screen."""
+
+    shape: Vec
+    conn: Tuple[QuadScalar, ...]
+    ds: Vec
+
+
+def weingarten_transversal(
+    frame: AdaptedFrame, x: TangentJet, n_field: AmbientJet
+) -> TransversalSplit:
+    deriv = derive(x, n_field)
+    parts = full_split(frame, deriv)
+    return TransversalSplit(vec_neg(parts.tangent), parts.ltr_coeffs, parts.normal_screen)
+
+
+@dataclass(frozen=True)
+class NormalScreenSplit:
+    """D_X Z = -shape + sum dl_i N_i + conn, shape tangent, conn normal-screen."""
+
+    shape: Vec
+    dl: Tuple[QuadScalar, ...]
+    conn: Vec
+
+
+def weingarten_normal_screen(
+    frame: AdaptedFrame, x: TangentJet, z_field: AmbientJet
+) -> NormalScreenSplit:
+    deriv = derive(x, z_field)
+    parts = full_split(frame, deriv)
+    return NormalScreenSplit(vec_neg(parts.tangent), parts.ltr_coeffs, parts.normal_screen)
+
+
+@dataclass(frozen=True)
+class ScreenSplit:
+    """induced(X, U) = screen + sum rad_i xi_i for screen-valued U."""
+
+    screen: Vec
+    rad: Tuple[QuadScalar, ...]
+
+
+def star_forms_screen(
+    frame: AdaptedFrame, x: TangentJet, u: TangentJet
+) -> ScreenSplit:
+    """Screen connection and radical-valued second form of the screen."""
+    induced = gauss_split(frame, x, u).induced
+    screen_part, rad_coeffs = split_tangent(frame, induced)
+    return ScreenSplit(screen_part, rad_coeffs)
+
+
+@dataclass(frozen=True)
+class RadicalSplit:
+    """induced(X, xi) = -shape + sum conn_i xi_i for radical xi."""
+
+    shape: Vec
+    conn: Tuple[QuadScalar, ...]
+
+
+def star_forms_radical(
+    frame: AdaptedFrame, x: TangentJet, xi: TangentJet
+) -> RadicalSplit:
+    induced = gauss_split(frame, x, xi).induced
+    screen_part, rad_coeffs = split_tangent(frame, induced)
+    return RadicalSplit(vec_neg(screen_part), rad_coeffs)
+
+
+
+
+def metric_deviation(
+    frame: AdaptedFrame,
+    w: TangentJet,
+    u: TangentJet,
+    v: TangentJet,
+    du: Vec,
+    dv: Vec,
+) -> QuadScalar:
+    """(nabla_W g)(U, V) = W<U, V> - <du, V> - <U, dv>.
+
+    ``du`` and ``dv`` are induced(W, U) and induced(W, V); the caller
+    passes them because it sweeps many pairs along one W and computes
+    each once.
+    """
+    space = frame.space
+    w_of_pairing = sum(
+        (c * g for c, g in zip(w.coeffs, pairing_gradient(space, u, v))),
+        start=QuadScalar.zero(space.params),
+    )
+    return w_of_pairing - space.inner(du, v.value) - space.inner(u.value, dv)

@@ -19,13 +19,12 @@ from lightlike_lab.geometry import (
     derive,
     full_split,
     gauss_split,
-    metric_deviation,
     split_tangent,
 )
 from lightlike_lab.linalg import is_zero_vec, vec_add, vec_sub
 from lightlike_lab.scalars import QuadScalar
 
-from helpers import apply_structure_field, hl_vector, rad_vector
+from helpers import apply_structure_field, hl_vector, metric_deviation, project, rad_vector
 
 
 def constant_split_fields(ctx: PointContext, j: int) -> Tuple[TangentJet, TangentJet]:
@@ -66,11 +65,11 @@ def structure_equations_by_pair(ctx: PointContext, mode: str) -> int:
                 tangent_term = j_nabla
                 screen_term = J.apply(g.hs)
             else:
-                b_hs = J.apply(proj.project("mapped-screen", g.hs))
-                c_hs = J.apply(proj.project("mu", g.hs))
-                tangent_term = proj.project("screen", b_hs)
+                b_hs = J.apply(project(proj, "mapped-screen", g.hs))
+                c_hs = J.apply(project(proj, "mu", g.hs))
+                tangent_term = project(proj, "screen", b_hs)
                 screen_term = vec_add(
-                    vec_add(j_nabla, proj.project("mapped-screen", b_hs)), c_hs
+                    vec_add(j_nabla, project(proj, "mapped-screen", b_hs)), c_hs
                 )
             res_tangent = vec_sub(
                 vec_sub(vec_add(kw.tangent, lw.tangent), jhl.tangent), tangent_term

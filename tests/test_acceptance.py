@@ -29,11 +29,7 @@ from lightlike_lab.geometry import (
     derive,
     full_split,
     gauss_split,
-    metric_deviation,
     split_tangent,
-    star_forms_radical,
-    weingarten_normal_screen,
-    weingarten_transversal,
 )
 from lightlike_lab.linalg import identity, invert, mat_mul
 from lightlike_lab.polynomials import Polynomial
@@ -47,7 +43,14 @@ from lightlike_lab.scalars import (
 )
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion, build_frame, construct_ltr
-from helpers import hl_vector, solve
+from helpers import (
+    hl_vector,
+    metric_deviation,
+    solve,
+    star_forms_radical,
+    weingarten_normal_screen,
+    weingarten_transversal,
+)
 
 FIXTURES = resources.files("lightlike_lab") / "fixtures"
 
@@ -426,9 +429,7 @@ def test_criterion_5_transversal_frame_duality():
             frame = build_frame(immersion, origin)
             assert frame.radical_dim == expect_r
             _assert_dual(space, frame.ltr, frame.rad_basis)
-            direct = construct_ltr(
-                space, frame.radical.basis, frame.screen, frame.normal_screen
-            )
+            direct = construct_ltr(space, frame.radical, frame.screen, frame.normal_screen)
             _assert_dual(space, direct, frame.radical.basis)
             frames += 1
     elapsed = time.perf_counter() - t0

@@ -22,11 +22,11 @@ from lightlike_lab.classifier import (
     Verdict,
     check_frame,
     check_single_null_obstruction,
+    random_isometry,
 )
 from lightlike_lab.errors import InternalInconsistency, NotLightlike
 from lightlike_lab.generators import (
     perturbed_structured_scene,
-    random_isometry,
     transform_immersion,
     transform_structure,
 )
@@ -44,7 +44,7 @@ from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion
-from helpers import apply_structure_field
+from helpers import apply_structure_field, project
 
 P0 = MetallicParams(0, 2)
 
@@ -353,11 +353,30 @@ def test_structure_equations_hold_with_every_mode_term_live(config, seed):
     assert any(not is_zero_vec(split_tangent(ctx.frame, g.induced)[0]) for g in splits)
     slots = ("normal-screen",) if config == "radical-transversal" else ("mapped-screen", "mu")
     for slot in slots:
-        assert any(not is_zero_vec(proj.project(slot, g.hs)) for g in splits), slot
+        assert any(not is_zero_vec(project(proj, slot, g.hs)) for g in splits), slot
     if config == "transversal":
         assert not ctx.configuration("radical-transversal")[0]
     entry = POINT_CHECK_FUNCTIONS["structure-eqs"](ctx)
     assert (entry.verdict, entry.witness["mode"]) == (Verdict.HOLDS, config)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_structure_keeps_the_mapped_screen_up_to_p(q):
+    """P_ms J P_ms = p P_ms on every generated transversal scene: J maps
+    J(screen) into J(screen) + screen with mapped-screen part p times the
+    vector, which is why structure-eqs carries no P_ms J P_ms S term at
+    p = 0."""
+    params = MetallicParams(0, q)
+    live = 0
+    for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
+        for seed in range(3):
+            ctx = scene_context("transversal", flavors, seed, params)
+            mapped = ctx.projectors("transversal").matrices["mapped-screen"]
+            J = ctx.structure.matrix
+            scaled = tuple(tuple(params.p * x for x in row) for row in mapped)
+            assert mat_mul(mat_mul(mapped, J), mapped) == scaled
+            live += any(any(row) for row in mapped)
+    assert live
 
 
 @pytest.mark.parametrize("mode", ["radical-transversal", "transversal"])
@@ -389,7 +408,7 @@ def test_tangent_image_parts_reassemble(config, mode):
         sum(row[i] for row in frame.tangent.basis) for i in range(ctx.space.dim)
     )
     proj = ctx.projectors(mode)
-    parts = [proj.project(slot, ctx.structure.apply(v)) for slot in proj.matrices]
+    parts = [project(proj, slot, ctx.structure.apply(v)) for slot in proj.matrices]
     total = tuple(
         sum((p[i] for p in parts), QuadScalar.zero(P0))
         for i in range(ctx.space.dim)
@@ -402,8 +421,8 @@ def test_normal_screen_image_parts_reassemble():
     proj = ctx.projectors("transversal")
     v = ctx.frame.normal_screen.basis[0]
     total = vec_add(
-        ctx.structure.apply(proj.project("mapped-screen", v)),
-        ctx.structure.apply(proj.project("mu", v)),
+        ctx.structure.apply(project(proj, "mapped-screen", v)),
+        ctx.structure.apply(project(proj, "mu", v)),
     )
     assert total == ctx.structure.apply(v)
 
@@ -657,7 +676,7 @@ def empty_audit_memo():
     classifier._AUDIT_MEMO.clear()
 
 
-def _refuse_candidates(rng, params):
+def _refuse_candidates(rng, cell):
     raise AssertionError("a reused audit must not draw candidates")
 
 
@@ -721,15 +740,12 @@ def test_audit_memo_evicts_the_least_recently_used(empty_audit_memo, monkeypatch
         check_single_null_obstruction(random.Random(1), trials=1)
 
 
-def _identity_breaking_candidate(rng, params):
+def _identity_breaking_candidate(rng, cell):
     """J = 2I on a non-null xi: <J xi, J xi> = 4 but p <J xi, xi> = 2p."""
     rng.random()
-    space = SignatureSpace(2, (-1, 1), params)
-    zero = QuadScalar.zero(params)
-    two = QuadScalar(2, 0, params)
-    one = QuadScalar.one(params)
-    structure = MetallicStructure(space, ((two, zero), (zero, two)))
-    return space, structure, (zero, one), (one, zero)
+    space = SignatureSpace(2, (-1, 1), cell.params)
+    two = QuadScalar(2, 0, cell.params)
+    return space, (cell.zero, two), (cell.zero, cell.one), (cell.one, cell.zero)
 
 
 def test_failed_audit_is_not_reused(empty_audit_memo, monkeypatch):

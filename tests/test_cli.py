@@ -212,6 +212,20 @@ def test_console_script_runs_end_to_end(tmp_path):
     assert json.loads(out.read_text())["summary"]["FAILS"] == 1
 
 
+def test_runtime_import_path_leaves_the_scene_generators_out():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, lightlike_lab.runner, lightlike_lab.cli; "
+            "assert 'lightlike_lab.generators' not in sys.modules",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_internal_inconsistency_names_check_point_and_mode(capsys, monkeypatch):
     monkeypatch.setattr(
         classifier.ProjectorSet, "audit", lambda self: ["P[screen] does not fix slot screen"]

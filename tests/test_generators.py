@@ -6,21 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from lightlike_lab import generators
-from lightlike_lab.ambient import SignatureSpace
+from lightlike_lab import classifier
+from lightlike_lab.ambient import MetallicStructure, SignatureSpace, diag_branches
+from lightlike_lab.classifier import AuditCell, null_dual_candidate, random_isometry
+from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.generators import (
     cylinder_scene,
-    isometry_inverse,
-    null_dual_candidate,
     perturbed_structured_scene,
     random_flag_data,
-    random_isometry,
     ruled_scene,
 )
 from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split
 from lightlike_lab.linalg import Subspace, identity, is_zero_vec, mat_mul, transpose
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.submanifold import construct_ltr
+from helpers import isometry_inverse
 
 P = GOLDEN
 ZERO_Q = MetallicParams(0, 2)
@@ -164,7 +164,9 @@ def test_flag_data_supports_the_transversal_frame(seed, r):
     )
     screen = Subspace(screen_vecs, space.dim, P)
     ns = Subspace(ns_vecs, space.dim, P)
-    ltr = construct_ltr(space, rad_basis, screen, ns)
+    radical = Subspace(rad_basis, space.dim, P)
+    rad_basis = radical.basis
+    ltr = construct_ltr(space, radical, screen, ns)
     assert len(ltr) == r
     for i, n_i in enumerate(ltr):
         for j, xi in enumerate(rad_basis):
@@ -233,33 +235,87 @@ def test_row_updates_match_the_step_matrix_product(params):
         assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_null_dual_candidate_conjugates_its_diagonal_structure(seed, monkeypatch):
-    drawn = {}
+# every (p, q) cell of the nonexistence audit's sweep
+AUDIT_CELLS = [MetallicParams(p, q) for p in (1, 2, 3) for q in (1, 2)]
 
-    def keep(name, fn):
-        def wrapper(*args, **kwargs):
-            drawn[name] = fn(*args, **kwargs)
-            return drawn[name]
 
-        monkeypatch.setattr(generators, name, wrapper)
+class RecordedRoots(dict):
+    """The cell's branch-name-to-root map, remembering each lookup: the
+    candidate reads one root per coordinate, in coordinate order."""
 
-    keep("random_isometry", generators.random_isometry)
-    keep("diag_branches", generators.diag_branches)
-    space, structure, _, _ = null_dual_candidate(random.Random(seed), MetallicParams(2, 1))
-    iso = drawn["random_isometry"]
-    expected = mat_mul(mat_mul(iso, drawn["diag_branches"]), isometry_inverse(space, iso))
-    assert structure.matrix == expected
+    def __init__(self, roots):
+        super().__init__(roots)
+        self.drawn = []
+
+    def __getitem__(self, branch):
+        self.drawn.append(branch)
+        return super().__getitem__(branch)
+
+
+def recorded_candidate(seed, params, monkeypatch):
+    """One candidate plus its drawn isometry and root diagonal, the root
+    diagonal rebuilt by diag_branches from the branch names."""
+    drawn = []
+
+    def keep(*args, **kwargs):
+        drawn.append(random_isometry(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(classifier, "random_isometry", keep)
+    cell = AuditCell.of(params)
+    roots = RecordedRoots(cell.roots)
+    out = null_dual_candidate(random.Random(seed), cell._replace(roots=roots))
+    monkeypatch.undo()
+    return out, drawn[0], diag_branches(params, roots.drawn)
+
+
+@pytest.mark.parametrize("params", AUDIT_CELLS, ids=str)
+def test_null_dual_candidate_matches_the_conjugated_structure(params, monkeypatch):
+    """J xi from three matrix-vector products equals J xi for the full
+    J = iso D iso^-1, built here by matrix products, and that J is a
+    valid structure."""
+    for seed in range(50):
+        (space, jxi, xi, _), iso, diag = recorded_candidate(seed, params, monkeypatch)
+        inv = isometry_inverse(space, iso)
+        assert mat_mul(iso, inv) == identity(space.dim, params)
+        structure = MetallicStructure(space, mat_mul(mat_mul(iso, diag), inv))
+        ok, defects = structure.validate()
+        assert ok, defects
+        assert jxi == structure.apply(xi)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_null_dual_candidates_pair_to_one(seed):
-    space, structure, xi, nv = null_dual_candidate(random.Random(seed), GOLDEN)
+    space, _, xi, nv = null_dual_candidate(random.Random(seed), AuditCell.of(GOLDEN))
     assert space.inner(xi, xi) == 0
     assert space.inner(nv, nv) == 0
     assert space.inner(xi, nv) == 1
-    ok, defects = structure.validate()
-    assert ok, defects
+
+
+def bump_entry(iso, space):
+    """iso_00 + 1.  An isometry's row 0 has eps-norm eps_0, so it is never
+    (-1/2, 0, ..., 0), and the bump always breaks the Gram identity."""
+    return ((iso[0][0] + 1,) + iso[0][1:],) + iso[1:]
+
+
+def skew_columns(iso, space):
+    """Column 1 becomes a c_1 + b c_0 with a^2 eps_1 + b^2 eps_0 = eps_1:
+    every column keeps its eps-norm, so only the off-diagonal Gram entry
+    <c_0, c_1> = b eps_0 is wrong."""
+    ratios = (3, 4, 5) if space.eps[0] == space.eps[1] else (5, 3, 4)
+    a, b = (QuadScalar(Fraction(x, ratios[2]), 0, space.params) for x in ratios[:2])
+    return tuple(row[:1] + (a * row[1] + b * row[0],) + row[2:] for row in iso)
+
+
+@pytest.mark.parametrize("bend", [bump_entry, skew_columns], ids=["entry", "skew"])
+@pytest.mark.parametrize("seed", range(10))
+def test_null_dual_candidate_refuses_a_non_isometric_draw(seed, bend, monkeypatch):
+    def bent(rng, space, steps=None):
+        return bend(random_isometry(rng, space, steps), space)
+
+    monkeypatch.setattr(classifier, "random_isometry", bent)
+    with pytest.raises(InternalInconsistency, match="not an isometry"):
+        null_dual_candidate(random.Random(seed), AuditCell.of(GOLDEN))
 
 
 def test_same_seed_same_scene():

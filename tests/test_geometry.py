@@ -28,19 +28,23 @@ from lightlike_lab.geometry import (
     full_split,
     gauss_split,
     lie_bracket,
-    metric_deviation,
     pairing_gradient,
     split_tangent,
-    star_forms_radical,
-    star_forms_screen,
-    weingarten_normal_screen,
-    weingarten_transversal,
 )
 from lightlike_lab.linalg import as_vec, vec_add, vec_neg, vec_scale, vec_sub
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, SILVER, QuadScalar
 from lightlike_lab.submanifold import PolynomialImmersion, build_frame, polynomial_jet
-from helpers import hl_vector, parse_polynomial, solve
+from helpers import (
+    hl_vector,
+    metric_deviation,
+    parse_polynomial,
+    solve,
+    star_forms_radical,
+    star_forms_screen,
+    weingarten_normal_screen,
+    weingarten_transversal,
+)
 from test_polynomials import S, U, to_sympy
 
 P = GOLDEN

@@ -248,6 +248,21 @@ def test_decimal_digits_counts_like_str():
         assert _decimal_digits(10**k + 1) == k + 1
 
 
+def test_scalar_past_the_int_string_limit_serializes_exactly(default_int_limit):
+    # 5000 digits: 3, 4997 zeros, 17
+    n = 3 * 10**4999 + 17
+    digits = "3" + "0" * 4997 + "17"
+    with pytest.raises(ValueError):
+        str(n)
+    text = QuadScalar(-n, 0, GOLDEN).to_string()
+    assert len(text) == 5001
+    assert text[:4] == "-300" and text[-4:] == "0017"
+    assert text == "-" + digits
+    # both parts of a ratio and the sigma coefficient go through the same path
+    x = QuadScalar(Fraction(n, 10**4500 + 1), n, GOLDEN).to_string()
+    assert x == f"{digits}/1{'0' * 4499}1 + {digits}*s"
+
+
 @pytest.mark.parametrize("params", [GOLDEN, SILVER], ids=["golden", "silver"])
 def test_embed_with_a_5000_digit_sigma_coefficient(params):
     # b = (10^5000 - 1) / 10^5000 - 1/7: 5000-digit numerator and denominator

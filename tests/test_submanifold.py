@@ -24,7 +24,8 @@ from lightlike_lab.errors import (
     ValidationError,
 )
 from lightlike_lab import linalg
-from lightlike_lab.generators import perturbed_structured_scene, random_isometry
+from lightlike_lab.classifier import random_isometry
+from lightlike_lab.generators import perturbed_structured_scene
 from lightlike_lab.linalg import Subspace, as_mat, as_vec, det, mat_vec, rank
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
