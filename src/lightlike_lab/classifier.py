@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import (
@@ -1110,10 +1112,6 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
 # ---- one-null-direction candidates for the nonexistence audit ----
 
 
-def _q(x, params: MetallicParams) -> QuadScalar:
-    return QuadScalar(x, 0, params)
-
-
 def _rational(rng: random.Random, *, nonzero: bool = False) -> Fraction:
     num = rng.randrange(-3, 4)
     while nonzero and num == 0:
@@ -1122,28 +1120,44 @@ def _rational(rng: random.Random, *, nonzero: bool = False) -> Fraction:
 
 
 def _mix_rows(
-    acc: List[Vec], i: int, j: int, a: QuadScalar, b: QuadScalar, c: QuadScalar, d: QuadScalar
-) -> None:
-    """Rows i and j of acc become a r_i + b r_j and c r_i + d r_j: the
-    left product by the identity with that 2 x 2 block at (i, j)."""
-    ri, rj = acc[i], acc[j]
-    acc[i] = tuple(a * x + b * y for x, y in zip(ri, rj))
-    acc[j] = tuple(c * x + d * y for x, y in zip(ri, rj))
+    rows: List[List[int]], i: int, j: int, a: int, b: int, c: int, e: int, den: int
+) -> int:
+    """Left product of rows by the identity with the block [[a, b], [c, e]]
+    / den at (i, j), over the common denominator: rows i and j become
+    a r_i + b r_j and c r_i + e r_j, every other row scales by den, all
+    after dropping the common factor of the block and den.  Returns the
+    factor the denominator gains."""
+    g = math.gcd(a, b, c, e, den)
+    if g != 1:
+        a, b, c, e, den = a // g, b // g, c // g, e // g, den // g
+    if den != 1:
+        for k, row in enumerate(rows):
+            if k != i and k != j:
+                rows[k] = [den * x for x in row]
+    ri, rj = rows[i], rows[j]
+    rows[i] = [a * x + b * y for x, y in zip(ri, rj)]
+    rows[j] = [c * x + e * y for x, y in zip(ri, rj)]
+    return den
 
 
-def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[int] = None) -> Mat:
-    """Exact rational matrix S with S^T diag(eps) S = diag(eps).
+def integer_isometry(
+    rng: random.Random, eps: Sequence[int], steps: Optional[int] = None
+) -> Tuple[List[List[int]], int]:
+    """Integer rows M and a denominator d > 0 with S = M / d an isometry
+    of diag(eps): M^T diag(eps) M = d^2 diag(eps).
 
-    Composed from hyperbolic boosts across a (-,+) coordinate pair,
+    S is composed from hyperbolic boosts across a (-,+) coordinate pair,
     rational-point rotations inside a same-sign pair, sign flips, and
     same-sign swaps, each applied to the rows of the accumulated product
-    it multiplies from the left.
+    it multiplies from the left.  A boost by lam = u/v has cosh and sinh
+    (u^2 + v^2, u^2 - v^2) / 2uv, a rotation by the tangent half-angle
+    t = u/v has cos and sin (v^2 - u^2, 2uv) / (u^2 + v^2).
     """
-    params = space.params
-    n = space.dim
-    acc = list(identity(n, params))
-    minus = [i for i in range(n) if space.eps[i] == -1]
-    plus = [i for i in range(n) if space.eps[i] == 1]
+    n = len(eps)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = 1
+    minus = [i for i in range(n) if eps[i] == -1]
+    plus = [i for i in range(n) if eps[i] == 1]
     if steps is None:
         steps = rng.randrange(0, 7)
     for _ in range(steps):
@@ -1151,12 +1165,11 @@ def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[i
         if kind == "boost" and minus and plus:
             i = rng.choice(minus)
             j = rng.choice(plus)
-            lam = Fraction(rng.choice([2, 3, 1, 2]), rng.choice([1, 2, 3]))
-            if lam == 1:
+            u, v = rng.choice([2, 3, 1, 2]), rng.choice([1, 2, 3])
+            if u == v:
                 continue
-            c = _q((lam + 1 / lam) / 2, params)
-            s = _q((lam - 1 / lam) / 2, params)
-            _mix_rows(acc, i, j, c, s, s, c)
+            c, s = u * u + v * v, u * u - v * v
+            d *= _mix_rows(rows, i, j, c, s, s, c, 2 * u * v)
         elif kind == "rotate":
             pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
             if len(pool) < 2:
@@ -1164,89 +1177,142 @@ def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[i
             if len(pool) < 2:
                 continue
             i, j = rng.sample(pool, 2)
-            t = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 2, 3]))
-            c = _q((1 - t * t) / (1 + t * t), params)
-            s = _q(2 * t / (1 + t * t), params)
-            _mix_rows(acc, i, j, c, -s, s, c)
+            u, v = rng.choice([1, 1, 2, 3]), rng.choice([1, 2, 3])
+            c, s = v * v - u * u, 2 * u * v
+            d *= _mix_rows(rows, i, j, c, -s, s, c, u * u + v * v)
         elif kind == "flip":
             i = rng.randrange(n)
-            acc[i] = tuple(-x for x in acc[i])
+            rows[i] = [-x for x in rows[i]]
         else:
             pool = minus if (len(minus) >= 2 and rng.random() < 0.5) else plus
             if len(pool) < 2:
                 continue
             i, j = rng.sample(pool, 2)
-            acc[i], acc[j] = acc[j], acc[i]
-    return tuple(acc)
+            rows[i], rows[j] = rows[j], rows[i]
+    return rows, d
+
+
+def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[int] = None) -> Mat:
+    """Exact rational matrix S with S^T diag(eps) S = diag(eps), as
+    QuadScalars.
+
+    S is the view M / d of ``integer_isometry`` on the same generator:
+    the same draws in the same order, and the same state left behind.
+    The audit reads the integers; the scene generators and the tests
+    read this view.
+    """
+    rows, d = integer_isometry(rng, space.eps, steps)
+    params = space.params
+    return tuple(tuple(QuadScalar(Fraction(x, d), 0, params) for x in row) for row in rows)
 
 
 class AuditCell(NamedTuple):
-    """The scalars every candidate of one (p, q) cell reuses, built once
-    per cell: the two roots of the defining quadratic keyed by branch
-    name, and 0, 1 and p."""
+    """What every candidate of one (p, q) cell reuses, built once per
+    cell: the two roots of the defining quadratic keyed by branch name,
+    each as the integer pair (u, v) of u + v sigma, and sigma itself when
+    it is rational, else None.  A rational sigma is an integer: the
+    discriminant p^2 + 4q is then the square of an integer of p's
+    parity.
+
+    An integer pair (U, V) stands for U + V sigma, and ``is_zero`` is the
+    audit's one zero test on it: with sigma irrational both integers
+    must vanish; with sigma rational V folds into U, as QuadScalar
+    folds it, so (2, -1) is zero at (p, q) = (1, 2), where sigma = 2.
+    """
 
     params: MetallicParams
-    roots: Dict[str, QuadScalar]
-    zero: QuadScalar
-    one: QuadScalar
-    p: QuadScalar
+    roots: Dict[str, Tuple[int, int]]
+    sigma: Optional[int]
 
     @classmethod
     def of(cls, params: MetallicParams) -> "AuditCell":
-        roots = {"sigma": QuadScalar.sigma(params), "p-sigma": QuadScalar(params.p, -1, params)}
-        zero, one = QuadScalar.zero(params), QuadScalar.one(params)
-        return cls(params, roots, zero, one, _q(params.p, params))
+        sigma = int(params.sigma_rational()) if params.square_discriminant else None
+        return cls(params, {"sigma": (0, 1), "p-sigma": (params.p, -1)}, sigma)
+
+    def is_zero(self, u: int, v: int) -> bool:
+        if self.sigma is None:
+            return not u and not v
+        return u + v * self.sigma == 0
 
 
-def null_dual_candidate(
-    rng: random.Random, cell: AuditCell
-) -> Tuple[SignatureSpace, Vec, Vec, Vec]:
-    """Random (space, J xi, xi, N) with xi null, N null and <xi, N> = 1,
-    for J = iso D iso^-1: a diagonal D of drawn roots hidden behind a
-    drawn isometry iso.
+class NullDualCandidate(NamedTuple):
+    """One candidate over the integers, for a drawn isometry M / d and the
+    drawn root diagonal D: the signature eps, the drawn rational a, and
+    integer directions with
 
-    J is never built.  J xi is iso (D (iso^-1 xi)), and iso^-1 is the
-    adjoint diag(eps) iso^T diag(eps), applied to the one vector xi.
-    The adjoint is the inverse exactly when the column Gram matrix
-    iso^T diag(eps) iso is diag(eps), which is checked in full; the
-    adjoint must also give back the unrotated xi.  Any root diagonal
-    conjugated by an isometry satisfies both structure validators.
+        xi = (a / d) xi_dir,   N = nv_dir / (2 a d),
+        J xi = (a / d) (jxi_rational + jxi_sigma sigma).
     """
-    params = cell.params
+
+    eps: Tuple[int, ...]
+    a: Fraction
+    d: int
+    xi_dir: Tuple[int, ...]
+    nv_dir: Tuple[int, ...]
+    jxi_rational: Tuple[int, ...]
+    jxi_sigma: Tuple[int, ...]
+
+
+def null_dual_candidate(rng: random.Random, cell: AuditCell) -> NullDualCandidate:
+    """Random candidate with xi null, N null and <xi, N> = 1, for
+    J = S D S^-1: a diagonal D of drawn roots hidden behind a drawn
+    isometry S = M / d, with xi = S xi0 and N = S N0 for
+    xi0 = a (e_minus + e_plus) and N0 = (e_plus - e_minus) / 2a.
+
+    Neither J nor S^-1 is built, no QuadScalar is made, and nothing
+    leaves the integers.  The column Gram matrix M^T diag(eps) M is
+    checked against d^2 diag(eps) in full, which makes the adjoint
+    diag(eps) S^T diag(eps) the inverse of S.  The adjoint must also give
+    back the unrotated direction, eps M^T eps (M_minus + M_plus) =
+    d^2 (e_minus + e_plus): that follows from the Gram identity, and is
+    checked anyway, at n^2 small-integer products, because it is the one
+    identity S^-1 xi = xi0 that J xi is read from: J xi = S D xi0 =
+    a (D_minus M_minus + D_plus M_plus) / d, each root u + v sigma split
+    into its rational and sigma parts.  Any root diagonal conjugated by
+    an isometry satisfies both structure validators.
+    """
     extra = rng.randrange(0, 3)
     n = 2 + extra
     roles: List[Tuple[str, int]] = [("pair-", 0), ("pair+", 0)]
     roles += [("extra", c) for c in range(extra)]
     rng.shuffle(roles)
     eps = [0] * n
-    diag = [cell.zero] * n
+    diag = [(0, 0)] * n
     for pos, (kind, _) in enumerate(roles):
         eps[pos] = -1 if kind == "pair-" else (1 if kind == "pair+" else rng.choice((-1, 1)))
         diag[pos] = cell.roots[rng.choice(("sigma", "p-sigma"))]
-    space = SignatureSpace(n, tuple(eps), params)
     minus, plus = roles.index(("pair-", 0)), roles.index(("pair+", 0))
 
     a = _rational(rng, nonzero=True)
-    xi0 = [cell.zero] * n
-    xi0[minus] = xi0[plus] = _q(a, params)
-    nv0 = [cell.zero] * n
-    nv0[minus] = _q(Fraction(-1, 2) / a, params)
-    nv0[plus] = _q(Fraction(1, 2) / a, params)
-    xi0, nv0 = tuple(xi0), tuple(nv0)
     # short compositions keep the sweep cheap; candidate volume matters
     # more here than isometry depth
-    iso = random_isometry(rng, space, steps=rng.randrange(0, 4))
-    iso_t = transpose(iso)
-    gram = space.gram(iso_t)
-    if any(gram[i][j] != (eps[i] if i == j else 0) for i in range(n) for j in range(i, n)):
-        raise InternalInconsistency("drawn matrix is not an isometry", check="audit-nonexistence")
-    xi = mat_vec(iso, xi0)
-    (lowered,) = _lowered(space, (xi,))
-    (back,) = _lowered(space, (mat_vec(iso_t, lowered),))
-    if back != xi0:
-        raise InternalInconsistency("isometry adjoint inverse failed", check="audit-nonexistence")
-    jxi = mat_vec(iso, tuple(d * x for d, x in zip(diag, back)))
-    return space, jxi, xi, mat_vec(iso, nv0)
+    rows, d = integer_isometry(rng, eps, steps=rng.randrange(0, 4))
+    cols = list(zip(*rows))
+    d2 = d * d
+    for i in range(n):
+        lowered = list(map(mul, eps, cols[i]))
+        for j in range(i, n):
+            if sum(map(mul, lowered, cols[j])) != (eps[i] * d2 if i == j else 0):
+                raise InternalInconsistency(
+                    "drawn matrix is not an isometry", check="audit-nonexistence"
+                )
+    col_minus, col_plus = cols[minus], cols[plus]
+    xi = tuple(x + y for x, y in zip(col_minus, col_plus))
+    lowered = list(map(mul, eps, xi))
+    for j in range(n):
+        back = eps[j] * sum(map(mul, cols[j], lowered))
+        if back != (d2 if j == minus or j == plus else 0):
+            raise InternalInconsistency("isometry adjoint inverse failed", check="audit-nonexistence")
+    (um, vm), (up, vp) = diag[minus], diag[plus]
+    return NullDualCandidate(
+        tuple(eps),
+        a,
+        d,
+        xi,
+        tuple(y - x for x, y in zip(col_minus, col_plus)),
+        tuple(um * x + up * y for x, y in zip(col_minus, col_plus)),
+        tuple(vm * x + vp * y for x, y in zip(col_minus, col_plus)),
+    )
 
 
 # ---- randomized nonexistence audit ----
@@ -1308,25 +1374,40 @@ def _single_null_sweep(rng: random.Random, trials: int) -> Dict[str, object]:
     for p in (1, 2, 3):
         for q in (1, 2):
             cell = AuditCell.of(MetallicParams(p, q))
+            zero = cell.is_zero
             satisfied = 0
             image_in_span = 0
             for _ in range(trials):
-                space, jxi, xi, nv = null_dual_candidate(rng, cell)
-                a = space.inner(jxi, xi)
-                b = space.inner(jxi, jxi)
-                if b != cell.p * a:
+                eps, a, d, xi, nv, ju, jv = null_dual_candidate(rng, cell)
+                # <J xi, xi> = (a/d)^2 (ux + vx sigma) and <J xi, J xi> =
+                # (a/d)^2 (U + V sigma)^2, reduced by sigma^2 = p sigma + q
+                ux = vx = uu = uv = vv = 0
+                for e, x, u, v in zip(eps, xi, ju, jv):
+                    eu, ev = e * u, e * v
+                    ux += eu * x
+                    vx += ev * x
+                    uu += eu * u
+                    uv += eu * v
+                    vv += ev * v
+                bu, bv = uu + q * vv, 2 * uv + p * vv
+                if not zero(bu - p * ux, bv - p * vx):
                     raise InternalInconsistency(
                         "transfer identity failed on a generated candidate",
                         check="audit-nonexistence",
                     )
-                if b == cell.zero and a == cell.one:
-                    satisfied += 1
+                if zero(bu, bv):
+                    # <J xi, xi> = 1 exactly when a_num^2 (ux + vx sigma)
+                    # equals (a_den d)^2
+                    num2, den2 = a.numerator ** 2, (a.denominator * d) ** 2
+                    if zero(num2 * ux - den2, num2 * vx):
+                        satisfied += 1
                 # J xi lies on the line of N exactly when every 2 x 2
                 # minor of (N, J xi) vanishes
-                if not is_zero_vec(jxi) and not any(
-                    nv[a] * jxi[b] - nv[b] * jxi[a]
-                    for a in range(len(nv))
-                    for b in range(a + 1, len(nv))
+                n = len(nv)
+                if not all(zero(u, v) for u, v in zip(ju, jv)) and all(
+                    zero(nv[i] * ju[k] - nv[k] * ju[i], nv[i] * jv[k] - nv[k] * jv[i])
+                    for i in range(n)
+                    for k in range(i + 1, n)
                 ):
                     image_in_span += 1
             if satisfied or image_in_span:

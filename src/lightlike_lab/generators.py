@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .ambient import MetallicStructure, SignatureSpace, diag_branches
-from .classifier import _q, _rational, random_isometry
+from .classifier import _rational, random_isometry
 from .errors import InternalInconsistency
 from .linalg import (
     Mat,
@@ -51,6 +51,10 @@ from .scalars import MetallicParams, QuadScalar
 from .submanifold import AdaptedFrame, PolynomialImmersion, build_frame
 
 MAX_RESAMPLE = 50
+
+
+def _q(x, params: MetallicParams) -> QuadScalar:
+    return QuadScalar(x, 0, params)
 
 
 def _int_matrix_invertible(rng: random.Random, n: int) -> Tuple[Tuple[int, ...], ...]:

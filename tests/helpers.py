@@ -10,7 +10,8 @@ and star-form splits and metric_deviation rebuild, one vector at a
 time, what the package's split matrices compose: the per-vector oracles
 in pair_loops.py and criterion_loops.py are written in them.
 isometry_inverse builds the full inverse matrix of a signature isometry,
-which the nonexistence audit only ever applies to one vector.
+which the nonexistence audit never builds, and candidate_quads reads an
+audit candidate's integer directions back as QuadScalar vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace
-from lightlike_lab.classifier import ProjectorSet
+from lightlike_lab.classifier import NullDualCandidate, ProjectorSet
 from lightlike_lab.errors import ParseError, ShapeError
 from lightlike_lab.geometry import (
     AmbientJet,
@@ -233,6 +234,21 @@ def isometry_inverse(space: SignatureSpace, iso: Mat) -> Mat:
         )
         for i in range(n)
     )
+
+
+def candidate_quads(
+    cand: NullDualCandidate, params: MetallicParams
+) -> Tuple[SignatureSpace, Vec, Vec, Vec]:
+    """(space, J xi, xi, N) of an audit candidate as QuadScalars."""
+    scale = cand.a / cand.d
+    nv_scale = 1 / (2 * cand.a * cand.d)
+    jxi = tuple(
+        QuadScalar(scale * u, scale * v, params)
+        for u, v in zip(cand.jxi_rational, cand.jxi_sigma)
+    )
+    xi = tuple(QuadScalar(scale * x, 0, params) for x in cand.xi_dir)
+    nv = tuple(QuadScalar(nv_scale * y, 0, params) for y in cand.nv_dir)
+    return SignatureSpace(len(cand.eps), cand.eps, params), jxi, xi, nv
 
 
 # ---- Weingarten and star-form splits, one derivative at a time ----

@@ -18,6 +18,8 @@ from lightlike_lab.classifier import (
     CHECK_ORDER,
     POINT_CHECK_FUNCTIONS,
     REFERENCES,
+    AuditCell,
+    NullDualCandidate,
     PointContext,
     Verdict,
     check_frame,
@@ -743,9 +745,7 @@ def test_audit_memo_evicts_the_least_recently_used(empty_audit_memo, monkeypatch
 def _identity_breaking_candidate(rng, cell):
     """J = 2I on a non-null xi: <J xi, J xi> = 4 but p <J xi, xi> = 2p."""
     rng.random()
-    space = SignatureSpace(2, (-1, 1), cell.params)
-    two = QuadScalar(2, 0, cell.params)
-    return space, (cell.zero, two), (cell.zero, cell.one), (cell.one, cell.zero)
+    return NullDualCandidate((-1, 1), Fraction(1), 1, (0, 1), (1, 0), (0, 2), (0, 0))
 
 
 def test_failed_audit_is_not_reused(empty_audit_memo, monkeypatch):
@@ -757,6 +757,19 @@ def test_failed_audit_is_not_reused(empty_audit_memo, monkeypatch):
     monkeypatch.undo()
     entry = check_single_null_obstruction(random.Random(5), trials=3)
     assert entry.verdict == Verdict.HOLDS
+
+
+def test_audit_zero_test_folds_a_rational_sigma():
+    """(U, V) stands for U + V sigma.  At (1, 2) sigma = 2, so (2, -1) is
+    zero although neither component is; at (1, 1) it is 2 - sigma."""
+    rational, irrational = AuditCell.of(MetallicParams(1, 2)), AuditCell.of(GOLDEN)
+    assert rational.sigma == 2 and irrational.sigma is None
+    assert rational.is_zero(2, -1) and rational.is_zero(-4, 2)
+    assert not irrational.is_zero(2, -1)
+    for cell in (rational, irrational):
+        for u in range(-4, 5):
+            for v in range(-4, 5):
+                assert cell.is_zero(u, v) == (QuadScalar(u, v, cell.params) == 0)
 
 
 def test_obstruction_forced_value_names_the_linear_coefficient():

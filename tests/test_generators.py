@@ -8,7 +8,12 @@ import pytest
 
 from lightlike_lab import classifier
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace, diag_branches
-from lightlike_lab.classifier import AuditCell, null_dual_candidate, random_isometry
+from lightlike_lab.classifier import (
+    AuditCell,
+    integer_isometry,
+    null_dual_candidate,
+    random_isometry,
+)
 from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.generators import (
     cylinder_scene,
@@ -20,7 +25,7 @@ from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split
 from lightlike_lab.linalg import Subspace, identity, is_zero_vec, mat_mul, transpose
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.submanifold import construct_ltr
-from helpers import isometry_inverse
+from helpers import candidate_quads, isometry_inverse
 
 P = GOLDEN
 ZERO_Q = MetallicParams(0, 2)
@@ -253,25 +258,30 @@ class RecordedRoots(dict):
 
 
 def recorded_candidate(seed, params, monkeypatch):
-    """One candidate plus its drawn isometry and root diagonal, the root
+    """One candidate as QuadScalars, plus its drawn isometry through
+    random_isometry, the QuadScalar view of the same draw, and its root
     diagonal rebuilt by diag_branches from the branch names."""
-    drawn = []
+    calls = []
 
-    def keep(*args, **kwargs):
-        drawn.append(random_isometry(*args, **kwargs))
-        return drawn[-1]
+    def keep(rng, eps, steps=None):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        calls.append((twin, SignatureSpace(len(eps), tuple(eps), params), steps))
+        return integer_isometry(rng, eps, steps)
 
-    monkeypatch.setattr(classifier, "random_isometry", keep)
+    monkeypatch.setattr(classifier, "integer_isometry", keep)
     cell = AuditCell.of(params)
     roots = RecordedRoots(cell.roots)
     out = null_dual_candidate(random.Random(seed), cell._replace(roots=roots))
     monkeypatch.undo()
-    return out, drawn[0], diag_branches(params, roots.drawn)
+    (iso_args,) = calls
+    iso = random_isometry(*iso_args)
+    return candidate_quads(out, params), iso, diag_branches(params, roots.drawn)
 
 
 @pytest.mark.parametrize("params", AUDIT_CELLS, ids=str)
 def test_null_dual_candidate_matches_the_conjugated_structure(params, monkeypatch):
-    """J xi from three matrix-vector products equals J xi for the full
+    """J xi from the integer draw equals J xi for the full
     J = iso D iso^-1, built here by matrix products, and that J is a
     valid structure."""
     for seed in range(50):
@@ -286,34 +296,36 @@ def test_null_dual_candidate_matches_the_conjugated_structure(params, monkeypatc
 
 @pytest.mark.parametrize("seed", range(10))
 def test_null_dual_candidates_pair_to_one(seed):
-    space, _, xi, nv = null_dual_candidate(random.Random(seed), AuditCell.of(GOLDEN))
+    cand = null_dual_candidate(random.Random(seed), AuditCell.of(GOLDEN))
+    space, _, xi, nv = candidate_quads(cand, GOLDEN)
     assert space.inner(xi, xi) == 0
     assert space.inner(nv, nv) == 0
     assert space.inner(xi, nv) == 1
 
 
-def bump_entry(iso, space):
-    """iso_00 + 1.  An isometry's row 0 has eps-norm eps_0, so it is never
+def bump_entry(rows, d, eps):
+    """S_00 + 1.  An isometry's row 0 has eps-norm eps_0, so it is never
     (-1/2, 0, ..., 0), and the bump always breaks the Gram identity."""
-    return ((iso[0][0] + 1,) + iso[0][1:],) + iso[1:]
+    return [[rows[0][0] + d] + rows[0][1:]] + rows[1:], d
 
 
-def skew_columns(iso, space):
-    """Column 1 becomes a c_1 + b c_0 with a^2 eps_1 + b^2 eps_0 = eps_1:
-    every column keeps its eps-norm, so only the off-diagonal Gram entry
-    <c_0, c_1> = b eps_0 is wrong."""
-    ratios = (3, 4, 5) if space.eps[0] == space.eps[1] else (5, 3, 4)
-    a, b = (QuadScalar(Fraction(x, ratios[2]), 0, space.params) for x in ratios[:2])
-    return tuple(row[:1] + (a * row[1] + b * row[0],) + row[2:] for row in iso)
+def skew_columns(rows, d, eps):
+    """Column 1 becomes a c_1 + b c_0 with a^2 eps_1 + b^2 eps_0 = eps_1,
+    over the denominator r d with a = x / r, b = y / r: every column keeps
+    its eps-norm, so only the off-diagonal Gram entry <c_0, c_1> = b eps_0
+    is wrong."""
+    x, y, r = (3, 4, 5) if eps[0] == eps[1] else (5, 3, 4)
+    skewed = [[r * row[0], x * row[1] + y * row[0]] + [r * v for v in row[2:]] for row in rows]
+    return skewed, r * d
 
 
 @pytest.mark.parametrize("bend", [bump_entry, skew_columns], ids=["entry", "skew"])
 @pytest.mark.parametrize("seed", range(10))
 def test_null_dual_candidate_refuses_a_non_isometric_draw(seed, bend, monkeypatch):
-    def bent(rng, space, steps=None):
-        return bend(random_isometry(rng, space, steps), space)
+    def bent(rng, eps, steps=None):
+        return bend(*integer_isometry(rng, eps, steps), eps)
 
-    monkeypatch.setattr(classifier, "random_isometry", bent)
+    monkeypatch.setattr(classifier, "integer_isometry", bent)
     with pytest.raises(InternalInconsistency, match="not an isometry"):
         null_dual_candidate(random.Random(seed), AuditCell.of(GOLDEN))
 
