@@ -10,8 +10,7 @@ boolean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import ShapeError, ValidationError
 from .linalg import (
@@ -22,18 +21,17 @@ from .linalg import (
     mat_mul,
     mat_vec,
 )
+from .records import Record
 from .scalars import MetallicParams, QuadScalar
 
 
-@dataclass(frozen=True)
-class SignatureSpace:
+class SignatureSpace(Record):
     """R^n with the form <u, v> = sum_i eps_i u_i v_i, eps_i in {+1, -1}."""
 
-    dim: int
-    eps: Tuple[int, ...]
-    params: MetallicParams
+    __slots__ = ("dim", "eps", "params")
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, eps: Tuple[int, ...], params: MetallicParams) -> None:
+        self._set(dim, eps, params)
         if self.dim < 1:
             raise ValidationError("ambient dimension must be positive")
         if len(self.eps) != self.dim:
@@ -109,8 +107,7 @@ class SignatureSpace:
         return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class StructureDefect:
+class StructureDefect(NamedTuple):
     """One exact counterexample entry from a validator."""
 
     code: str
@@ -191,14 +188,13 @@ def validate_compatibility(
     return (not defects, defects)
 
 
-@dataclass(frozen=True)
-class MetallicStructure:
+class MetallicStructure(Record):
     """A validated-or-not structure endomorphism attached to its space."""
 
-    space: SignatureSpace
-    matrix: Mat
+    __slots__ = ("space", "matrix")
 
-    def __post_init__(self) -> None:
+    def __init__(self, space: SignatureSpace, matrix: Mat) -> None:
+        self._set(space, matrix)
         n = self.space.dim
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ShapeError("structure matrix does not match ambient dimension")

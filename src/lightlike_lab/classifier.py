@@ -38,7 +38,6 @@ import math
 import random
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -88,8 +87,7 @@ class Verdict(str, Enum):
     NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(NamedTuple):
     """One reported check: name, verdict, descriptor, exact witness data."""
 
     name: str
@@ -186,8 +184,7 @@ _SCREEN_TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class ProjectorSet:
+class ProjectorSet(NamedTuple):
     """Exact slot projectors for one configuration mode at a point.
 
     The slot bases together form a basis of the ambient space, so every
@@ -222,8 +219,7 @@ class ProjectorSet:
         return problems
 
 
-@dataclass(frozen=True)
-class FrameSplits:
+class FrameSplits(NamedTuple):
     """The frame's split maps at a point as exact matrices.
 
     tangent (T), transversal (L) and normal_screen (S) split an ambient
@@ -266,6 +262,7 @@ class PointContext:
         self._kit: Optional[FieldKit] = None
         self._valid: Optional[bool] = None
         self._config: Dict[str, Tuple[bool, Dict[str, object]]] = {}
+        self._radical: Optional[Tuple[bool, Tuple[Vec, ...]]] = None
         self._mu: Optional[Subspace] = None
         self._proj: Dict[str, ProjectorSet] = {}
         self._splits: Optional[FrameSplits] = None
@@ -312,7 +309,10 @@ class PointContext:
         # quadratic relation forces p times the (invertible) transfer
         # matrix to vanish.  The configuration therefore only exists at
         # p = 0; seeing it at p >= 1 means the frame construction or the
-        # structure validators are broken.
+        # structure validators are broken.  Both modes share the result;
+        # a raise is not kept, so each mode raises again.
+        if self._radical is not None:
+            return self._radical
         frame = self.frame
         space = self.space
         ltr_span = Subspace(frame.ltr, space.dim, space.params)
@@ -328,7 +328,8 @@ class PointContext:
                 "radical directions map onto the null transversal span, which the"
                 " trace obstruction rules out for p >= 1"
             )
-        return radical_clause, j_rad
+        self._radical = (radical_clause, j_rad)
+        return self._radical
 
     def configuration(self, mode: str) -> Tuple[bool, Dict[str, object]]:
         """Radical maps onto the transversal span, and the screen maps

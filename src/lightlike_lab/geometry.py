@@ -26,8 +26,7 @@ its dual transversal frame, in matching order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import SignatureSpace
 from .errors import InsufficientScene, InternalInconsistency, NotInSpan, ShapeError
@@ -43,8 +42,7 @@ from .scalars import QuadScalar
 from .submanifold import AdaptedFrame, PolynomialImmersion
 
 
-@dataclass(frozen=True)
-class AmbientJet:
+class AmbientJet(NamedTuple):
     """An ambient section at the frame point: its value V and its chart
     partials, partials[l] = d_l V."""
 
@@ -52,22 +50,23 @@ class AmbientJet:
     partials: Tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class TangentJet(AmbientJet):
+class TangentJet(NamedTuple):
     """A tangent field sum_j X^j W_j at the frame point.
 
-    Besides its ambient jet it keeps the chart coefficients X^j, their
-    partials coeff_partials[l][j] = d_l X^j, and the coordinate vectors
-    W_j they refer to, which is what a Lie bracket needs.
+    Besides its ambient jet (value, partials) it keeps the chart
+    coefficients X^j, their partials coeff_partials[l][j] = d_l X^j, and
+    the coordinate vectors W_j they refer to, which is what a Lie
+    bracket needs.
     """
 
+    value: Vec
+    partials: Tuple[Vec, ...]
     coeffs: Tuple[QuadScalar, ...]
     coeff_partials: Tuple[Tuple[QuadScalar, ...], ...]
     jacobian: Tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class ChartJet:
+class ChartJet(NamedTuple):
     """The immersion to second order at the frame point, held as the
     coordinate fields W_j: value d_j f, partials d_l d_j f."""
 
@@ -164,8 +163,7 @@ def derive(x: TangentJet, v: AmbientJet) -> Vec:
 # ---- pointwise splits ----
 
 
-@dataclass(frozen=True)
-class FullSplit:
+class FullSplit(NamedTuple):
     """v = tangent + sum_i ltr_coeffs[i] N_i + normal_screen."""
 
     tangent: Vec
@@ -217,8 +215,7 @@ def split_tangent(frame: AdaptedFrame, v: Vec) -> Tuple[Vec, Tuple[QuadScalar, .
 # ---- named split bundles ----
 
 
-@dataclass(frozen=True)
-class GaussSplit:
+class GaussSplit(NamedTuple):
     """D_X Y = induced + sum hl_i N_i + hs."""
 
     induced: Vec
@@ -243,8 +240,7 @@ def gauss_split(frame: AdaptedFrame, x: TangentJet, y: TangentJet) -> GaussSplit
 # factored once and reused for every right-hand side.
 
 
-@dataclass(frozen=True)
-class FieldKit:
+class FieldKit(NamedTuple):
     """Frame-adapted fields: values match the frame bases exactly and
     the first-order behavior makes the derivative identities exact.
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .classifier import (
     POINT_CHECK_FUNCTIONS,
@@ -42,8 +41,7 @@ from .submanifold import polynomial_jet
 TOOL_VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     version: str
     scene_digest: str
     seed: int

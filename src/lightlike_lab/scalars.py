@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import DivByZero, ParamError, ParseError
+from .records import Record
 
 RationalLike = Union[int, Fraction]
 
@@ -37,17 +37,16 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
-class MetallicParams:
+class MetallicParams(Record):
     """Integer parameters (p, q) of the defining relation sigma^2 = p*sigma + q.
 
     Constraints: p >= 0, q >= 1, and p + q >= 2 so that sigma > 1.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, q: int) -> None:
+        self._set(p, q)
         if not isinstance(self.p, int) or not isinstance(self.q, int):
             raise ParamError("p and q must be integers")
         if isinstance(self.p, bool) or isinstance(self.q, bool):
@@ -587,7 +586,7 @@ _TERM_RE = re.compile(
 )
 
 
-_INTEGER_TEXT = re.compile(r"(-?)(\d+)\Z")
+_RATIONAL_TEXT = re.compile(r"(-?)(\d+)(?:/(\d+))?\Z")
 
 
 def _digits_to_int(digits: str) -> int:
@@ -622,11 +621,19 @@ def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected scalar text, got {type(text).__name__}")
-    m = _INTEGER_TEXT.match(text)
+    m = _RATIONAL_TEXT.match(text)
     if m is not None:
-        # the common case, a bare integer
+        # the common case, a bare integer or ratio: canonical after one gcd
         n = _digits_to_int(m.group(2))
-        return _make(-n if m.group(1) else n, 0, 1, params)
+        if m.group(1):
+            n = -n
+        if m.group(3) is None:
+            return _make(n, 0, 1, params)
+        d = _digits_to_int(m.group(3))
+        if d == 0:
+            raise ParseError(f"zero denominator in {_quote(text)}")
+        g = _gcd(n, d)
+        return _make(n // g, 0, d // g, params)
     pos = 0
     a = Fraction(0)
     b = Fraction(0)

@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import MetallicStructure, SignatureSpace
 from .classifier import CHECK_ORDER
@@ -59,8 +58,7 @@ MAX_SCALAR_DIGITS = 1000
 _LONG_INTEGER = re.compile(r"\d{%d}" % (MAX_SCALAR_DIGITS + 1))
 
 
-@dataclass(frozen=True)
-class SceneClaims:
+class SceneClaims(NamedTuple):
     """What the scene author expects the tool to find.
 
     Claims are compared against computed results and disagreements
@@ -79,8 +77,7 @@ class SceneClaims:
         )
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     params: MetallicParams
     space: SignatureSpace
     structure: MetallicStructure

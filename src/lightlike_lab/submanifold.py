@@ -30,10 +30,9 @@ radical basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import SignatureSpace
 from .errors import (
@@ -61,6 +60,7 @@ from .linalg import (
     vec_sub,
 )
 from .polynomials import Polynomial
+from .records import Record
 from .scalars import QuadScalar
 
 
@@ -87,15 +87,15 @@ def classify_case(chart_dim: int, normal_dim: int, radical_dim: int) -> CaseKind
     return CaseKind.GENERIC
 
 
-@dataclass(frozen=True)
-class PolynomialImmersion:
+class PolynomialImmersion(Record):
     """f: R^m -> R^n with polynomial components."""
 
-    space: SignatureSpace
-    chart_dim: int
-    components: Tuple[Polynomial, ...]
+    __slots__ = ("space", "chart_dim", "components", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, space: SignatureSpace, chart_dim: int, components: Tuple[Polynomial, ...]
+    ) -> None:
+        self._set(space, chart_dim, components)
         if not 1 <= self.chart_dim < self.space.dim:
             raise ValidationError(
                 f"chart dimension {self.chart_dim} must be positive and below "
@@ -354,8 +354,23 @@ def construct_ltr(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class _FrameFields(NamedTuple):
+    """The fields of AdaptedFrame, which adds an instance dict for its caches."""
+
+    space: SignatureSpace
+    point: Tuple[QuadScalar, ...]
+    tangent_jacobian: Tuple[Vec, ...]
+    tangent_gram: Mat
+    tangent: Subspace
+    normal: Subspace
+    radical: Subspace
+    screen: Subspace
+    normal_screen: Subspace
+    ltr: Tuple[Vec, ...]
+    case: CaseKind
+
+
+class AdaptedFrame(_FrameFields):
     """Everything the pointwise checks need, all exact.
 
     tangent_jacobian keeps the coordinate order of the chart, while the
@@ -371,20 +386,9 @@ class AdaptedFrame:
     geometry splits against; build_frame factors none of them.
     """
 
-    space: SignatureSpace
-    point: Tuple[QuadScalar, ...]
-    tangent_jacobian: Tuple[Vec, ...]
-    tangent_gram: Mat
-    tangent: Subspace
-    normal: Subspace
-    radical: Subspace
-    screen: Subspace
-    normal_screen: Subspace
-    ltr: Tuple[Vec, ...]
-    case: CaseKind
-    _factors: Dict[Tuple[Vec, ...], FactoredBasis] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    @cached_property
+    def _factors(self) -> Dict[Tuple[Vec, ...], FactoredBasis]:
+        return {}
 
     @property
     def rad_basis(self) -> Tuple[Vec, ...]:

@@ -1,5 +1,7 @@
 """Signature spaces, orthogonal complements, structure validators."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,9 @@ from lightlike_lab.linalg import (
     null_space,
     transpose,
 )
+from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
+from lightlike_lab.submanifold import PolynomialImmersion
 
 P02 = MetallicParams(0, 2)
 
@@ -216,3 +220,44 @@ def test_structure_shape_guard():
         MetallicStructure(space, identity(2, GOLDEN))
     with pytest.raises(ShapeError):
         validate_metallic((), GOLDEN)
+
+
+def _validated_records():
+    params = MetallicParams(1, 1)
+    space = SignatureSpace(3, (-1, 1, 1), params)
+    structure = MetallicStructure(space, diag_branches(params, ["sigma"] * 3))
+    x, y = (Polynomial.variable(i, 2, params) for i in range(2))
+    immersion = PolynomialImmersion(space, 2, (x, x, y))
+    return [params, space, structure, immersion]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["params", "space", "structure", "immersion"])
+def test_validated_records_are_read_only_values(index):
+    record = _validated_records()[index]
+    twin = _validated_records()[index]
+    assert record == twin and hash(record) == hash(twin) and record is not twin
+    assert record != record._values and record != object()
+    name = record._fields[0]
+    assert repr(record).startswith(f"{type(record).__name__}({name}=")
+    with pytest.raises(AttributeError):
+        setattr(record, name, twin)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(other) is type(record) and other == record
+
+
+def test_record_repr_and_field_order_match_the_constructor():
+    assert repr(MetallicParams(2, 3)) == "MetallicParams(p=2, q=3)"
+    assert MetallicParams(q=3, p=2) == MetallicParams(2, 3) != MetallicParams(3, 2)
+    space = SignatureSpace(eps=(1, -1), params=GOLDEN, dim=2)
+    assert space._values == (2, (1, -1), GOLDEN)
+    assert repr(space) == "SignatureSpace(dim=2, eps=(1, -1), params=MetallicParams(p=1, q=1))"
+
+
+def test_immersion_caches_survive_the_read_only_fields():
+    immersion = _validated_records()[3]
+    assert immersion.jacobian_polys is immersion.jacobian_polys
+    assert immersion.hessian_polys is immersion.hessian_polys

@@ -2,7 +2,6 @@
 criterion must agree with its independent oracle, and configurations the
 algebra rules out must abort instead of reporting a verdict."""
 
-import dataclasses
 import functools
 import json
 import random
@@ -391,7 +390,7 @@ def test_projector_audit_reports_a_perturbed_slot_matrix(mode):
             rows[i][j] = rows[i][j] + q0(1)
             bent = dict(proj.matrices)
             bent[slot] = tuple(tuple(row) for row in rows)
-            problems = dataclasses.replace(proj, matrices=bent).audit()
+            problems = proj._replace(matrices=bent).audit()
             assert any(p.startswith(f"P[{slot}] ") for p in problems), (slot, i, j)
             assert "slot projectors do not sum to the identity" in problems
 
@@ -468,6 +467,34 @@ def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
     # at least the frame's split and Jacobian bases and the kit systems
     assert len(eliminated) >= 6
     assert max(eliminated.values()) == 1
+
+
+def test_radical_clause_is_computed_once_per_point(monkeypatch):
+    calls = Counter()
+    mapped_radical = PointContext.mapped_radical
+
+    def counting(self):
+        calls[id(self)] += 1
+        return mapped_radical(self)
+
+    monkeypatch.setattr(PointContext, "mapped_radical", counting)
+    sc = perturbed_structured_scene(random.Random(0), P0, "radical-transversal", ())
+    args = (sc.immersion, sc.structure, sc.point, sc.screen_override, sc.normal_screen_override)
+    ctx = PointContext(*args)
+    rt = ctx.configuration("radical-transversal")[1]
+    tr = ctx.configuration("transversal")[1]
+    for check in POINT_CHECK_FUNCTIONS.values():
+        check(ctx)
+    assert calls[id(ctx)] == 1
+    assert rt["radical_images_span_transversal"] is True
+    assert rt["radical_images"] == tr["radical_images"]
+    # a raising clause is not kept: each mode raises again
+    broken = PointContext(*args)
+    monkeypatch.setattr(PointContext, "params", property(lambda self: GOLDEN))
+    for mode in ("radical-transversal", "transversal"):
+        with pytest.raises(InternalInconsistency, match="trace obstruction rules out"):
+            broken.configuration(mode)
+    assert calls[id(broken)] == 2
 
 
 def test_structure_image_fields_compose_pointwise():

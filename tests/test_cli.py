@@ -213,12 +213,15 @@ def test_console_script_runs_end_to_end(tmp_path):
 
 
 def test_runtime_import_path_leaves_the_scene_generators_out():
+    # nor dataclasses: its class generation and its inspect import would
+    # cost every fresh process about as much again as the package import
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, lightlike_lab.runner, lightlike_lab.cli; "
-            "assert 'lightlike_lab.generators' not in sys.modules",
+            "assert 'lightlike_lab.generators' not in sys.modules; "
+            "assert 'dataclasses' not in sys.modules",
         ],
         capture_output=True,
         text=True,

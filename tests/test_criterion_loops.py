@@ -4,7 +4,6 @@ witness bytes, on generated scenes and on every fixture point."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from collections import defaultdict
@@ -62,7 +61,7 @@ def regauged(ctx):
         )
         for a, f in enumerate(kit.screen_adapted)
     )
-    ctx._kit = dataclasses.replace(kit, screen_adapted=fields)
+    ctx._kit = kit._replace(screen_adapted=fields)
     return ctx
 
 

@@ -4,7 +4,6 @@ Fixture verdicts pinned here were recorded from the first accepted run
 and guard against regressions in any layer below the runner.
 """
 
-import dataclasses
 import json
 from importlib import resources
 
@@ -726,12 +725,11 @@ def test_generated_multipoint_report_bytes_are_pinned(spec):
 def test_reversing_the_points_keeps_verdicts_and_reverses_point_entries(spec):
     # p = 0 scenes whose base point is in the configuration and whose
     # drawn points mostly are not, so the per-point verdicts are mixed
-    scene = dataclasses.replace(
-        generated_multipoint_scene(*spec),
+    scene = generated_multipoint_scene(*spec)._replace(
         checks=tuple(c for c in CHECK_ORDER if c != "audit-nonexistence"),
     )
     forward = run(scene).to_dict()
-    backward = run(dataclasses.replace(scene, points=scene.points[::-1])).to_dict()
+    backward = run(scene._replace(points=scene.points[::-1])).to_dict()
     assert backward["summary"] == forward["summary"]
     assert len(backward["entries"]) == len(forward["entries"])
     mixed = 0

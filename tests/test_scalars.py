@@ -302,6 +302,25 @@ def test_parse_rejects_garbage():
             parse_scalar(bad, GOLDEN)
 
 
+@pytest.mark.parametrize("params", [GOLDEN, MetallicParams(0, 4)], ids=["golden", "square"])
+def test_bare_ratio_parses_to_the_canonical_triple(params):
+    # "-n/d" takes the one-gcd path; a leading space sends the same text
+    # through the term parser, which must agree triple for triple
+    d = 10**1000 + 7  # a 1001-digit denominator
+    cases = [("-4/6", (-2, 0, 3)), ("0/7", (0, 0, 1)), ("-0/3", (0, 0, 1)), ("12/4", (3, 0, 1))]
+    for text, triple in cases + [(f"{3 * d}/{6 * d}", (1, 0, 2)), (f"-5/{d}", (-5, 0, d))]:
+        for variant in (text, " " + text):
+            x = parse_scalar(variant, params)
+            assert (x.A, x.B, x.D, x.params) == triple + (params,), variant
+    with pytest.raises(ParseError) as info:
+        parse_scalar("5/0", params)
+    assert str(info.value) == "zero denominator in '5/0'"
+    long_zero = "-5/" + "0" * 30
+    with pytest.raises(ParseError) as info:
+        parse_scalar(long_zero, params)
+    assert str(info.value) == f"zero denominator in {long_zero[:24]!r}... (33 characters)"
+
+
 @pytest.fixture
 def default_int_limit():
     """Python's default int-string conversion limit, whatever the environment set."""

@@ -296,7 +296,7 @@ WHERES = ["/points/0/1", "/structure/1/2", "/submanifold/components/0/0/coeff"]
 @pytest.mark.parametrize("where", WHERES)
 def test_scalar_at_the_digit_bound_parses(where):
     big = _digits(MAX_SCALAR_DIGITS)
-    for text in (big, f"1/{big}*s", f"-{big}/3 + {big}*s"):
+    for text in (big, f"1/{big}", f"-{big}/3", f"1/{big}*s", f"-{big}/3 + {big}*s"):
         parse(_place_scalar(base_scene_dict(), where, text))
 
 
@@ -304,7 +304,7 @@ def test_scalar_at_the_digit_bound_parses(where):
 @pytest.mark.parametrize("digits", [MAX_SCALAR_DIGITS + 1, 20000])
 def test_scalar_past_the_digit_bound_is_rejected(where, digits):
     big = _digits(digits)
-    for text in (big, f"1/{big}*s", f"2 - {big}*s"):
+    for text in (big, f"1/{big}", f"-{big}/7", f"1/{big}*s", f"2 - {big}*s"):
         with pytest.raises(ValidationError) as info:
             parse(_place_scalar(base_scene_dict(), where, text))
         assert str(info.value) == (
