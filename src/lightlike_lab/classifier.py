@@ -16,18 +16,21 @@ the structure matrix composed with a kit field.  That composition is
 what makes the criterion-to-oracle equivalences exact identities at the
 point rather than statements about an ambient neighborhood.  J is
 constant, so D(X, J V) = J D(X, V), and no composed section is built:
-each criterion is one residual operator, composed from the point's
-FrameSplits, applied to the stacked derivative columns D(X_a, V_b) of
+each criterion is one residual operator, composed from the point's slot
+projectors, applied to the stacked derivative columns D(X_a, V_b) of
 its pair domain.  The oracles stay per-vector, splitting one bracket or
-induced derivative at a time, and read nothing from FrameSplits.
+induced derivative at a time against the frame's own factored bases,
+and read no slot projector.
 
-Both configurations split the ambient space into the same slots (screen,
-radical, null transversal, and the normal screen) and differ only in
-where the structure map sends the screen: onto itself in the
+Both configurations split the ambient space into the same four slots
+(screen, radical, null transversal, and the normal screen) and differ
+only in where the structure map sends the screen: onto itself in the
 radical-transversal mode, into the normal screen in the transversal
 mode, which then splits into the mapped screen and its complement mu.
 A mode picks the predicate's screen target and the slots of its
-ProjectorSet, which holds one exact projector matrix per slot.
+ProjectorSet, which holds one exact projector matrix per slot.  The
+four-slot set exists at every lightlike point; the criteria and
+structure-eqs read it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import (
     MetallicStructure,
@@ -219,31 +222,12 @@ class ProjectorSet(NamedTuple):
         return problems
 
 
-class FrameSplits(NamedTuple):
-    """The frame's split maps at a point as exact matrices.
-
-    tangent (T), transversal (L) and normal_screen (S) split an ambient
-    vector over the tangent space, the null transversal frame and the
-    normal screen; screen (P_screen T) and radical (P_radical T) split
-    its tangent part; transversal_coeffs maps it to its coefficients on
-    the null transversal frame.  structure-eqs and the ten criteria read
-    these; no oracle does.
-    """
-
-    tangent: Mat
-    transversal: Mat
-    normal_screen: Mat
-    screen: Mat
-    radical: Mat
-    transversal_coeffs: Mat
-
-
 # ---- per-point shared state ----
 
 
 class PointContext:
-    """Frame, lazy chart jet and kit, lazy predicates, split matrices
-    and slot projectors at one point."""
+    """Frame, lazy chart jet and kit, lazy predicates and slot
+    projectors at one point."""
 
     def __init__(
         self,
@@ -265,7 +249,7 @@ class PointContext:
         self._radical: Optional[Tuple[bool, Tuple[Vec, ...]]] = None
         self._mu: Optional[Subspace] = None
         self._proj: Dict[str, ProjectorSet] = {}
-        self._splits: Optional[FrameSplits] = None
+        self._tangent: Optional[Mat] = None
 
     @property
     def space(self):
@@ -368,21 +352,18 @@ class PointContext:
             self._mu = mu
         return self._mu
 
-    def splits(self) -> FrameSplits:
-        if self._splits is None:
-            frame = self.frame
-            m, r, s = frame.tangent.dim, len(frame.ltr), frame.screen.dim
-            full = frame.full_factor
-            T = full.projector(range(m))
-            self._splits = FrameSplits(
-                T,
-                full.projector(range(m, m + r)),
-                full.projector(range(m + r, len(full.basis))),
-                mat_mul(frame.tangent_factor.projector(range(s)), T),
-                mat_mul(frame.tangent_factor.projector(range(s, s + r)), T),
-                full.coordinate_map(range(m, m + r)),
-            )
-        return self._splits
+    def slot(self, label: str) -> Mat:
+        """The four-slot projector onto screen, radical, transversal or
+        normal-screen, or onto "tangent", the screen-plus-radical sum.
+        The radical-transversal mode's set is the four-slot set; it
+        decomposes the ambient space at every lightlike point, in either
+        configuration or neither."""
+        matrices = self.projectors("radical-transversal").matrices
+        if label != "tangent":
+            return matrices[label]
+        if self._tangent is None:
+            self._tangent = mat_add(matrices["screen"], matrices["radical"])
+        return self._tangent
 
     def projectors(self, mode: str) -> ProjectorSet:
         if mode in self._proj:
@@ -416,34 +397,23 @@ class PointContext:
 # ---- structure validators as checks ----
 
 
-def check_structure_quadratic(structure: MetallicStructure) -> CheckEntry:
-    ok, defects = validate_metallic(structure.matrix, structure.space.params)
+def _validator_entry(name: str, ok: bool, defects) -> CheckEntry:
     witness = {
         "defects": [d.message() for d in defects[:_WITNESS_CAP]],
         "defect_count": len(defects),
         "truncated": len(defects) > _WITNESS_CAP,
     }
-    return CheckEntry(
-        "metallic-validate",
-        Verdict.HOLDS if ok else Verdict.FAILS,
-        REFERENCES["metallic-validate"],
-        witness,
-    )
+    return CheckEntry(name, Verdict.HOLDS if ok else Verdict.FAILS, REFERENCES[name], witness)
+
+
+def check_structure_quadratic(structure: MetallicStructure) -> CheckEntry:
+    ok, defects = validate_metallic(structure.matrix, structure.space.params)
+    return _validator_entry("metallic-validate", ok, defects)
 
 
 def check_structure_compat(structure: MetallicStructure) -> CheckEntry:
     ok, defects = validate_compatibility(structure.space, structure.matrix)
-    witness = {
-        "defects": [d.message() for d in defects[:_WITNESS_CAP]],
-        "defect_count": len(defects),
-        "truncated": len(defects) > _WITNESS_CAP,
-    }
-    return CheckEntry(
-        "compat-validate",
-        Verdict.HOLDS if ok else Verdict.FAILS,
-        REFERENCES["compat-validate"],
-        witness,
-    )
+    return _validator_entry("compat-validate", ok, defects)
 
 
 # ---- frame reporting ----
@@ -535,42 +505,37 @@ def _gate(ctx: PointContext, name: str, mode: str) -> Optional[CheckEntry]:
     return None
 
 
+def _invariance_audit(
+    ctx: PointContext, name: str, mode: str, subspace: Callable[[], Subspace], what: str, key: str
+) -> CheckEntry:
+    """The subspace, built only past the gate, must be invariant under
+    the structure map whenever the mode's predicate holds."""
+    gate = _gate(ctx, name, mode)
+    if gate is not None:
+        return gate
+    space = subspace()
+    if not all(space.contains(ctx.structure.apply(v)) for v in space.basis):
+        raise InternalInconsistency(f"{what} lost invariance in a {mode} configuration")
+    witness = {key: space.dim, "images_checked": space.dim}
+    return CheckEntry(name, Verdict.HOLDS, REFERENCES[name], witness)
+
+
 def check_normal_screen_invariance(ctx: PointContext) -> CheckEntry:
     """Consequence audit: the normal screen must be invariant whenever
     the radical-transversal predicate holds."""
-    gate = _gate(ctx, "thm-3.3", "radical-transversal")
-    if gate is not None:
-        return gate
-    frame = ctx.frame
-    for z in frame.normal_screen.basis:
-        image = ctx.structure.apply(z)
-        if not frame.normal_screen.contains(image):
-            raise InternalInconsistency(
-                "normal screen lost invariance in a radical-transversal configuration"
-            )
-    witness = {
-        "normal_screen_dim": frame.normal_screen.dim,
-        "images_checked": frame.normal_screen.dim,
-    }
-    return CheckEntry("thm-3.3", Verdict.HOLDS, REFERENCES["thm-3.3"], witness)
+    return _invariance_audit(
+        ctx, "thm-3.3", "radical-transversal", lambda: ctx.frame.normal_screen,
+        "normal screen", "normal_screen_dim",
+    )
 
 
 def check_mapped_screen_complement_invariance(ctx: PointContext) -> CheckEntry:
     """Consequence audit: the complement of the mapped screen inside the
     normal screen must be invariant whenever the transversal predicate
     holds."""
-    gate = _gate(ctx, "prop-4.2", "transversal")
-    if gate is not None:
-        return gate
-    mu = ctx.mu_subspace()
-    for v in mu.basis:
-        image = ctx.structure.apply(v)
-        if not mu.contains(image):
-            raise InternalInconsistency(
-                "mapped-screen complement lost invariance in a transversal configuration"
-            )
-    witness = {"mu_dim": mu.dim, "images_checked": mu.dim}
-    return CheckEntry("prop-4.2", Verdict.HOLDS, REFERENCES["prop-4.2"], witness)
+    return _invariance_audit(
+        ctx, "prop-4.2", "transversal", ctx.mu_subspace, "mapped-screen complement", "mu_dim"
+    )
 
 
 # ---- structure equation audit ----
@@ -594,21 +559,19 @@ def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat],
 
         tangent             T J - T J L - tangent_term
         screen-transversal  S J - screen_term
-        null-transversal    L J - J P_radical T - L J L
+        null-transversal    L J - J P_radical - L J L
 
-    T, L and S split the ambient space over the tangent space, the null
-    transversal frame and the normal screen, and P_screen T and
-    P_radical T split its tangent part: the point's FrameSplits, which
-    the ten criteria share.  The mode supplies the two terms that depend
-    on where J sends the screen.
+    P_screen, P_radical, L and S are the point's four-slot projectors
+    onto the screen, the radical, the null transversal frame and the
+    normal screen, which the ten criteria share, and T = P_screen +
+    P_radical projects onto the tangent space.  The mode supplies the
+    two terms that depend on where J sends the screen.
     """
-    splits = ctx.splits()
-    T, L, S = splits.tangent, splits.transversal, splits.normal_screen
-    p_screen_t, p_radical_t = splits.screen, splits.radical
+    T, L, S = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("normal-screen")
     J = ctx.structure.matrix
     proj = ctx.projectors(mode)
     TJ, LJ = mat_mul(T, J), mat_mul(L, J)
-    j_nabla = mat_mul(J, p_screen_t)
+    j_nabla = mat_mul(J, ctx.slot("screen"))
     if mode == "radical-transversal":
         # J keeps the screen, hence the normal screen (thm-3.3), so J hs
         # stays in the normal screen
@@ -628,7 +591,7 @@ def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat],
         ("screen-transversal", mat_sub(mat_mul(S, J), screen_term)),
         (
             "null-transversal",
-            mat_sub(mat_sub(LJ, mat_mul(J, p_radical_t)), mat_mul(LJ, L)),
+            mat_sub(mat_sub(LJ, mat_mul(J, ctx.slot("radical"))), mat_mul(LJ, L)),
         ),
     )
 
@@ -692,6 +655,14 @@ def check_structure_equations(ctx: PointContext) -> CheckEntry:
 def _lowered(space: SignatureSpace, vectors: Sequence[Vec]) -> Mat:
     """Rows eps * v, so that row . w = <v, w>."""
     return tuple(tuple(-x if e < 0 else x for e, x in zip(space.eps, v)) for v in vectors)
+
+
+def _transversal_coefficients(ctx: PointContext) -> Mat:
+    """Rows mapping a vector to its coefficients on the null transversal
+    frame: the lowered radical basis.  <xi_j, v> is the N_j coefficient
+    of v, since xi_j is orthogonal to the tangent space and the normal
+    screen and <N_i, xi_j> = delta_ij, which build_frame asserts."""
+    return _lowered(ctx.space, ctx.frame.rad_basis)
 
 
 def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
@@ -773,7 +744,7 @@ def _bind(
 # Every criterion is linear in first derivatives D(X, V) = sum_j X^j d_j V
 # of kit fields at the point, and J is constant, so a structure-composed
 # section differentiates as D(X, J V) = J D(X, V).  Each criterion is
-# therefore one residual matrix, composed from the point's FrameSplits,
+# therefore one residual matrix, composed from the point's slot projectors,
 # applied to the stacked derivative columns of its pair domain; column
 # c of the product is the residual of pair c, so its nonzero columns,
 # in pair order, are the samples.
@@ -834,12 +805,12 @@ def _vacuous(name: str) -> CheckEntry:
 
 def check_metric_connection_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Induced connection metric iff no mapped-radical shape operator
-    has a screen component: -P_screen T J on the radical fields along
+    has a screen component: -P_screen J on the radical fields along
     every coordinate field."""
     gate = _gate(ctx, "thm-3.5", "radical-transversal")
     if gate is not None:
         return gate
-    op = _scaled(-QuadScalar.one(ctx.params), mat_mul(ctx.splits().screen, ctx.structure.matrix))
+    op = _scaled(-QuadScalar.one(ctx.params), mat_mul(ctx.slot("screen"), ctx.structure.matrix))
     samples = _nonzero(op, _radical_along_coordinates(ctx))
     criterion = not samples
     oracle, checked = _metric_oracle(ctx)
@@ -862,7 +833,7 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
         return _vacuous("thm-3.6")
     # the criterion uses the literal structure-composed adapted fields,
     # the same gauge the bracket oracle probes
-    op = mat_mul(ctx.splits().transversal_coeffs, ctx.structure.matrix)
+    op = mat_mul(_transversal_coefficients(ctx), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
@@ -881,7 +852,7 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
     if gate is not None:
         return gate
     kit = ctx.kit()
-    op = mat_mul(ctx.splits().tangent, ctx.structure.matrix)
+    op = mat_mul(ctx.slot("tangent"), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.radical))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
@@ -895,7 +866,7 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
 def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution totally geodesic iff the screen form
     transfers through the structure map with the linear coefficient:
-    P_radical T (J - p) on the screen fields along the radical ones."""
+    P_radical (J - p) on the screen fields along the radical ones."""
     gate = _gate(ctx, "thm-3.8", "radical-transversal")
     if gate is not None:
         return gate
@@ -903,7 +874,7 @@ def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry
     if ctx.frame.screen.dim == 0:
         return _vacuous("thm-3.8")
     _, _, j_minus_p = _coefficient(ctx)
-    op = mat_mul(ctx.splits().radical, j_minus_p)
+    op = mat_mul(ctx.slot("radical"), j_minus_p)
     samples = _nonzero(op, _pairs(kit.radical, kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
@@ -920,7 +891,7 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
 
     J N_k splits into its transversal part k1 = L J N_k and its tangent
     part k2 = T J N_k, which must be radical.  On the screen pairs the
-    balance against N_k is <P_radical T (J - p) D, k1> +
+    balance against N_k is <P_radical (J - p) D, k1> +
     <L (J - p) D, k2>, one row per k.
 
     The printed form of this criterion groups its terms so that one of
@@ -935,20 +906,19 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     kit = ctx.kit()
     if ctx.frame.screen.dim == 0:
         return _vacuous("thm-3.9")
-    splits = ctx.splits()
+    T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
     _, J, j_minus_p = _coefficient(ctx)
     j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
-    if any(not is_zero_vec(mat_vec(splits.screen, v)) for v in j_ltr):
+    if any(not is_zero_vec(mat_vec(ctx.slot("screen"), v)) for v in j_ltr):
         raise InternalInconsistency("transversal image acquired a screen component")
-    k1 = [mat_vec(splits.transversal, v) for v in j_ltr]
-    k2 = [mat_vec(splits.tangent, v) for v in j_ltr]
+    k1 = [mat_vec(L, v) for v in j_ltr]
+    k2 = [mat_vec(T, v) for v in j_ltr]
     no_transversal_component = all(is_zero_vec(v) for v in k1)
     balance = mat_add(
-        mat_mul(_lowered(ctx.space, k1), splits.radical),
-        mat_mul(_lowered(ctx.space, k2), splits.transversal),
+        mat_mul(_lowered(ctx.space, k1), radical), mat_mul(_lowered(ctx.space, k2), L)
     )
-    # the printed display: P_radical T + T J L, both after J - p
-    printed = mat_add(splits.radical, mat_mul(mat_mul(splits.tangent, J), splits.transversal))
+    # the printed display: P_radical + T J L, both after J - p
+    printed = mat_add(radical, mat_mul(mat_mul(T, J), L))
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
     samples = _nonzero(mat_mul(balance, j_minus_p), columns)
     criterion = not samples
@@ -976,7 +946,7 @@ def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
     if gate is not None:
         return gate
     kit = ctx.kit()
-    op = mat_mul(ctx.splits().normal_screen, ctx.structure.matrix)
+    op = mat_mul(ctx.slot("normal-screen"), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.radical))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
@@ -997,7 +967,7 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
     kit = ctx.kit()
     if ctx.frame.screen.dim == 0:
         return _vacuous("thm-4.6")
-    op = mat_mul(ctx.splits().transversal_coeffs, ctx.structure.matrix)
+    op = mat_mul(_transversal_coefficients(ctx), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
@@ -1011,7 +981,7 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
 def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution totally geodesic iff the mapped-screen split
     balances against every transversal image: on the screen pairs, the
-    display (T + L) J - p (P_radical T + L) paired with each J N_k.
+    display (T + L) J - p (P_radical + L) paired with each J N_k.
 
     The printed form of this criterion carries a sign slip between its
     statement and its own derivation; the verdict is bound to the
@@ -1024,16 +994,15 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     kit = ctx.kit()
     if ctx.frame.screen.dim == 0:
         return _vacuous("thm-4.7")
-    splits = ctx.splits()
     p, J, _ = _coefficient(ctx)
-    T, L, radical = splits.tangent, splits.transversal, splits.radical
+    T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
     display = mat_sub(mat_mul(mat_add(T, L), J), _scaled(p, mat_add(radical, L)))
     j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
     samples = _nonzero(mat_mul(_lowered(ctx.space, j_ltr), display), columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
-    # the printed conjunction: L (J + p), P_radical T and P_radical T J
+    # the printed conjunction: L (J + p), P_radical and P_radical J
     # vanish on every screen pair
     conj_coupling = not _nonzero(mat_add(mat_mul(L, J), _scaled(p, L)), columns)
     conj_screen_form = not _nonzero(radical, columns)
@@ -1055,7 +1024,7 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
 def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution totally geodesic iff the mapped-screen shape
     operators stay out of the radical after the screen-form correction:
-    -P_radical T (J - p) on the screen fields along the radical ones.
+    -P_radical (J - p) on the screen fields along the radical ones.
 
     The printed form of this criterion drops the screen-form correction
     term; the verdict is bound to the corrected display and the printed
@@ -1067,7 +1036,7 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     kit = ctx.kit()
     if ctx.frame.screen.dim == 0:
         return _vacuous("thm-4.8")
-    radical = ctx.splits().radical
+    radical = ctx.slot("radical")
     _, J, j_minus_p = _coefficient(ctx)
     columns = _pairs(kit.radical, kit.screen_adapted)
     op = _scaled(-QuadScalar.one(ctx.params), mat_mul(radical, j_minus_p))
@@ -1099,7 +1068,7 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
     columns = _radical_along_coordinates(ctx)
     slot_screen = ctx.projectors("transversal").matrices["screen"]
     _, J, j_minus_p = _coefficient(ctx)
-    op = mat_mul(mat_mul(mat_mul(slot_screen, J), ctx.splits().normal_screen), j_minus_p)
+    op = mat_mul(mat_mul(mat_mul(slot_screen, J), ctx.slot("normal-screen")), j_minus_p)
     samples = _nonzero(op, columns)
     criterion = not samples
     oracle, checked = _metric_oracle(ctx)

@@ -15,6 +15,7 @@ from typing import List, Optional
 from .classifier import CHECK_ORDER, REFERENCES
 from .errors import InternalInconsistency, ParseError, ValidationError
 from .runner import TOOL_VERSION, run
+from .scalars import _quote
 from .scenes import parse_scene
 
 SEED_ENV = "LIGHTLIKE_LAB_SEED"
@@ -28,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     parser.add_argument("scene", nargs="?", help="scene JSON file")
     parser.add_argument("--report", metavar="OUT", help="write the JSON report here")
-    parser.add_argument("--seed", type=int, help="override the scene seed")
+    parser.add_argument("--seed", help="override the scene seed")
     parser.add_argument(
         "--float-check",
         action="store_true",
@@ -42,16 +43,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed(text: str, source: str) -> int:
+    """A seed override: a nonnegative integer, as the scene's /seed."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValidationError(f"{source} must be a nonnegative integer, got {_quote(text)}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(
+            f"{source}: {_quote(text)} exceeds the integer conversion limit"
+        ) from None
+
+
 def _effective_seed(args) -> Optional[int]:
     if args.seed is not None:
-        return args.seed
+        return _seed(args.seed, "--seed")
     env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV} must be an integer, got {env!r}")
-    return None
+    return None if env is None else _seed(env, SEED_ENV)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -224,20 +224,12 @@ class _SceneRun:
             ctx = self.context(i)
             try:
                 entry = POINT_CHECK_FUNCTIONS[cid](ctx)
-            except NotLightlike as exc:
-                entry = CheckEntry(
-                    cid,
-                    Verdict.NOT_APPLICABLE,
-                    REFERENCES[cid],
-                    {"reason": f"not lightlike: {exc}"},
+            except (NotLightlike, InsufficientScene) as exc:
+                why = (
+                    "not lightlike" if isinstance(exc, NotLightlike) else "insufficient scene data"
                 )
-            except InsufficientScene as exc:
-                entry = CheckEntry(
-                    cid,
-                    Verdict.NOT_APPLICABLE,
-                    REFERENCES[cid],
-                    {"reason": f"insufficient scene data: {exc}"},
-                )
+                reason = {"reason": f"{why}: {exc}"}
+                entry = CheckEntry(cid, Verdict.NOT_APPLICABLE, REFERENCES[cid], reason)
             except InternalInconsistency as exc:
                 exc.check, exc.point = cid, i
                 raise
@@ -266,17 +258,23 @@ class _SceneRun:
         for i in range(len(scene.points)):
             ctx = self.context(i)
             jac = ctx.frame.tangent_jacobian
-            gram = ctx.frame.tangent_gram
             m = len(jac)
-            jf = np.array([[float(x) for x in row] for row in jac])
-            gram_float = jf @ np.diag(eps) @ jf.T
+            try:
+                jf = np.array([[float(x) for x in row] for row in jac])
+                exact = [[float(x) for x in row] for row in ctx.frame.tangent_gram]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gram_float = jf @ np.diag(eps) @ jf.T
+            except OverflowError:
+                gram_float = None
+            # products of entries in range can still overflow, or cancel to nan
+            if gram_float is None or not np.isfinite(gram_float).all():
+                raise ValidationError(
+                    f"/points/{i}: frame values exceed the floating-point range of the float check"
+                )
             deviation = 0.0
             for a in range(m):
                 for b in range(m):
-                    exact = gram[a][b]
-                    deviation = max(
-                        deviation, abs(float(exact) - float(gram_float[a, b]))
-                    )
+                    deviation = max(deviation, abs(exact[a][b] - float(gram_float[a, b])))
             svals = np.linalg.svd(gram_float, compute_uv=False)
             tol = 1e-9 * max(1.0, float(svals[0]) if len(svals) else 1.0)
             rk = int((svals > tol).sum())
@@ -310,30 +308,15 @@ def run(scene: Scene, seed: Optional[int] = None, float_check: bool = False) -> 
         state.validate_sections()
     frame_entry = state.compare_claims()
 
+    scene_checks = {
+        "metallic-validate": lambda: check_structure_quadratic(scene.structure),
+        "compat-validate": lambda: check_structure_compat(scene.structure),
+        "audit-nonexistence": lambda: check_single_null_obstruction(random.Random(effective_seed)),
+    }
     entries: List[Dict] = []
     for cid in scene.checks:
-        if cid == "metallic-validate":
-            entry = check_structure_quadratic(scene.structure)
-            entries.append(
-                {
-                    "check": cid,
-                    "verdict": entry.verdict.value,
-                    "reference": entry.reference,
-                    "witness": entry.witness,
-                }
-            )
-        elif cid == "compat-validate":
-            entry = check_structure_compat(scene.structure)
-            entries.append(
-                {
-                    "check": cid,
-                    "verdict": entry.verdict.value,
-                    "reference": entry.reference,
-                    "witness": entry.witness,
-                }
-            )
-        elif cid == "audit-nonexistence":
-            entry = check_single_null_obstruction(random.Random(effective_seed))
+        if cid in scene_checks:
+            entry = scene_checks[cid]()
             entries.append(
                 {
                     "check": cid,

@@ -267,6 +267,72 @@ def test_projector_audit_is_clean_on_holding_scenes(config, mode):
     assert ctx.projectors(mode).audit() == []
 
 
+def _factored_splits(frame):
+    """The split maps composed from the frame's own factorizations, as
+    the oracles split: the tangent + transversal + normal-screen basis
+    and the screen + radical basis."""
+    m, r, s = frame.tangent.dim, len(frame.ltr), frame.screen.dim
+    full, tangent = frame.full_factor, frame.tangent_factor
+    T = full.projector(range(m))
+    splits = {
+        "tangent": T,
+        "transversal": full.projector(range(m, m + r)),
+        "normal-screen": full.projector(range(m + r, len(full.basis))),
+        "screen": mat_mul(tangent.projector(range(s)), T),
+        "radical": mat_mul(tangent.projector(range(s, s + r)), T),
+    }
+    return splits, full.coordinate_map(range(m, m + r))
+
+
+def _configured(ctx):
+    return ctx.structure_valid() and any(
+        ctx.configuration(mode)[0] for mode in ("radical-transversal", "transversal")
+    )
+
+
+def _assert_slots_are_the_factored_splits(ctx):
+    splits, coefficients = _factored_splits(ctx.frame)
+    for label, matrix in splits.items():
+        assert ctx.slot(label) == matrix, label
+    # <xi_j, v> is the N_j coefficient of v
+    assert classifier._transversal_coefficients(ctx) == coefficients
+    assert len(coefficients) == ctx.frame.radical_dim > 0
+
+
+FIXTURE_DIR = resources.files("lightlike_lab") / "fixtures"
+
+
+def test_four_slot_projectors_are_the_factored_splits_on_the_fixtures():
+    checked = []
+    for path in sorted(FIXTURE_DIR.iterdir(), key=lambda f: f.name):
+        if not path.name.endswith(".json"):
+            continue
+        sc = parse_scene(path.read_bytes())
+        for point in sc.points:
+            try:
+                ctx = PointContext(sc.immersion, sc.structure, point, sc.screen, sc.normal_screen)
+                if not _configured(ctx):
+                    continue
+            except (NotLightlike, InternalInconsistency):
+                continue
+            _assert_slots_are_the_factored_splits(ctx)
+            checked.append(path.name)
+    assert len(set(checked)) == 5, checked
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("config", ["radical-transversal", "transversal"])
+def test_four_slot_projectors_are_the_factored_splits_on_a_sweep(config, q):
+    checked = 0
+    for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
+        for seed in range(8):
+            ctx = scene_context(config, flavors, seed, MetallicParams(0, q))
+            assert _configured(ctx)
+            _assert_slots_are_the_factored_splits(ctx)
+            checked += 1
+    assert checked == 48
+
+
 # The lettered projections the structure equations are written with,
 # each the sum of the slot projectors it names, and the complement pairs
 # that must sum to the identity on their shared domain.

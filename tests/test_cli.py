@@ -169,12 +169,86 @@ def test_scene_seed_is_the_fallback(tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text())["seed"] == scene_seed
 
 
-def test_garbage_env_seed_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "not-a-number")
-    code = main([fixture_path("identity-structure.json")])
-    err = capsys.readouterr().err
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        ("env", "not-a-number"),
+        ("env", "9" * 5000),
+        ("flag", "9" * 5000),
+        ("env", "-3"),
+        ("flag", "-3"),
+        ("flag", "+3"),
+        ("env", " 3"),
+    ],
+    ids=[
+        "env-text",
+        "env-5000-digits",
+        "flag-5000-digits",
+        "env-negative",
+        "flag-negative",
+        "flag-plus-sign",
+        "env-space",
+    ],
+)
+def test_garbage_env_seed_is_an_input_error(where, value, capsys, monkeypatch):
+    # the flag and the variable go through one parser: a nonnegative
+    # integer, as the scene's /seed, and an error that quotes a prefix
+    if where == "env":
+        monkeypatch.setenv(SEED_ENV, value)
+        argv, source = [], SEED_ENV
+    else:
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        argv, source = ["--seed", value], "--seed"
+    code = main([fixture_path("identity-structure.json"), *argv])
+    captured = capsys.readouterr()
     assert code == 2
-    assert SEED_ENV in err
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {source}")
+    assert len(captured.err) < 200
+    if value.isdigit():
+        assert "exceeds the integer conversion limit" in captured.err
+        assert "(5000 characters)" in captured.err
+    else:
+        assert f"must be a nonnegative integer, got {value!r}" in captured.err
+
+
+def _past_range_entry(scene):
+    # the Jacobian entry 2 * 10^400 has no float
+    scene["submanifold"]["components"][0].append({"coeff": "1", "powers": [2, 0]})
+    del scene["normal_screen"]
+    scene["points"] = [["1" + "0" * 400, "3"]]
+
+
+def _overflowing_products(scene):
+    # every Jacobian entry has a float, near 10^200, but their products
+    # overflow and the null Gram entries cancel inf - inf to nan
+    for comp in scene["submanifold"]["components"]:
+        for term in comp:
+            num, slash, den = term["coeff"].partition("/")
+            term["coeff"] = num + "0" * 200 + slash + den
+
+
+@pytest.mark.parametrize(
+    "enlarge",
+    [_past_range_entry, _overflowing_products],
+    ids=["past-range-entry", "overflowing-products"],
+)
+def test_float_check_refuses_values_past_the_float_range(enlarge, tmp_path, capsys):
+    # the exact frame is fine, and the run without the float check reports it
+    scene = json.loads((FIXTURES / "transversal-plane.json").read_text())
+    enlarge(scene)
+    scene["checks"] = ["frame"]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert main([str(path)]) == 0
+    capsys.readouterr()
+    code = main([str(path), "--float-check"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: /points/0: frame values exceed the floating-point range of the float check\n"
+    )
 
 
 def test_float_check_prints_deviation(capsys):
