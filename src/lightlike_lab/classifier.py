@@ -31,6 +31,12 @@ A mode picks the predicate's screen target and the slots of its
 ProjectorSet, which holds one exact projector matrix per slot.  The
 four-slot set exists at every lightlike point; the criteria and
 structure-eqs read it.
+
+REFERENCES is the one list of check identifiers and the screen-target
+table the one list of configuration names.  Every gated check passes
+_gate: a valid structure, the mode's predicate and, for the six
+criteria over screen pairs, a built kit, past which a screenless point
+holds vacuously.
 """
 
 from __future__ import annotations
@@ -99,8 +105,9 @@ class CheckEntry(NamedTuple):
     witness: Mapping[str, object]
 
 
-# Wire identifiers, in canonical execution order.  The descriptor says
-# what the check does; reports embed it next to each verdict.
+# The one list of check identifiers: its key order is the canonical
+# execution order, CHECK_ORDER.  The descriptor says what the check
+# does; reports embed it next to each verdict.
 REFERENCES: Dict[str, str] = {
     "metallic-validate": "structure endomorphism satisfies its defining quadratic relation",
     "compat-validate": "structure endomorphism is self-adjoint for the ambient form",
@@ -123,33 +130,9 @@ REFERENCES: Dict[str, str] = {
     "audit-nonexistence": "no single null direction can carry the whole radical-to-transversal mapping",
 }
 
-CHECK_ORDER: Tuple[str, ...] = (
-    "metallic-validate",
-    "compat-validate",
-    "frame",
-    "def-3.1",
-    "thm-3.3",
-    "def-4.1",
-    "prop-4.2",
-    "structure-eqs",
-    "thm-3.5",
-    "thm-3.6",
-    "thm-3.7",
-    "thm-3.8",
-    "thm-3.9",
-    "thm-4.5",
-    "thm-4.6",
-    "thm-4.7",
-    "thm-4.8",
-    "thm-4.9",
-    "audit-nonexistence",
-)
+CHECK_ORDER: Tuple[str, ...] = tuple(REFERENCES)
 
 _WITNESS_CAP = 6
-
-
-def _s(x: QuadScalar) -> str:
-    return str(x)
 
 
 def _sv(v: Sequence[QuadScalar]) -> List[str]:
@@ -179,12 +162,14 @@ RADICAL_TRANSVERSAL_SLOTS = ("screen", "radical", "transversal", "normal-screen"
 TRANSVERSAL_SLOTS = ("screen", "radical", "transversal", "mapped-screen", "mu")
 
 # mode -> (frame subspace the screen images must lie in, witness key);
+# its key order is the one list of configuration names, CONFIGURATIONS.
 # structure-eqs tries the modes in this order, so a point in both
 # configurations is audited in the radical-transversal mode
 _SCREEN_TARGETS = {
     "radical-transversal": ("screen", "screen_invariant"),
     "transversal": ("normal_screen", "screen_maps_into_normal_screen"),
 }
+CONFIGURATIONS: Tuple[str, ...] = tuple(_SCREEN_TARGETS)
 
 
 class ProjectorSet(NamedTuple):
@@ -302,11 +287,8 @@ class PointContext:
         ltr_span = Subspace(frame.ltr, space.dim, space.params)
         j_rad = self.mapped_radical()
         rad_images = Subspace(j_rad, space.dim, space.params)
-        radical_clause = (
-            rad_images.dim == ltr_span.dim
-            and ltr_span.contains_subspace(rad_images)
-            and rad_images.contains_subspace(ltr_span)
-        )
+        # equal dimensions make one containment an equality
+        radical_clause = rad_images.dim == ltr_span.dim and ltr_span.contains_subspace(rad_images)
         if radical_clause and self.params.p >= 1 and self.structure_valid():
             raise InternalInconsistency(
                 "radical directions map onto the null transversal span, which the"
@@ -318,18 +300,23 @@ class PointContext:
     def configuration(self, mode: str) -> Tuple[bool, Dict[str, object]]:
         """Radical maps onto the transversal span, and the screen maps
         into itself (radical-transversal) or into the normal screen
-        (transversal)."""
+        (transversal).  An internal error raised here names the mode."""
         if mode in self._config:
             return self._config[mode]
         if mode not in _SCREEN_TARGETS:
             raise InternalInconsistency(f"unknown configuration mode {mode!r}", mode=mode)
         target, key = _SCREEN_TARGETS[mode]
         self._require_lightlike()
-        radical_clause, j_rad = self._radical_clause()
-        j_scr = self.mapped_screen()
-        screen_clause = all(getattr(self.frame, target).contains(v) for v in j_scr) and (
-            rank(j_scr) == self.frame.screen.dim
-        )
+        try:
+            radical_clause, j_rad = self._radical_clause()
+            j_scr = self.mapped_screen()
+            screen_clause = all(getattr(self.frame, target).contains(v) for v in j_scr) and (
+                rank(j_scr) == self.frame.screen.dim
+            )
+        except InternalInconsistency as exc:
+            if exc.mode is None:
+                exc.mode = mode
+            raise
         witness: Dict[str, object] = {
             "radical_images": _smat(j_rad),
             "radical_images_span_transversal": radical_clause,
@@ -459,11 +446,11 @@ def check_frame(
                 "tangent_member": in_tangent,
                 "radical_member": in_radical,
                 "tangent_pairings": _sv(pairings),
-                "self_pairing": _s(space.inner(vec, vec)),
+                "self_pairing": str(space.inner(vec, vec)),
             }
         )
         if not in_radical:
-            nonzero = [f"{_s(p)}" for p in pairings if p != QuadScalar.zero(ctx.params)]
+            nonzero = [str(p) for p in pairings if p != QuadScalar.zero(ctx.params)]
             notices.append(
                 f"declared radical vector {k} is not in the computed radical; "
                 f"nonzero tangent pairings: {', '.join(nonzero) if nonzero else 'none'}"
@@ -496,12 +483,21 @@ def _not_applicable(name: str, reason: str) -> CheckEntry:
     return CheckEntry(name, Verdict.NOT_APPLICABLE, REFERENCES[name], {"reason": reason})
 
 
-def _gate(ctx: PointContext, name: str, mode: str) -> Optional[CheckEntry]:
-    """Common hypothesis gate: valid structure plus the mode predicate."""
+def _gate(ctx: PointContext, name: str, mode: str, screen: bool = False) -> Optional[CheckEntry]:
+    """Common hypothesis gate: valid structure plus the mode predicate.
+
+    A screen criterion (screen=True) then holds vacuously at a point
+    with no screen.  Its kit is built first, so a scene that cannot
+    supply the kit stays NOT_APPLICABLE there rather than vacuous.
+    """
     if not ctx.structure_valid():
         return _not_applicable(name, "structure endomorphism fails its validators")
     if not ctx.configuration(mode)[0]:
         return _not_applicable(name, f"point is not in the {mode} configuration")
+    if screen:
+        ctx.kit()
+        if ctx.frame.screen.dim == 0:
+            return CheckEntry(name, Verdict.HOLDS, REFERENCES[name], {"vacuous": True})
     return None
 
 
@@ -582,10 +578,11 @@ def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat],
         # splits over the mapped screen and the screen.  Its mapped-screen
         # part P_ms J P_ms hs is p P_ms hs (J^2 = p J + q on J(screen)),
         # and p = 0 wherever this configuration exists, so only the screen
-        # part enters
-        b_hs = mat_mul(J, mat_mul(proj.matrices["mapped-screen"], S))
+        # part enters.  The five slots refine the four, so P_ms S = P_ms
+        # and P_mu S = P_mu
+        b_hs = mat_mul(J, proj.matrices["mapped-screen"])
         tangent_term = mat_mul(proj.matrices["screen"], b_hs)
-        screen_term = mat_add(j_nabla, mat_mul(J, mat_mul(proj.matrices["mu"], S)))
+        screen_term = mat_add(j_nabla, mat_mul(J, proj.matrices["mu"]))
     return (
         ("tangent", mat_sub(mat_sub(TJ, mat_mul(TJ, L)), tangent_term)),
         ("screen-transversal", mat_sub(mat_mul(S, J), screen_term)),
@@ -627,7 +624,7 @@ def _structure_equations(ctx: PointContext, mode: str) -> int:
 def check_structure_equations(ctx: PointContext) -> CheckEntry:
     if not ctx.structure_valid():
         return _not_applicable("structure-eqs", "structure endomorphism fails its validators")
-    mode = next((m for m in _SCREEN_TARGETS if ctx.configuration(m)[0]), None)
+    mode = next((m for m in CONFIGURATIONS if ctx.configuration(m)[0]), None)
     if mode is None:
         return _not_applicable("structure-eqs", "point is in neither named configuration")
     try:
@@ -796,10 +793,6 @@ def _coefficient(ctx: PointContext) -> Tuple[QuadScalar, Mat, Mat]:
     return p, J, mat_sub(J, _scaled(p, identity(ctx.space.dim, ctx.params)))
 
 
-def _vacuous(name: str) -> CheckEntry:
-    return CheckEntry(name, Verdict.HOLDS, REFERENCES[name], {"vacuous": True})
-
-
 # ---- invariant-screen configuration criteria ----
 
 
@@ -825,12 +818,10 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
     """Screen distribution integrable iff the null form is symmetric on
     mapped screen pairs: the transversal coefficients of J on the
     antisymmetrised screen pairs."""
-    gate = _gate(ctx, "thm-3.6", "radical-transversal")
+    gate = _gate(ctx, "thm-3.6", "radical-transversal", screen=True)
     if gate is not None:
         return gate
     kit = ctx.kit()
-    if ctx.frame.screen.dim == 0:
-        return _vacuous("thm-3.6")
     # the criterion uses the literal structure-composed adapted fields,
     # the same gauge the bracket oracle probes
     op = mat_mul(_transversal_coefficients(ctx), ctx.structure.matrix)
@@ -867,12 +858,10 @@ def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry
     """Radical distribution totally geodesic iff the screen form
     transfers through the structure map with the linear coefficient:
     P_radical (J - p) on the screen fields along the radical ones."""
-    gate = _gate(ctx, "thm-3.8", "radical-transversal")
+    gate = _gate(ctx, "thm-3.8", "radical-transversal", screen=True)
     if gate is not None:
         return gate
     kit = ctx.kit()
-    if ctx.frame.screen.dim == 0:
-        return _vacuous("thm-3.8")
     _, _, j_minus_p = _coefficient(ctx)
     op = mat_mul(ctx.slot("radical"), j_minus_p)
     samples = _nonzero(op, _pairs(kit.radical, kit.screen_adapted))
@@ -900,12 +889,10 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     the exact balanced display, and both printed alternatives are
     reported in the witness.
     """
-    gate = _gate(ctx, "thm-3.9", "radical-transversal")
+    gate = _gate(ctx, "thm-3.9", "radical-transversal", screen=True)
     if gate is not None:
         return gate
     kit = ctx.kit()
-    if ctx.frame.screen.dim == 0:
-        return _vacuous("thm-3.9")
     T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
     _, J, j_minus_p = _coefficient(ctx)
     j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
@@ -961,12 +948,10 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution integrable iff the null couplings of the
     mapped screen sections agree on screen pairs: the transversal
     coefficients of J on the antisymmetrised screen pairs."""
-    gate = _gate(ctx, "thm-4.6", "transversal")
+    gate = _gate(ctx, "thm-4.6", "transversal", screen=True)
     if gate is not None:
         return gate
     kit = ctx.kit()
-    if ctx.frame.screen.dim == 0:
-        return _vacuous("thm-4.6")
     op = mat_mul(_transversal_coefficients(ctx), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
     criterion = not samples
@@ -988,12 +973,10 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     sign-consistent balanced display, and the printed three-part
     conjunction is evaluated and reported in the witness.
     """
-    gate = _gate(ctx, "thm-4.7", "transversal")
+    gate = _gate(ctx, "thm-4.7", "transversal", screen=True)
     if gate is not None:
         return gate
     kit = ctx.kit()
-    if ctx.frame.screen.dim == 0:
-        return _vacuous("thm-4.7")
     p, J, _ = _coefficient(ctx)
     T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
     display = mat_sub(mat_mul(mat_add(T, L), J), _scaled(p, mat_add(radical, L)))
@@ -1030,12 +1013,10 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     term; the verdict is bound to the corrected display and the printed
     shape-only condition is reported in the witness.
     """
-    gate = _gate(ctx, "thm-4.8", "transversal")
+    gate = _gate(ctx, "thm-4.8", "transversal", screen=True)
     if gate is not None:
         return gate
     kit = ctx.kit()
-    if ctx.frame.screen.dim == 0:
-        return _vacuous("thm-4.8")
     radical = ctx.slot("radical")
     _, J, j_minus_p = _coefficient(ctx)
     columns = _pairs(kit.radical, kit.screen_adapted)

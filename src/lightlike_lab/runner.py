@@ -1,10 +1,12 @@
 """Execute a scene's requested checks and assemble a deterministic report.
 
-Point checks run at every declared sample point; the scene-level verdict
-for a check is HOLDS only when every point holds, FAILS when any point
-fails, and NOT_APPLICABLE otherwise.  A point where the hypothesis
-machinery itself refuses (nondegenerate metric, missing data) becomes
-a NOT_APPLICABLE verdict with the reason, never a silent skip.
+One loop runs each point check, the frame check included, at every
+sample point; the scene-level verdict is HOLDS only when every point
+holds, FAILS when any point fails, and NOT_APPLICABLE otherwise.  A
+point where the hypothesis machinery itself refuses (nondegenerate
+metric, missing data) becomes a NOT_APPLICABLE verdict with the reason,
+never a silent skip, and an internal error leaves it naming the check
+and the point.
 
 Reports are canonical JSON: same scene, same seed, same bytes.
 """
@@ -85,10 +87,15 @@ def _aggregate(verdicts: List[Verdict]) -> Verdict:
     return Verdict.NOT_APPLICABLE
 
 
+def _entry(cid: str, verdict: Verdict, **body: object) -> Dict:
+    """A report entry: the check's verdict and reference, with its
+    witness (scene-level checks) or its per-point rows (point checks)."""
+    return {"check": cid, "verdict": verdict.value, "reference": REFERENCES[cid], **body}
+
+
 class _SceneRun:
-    def __init__(self, scene: Scene, seed: int) -> None:
+    def __init__(self, scene: Scene) -> None:
         self.scene = scene
-        self.seed = seed
         self.notices: List[str] = []
         self._contexts: Dict[int, PointContext] = {}
 
@@ -158,46 +165,49 @@ class _SceneRun:
                 f"/sections/{kind}: values at point {i} do not span the {kind}"
             )
 
-    # ---- claims ----
+    # ---- per-point entries ----
 
-    def compare_claims(self) -> Optional[Dict]:
-        """Frame-versus-claims comparison; returns the frame entry parts."""
+    def point_entry(self, cid: str) -> Dict:
+        """Every per-point entry, the frame check's included, comes from
+        this loop.  A point whose metric is nondegenerate, or whose scene
+        lacks data the check needs, is NOT_APPLICABLE with the reason; an
+        internal error is stamped with the check and the point."""
         scene = self.scene
         claims = scene.claims
-        want_entry = "frame" in scene.checks
-        if not want_entry and claims.empty():
-            return None
         per_point = []
         verdicts = []
-        for i in range(len(scene.points)):
+        for i, point in enumerate(scene.points):
             ctx = self.context(i)
-            entry, point_notices = check_frame(
-                ctx,
-                declared_radical_dim=claims.expected_radical_dim,
-                declared_radical=claims.claimed_radical,
-            )
-            for notice in point_notices:
-                self.notices.append(f"point {i}: {notice}")
+            try:
+                if cid == "frame":
+                    entry, notices = check_frame(
+                        ctx, claims.expected_radical_dim, claims.claimed_radical
+                    )
+                    self.notices.extend(f"point {i}: {notice}" for notice in notices)
+                else:
+                    entry = POINT_CHECK_FUNCTIONS[cid](ctx)
+            except (NotLightlike, InsufficientScene) as exc:
+                why = "not lightlike" if isinstance(exc, NotLightlike) else "insufficient scene data"
+                entry = CheckEntry(
+                    cid, Verdict.NOT_APPLICABLE, REFERENCES[cid], {"reason": f"{why}: {exc}"}
+                )
+            except InternalInconsistency as exc:
+                exc.check, exc.point = cid, i
+                raise
             per_point.append(
-                {
-                    "point": _point_json(scene.points[i]),
-                    "verdict": entry.verdict.value,
-                    "witness": entry.witness,
-                }
+                {"point": _point_json(point), "verdict": entry.verdict.value, "witness": entry.witness}
             )
             verdicts.append(entry.verdict)
-        if claims.configuration is not None:
-            self._configuration_claim_notices(claims.configuration)
-        if not want_entry:
-            return None
-        return {
-            "check": "frame",
-            "verdict": _aggregate(verdicts).value,
-            "reference": REFERENCES["frame"],
-            "points": per_point,
-        }
+        return _entry(cid, _aggregate(verdicts), points=per_point)
 
-    def _configuration_claim_notices(self, configuration: str) -> None:
+    # ---- claims ----
+
+    def compare_claims(self) -> None:
+        """The claimed configuration, checked at every point; a mismatch
+        is a notice, never a verdict."""
+        configuration = self.scene.claims.configuration
+        if configuration is None:
+            return
         for i in range(len(self.scene.points)):
             ctx = self.context(i)
             try:
@@ -208,45 +218,14 @@ class _SceneRun:
                     " induced metric is nondegenerate here"
                 )
                 continue
+            except InternalInconsistency as exc:
+                exc.point = i
+                raise
             if not holds:
                 self.notices.append(
                     f"point {i}: claimed configuration {configuration!r} does not"
                     " hold at this point"
                 )
-
-    # ---- per-check execution ----
-
-    def run_point_check(self, cid: str) -> Dict:
-        scene = self.scene
-        per_point = []
-        verdicts = []
-        for i in range(len(scene.points)):
-            ctx = self.context(i)
-            try:
-                entry = POINT_CHECK_FUNCTIONS[cid](ctx)
-            except (NotLightlike, InsufficientScene) as exc:
-                why = (
-                    "not lightlike" if isinstance(exc, NotLightlike) else "insufficient scene data"
-                )
-                reason = {"reason": f"{why}: {exc}"}
-                entry = CheckEntry(cid, Verdict.NOT_APPLICABLE, REFERENCES[cid], reason)
-            except InternalInconsistency as exc:
-                exc.check, exc.point = cid, i
-                raise
-            per_point.append(
-                {
-                    "point": _point_json(scene.points[i]),
-                    "verdict": entry.verdict.value,
-                    "witness": entry.witness,
-                }
-            )
-            verdicts.append(entry.verdict)
-        return {
-            "check": cid,
-            "verdict": _aggregate(verdicts).value,
-            "reference": REFERENCES[cid],
-            "points": per_point,
-        }
 
     def float_oracle(self) -> Dict:
         import numpy as np
@@ -295,18 +274,20 @@ class _SceneRun:
 
 def run(scene: Scene, seed: Optional[int] = None, float_check: bool = False) -> Report:
     effective_seed = scene.seed if seed is None else seed
-    state = _SceneRun(scene, effective_seed)
+    state = _SceneRun(scene)
     if scene.params.p == 0:
         state.notices.append(
             "scalar parameters have p = 0, outside the positive-coefficient"
             " family; verdicts are reported for the declared parameters"
         )
-    point_checks = [
-        c for c in scene.checks if c in POINT_CHECK_FUNCTIONS or c == "frame"
-    ]
-    if point_checks or not scene.claims.empty():
+    needs_points = any(c == "frame" or c in POINT_CHECK_FUNCTIONS for c in scene.checks)
+    if needs_points or not scene.claims.empty():
         state.validate_sections()
-    frame_entry = state.compare_claims()
+    # the frame check also compares the declared radical data, as notices
+    frame_entry = None
+    if "frame" in scene.checks or not scene.claims.empty():
+        frame_entry = state.point_entry("frame")
+    state.compare_claims()
 
     scene_checks = {
         "metallic-validate": lambda: check_structure_quadratic(scene.structure),
@@ -317,20 +298,11 @@ def run(scene: Scene, seed: Optional[int] = None, float_check: bool = False) -> 
     for cid in scene.checks:
         if cid in scene_checks:
             entry = scene_checks[cid]()
-            entries.append(
-                {
-                    "check": cid,
-                    "verdict": entry.verdict.value,
-                    "reference": entry.reference,
-                    "witness": entry.witness,
-                }
-            )
-        elif cid == "frame":
-            entries.append(frame_entry)
+            entries.append(_entry(cid, entry.verdict, witness=entry.witness))
         else:
-            entries.append(state.run_point_check(cid))
+            entries.append(frame_entry if cid == "frame" else state.point_entry(cid))
 
-    summary = {"HOLDS": 0, "FAILS": 0, "NOT_APPLICABLE": 0}
+    summary = {v.value: 0 for v in Verdict}
     for e in entries:
         summary[e["verdict"]] += 1
 

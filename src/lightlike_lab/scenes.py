@@ -23,7 +23,7 @@ import re
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import MetallicStructure, SignatureSpace
-from .classifier import CHECK_ORDER
+from .classifier import CHECK_ORDER, CONFIGURATIONS
 from .errors import (
     LightlikeLabError,
     ParamError,
@@ -35,8 +35,6 @@ from .scalars import MetallicParams, QuadScalar, parse_scalar
 from .submanifold import PolynomialImmersion
 
 Vec = Tuple[QuadScalar, ...]
-
-CONFIGURATIONS = ("radical-transversal", "transversal")
 
 # Largest total degree of one polynomial term.  The digits of an exact
 # power, and the time to form it, grow with the degree, so an unbounded

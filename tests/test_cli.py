@@ -330,6 +330,29 @@ def test_internal_inconsistency_from_the_equations_gets_the_mode(capsys, monkeyp
     )
 
 
+@pytest.mark.parametrize(
+    "name, source",
+    [
+        # raised inside the def-3.1 point check
+        ("radical-transversal-deep.json", "check=def-3.1 point=0 mode=radical-transversal"),
+        # raised while the claimed configuration is compared, before any check
+        ("transversal-plane.json", "check=- point=0 mode=transversal"),
+    ],
+)
+def test_internal_inconsistency_in_a_configuration_predicate_names_its_mode(
+    name, source, capsys, monkeypatch
+):
+    def broken(self):
+        raise InternalInconsistency("radical clause broke")
+
+    monkeypatch.setattr(classifier.PointContext, "_radical_clause", broken)
+    code = main([fixture_path(name)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"internal inconsistency: {source}: radical clause broke\n"
+
+
 def test_internal_inconsistency_in_the_frame_build_is_not_an_input_error(
     capsys, monkeypatch
 ):

@@ -223,6 +223,25 @@ def test_worked_example_point_checks_report_why_not_applicable():
     assert "not lightlike" in reason
 
 
+def test_screen_criteria_build_their_kit_before_the_screenless_vacuity(monkeypatch):
+    from lightlike_lab import geometry
+    from lightlike_lab.errors import InsufficientScene
+
+    def no_radical_fields(chart, frame):
+        raise InsufficientScene("radical direction does not extend off the point")
+
+    # every check holds there, the six screen criteria vacuously
+    monkeypatch.setattr(geometry, "radical_tangent_fields", no_radical_fields)
+    report = run(load_scene("isotropic-screenless.json"))
+    entries = {e["check"]: e for e in report.entries}
+    for cid in ("thm-3.6", "thm-3.8", "thm-3.9", "thm-4.6", "thm-4.7", "thm-4.8"):
+        assert entries[cid]["verdict"] == "NOT_APPLICABLE"
+        reason = entries[cid]["points"][0]["witness"]["reason"]
+        assert reason == (
+            "insufficient scene data: radical direction does not extend off the point"
+        )
+
+
 def test_zero_p_notice_only_for_zero_p():
     assert any(
         "p = 0" in n for n in fixture_report("paper-example.json").notices
