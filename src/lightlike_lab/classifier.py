@@ -33,10 +33,11 @@ four-slot set exists at every lightlike point; the criteria and
 structure-eqs read it.
 
 REFERENCES is the one list of check identifiers and the screen-target
-table the one list of configuration names.  Every gated check passes
-_gate: a valid structure, the mode's predicate and, for the six
-criteria over screen pairs, a built kit, past which a screenless point
-holds vacuously.
+table the one list of configuration names.  @_point_check registers
+each point check with its hypothesis, and _gate decides every
+NOT_APPLICABLE: a valid structure, a lightlike point, the mode's
+predicate and, for the six criteria over screen pairs, a built kit,
+past which a screenless point holds vacuously.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .ambient import (
     validate_compatibility,
     validate_metallic,
 )
-from .errors import InternalInconsistency, NotLightlike
+from .errors import InsufficientScene, InternalInconsistency, NotLightlike
 from .geometry import (
     AmbientJet,
     ChartJet,
@@ -461,44 +462,88 @@ def check_frame(
     return entry, tuple(notices)
 
 
-# ---- configuration predicates as checks ----
+# ---- the hypothesis gate ----
 
 
-def _configuration_entry(ctx: PointContext, name: str, mode: str) -> CheckEntry:
-    if not ctx.structure_valid():
-        return _not_applicable(name, "structure endomorphism fails its validators")
-    holds, witness = ctx.configuration(mode)
-    return CheckEntry(name, Verdict.HOLDS if holds else Verdict.FAILS, REFERENCES[name], witness)
-
-
-def check_radical_transversal_config(ctx: PointContext) -> CheckEntry:
-    return _configuration_entry(ctx, "def-3.1", "radical-transversal")
-
-
-def check_transversal_config(ctx: PointContext) -> CheckEntry:
-    return _configuration_entry(ctx, "def-4.1", "transversal")
+# The mode of structure-eqs, which needs the point in some configuration
+# and audits it in the first one that holds
+EITHER_CONFIGURATION = "either"
 
 
 def _not_applicable(name: str, reason: str) -> CheckEntry:
     return CheckEntry(name, Verdict.NOT_APPLICABLE, REFERENCES[name], {"reason": reason})
 
 
-def _gate(ctx: PointContext, name: str, mode: str, screen: bool = False) -> Optional[CheckEntry]:
-    """Common hypothesis gate: valid structure plus the mode predicate.
+def _gate(
+    ctx: PointContext,
+    name: str,
+    mode: Optional[str],
+    screen: bool = False,
+    body: Optional[Callable[[PointContext], CheckEntry]] = None,
+) -> Optional[CheckEntry]:
+    """The hypothesis of a point check, then its body, if given.
 
-    A screen criterion (screen=True) then holds vacuously at a point
-    with no screen.  Its kit is built first, so a scene that cannot
-    supply the kit stays NOT_APPLICABLE there rather than vacuous.
+    The hypothesis is a valid structure, a lightlike point and the
+    mode's predicate: none for mode=None, some configuration for
+    EITHER_CONFIGURATION.  A screen criterion (screen=True) then builds
+    its kit, so a scene that cannot supply it stays NOT_APPLICABLE, and
+    holds vacuously at a point with no screen.  A nondegenerate metric
+    or missing scene data, met here or in the body, is NOT_APPLICABLE
+    with the reason.  Past the hypothesis, the body's entry is
+    returned, or None without a body.
     """
-    if not ctx.structure_valid():
-        return _not_applicable(name, "structure endomorphism fails its validators")
-    if not ctx.configuration(mode)[0]:
-        return _not_applicable(name, f"point is not in the {mode} configuration")
-    if screen:
-        ctx.kit()
-        if ctx.frame.screen.dim == 0:
-            return CheckEntry(name, Verdict.HOLDS, REFERENCES[name], {"vacuous": True})
-    return None
+    try:
+        if not ctx.structure_valid():
+            return _not_applicable(name, "structure endomorphism fails its validators")
+        if mode == EITHER_CONFIGURATION:
+            if not any(ctx.configuration(m)[0] for m in CONFIGURATIONS):
+                return _not_applicable(name, "point is in neither named configuration")
+        elif mode is not None and not ctx.configuration(mode)[0]:
+            return _not_applicable(name, f"point is not in the {mode} configuration")
+        if screen:
+            ctx.kit()
+            if ctx.frame.screen.dim == 0:
+                return CheckEntry(name, Verdict.HOLDS, REFERENCES[name], {"vacuous": True})
+        return None if body is None else body(ctx)
+    except NotLightlike as exc:
+        return _not_applicable(name, f"not lightlike: {exc}")
+    except InsufficientScene as exc:
+        return _not_applicable(name, f"insufficient scene data: {exc}")
+
+
+_REGISTERED: Dict[str, Callable[[PointContext], CheckEntry]] = {}
+
+
+def _point_check(cid: str, mode: Optional[str] = None, screen: bool = False):
+    """Register a point check under cid; its body runs behind _gate."""
+
+    def register(body: Callable[[PointContext], CheckEntry]):
+        @functools.wraps(body)
+        def check(ctx: PointContext) -> CheckEntry:
+            return _gate(ctx, cid, mode, screen, body)
+
+        _REGISTERED[cid] = check
+        return check
+
+    return register
+
+
+# ---- configuration predicates as checks ----
+
+
+def _configuration_entry(ctx: PointContext, name: str, mode: str) -> CheckEntry:
+    holds, witness = ctx.configuration(mode)
+    return CheckEntry(name, Verdict.HOLDS if holds else Verdict.FAILS, REFERENCES[name], witness)
+
+
+@_point_check("def-3.1")
+def check_radical_transversal_config(ctx: PointContext) -> CheckEntry:
+    return _configuration_entry(ctx, "def-3.1", "radical-transversal")
+
+
+@_point_check("def-4.1")
+def check_transversal_config(ctx: PointContext) -> CheckEntry:
+    return _configuration_entry(ctx, "def-4.1", "transversal")
 
 
 def _invariance_audit(
@@ -506,9 +551,6 @@ def _invariance_audit(
 ) -> CheckEntry:
     """The subspace, built only past the gate, must be invariant under
     the structure map whenever the mode's predicate holds."""
-    gate = _gate(ctx, name, mode)
-    if gate is not None:
-        return gate
     space = subspace()
     if not all(space.contains(ctx.structure.apply(v)) for v in space.basis):
         raise InternalInconsistency(f"{what} lost invariance in a {mode} configuration")
@@ -516,6 +558,7 @@ def _invariance_audit(
     return CheckEntry(name, Verdict.HOLDS, REFERENCES[name], witness)
 
 
+@_point_check("thm-3.3", "radical-transversal")
 def check_normal_screen_invariance(ctx: PointContext) -> CheckEntry:
     """Consequence audit: the normal screen must be invariant whenever
     the radical-transversal predicate holds."""
@@ -525,6 +568,7 @@ def check_normal_screen_invariance(ctx: PointContext) -> CheckEntry:
     )
 
 
+@_point_check("prop-4.2", "transversal")
 def check_mapped_screen_complement_invariance(ctx: PointContext) -> CheckEntry:
     """Consequence audit: the complement of the mapped screen inside the
     normal screen must be invariant whenever the transversal predicate
@@ -579,9 +623,9 @@ def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat],
         # part P_ms J P_ms hs is p P_ms hs (J^2 = p J + q on J(screen)),
         # and p = 0 wherever this configuration exists, so only the screen
         # part enters.  The five slots refine the four, so P_ms S = P_ms
-        # and P_mu S = P_mu
+        # and P_mu S = P_mu; the two sets share the screen slot
         b_hs = mat_mul(J, proj.matrices["mapped-screen"])
-        tangent_term = mat_mul(proj.matrices["screen"], b_hs)
+        tangent_term = mat_mul(ctx.slot("screen"), b_hs)
         screen_term = mat_add(j_nabla, mat_mul(J, proj.matrices["mu"]))
     return (
         ("tangent", mat_sub(mat_sub(TJ, mat_mul(TJ, L)), tangent_term)),
@@ -621,12 +665,9 @@ def _structure_equations(ctx: PointContext, mode: str) -> int:
     return m * m
 
 
+@_point_check("structure-eqs", EITHER_CONFIGURATION)
 def check_structure_equations(ctx: PointContext) -> CheckEntry:
-    if not ctx.structure_valid():
-        return _not_applicable("structure-eqs", "structure endomorphism fails its validators")
-    mode = next((m for m in CONFIGURATIONS if ctx.configuration(m)[0]), None)
-    if mode is None:
-        return _not_applicable("structure-eqs", "point is in neither named configuration")
+    mode = next(m for m in CONFIGURATIONS if ctx.configuration(m)[0])
     try:
         problems = ctx.projectors(mode).audit()
         if problems:
@@ -796,13 +837,11 @@ def _coefficient(ctx: PointContext) -> Tuple[QuadScalar, Mat, Mat]:
 # ---- invariant-screen configuration criteria ----
 
 
+@_point_check("thm-3.5", "radical-transversal")
 def check_metric_connection_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Induced connection metric iff no mapped-radical shape operator
     has a screen component: -P_screen J on the radical fields along
     every coordinate field."""
-    gate = _gate(ctx, "thm-3.5", "radical-transversal")
-    if gate is not None:
-        return gate
     op = _scaled(-QuadScalar.one(ctx.params), mat_mul(ctx.slot("screen"), ctx.structure.matrix))
     samples = _nonzero(op, _radical_along_coordinates(ctx))
     criterion = not samples
@@ -814,13 +853,11 @@ def check_metric_connection_radical_transversal(ctx: PointContext) -> CheckEntry
     return _bind("thm-3.5", criterion, oracle, witness)
 
 
+@_point_check("thm-3.6", "radical-transversal", screen=True)
 def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution integrable iff the null form is symmetric on
     mapped screen pairs: the transversal coefficients of J on the
     antisymmetrised screen pairs."""
-    gate = _gate(ctx, "thm-3.6", "radical-transversal", screen=True)
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     # the criterion uses the literal structure-composed adapted fields,
     # the same gauge the bracket oracle probes
@@ -835,13 +872,11 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
     return _bind("thm-3.6", criterion, oracle, witness)
 
 
+@_point_check("thm-3.7", "radical-transversal")
 def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution integrable iff the mapped-radical shape
     operators are symmetric on radical pairs: T J on the antisymmetrised
     radical pairs."""
-    gate = _gate(ctx, "thm-3.7", "radical-transversal")
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     op = mat_mul(ctx.slot("tangent"), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.radical))
@@ -854,13 +889,11 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
     return _bind("thm-3.7", criterion, oracle, witness)
 
 
+@_point_check("thm-3.8", "radical-transversal", screen=True)
 def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution totally geodesic iff the screen form
     transfers through the structure map with the linear coefficient:
     P_radical (J - p) on the screen fields along the radical ones."""
-    gate = _gate(ctx, "thm-3.8", "radical-transversal", screen=True)
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     _, _, j_minus_p = _coefficient(ctx)
     op = mat_mul(ctx.slot("radical"), j_minus_p)
@@ -874,6 +907,7 @@ def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry
     return _bind("thm-3.8", criterion, oracle, witness)
 
 
+@_point_check("thm-3.9", "radical-transversal", screen=True)
 def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution totally geodesic iff the transferred screen
     and null couplings balance against every transversal image.
@@ -889,9 +923,6 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     the exact balanced display, and both printed alternatives are
     reported in the witness.
     """
-    gate = _gate(ctx, "thm-3.9", "radical-transversal", screen=True)
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
     _, J, j_minus_p = _coefficient(ctx)
@@ -925,13 +956,11 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
 # ---- mapped-screen configuration criteria ----
 
 
+@_point_check("thm-4.5", "transversal")
 def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution integrable iff the normal-screen couplings
     of the mapped radical sections agree on radical pairs: S J on the
     antisymmetrised radical pairs."""
-    gate = _gate(ctx, "thm-4.5", "transversal")
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     op = mat_mul(ctx.slot("normal-screen"), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.radical))
@@ -944,13 +973,11 @@ def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
     return _bind("thm-4.5", criterion, oracle, witness)
 
 
+@_point_check("thm-4.6", "transversal", screen=True)
 def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution integrable iff the null couplings of the
     mapped screen sections agree on screen pairs: the transversal
     coefficients of J on the antisymmetrised screen pairs."""
-    gate = _gate(ctx, "thm-4.6", "transversal", screen=True)
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     op = mat_mul(_transversal_coefficients(ctx), ctx.structure.matrix)
     samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
@@ -963,6 +990,7 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
     return _bind("thm-4.6", criterion, oracle, witness)
 
 
+@_point_check("thm-4.7", "transversal", screen=True)
 def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     """Screen distribution totally geodesic iff the mapped-screen split
     balances against every transversal image: on the screen pairs, the
@@ -973,9 +1001,6 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     sign-consistent balanced display, and the printed three-part
     conjunction is evaluated and reported in the witness.
     """
-    gate = _gate(ctx, "thm-4.7", "transversal", screen=True)
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     p, J, _ = _coefficient(ctx)
     T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
@@ -1004,6 +1029,7 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     return _bind("thm-4.7", criterion, oracle, witness)
 
 
+@_point_check("thm-4.8", "transversal", screen=True)
 def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     """Radical distribution totally geodesic iff the mapped-screen shape
     operators stay out of the radical after the screen-form correction:
@@ -1013,9 +1039,6 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     term; the verdict is bound to the corrected display and the printed
     shape-only condition is reported in the witness.
     """
-    gate = _gate(ctx, "thm-4.8", "transversal", screen=True)
-    if gate is not None:
-        return gate
     kit = ctx.kit()
     radical = ctx.slot("radical")
     _, J, j_minus_p = _coefficient(ctx)
@@ -1034,6 +1057,7 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     return _bind("thm-4.8", criterion, oracle, witness)
 
 
+@_point_check("thm-4.9", "transversal")
 def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
     """Induced connection metric iff the screen components of the mapped
     couplings of the radical images balance: P_screen J S (J - p) on the
@@ -1043,9 +1067,6 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
     inside its own derivation; they are realized here as the screen
     components of the two mapped couplings.
     """
-    gate = _gate(ctx, "thm-4.9", "transversal")
-    if gate is not None:
-        return gate
     columns = _radical_along_coordinates(ctx)
     slot_screen = ctx.projectors("transversal").matrices["screen"]
     _, J, j_minus_p = _coefficient(ctx)
@@ -1384,23 +1405,7 @@ def _single_null_sweep(rng: random.Random, trials: int) -> Dict[str, object]:
     }
 
 
-# ---- dispatch table for the point checks ----
+# ---- the point checks, in the canonical order ----
 
 
-POINT_CHECK_FUNCTIONS = {
-    "def-3.1": check_radical_transversal_config,
-    "thm-3.3": check_normal_screen_invariance,
-    "def-4.1": check_transversal_config,
-    "prop-4.2": check_mapped_screen_complement_invariance,
-    "structure-eqs": check_structure_equations,
-    "thm-3.5": check_metric_connection_radical_transversal,
-    "thm-3.6": check_screen_integrability_radical_transversal,
-    "thm-3.7": check_radical_integrability_radical_transversal,
-    "thm-3.8": check_radical_foliation_radical_transversal,
-    "thm-3.9": check_screen_foliation_radical_transversal,
-    "thm-4.5": check_radical_integrability_transversal,
-    "thm-4.6": check_screen_integrability_transversal,
-    "thm-4.7": check_screen_foliation_transversal,
-    "thm-4.8": check_radical_foliation_transversal,
-    "thm-4.9": check_metric_connection_transversal,
-}
+POINT_CHECK_FUNCTIONS = {cid: _REGISTERED[cid] for cid in CHECK_ORDER if cid in _REGISTERED}

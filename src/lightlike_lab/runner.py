@@ -2,11 +2,10 @@
 
 One loop runs each point check, the frame check included, at every
 sample point; the scene-level verdict is HOLDS only when every point
-holds, FAILS when any point fails, and NOT_APPLICABLE otherwise.  A
-point where the hypothesis machinery itself refuses (nondegenerate
-metric, missing data) becomes a NOT_APPLICABLE verdict with the reason,
-never a silent skip, and an internal error leaves it naming the check
-and the point.
+holds, FAILS when any point fails, and NOT_APPLICABLE otherwise.  Each
+point check answers NOT_APPLICABLE with the reason where its hypothesis
+fails (see classifier._gate), never a silent skip, and an internal
+error leaves the loop naming the check and the point.
 
 Reports are canonical JSON: same scene, same seed, same bytes.
 """
@@ -20,7 +19,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .classifier import (
     POINT_CHECK_FUNCTIONS,
     REFERENCES,
-    CheckEntry,
     PointContext,
     Verdict,
     check_frame,
@@ -29,7 +27,6 @@ from .classifier import (
     check_structure_quadratic,
 )
 from .errors import (
-    InsufficientScene,
     InternalInconsistency,
     LightlikeLabError,
     NotLightlike,
@@ -169,9 +166,8 @@ class _SceneRun:
 
     def point_entry(self, cid: str) -> Dict:
         """Every per-point entry, the frame check's included, comes from
-        this loop.  A point whose metric is nondegenerate, or whose scene
-        lacks data the check needs, is NOT_APPLICABLE with the reason; an
-        internal error is stamped with the check and the point."""
+        this loop.  Each point check gates its own hypothesis; an internal
+        error is stamped with the check and the point."""
         scene = self.scene
         claims = scene.claims
         per_point = []
@@ -186,11 +182,6 @@ class _SceneRun:
                     self.notices.extend(f"point {i}: {notice}" for notice in notices)
                 else:
                     entry = POINT_CHECK_FUNCTIONS[cid](ctx)
-            except (NotLightlike, InsufficientScene) as exc:
-                why = "not lightlike" if isinstance(exc, NotLightlike) else "insufficient scene data"
-                entry = CheckEntry(
-                    cid, Verdict.NOT_APPLICABLE, REFERENCES[cid], {"reason": f"{why}: {exc}"}
-                )
             except InternalInconsistency as exc:
                 exc.check, exc.point = cid, i
                 raise

@@ -389,11 +389,18 @@ def parse_scene(data) -> Scene:
                 raise ValidationError("/claims/expected_radical_dim: must be nonnegative")
         claimed = ()
         if "claimed_radical" in claims_obj:
+            # the radical lies in the tangent space, and every claimed
+            # vector is compared at every point, so a longer list is
+            # refused before any vector is read
+            claimed_raw = _array(claims_obj["claimed_radical"], "/claims/claimed_radical")
+            if len(claimed_raw) > chart_dim:
+                raise ValidationError(
+                    f"/claims/claimed_radical: {len(claimed_raw)} vectors exceed"
+                    f" the chart dimension {chart_dim}"
+                )
             claimed = tuple(
                 _vector(v, dim, params, f"/claims/claimed_radical/{i}")
-                for i, v in enumerate(
-                    _array(claims_obj["claimed_radical"], "/claims/claimed_radical")
-                )
+                for i, v in enumerate(claimed_raw)
             )
         configuration = None
         if "configuration" in claims_obj:

@@ -42,6 +42,7 @@ from lightlike_lab.linalg import (
     vec_add,
 )
 from lightlike_lab.polynomials import Polynomial
+from lightlike_lab.runner import run
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion
@@ -217,8 +218,29 @@ def test_nondegenerate_point_raises_not_lightlike():
 def test_invalid_structure_gates_every_check_not_applicable():
     ctx = crooked_golden_context()
     assert not ctx.structure_valid()
-    for cid in ("def-3.1", "def-4.1", "thm-3.5", "thm-4.9", "structure-eqs"):
-        assert POINT_CHECK_FUNCTIONS[cid](ctx).verdict == Verdict.NOT_APPLICABLE
+    assert len(POINT_CHECK_FUNCTIONS) == 15
+    for cid, fn in POINT_CHECK_FUNCTIONS.items():
+        entry = fn(ctx)
+        assert entry == (
+            cid,
+            Verdict.NOT_APPLICABLE,
+            REFERENCES[cid],
+            {"reason": "structure endomorphism fails its validators"},
+        )
+
+
+# the checks with no hypothesis to gate: the two structure validators,
+# the frame report and the scene-independent audit
+UNGATED_CHECKS = ("metallic-validate", "compat-validate", "frame", "audit-nonexistence")
+
+
+def test_point_check_registry_follows_the_check_order_and_module_names():
+    # perfbench times each check through classifier.<__name__> and
+    # rebinds the registry's values by identity
+    assert list(POINT_CHECK_FUNCTIONS) == [c for c in CHECK_ORDER if c not in UNGATED_CHECKS]
+    for fn in POINT_CHECK_FUNCTIONS.values():
+        assert not fn.__name__.startswith("_")
+        assert getattr(classifier, fn.__name__) is fn
 
 
 def test_impossible_spanning_image_aborts_when_structure_claims_validity():
@@ -329,6 +351,11 @@ def test_four_slot_projectors_are_the_factored_splits_on_a_sweep(config, q):
             ctx = scene_context(config, flavors, seed, MetallicParams(0, q))
             assert _configured(ctx)
             _assert_slots_are_the_factored_splits(ctx)
+            # the five slots refine the four only inside the normal screen
+            if config == "transversal":
+                five = ctx.projectors("transversal").matrices
+                for label in ("screen", "radical", "transversal"):
+                    assert five[label] == ctx.slot(label), label
             checked += 1
     assert checked == 48
 
@@ -738,6 +765,111 @@ def test_point_verdicts_survive_an_ambient_isometry(config, flavors, q, seed):
     verdicts = _point_verdicts(before)
     assert verdicts[{"radical-transversal": "def-3.1", "transversal": "def-4.1"}[config]] == (
         Verdict.HOLDS
+    )
+    assert _point_verdicts(after) == verdicts
+
+
+# Two more symmetries the mathematics promises (metamorphic relations):
+# Galois conjugation sigma -> p - sigma of every scalar is a field
+# automorphism, so it keeps every zero test and every defining relation;
+# negating the signature keeps the radical, the screens and the
+# Levi-Civita connection and sends ltr to -ltr.  Every point verdict
+# must survive both.
+
+
+def _map_scalars(f, vectors):
+    return None if vectors is None else tuple(tuple(f(x) for x in v) for v in vectors)
+
+
+def _map_polynomial(f, poly):
+    return Polynomial({e: f(c) for e, c in poly.terms.items()}, poly.nvars, poly.params)
+
+
+def _rebuilt(space, immersion, structure, f=lambda x: x):
+    """The immersion and structure over space, every scalar mapped by f."""
+    components = tuple(_map_polynomial(f, c) for c in immersion.components)
+    return (
+        PolynomialImmersion(space, immersion.chart_dim, components),
+        MetallicStructure(space, _map_scalars(f, structure.matrix)),
+    )
+
+
+def _conjugated_scene(scene):
+    conj = QuadScalar.conjugate
+    immersion, structure = _rebuilt(scene.space, scene.immersion, scene.structure, conj)
+    return scene._replace(
+        immersion=immersion,
+        structure=structure,
+        points=_map_scalars(conj, scene.points),
+        screen=_map_scalars(conj, scene.screen),
+        normal_screen=_map_scalars(conj, scene.normal_screen),
+        radical_sections=tuple(
+            tuple(_map_polynomial(conj, c) for c in fld) for fld in scene.radical_sections
+        ),
+        screen_sections=tuple(
+            tuple(_map_polynomial(conj, c) for c in fld) for fld in scene.screen_sections
+        ),
+        claims=scene.claims._replace(
+            claimed_radical=_map_scalars(conj, scene.claims.claimed_radical)
+        ),
+    )
+
+
+def _report_point_verdicts(scene):
+    """Every point check at every point of the scene, through run()."""
+    checks = tuple(c for c in CHECK_ORDER if c in POINT_CHECK_FUNCTIONS)
+    report = run(scene._replace(checks=checks))
+    return {e["check"]: [pt["verdict"] for pt in e["points"]] for e in report.entries}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f.name for f in FIXTURE_DIR.iterdir() if f.name.endswith(".json"))
+)
+def test_fixture_point_verdicts_survive_galois_conjugation(name):
+    scene = parse_scene((FIXTURE_DIR / name).read_bytes())
+    assert _report_point_verdicts(_conjugated_scene(scene)) == _report_point_verdicts(scene)
+
+
+def _symmetry_cases():
+    for config in ("radical-transversal", "transversal"):
+        for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
+            for q in (2, 3, 5):
+                for seed in range(4):
+                    yield config, flavors, q, seed
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_verdicts(config, flavors, q, seed):
+    sc = perturbed_structured_scene(random.Random(seed), MetallicParams(0, q), config, flavors)
+    ctx = PointContext(
+        sc.immersion, sc.structure, sc.point, sc.screen_override, sc.normal_screen_override
+    )
+    return sc, _point_verdicts(ctx)
+
+
+@pytest.mark.parametrize("config,flavors,q,seed", _symmetry_cases())
+def test_point_verdicts_survive_galois_conjugation(config, flavors, q, seed):
+    sc, verdicts = _generated_verdicts(config, flavors, q, seed)
+    conj = QuadScalar.conjugate
+    immersion, structure = _rebuilt(sc.immersion.space, sc.immersion, sc.structure, conj)
+    after = PointContext(
+        immersion,
+        structure,
+        tuple(conj(x) for x in sc.point),
+        _map_scalars(conj, sc.screen_override),
+        _map_scalars(conj, sc.normal_screen_override),
+    )
+    assert _point_verdicts(after) == verdicts
+
+
+@pytest.mark.parametrize("config,flavors,q,seed", _symmetry_cases())
+def test_point_verdicts_survive_signature_negation(config, flavors, q, seed):
+    sc, verdicts = _generated_verdicts(config, flavors, q, seed)
+    space = sc.immersion.space
+    negated = SignatureSpace(space.dim, tuple(-e for e in space.eps), space.params)
+    immersion, structure = _rebuilt(negated, sc.immersion, sc.structure)
+    after = PointContext(
+        immersion, structure, sc.point, sc.screen_override, sc.normal_screen_override
     )
     assert _point_verdicts(after) == verdicts
 

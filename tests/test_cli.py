@@ -432,10 +432,18 @@ def test_scene_past_the_size_bounds_is_an_input_error(tmp_path, capsys):
     chart_dim = fixture["submanifold"]["chart_dim"]
     section = [[] for _ in range(chart_dim)]
     too_long = dict(fixture, sections={"radical": [section] * (chart_dim + 1)})
+    # every claimed vector is compared at every point: 2000 of them at 64
+    # points once took 5 s on a 2-core host and wrote a 16 MB report
+    too_many_claims = dict(
+        fixture,
+        points=[[str(i), str(-i)] for i in range(scenes.MAX_POINTS)],
+        claims=dict(fixture["claims"], claimed_radical=[["0"] * 5] * 2000),
+    )
     for name, scene, message in [
         ("points", too_many, f"/points: {scenes.MAX_POINTS + 1} sample points exceed {scenes.MAX_POINTS}"),
         ("dim", too_wide, f"/ambient/dim: {10**6} exceeds {scenes.MAX_AMBIENT_DIM}"),
         ("sections", too_long, f"/sections/radical: {chart_dim + 1} sections exceed the chart dimension {chart_dim}"),
+        ("claims", too_many_claims, f"/claims/claimed_radical: 2000 vectors exceed the chart dimension {chart_dim}"),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(scene))

@@ -409,6 +409,24 @@ def test_claimed_radical_vectors_are_ambient_sized():
         parse(d)
 
 
+def test_claimed_radical_at_the_chart_dimension_bound_parses():
+    d = base_scene_dict()
+    d["claims"] = {"claimed_radical": [["1", "1", "0"], ["0", "0", "0"]]}
+    assert len(parse(d).claims.claimed_radical) == 2
+
+
+def test_claimed_radical_past_the_chart_dimension_bound_is_rejected():
+    d = base_scene_dict()
+    # the extra vector is malformed: the count is refused before any
+    # vector is read
+    d["claims"] = {"claimed_radical": [["1", "1", "0"], ["0", "0", "0"], "oops"]}
+    with pytest.raises(ValidationError) as info:
+        parse(d)
+    assert str(info.value) == (
+        "/claims/claimed_radical: 3 vectors exceed the chart dimension 2"
+    )
+
+
 def test_scene_is_hash_addressable():
     scene = parse(base_scene_dict())
     digest = scene.digest()
