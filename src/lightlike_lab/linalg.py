@@ -15,6 +15,14 @@ coordinates off those columns instead of eliminating again.  A list
 that grows one vector at a time stays open in OpenElimination, so each
 independence test is one forward reduction of the new vector.
 
+Spans whose basis only matters up to scale are also kept as primitive
+rows (PrimitiveRows): each vector times the lcm of its denominators has
+entries in Z, or in Z[sigma] when an entry has a sigma part (RowRing).
+Their Gauss-Jordan divides no entry but by a row's content, and each
+reduced row is a nonzero multiple of the canonical one, so a Subspace
+is made from them by one division per entry.  Nondegeneracy over these
+rings is a Bareiss determinant test, exact at every step.
+
 Matrix products skip every term with a zero factor, and every
 elimination skips the zero entries of its pivot row when it scales that
 row and subtracts it from the others.  Exact sums do not depend on which
@@ -25,10 +33,12 @@ and two-entry operands the generators build.
 
 from __future__ import annotations
 
+from math import gcd as _gcd, lcm as _lcm
+from operator import mul as _mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NotInSpan, ShapeError
-from .scalars import MetallicParams, QuadScalar
+from .scalars import MetallicParams, QuadScalar, _make, _reduced
 
 Vec = Tuple[QuadScalar, ...]
 Mat = Tuple[Vec, ...]
@@ -275,21 +285,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def span_of_rows(self, indices: Iterable[int]) -> "Subspace":
-        """The span of the basis rows at the given indices.
-
-        Each basis row is 1 at its own pivot and 0 at every other pivot,
-        so any of the rows, kept in pivot order, are already the
-        canonical basis of their span and nothing is eliminated.
-        """
-        picked = sorted(indices)
-        out = object.__new__(Subspace)
-        out.ambient_dim = self.ambient_dim
-        out.params = self.params
-        out.basis = tuple(self.basis[i] for i in picked)
-        out.pivots = tuple(self.pivots[i] for i in picked)
-        return out
-
     def contains(self, v: Vec) -> bool:
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length does not match ambient dimension")
@@ -355,6 +350,305 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _canonical_subspace(
+    basis: Mat, pivots: Tuple[int, ...], ambient_dim: int, params: MetallicParams
+) -> Subspace:
+    """A Subspace from a basis already in canonical reduced form."""
+    out = object.__new__(Subspace)
+    out.ambient_dim = ambient_dim
+    out.params = params
+    out.basis = basis
+    out.pivots = pivots
+    return out
+
+
+class RowRing:
+    """The ring that primitive rows take their entries from.
+
+    A vector over Q(sigma) times the lcm d of its denominators has its
+    entries in Z[sigma], and in Z when every entry is rational.  Over Z
+    the entries are ints; over Z[sigma] they are QuadScalars with D = 1,
+    which sums and products keep.  The two rings differ only in the
+    content (the gcd of every integer coefficient of a row), in exact
+    division, and in turning an entry over a denominator back into a
+    QuadScalar; every elimination below is written once for both.
+    """
+
+    __slots__ = ("params", "sigma", "zero", "one")
+
+    def __init__(self, params: MetallicParams, sigma: bool) -> None:
+        self.params = params
+        self.sigma = sigma
+        self.zero = QuadScalar.zero(params) if sigma else 0
+        self.one = QuadScalar.one(params) if sigma else 1
+
+    @classmethod
+    def over(cls, params: MetallicParams, *groups: Iterable[Vec]) -> "RowRing":
+        """Z[sigma] when an entry of the vectors carries sigma, else Z."""
+        return cls(params, any(x.B for vectors in groups for v in vectors for x in v))
+
+    def clear(self, v: Vec) -> Tuple[list, int]:
+        """v times the lcm d of its denominators, as a ring row, and d."""
+        d = _lcm(*(x.D for x in v))
+        if self.sigma:
+            params = self.params
+            return [_make(x.A * (d // x.D), x.B * (d // x.D), 1, params) for x in v], d
+        if d == 1:
+            return [x.A for x in v], d
+        return [x.A * (d // x.D) for x in v], d
+
+    def primitive(self, row: list) -> list:
+        """The row divided by its content; a zero row as it is."""
+        if self.sigma:
+            g = _gcd(*(x.A for x in row), *(x.B for x in row))
+            if g < 2:
+                return row
+            params = self.params
+            return [_make(x.A // g, x.B // g, 1, params) for x in row]
+        g = _gcd(*row)
+        return row if g < 2 else [x // g for x in row]
+
+    def quotient(self, x, y):
+        """x / y where y divides x in the ring."""
+        return x / y if self.sigma else x // y
+
+    def ratio(self, x, d: int) -> QuadScalar:
+        """The QuadScalar x / d, for an entry x and a positive integer d."""
+        if self.sigma:
+            return _reduced(x.A, x.B, d, self.params)
+        g = _gcd(x, d)
+        return _make(x // g, 0, d // g, self.params)
+
+    def canonical(self, row: Sequence, pivot: int) -> Vec:
+        """The row scaled to 1 at its pivot (positive there over Z)."""
+        a = row[pivot]
+        if self.sigma:
+            inv = a.inverse()
+            return tuple(x * inv for x in row)
+        params = self.params
+        zero = _make(0, 0, 1, params)
+        if a == 1:
+            return tuple([_make(x, 0, 1, params) if x else zero for x in row])
+        out = []
+        for x in row:
+            if x:
+                g = _gcd(x, a)
+                out.append(_make(x // g, 0, a // g, params))
+            else:
+                out.append(zero)
+        return tuple(out)
+
+    def gram(self, eps: Sequence[int], rows: Sequence[Sequence]) -> List[list]:
+        """Symmetric matrix of the inner products sum_i eps_i u_i v_i of
+        the rows; one triangle is computed."""
+        n = len(rows)
+        zero = self.zero
+        flipped = [[-x if e < 0 else x for e, x in zip(eps, u)] for u in rows]
+        out = [[None] * n for _ in range(n)]
+        for i, u in enumerate(flipped):
+            for j in range(i, n):
+                out[i][j] = out[j][i] = sum(map(_mul, u, rows[j]), zero)
+        return out
+
+    def nonsingular(self, a: Sequence[Sequence]) -> bool:
+        """det(a) != 0, by Bareiss elimination (Bareiss 1968): each entry
+        left is a minor of a, so every division is exact in the ring."""
+        rows = [list(row) for row in a]
+        prev = self.one
+        quotient = self.quotient
+        while rows:
+            pivot_row = next((i for i, row in enumerate(rows) if row[0]), None)
+            if pivot_row is None:
+                return False
+            top = rows.pop(pivot_row)
+            p = top[0]
+            rows = [
+                [quotient(p * x - row[0] * y, prev) for x, y in zip(row[1:], top[1:])]
+                for row in rows
+            ]
+            prev = p
+        return True
+
+
+def _eliminate(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> list:
+    """v reduced against rows in order, each nonzero at its pivot and zero
+    at the pivots of the rows before it: a nonzero multiple of v minus a
+    combination of the rows, zero at every pivot, and zero exactly when
+    v lies in their span."""
+    w = v
+    for row, p in zip(rows, pivots):
+        f = w[p]
+        if f:
+            a = row[p]
+            w = [a * x - f * y if y else a * x for x, y in zip(w, row)]
+    return list(w)
+
+
+class PrimitiveRows:
+    """A span kept as primitive ring rows in reduced echelon form.
+
+    Row i is a nonzero multiple of the canonical reduced row i of the
+    span (a positive one over Z): nonzero at its pivot and zero at every
+    other pivot, with content 1.  span() is Gauss-Jordan with the
+    first-nonzero pivot rule of rref, but it divides no entry: a row r is
+    replaced by a r - f t against the pivot row t, and then divided by
+    its content.  Each row stays a nonzero multiple of the row rref holds
+    at the same step, so the pivots and zero patterns are those of rref,
+    and subspace() gets the canonical basis by one division per entry,
+    with no further elimination.
+    """
+
+    __slots__ = ("ring", "rows", "pivots", "width", "_subspace")
+
+    def __init__(
+        self, ring: RowRing, rows: Sequence[Sequence], pivots: Sequence[int], width: int
+    ) -> None:
+        self.ring = ring
+        self.rows = tuple(rows)
+        self.pivots = tuple(pivots)
+        self.width = width
+        self._subspace: Optional[Subspace] = None
+
+    @classmethod
+    def span(cls, ring: RowRing, spanning: Sequence[Sequence], width: int) -> "PrimitiveRows":
+        """The reduced rows of the span of ring rows of the given width."""
+        primitive = ring.primitive
+        rows = [primitive(list(v)) for v in spanning]
+        nrows = len(rows)
+        pivots = []
+        r = 0
+        for c in range(width):
+            if r == nrows:
+                break
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            top = rows[i]
+            if top[c] < 0:
+                # later steps scale this row by positive pivots only
+                top = [-x for x in top]
+            rows[i] = rows[r]
+            rows[r] = top
+            a = top[c]
+            for i in range(nrows):
+                row = rows[i]
+                f = row[c]
+                if f and i != r:
+                    rows[i] = primitive(
+                        [a * x - f * y if y else a * x for x, y in zip(row, top)]
+                    )
+            pivots.append(c)
+            r += 1
+        return cls(ring, rows[:r], pivots, width)
+
+    @classmethod
+    def of(cls, ring: RowRing, sub: Subspace) -> "PrimitiveRows":
+        """sub's canonical basis cleared of denominators.  A cleared row
+        is d > 0 at its pivot and zero at the other pivots, and its
+        content is 1 (a prime at its full power in d divides a reduced
+        denominator, so not that entry's numerator), so nothing is
+        eliminated."""
+        return cls(ring, [ring.clear(v)[0] for v in sub.basis], sub.pivots, sub.ambient_dim)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def contains(self, v: Sequence) -> bool:
+        return not any(_eliminate(self.rows, self.pivots, v))
+
+    def pick(self, indices: Iterable[int]) -> "PrimitiveRows":
+        """The span of the rows at the given indices, already reduced;
+        canonical rows already made are shared, not made again."""
+        picked = sorted(indices)
+        out = PrimitiveRows(
+            self.ring,
+            [self.rows[i] for i in picked],
+            [self.pivots[i] for i in picked],
+            self.width,
+        )
+        if self._subspace is not None:
+            basis = self._subspace.basis
+            out._subspace = _canonical_subspace(
+                tuple(basis[i] for i in picked), out.pivots, self.width, self.ring.params
+            )
+        return out
+
+    def kernel(self) -> List[list]:
+        """{y : row . y = 0 for every row}, one primitive vector per free
+        column f: 1 at f and -row[f] / row[pivot] at each pivot, times
+        the product of the pivot entries it divides by."""
+        ring = self.ring
+        pivot_set = set(self.pivots)
+        out = []
+        for f in range(self.width):
+            if f in pivot_set:
+                continue
+            used = [(row[p], row[f], p) for row, p in zip(self.rows, self.pivots) if row[f]]
+            scale = ring.one
+            for a, _, _ in used:
+                scale = scale * a
+            y = [ring.zero] * self.width
+            y[f] = scale
+            for a, b, p in used:
+                y[p] = -b * ring.quotient(scale, a)
+            out.append(ring.primitive(y))
+        return out
+
+    def complement(self, eps: Sequence[int]) -> "PrimitiveRows":
+        """The vectors orthogonal to the span for diag(eps): x = diag(eps) y
+        for y in the kernel, which is read off the pivots."""
+        flipped = [[-x if e < 0 else x for e, x in zip(eps, y)] for y in self.kernel()]
+        return PrimitiveRows.span(self.ring, flipped, self.width)
+
+    def subspace(self) -> Subspace:
+        """The same span as a Subspace, built once from the canonical rows."""
+        if self._subspace is None:
+            canonical = self.ring.canonical
+            self._subspace = _canonical_subspace(
+                tuple(canonical(row, p) for row, p in zip(self.rows, self.pivots)),
+                self.pivots,
+                self.width,
+                self.ring.params,
+            )
+        return self._subspace
+
+
+class RowElimination:
+    """OpenElimination over ring rows: an independent list kept in
+    echelon form while it grows.  Each kept row is nonzero at its pivot
+    and zero at the pivots of the rows kept before it, so a forward pass
+    decides each independence test, and no entry is divided but by a
+    row's content."""
+
+    __slots__ = ("ring", "rows", "pivots")
+
+    def __init__(self, seed: PrimitiveRows) -> None:
+        self.ring = seed.ring
+        self.rows: List[Sequence] = list(seed.rows)
+        self.pivots: List[int] = list(seed.pivots)
+
+    def reduce(self, v: Sequence) -> list:
+        """A nonzero multiple of v minus its components along the kept
+        rows; zero iff v is in their span."""
+        return _eliminate(self.rows, self.pivots, v)
+
+    def keep(self, residual: list) -> None:
+        """Append a nonzero residual returned by reduce() as a new row."""
+        self.pivots.append(next(i for i, x in enumerate(residual) if x))
+        self.rows.append(self.ring.primitive(residual))
+
+    def extend(self, v: Sequence) -> bool:
+        """Keep v when it is independent of the rows; report whether it was."""
+        residual = self.reduce(v)
+        if not any(residual):
+            return False
+        self.keep(residual)
+        return True
 
 
 class FactoredBasis:

@@ -12,25 +12,36 @@ automatically nondegenerate, and the pairing matrix between the radical
 and any complement of it inside the orthogonal space of both screens is
 automatically invertible.  Both are asserted rather than trusted.
 
-Each piece of linear algebra is done once per point.  The Jacobian is
-eliminated once, for its rank and its span together.  The radical is
-J^T ker G, the image of the kernel of the m x m tangent Gram matrix G
-(J has full rank, so J^T c is orthogonal to the tangent space exactly
-when G c = 0), and the frame keeps G.  Each greedy complement reads
-one Gram matrix of its bundle's basis: a candidate is tested for
-independence with one forward reduction against an elimination kept
-open, and for nondegeneracy with its Schur pivot against an L D L^T
-factor of the vectors chosen so far.  With no radical the complement
-is the bundle itself, and otherwise it is the chosen rows of the
-bundle's reduced basis in pivot order, which is already the reduced
-basis of their span.  Still asserted on every frame: the complements
-are nondegenerate, the transversal frame is null and dual to the
-radical basis.
+Each piece of linear algebra is done once per point, and every span is
+worked out on primitive rows over Z, or over Z[sigma] when an input
+entry carries sigma (linalg.PrimitiveRows).  Each Jacobian row k is
+cleared to U_k = d_k J_k over the lcm d_k of its denominators, and each
+declared screen vector likewise.  The cleared Jacobian is eliminated
+once, for its rank and its span together, and the normal bundle is read
+off its pivots.  The radical is U^T ker G_int for the Gram matrix
+G_int = D G D of the cleared rows, D = diag(d_k): J has full rank, so
+J^T c is orthogonal to the tangent space exactly when G c = 0, and
+ker G_int = D^-1 ker G.  The frame keeps G, entry G_int[i][j] / (d_i
+d_j).  Each greedy complement reads one integer Gram matrix of its
+bundle's rows: a candidate is tested for independence with one forward
+reduction against an elimination kept open, and for nondegeneracy by
+the last fraction-free pivot of its bordered Gram block.  Scaling row i
+by s_i scales every principal minor by squares of the s_i, so no zero
+test moves.  With no radical the complement is the bundle itself, and
+otherwise it is the chosen rows of the bundle's reduced rows in pivot
+order, which are already the reduced rows of their span.  The Subspace
+fields get their canonical bases once, each reduced row divided by its
+pivot entry, with no further elimination.  Only the transversal frame's
+pairing with the radical, and the nulling after it, run on Q(sigma)
+values.  Still asserted on every frame: the complements are
+nondegenerate, the transversal frame is null and dual to the radical
+basis.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -46,16 +57,13 @@ from .errors import (
 from .linalg import (
     FactoredBasis,
     Mat,
-    OpenElimination,
+    PrimitiveRows,
+    RowElimination,
+    RowRing,
     Subspace,
     Vec,
-    det,
     invert,
-    is_zero_vec,
     lin_comb,
-    mat_vec,
-    null_space,
-    transpose,
     vec_scale,
     vec_sub,
 )
@@ -127,25 +135,30 @@ class PolynomialImmersion(Record):
             for l in range(self.chart_dim)
         )
 
-    def tangent_space(
-        self, point: Sequence[QuadScalar]
-    ) -> Tuple[Tuple[Vec, ...], Subspace]:
-        """Coordinate tangent vectors at the point and their span, from
-        one elimination; full rank or a raise."""
+    def _tangent_rows(
+        self, point: Sequence[QuadScalar], *declared: Sequence[Vec]
+    ) -> Tuple[Tuple[Vec, ...], RowRing, list, list, PrimitiveRows]:
+        """The coordinate tangent vectors at the point, the ring that they
+        and the declared vectors clear into, each vector cleared to a
+        ring row, the denominator each was cleared over, and the reduced
+        span: one elimination, full rank or a raise."""
         if len(point) != self.chart_dim:
             raise ShapeError("point length does not match chart dimension")
         frame = tuple(
             tuple(d.eval(point) for d in row) for row in self.jacobian_polys
         )
-        tangent = Subspace(frame, self.space.dim, self.space.params)
+        ring = RowRing.over(self.space.params, frame, *declared)
+        cleared = [ring.clear(v) for v in frame]
+        rows = [row for row, _ in cleared]
+        tangent = PrimitiveRows.span(ring, rows, self.space.dim)
         if tangent.dim != self.chart_dim:
             pretty = ", ".join(str(x) for x in point)
             raise ImmersionRankDrop(f"Jacobian rank drop at ({pretty})")
-        return frame, tangent
+        return frame, ring, rows, [d for _, d in cleared], tangent
 
     def tangent_frame(self, point: Sequence[QuadScalar]) -> Tuple[Vec, ...]:
         """Coordinate tangent vectors at the point; full rank or a raise."""
-        return self.tangent_space(point)[0]
+        return self._tangent_rows(point)[0]
 
     def hessian(self, point: Sequence[QuadScalar]) -> Tuple[Tuple[Vec, ...], ...]:
         """Second partials at the point: hessian[l][j] = d_l d_j f."""
@@ -167,10 +180,10 @@ def polynomial_jet(
     return values, partials
 
 
-def _greedy_complement(
-    space: SignatureSpace, whole: Subspace, sub: Subspace
-) -> Subspace:
-    """Complement of sub inside whole from whole's canonical basis.
+def _greedy_rows(
+    ring: RowRing, eps: Sequence[int], whole: PrimitiveRows, sub: PrimitiveRows
+) -> PrimitiveRows:
+    """Complement of sub inside whole from whole's reduced rows.
 
     First pass keeps the partial Gram matrix nondegenerate while
     growing; a second pass fills any remaining slots on independence
@@ -179,59 +192,57 @@ def _greedy_complement(
     radical of whole, which is contained in sub), and that is asserted.
 
     Every nondegeneracy decision reads the one Gram matrix G of whole's
-    basis.  The chosen vectors' block of G is kept as L D L^T, one row
-    per accepted vector, and a candidate k is accepted when its Schur
-    pivot G_kk - sum_t d_t l_t^2 is nonzero: the bordered determinant
-    is det(chosen block) times that pivot, and the chosen block is
-    nonsingular by induction.  Independence is one forward reduction
-    of the candidate against an elimination of sub plus the vectors
-    chosen so far, kept open across candidates.  When sub is zero the
-    complement is whole itself.  The chosen rows of whole's reduced
-    basis, in pivot order, are already the reduced basis of their span,
-    so the result is not eliminated again.
+    rows.  Row i is s_i times canonical row i, so each principal minor
+    of G is that of the canonical Gram matrix times the squares of its
+    s_i, and no zero test moves.  The chosen vectors' block of G is
+    kept in Bareiss form, one eliminated row per accepted vector, and a
+    candidate is accepted when the last pivot of its bordered block, the
+    determinant of that block, is nonzero.  Each division is exact in the
+    ring, and symmetry gives the candidate's column from its own row.
+    Independence is one forward reduction of the candidate against an
+    elimination of sub plus the vectors chosen so far, kept open across
+    candidates.  When sub is zero the complement is whole itself.  The
+    chosen rows of whole's reduced rows, in pivot order, are already the
+    reduced rows of their span, so the result is not eliminated again.
     """
-    if not whole.contains_subspace(sub):
+    if not all(whole.contains(v) for v in sub.rows):
         raise ShapeError("sub is not inside whole")
-    gram = space.gram(whole.basis)
+    basis = whole.rows
+    gram = ring.gram(eps, basis)
     if not sub.dim:
-        if whole.dim and not det(gram):
+        if basis and not ring.nonsingular(gram):
             raise InternalInconsistency("complement of the radical came out degenerate")
         return whole
     target = whole.dim - sub.dim
-    chosen: list = []  # indices into whole.basis
-    # L D L^T of the first-pass block: index, L row and 1/d per vector
-    factor: list = []
-    elimination = OpenElimination(sub)
-    for k, v in enumerate(whole.basis):
+    quotient = ring.quotient
+    chosen: list = []  # indices into whole.rows
+    # eliminated[t]: chosen vector t's row of the block after t Bareiss
+    # steps; entry t is its pivot, the leading minor of order t + 1
+    eliminated: list = []
+    elimination = RowElimination(sub)
+    for k, v in enumerate(basis):
         if len(chosen) == target:
             break
         residual = elimination.reduce(v)
-        if is_zero_vec(residual):
+        if not any(residual):
             continue
-        # forward substitution L w = G[chosen, k], then l_t = w_t / d_t
-        # and the Schur pivot G_kk - sum_t l_t w_t
         g_k = gram[k]
-        pivot = g_k[k]
-        w: list = []
-        lower: list = []
-        for i, lower_i, inv_d in factor:
-            w_t = g_k[i]
-            for l_u, w_u in zip(lower_i, w):
-                if l_u and w_u:
-                    w_t = w_t - l_u * w_u
-            w.append(w_t)
-            if w_t:
-                l_t = w_t * inv_d
-                pivot = pivot - l_t * w_t
-                lower.append(l_t)
-            else:
-                lower.append(w_t)
-        if pivot:
-            factor.append((k, lower, pivot.inverse()))
+        x = [g_k[i] for i in chosen]
+        x.append(g_k[k])
+        s = len(chosen)
+        prev = ring.one
+        for t, row_t in enumerate(eliminated):
+            pivot, x_t = row_t[t], x[t]
+            for j in range(t + 1, s):
+                x[j] = quotient(pivot * x[j] - x_t * eliminated[j][t], prev)
+            x[s] = quotient(pivot * x[s] - x_t * x_t, prev)
+            prev = pivot
+        if x[s]:
+            eliminated.append(x)
             elimination.keep(residual)
             chosen.append(k)
     if len(chosen) < target:
-        for k, v in enumerate(whole.basis):
+        for k, v in enumerate(basis):
             if len(chosen) == target:
                 break
             if elimination.extend(v):
@@ -240,37 +251,73 @@ def _greedy_complement(
         raise InternalInconsistency("greedy complement failed to reach full size")
     # nondegeneracy does not depend on the basis, so the chosen vectors'
     # block of G answers for the canonical basis of their span
-    if chosen and not det(tuple(tuple(gram[i][j] for j in chosen) for i in chosen)):
+    if chosen and not ring.nonsingular([[gram[i][j] for j in chosen] for i in chosen]):
         raise InternalInconsistency("complement of the radical came out degenerate")
-    return whole.span_of_rows(chosen)
+    return whole.pick(chosen)
 
 
-def _validate_override(
+def _override_rows(
+    ring: RowRing,
+    eps: Sequence[int],
+    whole: PrimitiveRows,
+    sub: PrimitiveRows,
+    override: Sequence[Vec],
+    label: str,
+) -> PrimitiveRows:
+    """A declared screen, checked to be a nondegenerate complement of sub
+    inside whole."""
+    rows = []
+    for v in override:
+        if len(v) != whole.width:
+            raise ScreenInvalid(f"{label}: vector length does not match ambient")
+        row = ring.clear(v)[0]
+        if not whole.contains(row):
+            raise ScreenInvalid(f"{label}: vector outside the bundle it must refine")
+        rows.append(row)
+    candidate = PrimitiveRows.span(ring, rows, whole.width)
+    if candidate.dim != len(rows):
+        raise ScreenInvalid(f"{label}: spanning vectors are dependent")
+    if len(rows) != whole.dim - sub.dim:
+        raise ScreenInvalid(f"{label}: got {len(rows)} vectors, need {whole.dim - sub.dim}")
+    elimination = RowElimination(sub)
+    if not all(elimination.extend(v) for v in candidate.rows):
+        raise ScreenInvalid(f"{label}: does not complement the radical")
+    if candidate.dim and not ring.nonsingular(ring.gram(eps, candidate.rows)):
+        raise ScreenInvalid(f"{label}: induced metric on the override is degenerate")
+    return candidate
+
+
+def _screen_rows(
+    ring: RowRing,
+    eps: Sequence[int],
+    whole: PrimitiveRows,
+    sub: PrimitiveRows,
+    override: Optional[Sequence[Vec]],
+    label: str,
+) -> PrimitiveRows:
+    if override is not None:
+        return _override_rows(ring, eps, whole, sub, override, label)
+    return _greedy_rows(ring, eps, whole, sub)
+
+
+def _choose_complement(
     space: SignatureSpace,
     whole: Subspace,
     sub: Subspace,
-    override: Sequence[Vec],
+    override: Optional[Sequence[Vec]],
     label: str,
 ) -> Subspace:
-    vectors = tuple(override)
-    for v in vectors:
-        if len(v) != space.dim:
-            raise ScreenInvalid(f"{label}: vector length does not match ambient")
-        if not whole.contains(v):
-            raise ScreenInvalid(f"{label}: vector outside the bundle it must refine")
-    candidate = Subspace(vectors, space.dim, space.params)
-    if candidate.dim != len(vectors):
-        raise ScreenInvalid(f"{label}: spanning vectors are dependent")
-    if len(vectors) != whole.dim - sub.dim:
-        raise ScreenInvalid(
-            f"{label}: got {len(vectors)} vectors, need {whole.dim - sub.dim}"
-        )
-    elimination = OpenElimination(sub)
-    if not all(elimination.extend(v) for v in candidate.basis):
-        raise ScreenInvalid(f"{label}: does not complement the radical")
-    if candidate.dim and not det(space.gram(candidate.basis)):
-        raise ScreenInvalid(f"{label}: induced metric on the override is degenerate")
-    return candidate
+    declared = None if override is None else tuple(override)
+    ring = RowRing.over(space.params, whole.basis, sub.basis, declared or ())
+    rows = _screen_rows(
+        ring,
+        space.eps,
+        PrimitiveRows.of(ring, whole),
+        PrimitiveRows.of(ring, sub),
+        declared,
+        label,
+    )
+    return rows.subspace()
 
 
 def choose_screen(
@@ -280,9 +327,7 @@ def choose_screen(
     override: Optional[Sequence[Vec]] = None,
 ) -> Subspace:
     """Screen distribution: a complement of the radical in the tangent space."""
-    if override is not None:
-        return _validate_override(space, tangent, radical, override, "screen")
-    return _greedy_complement(space, tangent, radical)
+    return _choose_complement(space, tangent, radical, override, "screen")
 
 
 def choose_normal_screen(
@@ -292,9 +337,7 @@ def choose_normal_screen(
     override: Optional[Sequence[Vec]] = None,
 ) -> Subspace:
     """Screen of the normal bundle: a complement of the radical there."""
-    if override is not None:
-        return _validate_override(space, normal, radical, override, "normal screen")
-    return _greedy_complement(space, normal, radical)
+    return _choose_complement(space, normal, radical, override, "normal screen")
 
 
 def construct_ltr(
@@ -308,31 +351,38 @@ def construct_ltr(
     The N_i satisfy <N_i, xi_j> = delta_ij, <N_i, N_j> = 0 and are
     orthogonal to both screens.  Construction: inside the orthogonal
     space of the two screens, take any complement of the radical, apply
-    the inverse pairing matrix, then strip quadratic self-terms.
+    the inverse pairing matrix, then strip quadratic self-terms.  The
+    spans are worked out over primitive rows; only the r chosen
+    canonical vectors of the orthogonal space enter Q(sigma) arithmetic.
     """
     rad_basis = radical.basis
     r = len(rad_basis)
     if r == 0:
         return ()
     params = space.params
-    both = screen.sum(normal_screen)
-    lam = space.orthogonal_complement(both)
+    ring = RowRing.over(params, rad_basis, screen.basis, normal_screen.basis)
+    both = PrimitiveRows.span(
+        ring, [ring.clear(v)[0] for v in screen.basis + normal_screen.basis], space.dim
+    )
+    lam = both.complement(space.eps)
     if lam.dim != 2 * r:
         raise LtrConstructionFailed(
             f"orthogonal space of the screens has dimension {lam.dim}, expected {2 * r}"
         )
-    if not lam.contains_subspace(radical):
+    rad = PrimitiveRows.of(ring, radical)
+    if not all(lam.contains(v) for v in rad.rows):
         raise LtrConstructionFailed("radical escaped the orthogonal space of the screens")
 
-    chosen: list = []
-    elimination = OpenElimination(radical)
-    for v in lam.basis:
-        if len(chosen) == r:
+    picked: list = []
+    elimination = RowElimination(rad)
+    for k, v in enumerate(lam.rows):
+        if len(picked) == r:
             break
         if elimination.extend(v):
-            chosen.append(v)
-    if len(chosen) != r:
+            picked.append(k)
+    if len(picked) != r:
         raise LtrConstructionFailed("no complement of the radical inside the pairing space")
+    chosen = lam.pick(picked).subspace().basis
 
     pairing = tuple(
         tuple(space.inner(v, xi) for xi in rad_basis) for v in chosen
@@ -343,7 +393,7 @@ def construct_ltr(
     # dual vectors: <tilde_i, xi_j> = delta_ij
     tilde = [lin_comb(inv[i], tuple(chosen)) for i in range(r)]
     # subtract half the mutual inner products along the radical to null them
-    half = QuadScalar(1, 0, params) / QuadScalar(2, 0, params)
+    half = QuadScalar(Fraction(1, 2), 0, params)
     out = []
     for i in range(r):
         v = tilde[i]
@@ -430,22 +480,44 @@ def build_frame(
     normal_screen_override: Optional[Sequence[Vec]] = None,
 ) -> AdaptedFrame:
     space = immersion.space
-    jac, tangent = immersion.tangent_space(point)
-    normal = space.orthogonal_complement(tangent)
-    # J has full rank, so J^T c is orthogonal to the tangent space exactly
-    # when G c = 0: the radical is the image of the Gram kernel
-    gram = space.gram(jac)
-    kernel = null_space(gram, len(jac), space.params)
-    columns = transpose(jac)
-    radical = Subspace(
-        tuple(mat_vec(columns, c) for c in kernel), space.dim, space.params
+    eps = space.eps
+    if screen_override is not None:
+        screen_override = tuple(screen_override)
+    if normal_screen_override is not None:
+        normal_screen_override = tuple(normal_screen_override)
+    jac, ring, rows, dens, tangent_rows = immersion._tangent_rows(
+        point, screen_override or (), normal_screen_override or ()
     )
+    normal_rows = tangent_rows.complement(eps)
+    # row k of U is d_k times Jacobian row k, so U's Gram matrix is D G D
+    # for D = diag(d_k) and its kernel is D^-1 ker G.  J has full rank,
+    # so J^T c is orthogonal to the tangent space exactly when G c = 0:
+    # the radical is the image U^T ker(D G D) = J^T ker G
+    gram = ring.gram(eps, rows)
+    kernel = PrimitiveRows.span(ring, gram, len(rows)).kernel()
+    spanning = []
+    for c in kernel:
+        v = [ring.zero] * space.dim
+        for c_k, u in zip(c, rows):
+            if c_k:
+                v = [x + c_k * y if y else x for x, y in zip(v, u)]
+        spanning.append(v)
+    radical_rows = PrimitiveRows.span(ring, spanning, space.dim)
+    tangent_gram = [[None] * len(rows) for _ in rows]
+    for i, d_i in enumerate(dens):
+        for j in range(i, len(dens)):
+            tangent_gram[i][j] = tangent_gram[j][i] = ring.ratio(gram[i][j], d_i * dens[j])
+    # made before the greedy screens, which share their canonical rows
+    tangent, normal, radical = (
+        bundle.subspace() for bundle in (tangent_rows, normal_rows, radical_rows)
+    )
+    screen = _screen_rows(
+        ring, eps, tangent_rows, radical_rows, screen_override, "screen"
+    ).subspace()
+    normal_screen = _screen_rows(
+        ring, eps, normal_rows, radical_rows, normal_screen_override, "normal screen"
+    ).subspace()
     case = classify_case(tangent.dim, normal.dim, radical.dim)
-
-    screen = choose_screen(space, tangent, radical, screen_override)
-    normal_screen = choose_normal_screen(
-        space, normal, radical, normal_screen_override
-    )
     ltr = construct_ltr(space, radical, screen, normal_screen)
 
     # paranoid contracts, all cheap at these sizes
@@ -461,7 +533,7 @@ def build_frame(
         space=space,
         point=tuple(point),
         tangent_jacobian=jac,
-        tangent_gram=gram,
+        tangent_gram=tuple(tuple(row) for row in tangent_gram),
         tangent=tangent,
         normal=normal,
         radical=radical,

@@ -9,11 +9,13 @@ exact zero and report bytes against byte equality.
 
 import json
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
-from lightlike_lab import classifier
+from lightlike_lab import classifier, linalg
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace, diag_branches
 from lightlike_lab.classifier import (
     POINT_CHECK_FUNCTIONS,
@@ -435,6 +437,58 @@ def test_criterion_5_transversal_frame_duality():
     elapsed = time.perf_counter() - t0
     assert frames == 102
     assert elapsed < 10.0, f"frame sweep took {elapsed:.1f}s"
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    """Count the calls of owner.name, also through every lightlike_lab
+    module that imported it by name."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("lightlike_lab.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+
+
+def test_criterion_5_frame_build_forms_no_quadscalar_gram_det_or_kernel(monkeypatch):
+    """A load-free companion to the frame budget above: on every fixture
+    point, with its declared screens and with greedy ones, and on a fixed
+    generated sweep, build_frame calls SignatureSpace.gram, det and
+    null_space zero times, because its span work runs on primitive
+    integer rows."""
+    frames = []
+    for name in FIXTURE_NAMES:
+        sc = load_scene(name)
+        for point in sc.points:
+            frames.append((sc.immersion, point, sc.screen, sc.normal_screen))
+            frames.append((sc.immersion, point, None, None))
+    for pq in ((0, 2), (1, 1), (2, 1)):
+        for config in ("radical-transversal", "transversal"):
+            for flavors in ((), ("str",), ("ltr",), ("rad",), ("rad-twist",)):
+                g = perturbed_structured_scene(random.Random(0), MetallicParams(*pq), config, flavors)
+                frames.append((g.immersion, g.point, g.screen_override, g.normal_screen_override))
+                frames.append((g.immersion, g.point, None, None))
+    counts = Counter()
+    _count_calls(monkeypatch, SignatureSpace, "gram", counts)
+    _count_calls(monkeypatch, linalg, "det", counts)
+    _count_calls(monkeypatch, linalg, "null_space", counts)
+    radical_dims = Counter(
+        build_frame(immersion, point, screen, normal_screen).radical_dim
+        for immersion, point, screen, normal_screen in frames
+    )
+    assert counts == Counter()
+    assert len(frames) == 74 and radical_dims[1] and radical_dims[2]
+    # the counters see a call when there is one
+    space = SignatureSpace(2, (-1, 1), GOLDEN)
+    square = identity(2, GOLDEN)
+    space.gram(square)
+    linalg.det(square)
+    linalg.null_space(square, 2, GOLDEN)
+    assert counts == Counter({"gram": 1, "det": 1, "null_space": 1})
 
 
 # ---- criterion 6: classification checks versus their oracles ----

@@ -551,28 +551,38 @@ def test_greedy_complement_refuses_a_degenerate_result():
 
 def test_one_frame_eliminates_the_jacobian_once(monkeypatch):
     """On radical-transversal-deep (r = 2, both screens declared) one
-    build_frame reduces the Jacobian once and makes at most 10 reductions
-    in all; eliminating it again for its rank, or rank-testing each
-    candidate, raises the count."""
+    build_frame eliminates the Jacobian once, as primitive integer rows,
+    and makes at most 10 reductions in all, primitive-row Gauss-Jordan
+    passes and QuadScalar reductions together; eliminating it again for
+    its rank, or rank-testing each candidate, raises the count."""
     fixture = resources.files("lightlike_lab") / "fixtures" / "radical-transversal-deep.json"
     sc = parse_scene(fixture.read_bytes())
     reductions = [0]
     eliminated = Counter()
-    reduce, rref = linalg._reduce, linalg.rref
+    reduce, rref, span = linalg._reduce, linalg.rref, linalg.PrimitiveRows.span
 
     def counting_reduce(rows, limit):
         reductions[0] += 1
         return reduce(rows, limit)
 
     def counting_rref(a):
-        eliminated[tuple(a)] += 1
+        eliminated["rref", tuple(a)] += 1
         return rref(a)
+
+    def counting_span(cls, ring, spanning, width):
+        reductions[0] += 1
+        eliminated["rows", tuple(tuple(v) for v in spanning)] += 1
+        return span(ring, spanning, width)
 
     monkeypatch.setattr(linalg, "_reduce", counting_reduce)
     monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg.PrimitiveRows, "span", classmethod(counting_span))
     frame = build_frame(sc.immersion, sc.points[0], sc.screen, sc.normal_screen)
     assert frame.radical_dim == 2
-    assert eliminated[frame.tangent_jacobian] == 1
+    jacobian = frame.tangent_jacobian
+    ring = linalg.RowRing.over(frame.space.params, jacobian, sc.screen, sc.normal_screen)
+    cleared = tuple(tuple(ring.clear(v)[0]) for v in jacobian)
+    assert eliminated["rows", cleared] + eliminated["rref", jacobian] == 1
     assert reductions[0] <= 10
 
 
