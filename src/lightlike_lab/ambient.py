@@ -15,7 +15,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .errors import ShapeError, ValidationError
 from .linalg import (
     Mat,
-    Subspace,
     Vec,
     identity,
     mat_mul,
@@ -70,32 +69,6 @@ class SignatureSpace(Record):
     def zero(self) -> Vec:
         z = QuadScalar.zero(self.params)
         return tuple(z for _ in range(self.dim))
-
-    def orthogonal_complement(self, sub: Subspace) -> Subspace:
-        """All vectors orthogonal to sub.  The form is nondegenerate, so
-        dimensions are complementary even when the two spaces overlap.
-
-        x is orthogonal to sub exactly when B diag(eps) x = 0 for sub's
-        basis B, i.e. x = diag(eps) y with y in ker(B).  B is already in
-        reduced echelon form, so ker(B) is read off its pivots, one
-        vector per free column, with no elimination; the one
-        elimination left is the canonical basis of the result.
-        """
-        if sub.ambient_dim != self.dim:
-            raise ShapeError("subspace does not live in this ambient space")
-        one = QuadScalar.one(self.params)
-        zero = QuadScalar.zero(self.params)
-        pivot_set = set(sub.pivots)
-        kernel = []
-        for free in range(self.dim):
-            if free in pivot_set:
-                continue
-            y = [zero] * self.dim
-            y[free] = one
-            for row, pc in zip(sub.basis, sub.pivots):
-                y[pc] = -row[free]
-            kernel.append(tuple(-x if e < 0 else x for e, x in zip(self.eps, y)))
-        return Subspace(tuple(kernel), self.dim, self.params)
 
     def gram(self, vectors: Sequence[Vec]) -> Mat:
         """Symmetric matrix of inner products; one triangle is computed."""

@@ -23,14 +23,13 @@ induced derivative at a time against the frame's own factored bases,
 and read no slot projector.
 
 Both configurations split the ambient space into the same four slots
-(screen, radical, null transversal, and the normal screen) and differ
-only in where the structure map sends the screen: onto itself in the
-radical-transversal mode, into the normal screen in the transversal
-mode, which then splits into the mapped screen and its complement mu.
-A mode picks the predicate's screen target and the slots of its
-ProjectorSet, which holds one exact projector matrix per slot.  The
-four-slot set exists at every lightlike point; the criteria and
-structure-eqs read it.
+(screen, radical, null transversal, and the normal screen), factored
+once per point into one exact projector matrix per slot (ProjectorSet).
+They differ only in where the structure map sends the screen: onto
+itself in the radical-transversal mode, into the normal screen in the
+transversal mode, whose set splits the normal-screen slot further into
+the mapped screen and its complement mu.  The four-slot set exists at
+every lightlike point; the criteria and structure-eqs read it.
 
 REFERENCES is the one list of check identifiers and the screen-target
 table the one list of configuration names.  @_point_check registers
@@ -74,6 +73,8 @@ from .geometry import (
 )
 from .linalg import (
     Mat,
+    PrimitiveRows,
+    RowRing,
     Subspace,
     Vec,
     identity,
@@ -159,8 +160,7 @@ def _residual_witness(samples: List[Tuple[List[int], Sequence[QuadScalar]]]) -> 
 # ---- slot projections ----
 
 
-RADICAL_TRANSVERSAL_SLOTS = ("screen", "radical", "transversal", "normal-screen")
-TRANSVERSAL_SLOTS = ("screen", "radical", "transversal", "mapped-screen", "mu")
+FOUR_SLOTS = ("screen", "radical", "transversal", "normal-screen")
 
 # mode -> (frame subspace the screen images must lie in, witness key);
 # its key order is the one list of configuration names, CONFIGURATIONS.
@@ -177,10 +177,12 @@ class ProjectorSet(NamedTuple):
     """Exact slot projectors for one configuration mode at a point.
 
     The slot bases together form a basis of the ambient space, so every
-    vector splits uniquely into one component per slot.  The stacked
-    basis is factored once and each slot's projector matrix is read off
-    that factorization.  audit() checks every matrix against the slot bases
-    instead of trusting construction.
+    vector splits uniquely into one component per slot.  The four-slot
+    set reads its matrices off one factorization of its stacked bases.
+    The transversal set shares the first three and refines the fourth:
+    it factors only the mapped-screen + mu basis of the normal screen
+    and composes each projector with P[normal-screen].  audit() checks
+    every matrix against the slot bases instead of trusting construction.
     """
 
     space: SignatureSpace
@@ -328,16 +330,25 @@ class PointContext:
         return self._config[mode]
 
     def mu_subspace(self) -> Subspace:
-        """Orthogonal complement of the mapped screen inside the normal screen."""
+        """Orthogonal complement of the mapped screen inside the normal
+        screen: N^T ker <J_a, N_b> over the primitive rows J_a of
+        J(screen) and N_b of the normal screen."""
         if self._mu is None:
-            space = self.space
-            j_scr = Subspace(self.mapped_screen(), space.dim, space.params)
-            mu = self.frame.normal_screen.intersect(space.orthogonal_complement(j_scr))
-            if j_scr.dim + mu.dim != self.frame.normal_screen.dim:
+            n, j_scr = self.space.dim, self.mapped_screen()
+            ring = RowRing.over(self.params, j_scr, self.frame.normal_screen.basis)
+            mapped = PrimitiveRows.span(ring, [ring.clear(v)[0] for v in j_scr], n).rows
+            rows = PrimitiveRows.of(ring, self.frame.normal_screen).rows
+            k = len(mapped)
+            gram = ring.gram(self.space.eps, mapped + rows)
+            pairing = PrimitiveRows.span(ring, [g[k:] for g in gram[:k]], len(rows))
+            # the pairing loses rank exactly when J(screen) meets the
+            # orthogonal space of the normal screen
+            if pairing.dim != k:
                 raise InternalInconsistency(
                     "mapped screen and its complement do not fill the normal screen"
                 )
-            self._mu = mu
+            combined = ring.combine(pairing.kernel(), rows, n)
+            self._mu = PrimitiveRows.span(ring, combined, n).subspace()
         return self._mu
 
     def slot(self, label: str) -> Mat:
@@ -358,28 +369,34 @@ class PointContext:
             return self._proj[mode]
         frame = self.frame
         if mode == "radical-transversal":
-            labels = RADICAL_TRANSVERSAL_SLOTS
-            last = (frame.normal_screen.basis,)
+            parts = (frame.screen.basis, frame.rad_basis, frame.ltr, frame.normal_screen.basis)
+            slots = dict(zip(FOUR_SLOTS, parts))
+            bases, matrices = {}, {}
+            dim, inside, onto = self.space.dim, True, None
         elif mode == "transversal":
-            labels = TRANSVERSAL_SLOTS
-            last = (self.mapped_screen(), self.mu_subspace().basis)
+            # the four-slot set with its normal-screen slot split in two
+            slots = {"mapped-screen": self.mapped_screen(), "mu": self.mu_subspace().basis}
+            inside = all(frame.normal_screen.contains(v) for v in slots["mapped-screen"])
+            four = self.projectors("radical-transversal")
+            bases, matrices = dict(four.bases), dict(four.matrices)
+            del bases["normal-screen"]
+            dim, onto = frame.normal_screen.dim, matrices.pop("normal-screen")
         else:
             raise InternalInconsistency(f"unknown projection mode {mode!r}", mode=mode)
-        bases = dict(zip(labels, (frame.screen.basis, frame.rad_basis, frame.ltr) + last))
-        factor = frame.factored([v for b in bases.values() for v in b])
-        # a basis of the ambient space: independent and spanning
-        if not len(factor.basis) == factor.rank == self.space.dim:
+        factor = frame.factored([v for b in slots.values() for v in b])
+        # a basis of the space the slots split: independent and spanning
+        if not (inside and len(factor.basis) == factor.rank == dim):
             raise InternalInconsistency(
                 "slot bases do not decompose the ambient space", mode=mode
             )
-        matrices: Dict[str, Mat] = {}
+        bases.update(slots)
         at = 0
-        for label, basis in bases.items():
-            matrices[label] = factor.projector(range(at, at + len(basis)))
+        for label, basis in slots.items():
+            matrix = factor.projector(range(at, at + len(basis)))
+            matrices[label] = matrix if onto is None else mat_mul(matrix, onto)
             at += len(basis)
-        proj = ProjectorSet(self.space, bases, matrices)
-        self._proj[mode] = proj
-        return proj
+        self._proj[mode] = ProjectorSet(self.space, bases, matrices)
+        return self._proj[mode]
 
 
 # ---- structure validators as checks ----
@@ -622,8 +639,7 @@ def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat],
         # splits over the mapped screen and the screen.  Its mapped-screen
         # part P_ms J P_ms hs is p P_ms hs (J^2 = p J + q on J(screen)),
         # and p = 0 wherever this configuration exists, so only the screen
-        # part enters.  The five slots refine the four, so P_ms S = P_ms
-        # and P_mu S = P_mu; the two sets share the screen slot
+        # part enters.  P_ms and P_mu factor through P[normal-screen]
         b_hs = mat_mul(J, proj.matrices["mapped-screen"])
         tangent_term = mat_mul(ctx.slot("screen"), b_hs)
         screen_term = mat_add(j_nabla, mat_mul(J, proj.matrices["mu"]))
@@ -1068,9 +1084,8 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
     components of the two mapped couplings.
     """
     columns = _radical_along_coordinates(ctx)
-    slot_screen = ctx.projectors("transversal").matrices["screen"]
     _, J, j_minus_p = _coefficient(ctx)
-    op = mat_mul(mat_mul(mat_mul(slot_screen, J), ctx.slot("normal-screen")), j_minus_p)
+    op = mat_mul(mat_mul(mat_mul(ctx.slot("screen"), J), ctx.slot("normal-screen")), j_minus_p)
     samples = _nonzero(op, columns)
     criterion = not samples
     oracle, checked = _metric_oracle(ctx)

@@ -11,17 +11,17 @@ coordinates of each further vector are one matrix-vector product plus a
 residual test, and a projection onto some of the basis vectors along
 the rest is one precomputed matrix.  Subspace keeps its canonical
 reduced-echelon basis with its pivot columns, so membership reads the
-coordinates off those columns instead of eliminating again.  A list
-that grows one vector at a time stays open in OpenElimination, so each
-independence test is one forward reduction of the new vector.
+coordinates off those columns instead of eliminating again.
 
 Spans whose basis only matters up to scale are also kept as primitive
 rows (PrimitiveRows): each vector times the lcm of its denominators has
 entries in Z, or in Z[sigma] when an entry has a sigma part (RowRing).
 Their Gauss-Jordan divides no entry but by a row's content, and each
 reduced row is a nonzero multiple of the canonical one, so a Subspace
-is made from them by one division per entry.  Nondegeneracy over these
-rings is a Bareiss determinant test, exact at every step.
+is made from them by one division per entry.  A list that grows one
+vector at a time stays open in RowElimination, so each independence
+test is one forward reduction of the new vector.  Nondegeneracy over
+these rings is a Bareiss determinant test, exact at every step.
 
 Matrix products skip every term with a zero factor, and every
 elimination skips the zero entries of its pivot row when it scales that
@@ -315,31 +315,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace(self.basis + other.basis, self.ambient_dim, self.params)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel construction: coefficients (a, b) with a.U = b.V."""
-        self._check_compatible(other)
-        r, s = self.dim, other.dim
-        if r == 0 or s == 0:
-            return Subspace((), self.ambient_dim, self.params)
-        columns = tuple(
-            tuple(self.basis[i][row] for i in range(r))
-            + tuple(-other.basis[j][row] for j in range(s))
-            for row in range(self.ambient_dim)
-        )
-        kernel = null_space(columns, r + s, self.params)
-        vectors = [
-            lin_comb(k[:r], self.basis) for k in kernel
-        ]
-        return Subspace(tuple(vectors), self.ambient_dim, self.params)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError("subspaces live in different ambient dimensions")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -450,6 +425,17 @@ class RowRing:
         for i, u in enumerate(flipped):
             for j in range(i, n):
                 out[i][j] = out[j][i] = sum(map(_mul, u, rows[j]), zero)
+        return out
+
+    def combine(self, coefficients: Iterable[Sequence], rows: Sequence, width: int) -> List[list]:
+        """Each coefficient vector c as the row sum_k c_k rows[k]."""
+        out = []
+        for c in coefficients:
+            v = [self.zero] * width
+            for c_k, u in zip(c, rows):
+                if c_k:
+                    v = [x + c_k * y if y else x for x, y in zip(v, u)]
+            out.append(v)
         return out
 
     def nonsingular(self, a: Sequence[Sequence]) -> bool:
@@ -619,11 +605,10 @@ class PrimitiveRows:
 
 
 class RowElimination:
-    """OpenElimination over ring rows: an independent list kept in
-    echelon form while it grows.  Each kept row is nonzero at its pivot
-    and zero at the pivots of the rows kept before it, so a forward pass
-    decides each independence test, and no entry is divided but by a
-    row's content."""
+    """An independent list of ring rows kept in echelon form while it
+    grows.  Each kept row is nonzero at its pivot and zero at the pivots
+    of the rows kept before it, so a forward pass decides each
+    independence test, and no entry is divided but by a row's content."""
 
     __slots__ = ("ring", "rows", "pivots")
 
@@ -722,49 +707,6 @@ class FactoredBasis:
             )
         vectors = tuple(self.basis[i] for i in indices)
         return mat_mul(transpose(vectors), self.coordinate_map(indices))
-
-
-class OpenElimination:
-    """An independent list kept in echelon form while it grows.
-
-    Each kept row is 1 at its pivot and 0 at the pivots of the rows
-    kept before it.  Reducing a vector against the rows in the order
-    they were kept leaves it 0 at every pivot, and a nonzero combination
-    of the rows is nonzero at the pivot of the earliest row it uses, so the
-    residual vanishes exactly when the vector lies in the span: one
-    forward pass per candidate instead of eliminating the stacked list.
-    It starts from a Subspace, whose reduced basis already has this form.
-    """
-
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self, seed: Subspace) -> None:
-        self.rows: List[Vec] = list(seed.basis)
-        self.pivots: List[int] = list(seed.pivots)
-
-    def reduce(self, v: Vec) -> Vec:
-        """v minus its components along the kept rows; zero iff v is in their span."""
-        w = v
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            if f:
-                w = tuple(x - f * y if y else x for x, y in zip(w, row))
-        return w
-
-    def keep(self, residual: Vec) -> None:
-        """Append a nonzero residual returned by reduce() as a new row."""
-        c = next(i for i, x in enumerate(residual) if x)
-        inv = residual[c].inverse()
-        self.rows.append(tuple(inv * x if x else x for x in residual))
-        self.pivots.append(c)
-
-    def extend(self, v: Vec) -> bool:
-        """Keep v when it is independent of the rows; report whether it was."""
-        residual = self.reduce(v)
-        if is_zero_vec(residual):
-            return False
-        self.keep(residual)
-        return True
 
 
 def factor_system(a: Mat, params: MetallicParams) -> FactoredBasis:

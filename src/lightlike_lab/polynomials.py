@@ -144,14 +144,16 @@ class Polynomial:
             raise ShapeError(
                 f"point of length {len(point)} for {self.nvars} variables"
             )
-        acc = QuadScalar.zero(self.params)
+        # the sum starts from the first term, so a zero polynomial makes
+        # one zero and a constant returns its coefficient as it stands
+        acc = None
         for expos, coef in self.terms.items():
             term = coef
             for x, e in zip(point, expos):
                 if e:
                     term = term * x**e
-            acc = acc + term
-        return acc
+            acc = term if acc is None else acc + term
+        return QuadScalar.zero(self.params) if acc is None else acc
 
     # ---- equality ----
 

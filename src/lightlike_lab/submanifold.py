@@ -495,14 +495,7 @@ def build_frame(
     # the radical is the image U^T ker(D G D) = J^T ker G
     gram = ring.gram(eps, rows)
     kernel = PrimitiveRows.span(ring, gram, len(rows)).kernel()
-    spanning = []
-    for c in kernel:
-        v = [ring.zero] * space.dim
-        for c_k, u in zip(c, rows):
-            if c_k:
-                v = [x + c_k * y if y else x for x, y in zip(v, u)]
-        spanning.append(v)
-    radical_rows = PrimitiveRows.span(ring, spanning, space.dim)
+    radical_rows = PrimitiveRows.span(ring, ring.combine(kernel, rows, space.dim), space.dim)
     tangent_gram = [[None] * len(rows) for _ in rows]
     for i, d_i in enumerate(dens):
         for j in range(i, len(dens)):

@@ -432,7 +432,7 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
         return gate
     kit = ctx.kit()
     frame = ctx.frame
-    proj = ctx.projectors("transversal")
+    proj = ctx.projectors("radical-transversal")
     p = QuadScalar(ctx.params.p, 0, ctx.params)
     samples: List[Tuple[List[int], Vec]] = []
     for c, xi_field in enumerate(kit.radical):

@@ -23,7 +23,6 @@ from lightlike_lab.errors import (
     ShapeError,
 )
 from lightlike_lab.linalg import (
-    OpenElimination,
     Subspace,
     Vec,
     det,
@@ -38,6 +37,8 @@ from lightlike_lab.linalg import (
 )
 from lightlike_lab.scalars import QuadScalar
 from lightlike_lab.submanifold import AdaptedFrame, PolynomialImmersion, classify_case
+
+from helpers import OpenElimination, orthogonal_complement, subspace_sum
 
 
 def tangent_space(
@@ -221,8 +222,7 @@ def construct_ltr(
     if r == 0:
         return ()
     params = space.params
-    both = screen.sum(normal_screen)
-    lam = space.orthogonal_complement(both)
+    lam = orthogonal_complement(space, subspace_sum(screen, normal_screen))
     if lam.dim != 2 * r:
         raise LtrConstructionFailed(
             f"orthogonal space of the screens has dimension {lam.dim}, expected {2 * r}"
@@ -268,7 +268,7 @@ def build_frame(
 ) -> AdaptedFrame:
     space = immersion.space
     jac, tangent = tangent_space(immersion, point)
-    normal = space.orthogonal_complement(tangent)
+    normal = orthogonal_complement(space, tangent)
     # J has full rank, so J^T c is orthogonal to the tangent space exactly
     # when G c = 0: the radical is the image of the Gram kernel
     gram = space.gram(jac)

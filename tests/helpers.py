@@ -12,6 +12,11 @@ in pair_loops.py and criterion_loops.py are written in them.
 isometry_inverse builds the full inverse matrix of a signature isometry,
 which the nonexistence audit never builds, and candidate_quads reads an
 audit candidate's integer directions back as QuadScalar vectors.
+subspace_sum, intersect, orthogonal_complement and OpenElimination are
+the Q(sigma) span operations that the package now does over primitive
+rows; the reference builds in frame_reference.py and
+projector_reference.py, and the tests that hold the primitive-row
+operations to them, are written in them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace
 from lightlike_lab.classifier import NullDualCandidate, ProjectorSet
@@ -33,7 +38,20 @@ from lightlike_lab.geometry import (
     pairing_gradient,
     split_tangent,
 )
-from lightlike_lab.linalg import Mat, Vec, mat_vec, rref, vec_add, vec_neg, vec_scale, zero_vec
+from lightlike_lab.linalg import (
+    Mat,
+    Subspace,
+    Vec,
+    is_zero_vec,
+    lin_comb,
+    mat_vec,
+    null_space,
+    rref,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    zero_vec,
+)
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import MetallicParams, QuadScalar
 from lightlike_lab.submanifold import AdaptedFrame
@@ -189,6 +207,103 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     return tuple(x)
+
+
+def _check_compatible(u: Subspace, v: Subspace) -> None:
+    if u.ambient_dim != v.ambient_dim:
+        raise ShapeError("subspaces live in different ambient dimensions")
+
+
+def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    """The span of both subspaces."""
+    _check_compatible(u, v)
+    return Subspace(u.basis + v.basis, u.ambient_dim, u.params)
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """Kernel construction: coefficients (a, b) with a.U = b.V."""
+    _check_compatible(u, v)
+    r, s = u.dim, v.dim
+    if r == 0 or s == 0:
+        return Subspace((), u.ambient_dim, u.params)
+    columns = tuple(
+        tuple(u.basis[i][row] for i in range(r))
+        + tuple(-v.basis[j][row] for j in range(s))
+        for row in range(u.ambient_dim)
+    )
+    kernel = null_space(columns, r + s, u.params)
+    vectors = [lin_comb(k[:r], u.basis) for k in kernel]
+    return Subspace(tuple(vectors), u.ambient_dim, u.params)
+
+
+def orthogonal_complement(space: SignatureSpace, sub: Subspace) -> Subspace:
+    """All vectors orthogonal to sub.  The form is nondegenerate, so
+    dimensions are complementary even when the two spaces overlap.
+
+    x is orthogonal to sub exactly when B diag(eps) x = 0 for sub's
+    basis B, i.e. x = diag(eps) y with y in ker(B).  B is already in
+    reduced echelon form, so ker(B) is read off its pivots, one
+    vector per free column, with no elimination; the one
+    elimination left is the canonical basis of the result.
+    """
+    if sub.ambient_dim != space.dim:
+        raise ShapeError("subspace does not live in this ambient space")
+    one = QuadScalar.one(space.params)
+    zero = QuadScalar.zero(space.params)
+    pivot_set = set(sub.pivots)
+    kernel = []
+    for free in range(space.dim):
+        if free in pivot_set:
+            continue
+        y = [zero] * space.dim
+        y[free] = one
+        for row, pc in zip(sub.basis, sub.pivots):
+            y[pc] = -row[free]
+        kernel.append(tuple(-x if e < 0 else x for e, x in zip(space.eps, y)))
+    return Subspace(tuple(kernel), space.dim, space.params)
+
+
+class OpenElimination:
+    """An independent list kept in echelon form while it grows.
+
+    Each kept row is 1 at its pivot and 0 at the pivots of the rows
+    kept before it.  Reducing a vector against the rows in the order
+    they were kept leaves it 0 at every pivot, and a nonzero combination
+    of the rows is nonzero at the pivot of the earliest row it uses, so the
+    residual vanishes exactly when the vector lies in the span: one
+    forward pass per candidate instead of eliminating the stacked list.
+    It starts from a Subspace, whose reduced basis already has this form.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, seed: Subspace) -> None:
+        self.rows: List[Vec] = list(seed.basis)
+        self.pivots: List[int] = list(seed.pivots)
+
+    def reduce(self, v: Vec) -> Vec:
+        """v minus its components along the kept rows; zero iff v is in their span."""
+        w = v
+        for row, p in zip(self.rows, self.pivots):
+            f = w[p]
+            if f:
+                w = tuple(x - f * y if y else x for x, y in zip(w, row))
+        return w
+
+    def keep(self, residual: Vec) -> None:
+        """Append a nonzero residual returned by reduce() as a new row."""
+        c = next(i for i, x in enumerate(residual) if x)
+        inv = residual[c].inverse()
+        self.rows.append(tuple(inv * x if x else x for x in residual))
+        self.pivots.append(c)
+
+    def extend(self, v: Vec) -> bool:
+        """Keep v when it is independent of the rows; report whether it was."""
+        residual = self.reduce(v)
+        if is_zero_vec(residual):
+            return False
+        self.keep(residual)
+        return True
 
 
 def hl_vector(frame: AdaptedFrame, coeffs: Sequence[QuadScalar]) -> Vec:

@@ -491,6 +491,46 @@ def test_criterion_5_frame_build_forms_no_quadscalar_gram_det_or_kernel(monkeypa
     assert counts == Counter({"gram": 1, "det": 1, "null_space": 1})
 
 
+def test_criterion_5_transversal_projectors_refine_the_four_slot_set(monkeypatch):
+    """A load-free companion to the frame budget: on a fixed p = 0
+    transversal sweep, once the four-slot projectors exist, mu and the
+    transversal projectors call rref zero times and factor exactly one
+    basis, the normal screen's mapped-screen + mu basis."""
+    contexts = []
+    for q in (2, 3, 5):
+        for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
+            params = MetallicParams(0, q)
+            g = perturbed_structured_scene(random.Random(q), params, "transversal", flavors)
+            ctx = PointContext(
+                g.immersion, g.structure, g.point, g.screen_override, g.normal_screen_override
+            )
+            assert ctx.configuration("transversal")[0]
+            ctx.projectors("radical-transversal")
+            contexts.append(ctx)
+    counts = Counter()
+    _count_calls(monkeypatch, linalg, "rref", counts)
+    factored = []
+    init = linalg.FactoredBasis.__init__
+
+    def counting_init(self, basis, ambient_dim, params):
+        factored.append(len(basis))
+        init(self, basis, ambient_dim, params)
+
+    monkeypatch.setattr(linalg.FactoredBasis, "__init__", counting_init)
+    for ctx in contexts:
+        factored_before = len(factored)
+        ctx.mu_subspace()
+        proj = ctx.projectors("transversal")
+        assert factored[factored_before:] == [ctx.frame.normal_screen.dim]
+        assert not proj.audit()
+    assert counts == Counter()
+    assert len(contexts) == 18 and any(ctx.frame.screen.dim for ctx in contexts)
+    # the counters see a call when there is one
+    linalg.rank(identity(2, GOLDEN))
+    linalg.FactoredBasis(identity(2, GOLDEN), 2, GOLDEN)
+    assert counts == Counter({"rref": 1}) and factored[-1] == 2
+
+
 # ---- criterion 6: classification checks versus their oracles ----
 
 THEOREM_CHECKS = (

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lightlike_lab.errors import ParseError, ShapeError
 from lightlike_lab.polynomials import Polynomial
-from lightlike_lab.scalars import GOLDEN, QuadScalar
+from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from helpers import parse_polynomial
 
 P = GOLDEN
@@ -114,6 +114,33 @@ def test_eval_is_ring_homomorphism(f, g, pt):
     point = tuple(QuadScalar(x, 0, P) for x in pt)
     assert (f * g).eval(point) == f.eval(point) * g.eval(point)
     assert (f + g).eval(point) == f.eval(point) + g.eval(point)
+
+
+@pytest.mark.parametrize("params", [GOLDEN, MetallicParams(0, 2), MetallicParams(1, 2)])
+def test_zero_and_constant_polynomials_evaluate_to_the_sum_from_zero(params):
+    """eval starts from the first term; on a zero or constant polynomial
+    the value is the one a sum started from QuadScalar.zero gives, down
+    to the (A, B, D) triple and the text."""
+    point = (QuadScalar(Fraction(1, 2), 1, params), QuadScalar(-2, Fraction(1, 3), params))
+    zero = QuadScalar.zero(params)
+    values = (
+        zero,
+        QuadScalar(3, 0, params),
+        QuadScalar(Fraction(-1, 2), Fraction(2, 3), params),
+        QuadScalar.sigma(params),
+    )
+    for f in (Polynomial.zero(2, params),) + tuple(
+        Polynomial.constant(c, 2, params) for c in values
+    ):
+        expected = sum(f.terms.values(), zero)
+        value = f.eval(point)
+        assert (value.A, value.B, value.D, value.params, str(value)) == (
+            expected.A,
+            expected.B,
+            expected.D,
+            expected.params,
+            str(expected),
+        )
 
 
 def test_eval_frozen():

@@ -1,8 +1,8 @@
 """The primitive-row kernel against the QuadScalar routines it stands in
 for, over rational rows (entries in Z) and rows with a sigma part
 (entries in Z[sigma]), zero rows and dependent rows included: the
-reduction scaled to pivot 1 is rref, the complement is
-SignatureSpace.orthogonal_complement, and the nondegeneracy test agrees
+reduction scaled to pivot 1 is rref, the complement is the QuadScalar
+orthogonal_complement of tests/helpers.py, and the nondegeneracy test agrees
 with det of the Gram matrix."""
 
 from fractions import Fraction
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.linalg import (
-    OpenElimination,
     PrimitiveRows,
     RowElimination,
     RowRing,
@@ -24,6 +23,8 @@ from lightlike_lab.linalg import (
     rref,
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
+
+from helpers import OpenElimination, orthogonal_complement
 
 # (1, 2) has a square discriminant, so sigma = 2 and every entry is rational
 PARAMS = [GOLDEN, SILVER, MetallicParams(0, 2), MetallicParams(1, 2)]
@@ -98,7 +99,7 @@ def test_complement_is_the_orthogonal_complement(params, sigma, data):
     space = SignatureSpace(width, eps, params)
     ring, cleared = _cleared(params, rows)
     perp = PrimitiveRows.span(ring, cleared, width).complement(eps).subspace()
-    expected = space.orthogonal_complement(Subspace(tuple(rows), width, params))
+    expected = orthogonal_complement(space, Subspace(tuple(rows), width, params))
     assert (_triples(perp.basis), perp.pivots) == (_triples(expected.basis), expected.pivots)
 
 

@@ -7,9 +7,10 @@ same errors, and every QuadScalar result must be in canonical form:
 D > 0, gcd(A, B, D) == 1, and B == 0 when the discriminant is a square.
 
 The elimination kernels (rref, null_space, invert, det, FactoredBasis
-and OpenElimination), which skip zero entries and zero factors, are
-compared with a textbook Gauss-Jordan that skips nothing, run on
-PairScalar entries, over random matrices that are at least half zeros.
+and the test helper OpenElimination), which skip zero entries and zero
+factors, are compared with a textbook Gauss-Jordan that skips nothing,
+run on PairScalar entries, over random matrices that are at least half
+zeros.
 """
 
 import copy
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 from lightlike_lab.errors import DivByZero, NotInSpan, ParamError
 from lightlike_lab.linalg import (
     FactoredBasis,
-    OpenElimination,
     Subspace,
     det,
     invert,
@@ -34,6 +34,7 @@ from lightlike_lab.linalg import (
     rref,
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar, parse_scalar
+from helpers import OpenElimination
 from pair_scalars import (
     PairScalar,
     det_by_cofactors,
