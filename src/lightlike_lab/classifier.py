@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 import random
 import threading
@@ -171,6 +172,7 @@ _SCREEN_TARGETS = {
     "transversal": ("normal_screen", "screen_maps_into_normal_screen"),
 }
 CONFIGURATIONS: Tuple[str, ...] = tuple(_SCREEN_TARGETS)
+_NO_DECOMPOSITION = "slot bases do not decompose the ambient space"
 
 
 class ProjectorSet(NamedTuple):
@@ -179,10 +181,10 @@ class ProjectorSet(NamedTuple):
     The slot bases together form a basis of the ambient space, so every
     vector splits uniquely into one component per slot.  The four-slot
     set reads its matrices off one factorization of its stacked bases.
-    The transversal set shares the first three and refines the fourth:
-    it factors only the mapped-screen + mu basis of the normal screen
-    and composes each projector with P[normal-screen].  audit() checks
-    every matrix against the slot bases instead of trusting construction.
+    The transversal set shares the first three and splits the fourth: it
+    factors only the mapped-screen + mu basis of the normal screen, and
+    P[mu] = P[normal-screen] - P[mapped-screen].  audit() checks every
+    matrix against the slot bases instead of trusting construction.
     """
 
     space: SignatureSpace
@@ -331,24 +333,18 @@ class PointContext:
 
     def mu_subspace(self) -> Subspace:
         """Orthogonal complement of the mapped screen inside the normal
-        screen: N^T ker <J_a, N_b> over the primitive rows J_a of
-        J(screen) and N_b of the normal screen."""
+        screen: N^T ker <J_a, N_b> over primitive rows J_a, N_b."""
         if self._mu is None:
-            n, j_scr = self.space.dim, self.mapped_screen()
-            ring = RowRing.over(self.params, j_scr, self.frame.normal_screen.basis)
-            mapped = PrimitiveRows.span(ring, [ring.clear(v)[0] for v in j_scr], n).rows
-            rows = PrimitiveRows.of(ring, self.frame.normal_screen).rows
-            k = len(mapped)
-            gram = ring.gram(self.space.eps, mapped + rows)
-            pairing = PrimitiveRows.span(ring, [g[k:] for g in gram[:k]], len(rows))
-            # the pairing loses rank exactly when J(screen) meets the
-            # orthogonal space of the normal screen
-            if pairing.dim != k:
+            n, j_scr, normal = self.space.dim, self.mapped_screen(), self.frame.normal_screen
+            ring = RowRing.over(self.params, j_scr, normal.basis)
+            mapped = PrimitiveRows.span(ring, [ring.clear(v)[0] for v in j_scr], n)
+            rows = PrimitiveRows.of(ring, normal).rows
+            mu = ring.kernel_image(ring.gram(self.space.eps, mapped.rows, rows), rows, n)
+            if mapped.dim + mu.dim != normal.dim:
                 raise InternalInconsistency(
                     "mapped screen and its complement do not fill the normal screen"
                 )
-            combined = ring.combine(pairing.kernel(), rows, n)
-            self._mu = PrimitiveRows.span(ring, combined, n).subspace()
+            self._mu = mu.subspace()
         return self._mu
 
     def slot(self, label: str) -> Mat:
@@ -370,31 +366,29 @@ class PointContext:
         frame = self.frame
         if mode == "radical-transversal":
             parts = (frame.screen.basis, frame.rad_basis, frame.ltr, frame.normal_screen.basis)
-            slots = dict(zip(FOUR_SLOTS, parts))
-            bases, matrices = {}, {}
-            dim, inside, onto = self.space.dim, True, None
+            factor = frame.factored([v for b in parts for v in b])
+            # a basis of the ambient space: independent and spanning
+            if not len(factor.basis) == factor.rank == self.space.dim:
+                raise InternalInconsistency(_NO_DECOMPOSITION, mode=mode)
+            ends = tuple(itertools.accumulate(map(len, parts), initial=0))
+            bases = dict(zip(FOUR_SLOTS, parts))
+            matrices = {a: factor.projector(range(s, e)) for a, s, e in zip(bases, ends, ends[1:])}
         elif mode == "transversal":
-            # the four-slot set with its normal-screen slot split in two
-            slots = {"mapped-screen": self.mapped_screen(), "mu": self.mu_subspace().basis}
-            inside = all(frame.normal_screen.contains(v) for v in slots["mapped-screen"])
+            # the normal-screen slot split in two: only J(screen) + mu is
+            # factored, and it must be a basis of the normal screen
+            normal, mapped, mu = frame.normal_screen, self.mapped_screen(), self.mu_subspace().basis
+            factor = frame.factored(mapped + mu)
+            inside = all(map(normal.contains, mapped))
+            if not (inside and len(factor.basis) == factor.rank == normal.dim):
+                raise InternalInconsistency(_NO_DECOMPOSITION, mode=mode)
             four = self.projectors("radical-transversal")
-            bases, matrices = dict(four.bases), dict(four.matrices)
-            del bases["normal-screen"]
-            dim, onto = frame.normal_screen.dim, matrices.pop("normal-screen")
+            onto = four.matrices["normal-screen"]
+            p_ms = mat_mul(factor.projector(range(len(mapped))), onto)
+            bases = {**four.bases, "mapped-screen": mapped, "mu": mu}
+            matrices = {**four.matrices, "mapped-screen": p_ms, "mu": mat_sub(onto, p_ms)}
+            del bases["normal-screen"], matrices["normal-screen"]
         else:
             raise InternalInconsistency(f"unknown projection mode {mode!r}", mode=mode)
-        factor = frame.factored([v for b in slots.values() for v in b])
-        # a basis of the space the slots split: independent and spanning
-        if not (inside and len(factor.basis) == factor.rank == dim):
-            raise InternalInconsistency(
-                "slot bases do not decompose the ambient space", mode=mode
-            )
-        bases.update(slots)
-        at = 0
-        for label, basis in slots.items():
-            matrix = factor.projector(range(at, at + len(basis)))
-            matrices[label] = matrix if onto is None else mat_mul(matrix, onto)
-            at += len(basis)
         self._proj[mode] = ProjectorSet(self.space, bases, matrices)
         return self._proj[mode]
 

@@ -415,28 +415,34 @@ class RowRing:
                 out.append(zero)
         return tuple(out)
 
-    def gram(self, eps: Sequence[int], rows: Sequence[Sequence]) -> List[list]:
-        """Symmetric matrix of the inner products sum_i eps_i u_i v_i of
-        the rows; one triangle is computed."""
+    def gram(
+        self, eps: Sequence[int], rows: Sequence, other: Optional[Sequence] = None
+    ) -> List[list]:
+        """Inner products sum_i eps_i u_i v_i of the rows with the rows of
+        other; without other, the symmetric matrix of the rows, one
+        triangle computed."""
         n = len(rows)
         zero = self.zero
         flipped = [[-x if e < 0 else x for e, x in zip(eps, u)] for u in rows]
+        if other is not None:
+            return [[sum(map(_mul, u, v), zero) for v in other] for u in flipped]
         out = [[None] * n for _ in range(n)]
         for i, u in enumerate(flipped):
             for j in range(i, n):
                 out[i][j] = out[j][i] = sum(map(_mul, u, rows[j]), zero)
         return out
 
-    def combine(self, coefficients: Iterable[Sequence], rows: Sequence, width: int) -> List[list]:
-        """Each coefficient vector c as the row sum_k c_k rows[k]."""
-        out = []
-        for c in coefficients:
+    def kernel_image(self, pairing: Sequence, rows: Sequence, width: int) -> "PrimitiveRows":
+        """rows^T ker(pairing): the span of the rows sum_k y_k rows[k]
+        over the primitive kernel vectors y of the pairing matrix."""
+        spanning = []
+        for y in PrimitiveRows.span(self, pairing, len(rows)).kernel():
             v = [self.zero] * width
-            for c_k, u in zip(c, rows):
-                if c_k:
-                    v = [x + c_k * y if y else x for x, y in zip(v, u)]
-            out.append(v)
-        return out
+            for y_k, u in zip(y, rows):
+                if y_k:
+                    v = [x + y_k * z if z else x for x, z in zip(v, u)]
+            spanning.append(v)
+        return PrimitiveRows.span(self, spanning, width)
 
     def nonsingular(self, a: Sequence[Sequence]) -> bool:
         """det(a) != 0, by Bareiss elimination (Bareiss 1968): each entry

@@ -494,8 +494,7 @@ def build_frame(
     # so J^T c is orthogonal to the tangent space exactly when G c = 0:
     # the radical is the image U^T ker(D G D) = J^T ker G
     gram = ring.gram(eps, rows)
-    kernel = PrimitiveRows.span(ring, gram, len(rows)).kernel()
-    radical_rows = PrimitiveRows.span(ring, ring.combine(kernel, rows, space.dim), space.dim)
+    radical_rows = ring.kernel_image(gram, rows, space.dim)
     tangent_gram = [[None] * len(rows) for _ in rows]
     for i, d_i in enumerate(dens):
         for j in range(i, len(dens)):

@@ -24,7 +24,7 @@ from lightlike_lab.linalg import (
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
 
-from helpers import OpenElimination, orthogonal_complement
+from helpers import OpenElimination, intersect, orthogonal_complement
 
 # (1, 2) has a square discriminant, so sigma = 2 and every entry is rational
 PARAMS = [GOLDEN, SILVER, MetallicParams(0, 2), MetallicParams(1, 2)]
@@ -122,6 +122,31 @@ def test_nondegeneracy_agrees_with_the_gram_determinant(params, sigma, data):
     if span.dim:
         basis = span.subspace().basis
         assert ring.nonsingular(ring.gram(eps, span.rows)) == bool(det(space.gram(basis)))
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=IDS)
+@pytest.mark.parametrize("sigma", [False, True], ids=["rational", "sigma"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_image_of_the_pairing_is_the_orthogonal_part(params, sigma, data):
+    """gram(eps, left, rows) is the off-diagonal block of the stacked
+    Gram matrix, and kernel_image of it is span(rows) meet the orthogonal
+    space of left, as intersect and orthogonal_complement of
+    tests/helpers.py find it; zero and dependent rows on either side."""
+    width, left = _draw_rows(data, params, sigma)
+    _, rows = _draw_rows(data, params, sigma, width)
+    eps = tuple(data.draw(st.sampled_from([-1, 1])) for _ in range(width))
+    space = SignatureSpace(width, eps, params)
+    ring, cleared = _cleared(params, left + rows)
+    k = len(left)
+    pairing = ring.gram(eps, cleared[:k], cleared[k:])
+    assert pairing == [g[k:] for g in ring.gram(eps, cleared)[:k]]
+    image = ring.kernel_image(pairing, cleared[k:], width).subspace()
+    expected = intersect(
+        Subspace(tuple(rows), width, params),
+        orthogonal_complement(space, Subspace(tuple(left), width, params)),
+    )
+    assert (_triples(image.basis), image.pivots) == (_triples(expected.basis), expected.pivots)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=IDS)
