@@ -562,6 +562,61 @@ def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
     assert max(eliminated.values()) == 1
 
 
+def singular_structure_context(config, seed, image):
+    """A fresh p = 0 scene point whose structure is the singular map
+    sending each frame vector v to image(label, i, frame): the slot
+    images stacked as columns, times the inverse of the stacked slot
+    basis."""
+    sc = perturbed_structured_scene(random.Random(seed), P0, config, ())
+    ctx = PointContext(
+        sc.immersion, sc.structure, sc.point, sc.screen_override, sc.normal_screen_override
+    )
+    frame = ctx.frame
+    slots = {
+        "screen": frame.screen.basis,
+        "radical": frame.rad_basis,
+        "transversal": frame.ltr,
+        "normal-screen": frame.normal_screen.basis,
+    }
+    basis = [v for vectors in slots.values() for v in vectors]
+    images = [image(label, i, frame) for label, vectors in slots.items() for i in range(len(vectors))]
+    matrix = mat_mul(transpose(images), invert(transpose(basis)))
+    ctx.structure = MetallicStructure(ctx.space, matrix)
+    assert not ctx.structure_valid()
+    return ctx
+
+
+def _radical_onto_ltr(label, i, frame):
+    zero = tuple(x * 0 for x in frame.ltr[0])
+    return frame.ltr[i] if label == "radical" else zero
+
+
+def _screen_kept(label, i, frame):
+    zero = tuple(x * 0 for x in frame.ltr[0])
+    return frame.screen.basis[i] if label == "screen" else zero
+
+
+@pytest.mark.parametrize("config,seed", [("radical-transversal", 1), ("transversal", 1)])
+def test_each_configuration_clause_needs_full_rank_images(config, seed):
+    # images inside the target slot are not enough: a singular J that
+    # maps the radical onto ltr but kills the screen meets the radical
+    # clause and neither screen clause, and one that keeps the screen
+    # but kills the radical meets only the screen-invariance clause
+    onto = singular_structure_context(config, seed, _radical_onto_ltr)
+    kept = singular_structure_context(config, seed, _screen_kept)
+    assert onto.frame.screen.dim and onto.frame.radical_dim
+    for mode, key in (
+        ("radical-transversal", "screen_invariant"),
+        ("transversal", "screen_maps_into_normal_screen"),
+    ):
+        holds, witness = onto.configuration(mode)
+        assert witness["radical_images_span_transversal"] is True
+        assert witness[key] is False and not holds
+        holds, witness = kept.configuration(mode)
+        assert witness["radical_images_span_transversal"] is False
+        assert witness[key] is (mode == "radical-transversal") and not holds
+
+
 def test_radical_clause_is_computed_once_per_point(monkeypatch):
     calls = Counter()
     mapped_radical = PointContext.mapped_radical

@@ -615,6 +615,17 @@ def test_configuration_claim_mismatch_is_a_notice_not_a_failure():
     assert any("does not hold at this point" in n for n in report.notices)
 
 
+def test_zero_structure_does_not_meet_the_claimed_configuration():
+    # J = 0 sends the radical and the screen to zero vectors, which lie
+    # in every slot, but span neither the transversal frame nor the screen
+    scene = json.loads((FIXTURES / "radical-transversal-plane.json").read_text())
+    notice = "point 0: claimed configuration 'radical-transversal' does not hold at this point"
+    assert notice not in run(parse_scene(json.dumps(scene))).notices
+    scene["structure"] = [["0"] * len(row) for row in scene["structure"]]
+    assert scene["claims"]["configuration"] == "radical-transversal"
+    assert notice in run(parse_scene(json.dumps(scene))).notices
+
+
 def test_all_fixture_reports_are_json_serializable():
     for name in sorted(PINNED):
         json.loads(fixture_report(name).serialize())
