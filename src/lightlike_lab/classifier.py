@@ -19,14 +19,19 @@ constant, so D(X, J V) = J D(X, V), and no composed section is built:
 each criterion is one residual operator, composed from the point's slot
 projectors, applied to the stacked derivative columns D(X_a, V_b) of
 its pair domain.  The oracles stay per-vector, splitting one bracket or
-induced derivative at a time against the frame's own factored bases,
-and read no slot projector.
+induced derivative at a time by its coordinates against the frame's
+factored slot basis, and read no slot projector.
 
 Both configurations split the ambient space into the same four slots
-(screen, radical, null transversal, and the normal screen), factored
-once per point into one exact projector matrix per slot (ProjectorSet).
-They differ only in where the structure map sends the screen: onto
-itself in the radical-transversal mode, into the normal screen in the
+(screen, radical, null transversal, and the normal screen).  The frame
+factors their stacked bases once per point (AdaptedFrame.slot_factor),
+the one factorization of the ambient space there: the splits, the
+slot projectors (ProjectorSet, one exact matrix per slot) and both
+configuration predicates read it.  A predicate clause holds when the
+structure images have no coordinate outside their target slot and
+their in-slot coordinate block has full row rank.  The configurations
+differ only in where the structure map sends the screen: onto itself
+in the radical-transversal mode, into the normal screen in the
 transversal mode, whose set splits the normal-screen slot further into
 the mapped screen and its complement mu.  The four-slot set exists at
 every lightlike point; the criteria and structure-eqs read it.
@@ -43,7 +48,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 import random
 import threading
@@ -73,6 +77,7 @@ from .geometry import (
     split_tangent,
 )
 from .linalg import (
+    FactoredBasis,
     Mat,
     PrimitiveRows,
     RowRing,
@@ -90,7 +95,7 @@ from .linalg import (
     vec_sub,
 )
 from .scalars import MetallicParams, QuadScalar
-from .submanifold import PolynomialImmersion, build_frame
+from .submanifold import FOUR_SLOTS, PolynomialImmersion, build_frame
 
 
 class Verdict(str, Enum):
@@ -161,15 +166,13 @@ def _residual_witness(samples: List[Tuple[List[int], Sequence[QuadScalar]]]) -> 
 # ---- slot projections ----
 
 
-FOUR_SLOTS = ("screen", "radical", "transversal", "normal-screen")
-
-# mode -> (frame subspace the screen images must lie in, witness key);
+# mode -> (slot the screen images must lie in, independent, witness key);
 # its key order is the one list of configuration names, CONFIGURATIONS.
 # structure-eqs tries the modes in this order, so a point in both
 # configurations is audited in the radical-transversal mode
 _SCREEN_TARGETS = {
     "radical-transversal": ("screen", "screen_invariant"),
-    "transversal": ("normal_screen", "screen_maps_into_normal_screen"),
+    "transversal": ("normal-screen", "screen_maps_into_normal_screen"),
 }
 CONFIGURATIONS: Tuple[str, ...] = tuple(_SCREEN_TARGETS)
 _NO_DECOMPOSITION = "slot bases do not decompose the ambient space"
@@ -180,8 +183,9 @@ class ProjectorSet(NamedTuple):
 
     The slot bases together form a basis of the ambient space, so every
     vector splits uniquely into one component per slot.  The four-slot
-    set reads its matrices off one factorization of its stacked bases.
-    The transversal set shares the first three and splits the fourth: it
+    set reads its matrices off the frame's slot_factor, each over its
+    slot's coordinate range, and factors nothing of its own.  The
+    transversal set shares the first three and splits the fourth: it
     factors only the mapped-screen + mu basis of the normal screen, and
     P[mu] = P[normal-screen] - P[mapped-screen].  audit() checks every
     matrix against the slot bases instead of trusting construction.
@@ -275,9 +279,20 @@ class PointContext:
     def mapped_screen(self) -> Tuple[Vec, ...]:
         return tuple(self.structure.apply(s) for s in self.frame.screen.basis)
 
+    def _independent_in(self, images: Sequence[Vec], label: str) -> bool:
+        """Whether images have no slot coordinate outside slot label and
+        their coordinate block in it has full row rank: they lie in the
+        slot and are independent."""
+        at = self.frame.slot_ranges[label]
+        coords = [self.frame.slot_coords(v) for v in images]
+        if any(any(c[: at.start]) or any(c[at.stop :]) for c in coords):
+            return False
+        return rank(tuple(c[at.start : at.stop] for c in coords)) == len(images)
+
     def _radical_clause(self) -> Tuple[bool, Tuple[Vec, ...]]:
         # Structure images of the radical basis, tested for spanning the
-        # null transversal complement exactly.  When they do, every image
+        # null transversal complement exactly: r independent vectors in
+        # the r-dimensional transversal slot.  When they do, every image
         # pairs to zero with every transversal vector, so self-adjointness
         # strips the transversal component from the N images and the
         # quadratic relation forces p times the (invertible) transfer
@@ -287,13 +302,8 @@ class PointContext:
         # a raise is not kept, so each mode raises again.
         if self._radical is not None:
             return self._radical
-        frame = self.frame
-        space = self.space
-        ltr_span = Subspace(frame.ltr, space.dim, space.params)
         j_rad = self.mapped_radical()
-        rad_images = Subspace(j_rad, space.dim, space.params)
-        # equal dimensions make one containment an equality
-        radical_clause = rad_images.dim == ltr_span.dim and ltr_span.contains_subspace(rad_images)
+        radical_clause = self._independent_in(j_rad, "transversal")
         if radical_clause and self.params.p >= 1 and self.structure_valid():
             raise InternalInconsistency(
                 "radical directions map onto the null transversal span, which the"
@@ -315,9 +325,7 @@ class PointContext:
         try:
             radical_clause, j_rad = self._radical_clause()
             j_scr = self.mapped_screen()
-            screen_clause = all(getattr(self.frame, target).contains(v) for v in j_scr) and (
-                rank(j_scr) == self.frame.screen.dim
-            )
+            screen_clause = self._independent_in(j_scr, target)
         except InternalInconsistency as exc:
             if exc.mode is None:
                 exc.mode = mode
@@ -365,19 +373,18 @@ class PointContext:
             return self._proj[mode]
         frame = self.frame
         if mode == "radical-transversal":
-            parts = (frame.screen.basis, frame.rad_basis, frame.ltr, frame.normal_screen.basis)
-            factor = frame.factored([v for b in parts for v in b])
+            factor = frame.slot_factor
             # a basis of the ambient space: independent and spanning
             if not len(factor.basis) == factor.rank == self.space.dim:
                 raise InternalInconsistency(_NO_DECOMPOSITION, mode=mode)
-            ends = tuple(itertools.accumulate(map(len, parts), initial=0))
-            bases = dict(zip(FOUR_SLOTS, parts))
-            matrices = {a: factor.projector(range(s, e)) for a, s, e in zip(bases, ends, ends[1:])}
+            at = frame.slot_ranges
+            bases = {a: factor.basis[at[a].start : at[a].stop] for a in FOUR_SLOTS}
+            matrices = {a: factor.projector(at[a]) for a in FOUR_SLOTS}
         elif mode == "transversal":
             # the normal-screen slot split in two: only J(screen) + mu is
             # factored, and it must be a basis of the normal screen
             normal, mapped, mu = frame.normal_screen, self.mapped_screen(), self.mu_subspace().basis
-            factor = frame.factored(mapped + mu)
+            factor = FactoredBasis(mapped + mu, self.space.dim, self.params)
             inside = all(map(normal.contains, mapped))
             if not (inside and len(factor.basis) == factor.rank == normal.dim):
                 raise InternalInconsistency(_NO_DECOMPOSITION, mode=mode)
@@ -730,10 +737,8 @@ def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     space = ctx.space
     coords = ctx.chart().coordinates
     m = len(coords)
-    normal = mat_sub(
-        identity(space.dim, space.params),
-        frame.full_factor.projector(range(frame.tangent.dim)),
-    )
+    tangent = frame.slot_factor.projector(frame.slot_ranges["tangent"])
+    normal = mat_sub(identity(space.dim, space.params), tangent)
     rows = _lowered(space, [w.value for w in coords])
     # pairings[j][i*m + k] = <W_j, (I - T) h_ki>
     pairings = mat_mul(mat_mul(rows, normal), _hessian_columns(ctx))

@@ -12,8 +12,11 @@ a section V along X at the point is literally sum_j X^j d_j V, exact.
 
 At a frame point any ambient vector splits uniquely into tangent +
 transversal-null + normal-screen parts, and any tangent vector further
-into screen + radical parts; the second fundamental forms are read off
-those splits.  For X, Y tangent and N_i the transversal-null frame:
+into screen + radical parts.  Both splits read the vector's coordinates
+against the frame's one factored basis, its screen, radical,
+transversal-null and normal-screen bases stacked, and the second
+fundamental forms are read off them.  For X, Y tangent and N_i the
+transversal-null frame:
 
     D_X Y   = induced(X,Y) + sum_i hl_i N_i + hs                (Gauss)
 
@@ -177,39 +180,29 @@ class FullSplit(NamedTuple):
         return vec_add(acc, self.normal_screen)
 
 
+def _part(frame: AdaptedFrame, coords: Vec, label: str) -> Vec:
+    """The component, in one slot or in "tangent", of the vector with
+    these slot coordinates."""
+    at = frame.slot_ranges[label]
+    if not at:
+        return zero_vec(frame.space.dim, frame.space.params)
+    return lin_comb(coords[at.start : at.stop], frame.slot_factor.basis[at.start : at.stop])
+
+
 def full_split(frame: AdaptedFrame, v: Vec) -> FullSplit:
-    space = frame.space
-    try:
-        coords = frame.full_factor.coords(v)
-    except NotInSpan as exc:
-        raise InternalInconsistency(
-            "adapted frame failed to span the ambient space"
-        ) from exc
-    m = frame.tangent.dim
-    r = len(frame.ltr)
-    tangent = (
-        lin_comb(coords[:m], frame.tangent.basis)
-        if m
-        else zero_vec(space.dim, space.params)
-    )
-    ns = (
-        lin_comb(coords[m + r :], frame.normal_screen.basis)
-        if frame.normal_screen.dim
-        else zero_vec(space.dim, space.params)
-    )
-    return FullSplit(tangent, tuple(coords[m : m + r]), ns)
+    coords, ltr = frame.slot_coords(v), frame.slot_ranges["transversal"]
+    tangent, normal_screen = (_part(frame, coords, a) for a in ("tangent", "normal-screen"))
+    return FullSplit(tangent, coords[ltr.start : ltr.stop], normal_screen)
 
 
 def split_tangent(frame: AdaptedFrame, v: Vec) -> Tuple[Vec, Tuple[QuadScalar, ...]]:
-    """Tangent vector -> (screen part, radical coefficients)."""
-    coords = frame.tangent_factor.coords(v)
-    s = frame.screen.dim
-    screen_part = (
-        lin_comb(coords[:s], frame.screen.basis)
-        if s
-        else zero_vec(frame.space.dim, frame.space.params)
-    )
-    return screen_part, tuple(coords[s:])
+    """Tangent vector -> (screen part, radical coefficients); NotInSpan
+    when it has an ltr or normal-screen coordinate."""
+    coords = frame.slot_coords(v)
+    if any(coords[frame.slot_ranges["tangent"].stop :]):
+        raise NotInSpan("vector is outside the tangent space")
+    rad = frame.slot_ranges["radical"]
+    return _part(frame, coords, "screen"), coords[rad.start : rad.stop]
 
 
 # ---- named split bundles ----

@@ -43,6 +43,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import SignatureSpace
@@ -50,6 +51,7 @@ from .errors import (
     ImmersionRankDrop,
     InternalInconsistency,
     LtrConstructionFailed,
+    NotInSpan,
     ScreenInvalid,
     ShapeError,
     ValidationError,
@@ -420,6 +422,10 @@ class _FrameFields(NamedTuple):
     case: CaseKind
 
 
+# The slot order of slot_factor: S(TM), Rad TM, ltr(TM), S(TM^perp)
+FOUR_SLOTS = ("screen", "radical", "transversal", "normal-screen")
+
+
 class AdaptedFrame(_FrameFields):
     """Everything the pointwise checks need, all exact.
 
@@ -428,17 +434,14 @@ class AdaptedFrame(_FrameFields):
     matrix of tangent_jacobian, which the radical was read from.  ltr[i]
     pairs with rad_basis[i].
 
-    Bases that vectors get split against are factored on first use
-    through factored(), which keeps each factorization for the life of
-    the frame, so each distinct basis is eliminated at most once per
-    point and every later split is a matrix-vector product.
-    full_factor, tangent_factor and jacobian_factor name the three that
-    geometry splits against; build_frame factors none of them.
+    The screen, radical, ltr and normal-screen bases, stacked in
+    FOUR_SLOTS order, form a basis of the ambient space, and slot_factor
+    is its one factorization: every split of an ambient or tangent
+    vector, and every slot projector, reads coordinates against it in
+    the slot's range of slot_ranges.  jacobian_factor is the only other
+    basis the frame factors.  Both are factored on first use and kept
+    for the life of the frame; build_frame factors neither.
     """
-
-    @cached_property
-    def _factors(self) -> Dict[Tuple[Vec, ...], FactoredBasis]:
-        return {}
 
     @property
     def rad_basis(self) -> Tuple[Vec, ...]:
@@ -448,29 +451,33 @@ class AdaptedFrame(_FrameFields):
     def radical_dim(self) -> int:
         return self.radical.dim
 
-    def factored(self, basis: Sequence[Vec]) -> FactoredBasis:
-        """The list factored once per frame; equal lists share it."""
-        key = tuple(basis)
-        factor = self._factors.get(key)
-        if factor is None:
-            factor = FactoredBasis(key, self.space.dim, self.space.params)
-            self._factors[key] = factor
-        return factor
+    @cached_property
+    def slot_factor(self) -> FactoredBasis:
+        """The four slot bases stacked in FOUR_SLOTS order, factored once."""
+        basis = self.screen.basis + self.rad_basis + self.ltr + self.normal_screen.basis
+        return FactoredBasis(basis, self.space.dim, self.space.params)
 
     @cached_property
-    def full_factor(self) -> FactoredBasis:
-        """Tangent basis, then ltr, then normal-screen basis."""
-        return self.factored(self.tangent.basis + self.ltr + self.normal_screen.basis)
+    def slot_ranges(self) -> Dict[str, range]:
+        """Each slot's coordinates in slot_factor, and "tangent", the
+        screen and radical ones together."""
+        sizes = (self.screen.dim, self.radical.dim, len(self.ltr), self.normal_screen.dim)
+        ends = tuple(accumulate(sizes, initial=0))
+        ranges = {a: range(s, e) for a, s, e in zip(FOUR_SLOTS, ends, ends[1:])}
+        ranges["tangent"] = range(ends[2])
+        return ranges
 
-    @cached_property
-    def tangent_factor(self) -> FactoredBasis:
-        """Screen basis, then radical basis."""
-        return self.factored(self.screen.basis + self.rad_basis)
+    def slot_coords(self, v: Vec) -> Vec:
+        """Coordinates of v against slot_factor's basis."""
+        try:
+            return self.slot_factor.coords(v)
+        except NotInSpan as exc:
+            raise InternalInconsistency("adapted frame failed to span the ambient space") from exc
 
     @cached_property
     def jacobian_factor(self) -> FactoredBasis:
         """The coordinate tangent vectors, in chart order."""
-        return self.factored(self.tangent_jacobian)
+        return FactoredBasis(self.tangent_jacobian, self.space.dim, self.space.params)
 
 
 def build_frame(

@@ -439,13 +439,13 @@ def test_criterion_5_transversal_frame_duality():
     assert elapsed < 10.0, f"frame sweep took {elapsed:.1f}s"
 
 
-def _count_calls(monkeypatch, owner, name, counts):
-    """Count the calls of owner.name, also through every lightlike_lab
-    module that imported it by name."""
+def _count_calls(monkeypatch, owner, name, counts, key=None):
+    """Count the calls of owner.name, under key(*args) when given, also
+    through every lightlike_lab module that imported it by name."""
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        counts[name] += 1
+        counts[name if key is None else key(*args)] += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -529,6 +529,48 @@ def test_criterion_5_transversal_projectors_refine_the_four_slot_set(monkeypatch
     linalg.rank(identity(2, GOLDEN))
     linalg.FactoredBasis(identity(2, GOLDEN), 2, GOLDEN)
     assert counts == Counter({"rref": 1}) and factored[-1] == 2
+
+
+def test_criterion_5_configuration_reads_the_slot_coordinates(monkeypatch):
+    """Both configuration predicates, in both modes, read the frame's
+    slot coordinates: they build no Subspace, and every rref they call
+    ranks an in-slot coordinate block, narrower than the ambient space."""
+    contexts = []
+    for q in (2, 3, 5):
+        for config in ("radical-transversal", "transversal"):
+            for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
+                g = perturbed_structured_scene(
+                    random.Random(q), MetallicParams(0, q), config, flavors
+                )
+                contexts.append(
+                    PointContext(
+                        g.immersion, g.structure, g.point, g.screen_override,
+                        g.normal_screen_override,
+                    )
+                )
+    widths, built = Counter(), []
+    _count_calls(monkeypatch, linalg, "rref", widths, key=lambda a: len(a[0]) if a else 0)
+    init = linalg.Subspace.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg.Subspace, "__init__", counting_init)
+    holding, ranked = Counter(), 0
+    for ctx in contexts:
+        widths.clear()
+        for mode in ("radical-transversal", "transversal"):
+            holding[mode] += ctx.configuration(mode)[0]
+        assert max(widths) < ctx.space.dim, widths
+        ranked += sum(widths.values())
+    assert built == []
+    assert holding["radical-transversal"] and holding["transversal"]
+    assert len(contexts) == 36 and ranked >= 36
+    # the counters see a call when there is one
+    widths.clear()
+    linalg.Subspace(identity(2, GOLDEN), 2, GOLDEN)
+    assert len(built) == 1 and widths == Counter({2: 1})
 
 
 # ---- criterion 6: classification checks versus their oracles ----

@@ -290,11 +290,14 @@ def test_projector_audit_is_clean_on_holding_scenes(config, mode):
 
 
 def _factored_splits(frame):
-    """The split maps composed from the frame's own factorizations, as
-    the oracles split: the tangent + transversal + normal-screen basis
-    and the screen + radical basis."""
+    """The split maps composed from two factorizations eliminated here,
+    independently of the frame's four-slot basis: the tangent +
+    transversal + normal-screen basis of the ambient space and the
+    screen + radical basis of the tangent space."""
     m, r, s = frame.tangent.dim, len(frame.ltr), frame.screen.dim
-    full, tangent = frame.full_factor, frame.tangent_factor
+    n, params = frame.space.dim, frame.space.params
+    full = FactoredBasis(frame.tangent.basis + frame.ltr + frame.normal_screen.basis, n, params)
+    tangent = FactoredBasis(frame.screen.basis + frame.rad_basis, n, params)
     T = full.projector(range(m))
     splits = {
         "tangent": T,
@@ -541,13 +544,46 @@ def test_hessian_is_evaluated_once_per_point_and_only_on_demand(monkeypatch):
     assert calls == [ctx.frame.point]
 
 
-@pytest.mark.parametrize("name", ["transversal-plane", "radical-transversal-plane"])
+# Every FactoredBasis one point's checks build, in order, as (what,
+# vectors, their length): the frame's four slot bases stacked, the one
+# ambient-complete factorization; the Jacobian; the mapped-screen + mu
+# basis of a transversal point's normal screen; and the kit's linear
+# systems, whose vectors are system columns
+FACTORIZATIONS = {
+    "radical-transversal-plane": [
+        ("slots", 3, 3),
+        ("system", 2, 2),
+        ("jacobian", 2, 3),
+        ("system", 3, 3),
+        ("system", 2, 1),
+    ],
+    "transversal-plane": [
+        ("slots", 5, 5),
+        ("system", 2, 2),
+        ("jacobian", 2, 5),
+        ("system", 5, 2),
+        ("system", 5, 5),
+        ("system", 2, 2),
+    ],
+    "transversal-recorded": [
+        ("slots", 6, 6),
+        ("mapped-screen + mu", 1, 6),
+        ("system", 3, 3),
+        ("jacobian", 3, 6),
+        ("system", 6, 3),
+        ("system", 6, 6),
+        ("system", 3, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZATIONS))
 def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
-    eliminated = Counter()
+    eliminated = []
     factor = FactoredBasis.__init__
 
     def counting(self, basis, ambient_dim, params):
-        eliminated[tuple(basis)] += 1
+        eliminated.append(tuple(basis))
         factor(self, basis, ambient_dim, params)
 
     monkeypatch.setattr(FactoredBasis, "__init__", counting)
@@ -557,9 +593,16 @@ def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
     assert not eliminated  # building the frame factors nothing
     for check in POINT_CHECK_FUNCTIONS.values():
         check(ctx)
-    # at least the frame's split and Jacobian bases and the kit systems
-    assert len(eliminated) >= 6
-    assert max(eliminated.values()) == 1
+    frame = ctx.frame
+    known = {
+        frame.screen.basis + frame.rad_basis + frame.ltr + frame.normal_screen.basis: "slots",
+        frame.tangent_jacobian: "jacobian",
+    }
+    if ctx.configuration("transversal")[0] and frame.screen.dim:
+        known[ctx.mapped_screen() + ctx.mu_subspace().basis] = "mapped-screen + mu"
+    labels = [(known.get(b, "system"), len(b), len(b[0])) for b in eliminated]
+    assert labels == FACTORIZATIONS[name]
+    assert len(set(eliminated)) == len(eliminated)
 
 
 def singular_structure_context(config, seed, image):
@@ -586,12 +629,12 @@ def singular_structure_context(config, seed, image):
     return ctx
 
 
-def _radical_onto_ltr(label, i, frame):
+def radical_onto_ltr(label, i, frame):
     zero = tuple(x * 0 for x in frame.ltr[0])
     return frame.ltr[i] if label == "radical" else zero
 
 
-def _screen_kept(label, i, frame):
+def screen_kept(label, i, frame):
     zero = tuple(x * 0 for x in frame.ltr[0])
     return frame.screen.basis[i] if label == "screen" else zero
 
@@ -602,8 +645,8 @@ def test_each_configuration_clause_needs_full_rank_images(config, seed):
     # maps the radical onto ltr but kills the screen meets the radical
     # clause and neither screen clause, and one that keeps the screen
     # but kills the radical meets only the screen-invariance clause
-    onto = singular_structure_context(config, seed, _radical_onto_ltr)
-    kept = singular_structure_context(config, seed, _screen_kept)
+    onto = singular_structure_context(config, seed, radical_onto_ltr)
+    kept = singular_structure_context(config, seed, screen_kept)
     assert onto.frame.screen.dim and onto.frame.radical_dim
     for mode, key in (
         ("radical-transversal", "screen_invariant"),

@@ -7,7 +7,14 @@ same raise in type, message and mode wherever the five-slot build
 raised.  Where that build succeeded without refining the four slots
 (J(screen) outside the normal screen), the refined set raises instead,
 by design.  Each of the two raises is also pinned on its own, with its
-message and mode."""
+message and mode.
+
+The configuration predicates, which read the frame's slot coordinates,
+against the Subspace and rank predicates they replaced: the same
+verdict and witness dict in both modes, or the same raise, at every
+fixture point, on the 48-scene sweep of each configuration, at p >= 1,
+and under singular structures whose images lie in the target slots
+without spanning them."""
 
 from __future__ import annotations
 
@@ -18,14 +25,18 @@ import pytest
 from lightlike_lab.classifier import POINT_CHECK_FUNCTIONS
 from lightlike_lab.errors import InternalInconsistency, LightlikeLabError
 from lightlike_lab.linalg import Subspace
-from lightlike_lab.scalars import MetallicParams, QuadScalar
+from lightlike_lab.classifier import PointContext
+from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 
 from projector_reference import (
+    reference_configuration,
     reference_mu,
     reference_transversal_projectors,
     refines_the_four_slots,
 )
+from test_classifier import radical_onto_ltr, screen_kept, singular_structure_context
 from test_criterion_loops import (
+    CONFIGS,
     P_POSITIVE,
     bent,
     forced_open,
@@ -187,3 +198,62 @@ def test_transversal_projectors_raise_when_the_slots_do_not_split_the_normal_scr
         ctx.projectors("transversal")
     assert exc.value.mode == "transversal"
     assert not ctx.projectors("radical-transversal").audit()
+
+
+def compare_configurations(ctx, tally):
+    """Both modes' predicate against the reference on one context;
+    tallies each outcome: holds, fails, or the raised message."""
+    for mode in CONFIGS:
+        ref = _outcome(lambda c: reference_configuration(c, mode), ctx)
+        new = _outcome(lambda c: c.configuration(mode), ctx)
+        assert new == ref, mode
+        tally[new[0] == "raised" and new[2] or ("holds" if new[1][0] else "fails")] += 1
+
+
+def test_configuration_is_the_subspace_predicate_at_every_fixture_point():
+    tally = Counter()
+    for name in FIXTURE_NAMES:
+        for ctx in fixture_contexts(name):
+            compare_configurations(ctx, tally)
+    assert tally["holds"] and tally["fails"]
+    assert tally["induced metric is nondegenerate at this point"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_configuration_is_the_subspace_predicate_on_the_sweep(config, q):
+    tally = Counter()
+    for flavors in FLAVOR_SETS:
+        for seed in range(8):
+            compare_configurations(generated(config, flavors, MetallicParams(0, q), seed), tally)
+    # each point holds in its own configuration; a screenless one in both
+    assert sum(tally.values()) == 96 and tally["holds"] >= 48 and tally["fails"]
+
+
+def test_configuration_is_the_subspace_predicate_off_the_configurations():
+    tally = Counter()
+    params_list = [MetallicParams(p, q) for p, q in P_POSITIVE]
+    for ctx in generated_contexts(seeds=(0, 1), params_list=params_list):
+        compare_configurations(ctx, tally)
+    # J = 0 sends the radical and the screen into every slot
+    for ctx in generated_contexts(seeds=(0,)):
+        compare_configurations(scalar_structure(ctx, QuadScalar.zero(ctx.params)), tally)
+    for config in CONFIGS:
+        for seed in (0, 1):
+            for image in (radical_onto_ltr, screen_kept):
+                compare_configurations(singular_structure_context(config, seed, image), tally)
+    assert tally["fails"] and not tally["holds"]
+
+
+def test_configuration_raises_where_the_subspace_predicate_raised(monkeypatch):
+    # a holding p = 0 point read at p = 1 meets the trace obstruction
+    contexts = [generated(config, (), MetallicParams(0, 2), 0) for config in CONFIGS]
+    monkeypatch.setattr(PointContext, "params", property(lambda self: GOLDEN))
+    tally = Counter()
+    for ctx in contexts:
+        compare_configurations(ctx, tally)
+    message = (
+        "radical directions map onto the null transversal span, which the"
+        " trace obstruction rules out for p >= 1"
+    )
+    assert tally == Counter({message: 4})
