@@ -20,21 +20,19 @@ each criterion is one residual operator, composed from the point's slot
 projectors, applied to the stacked derivative columns D(X_a, V_b) of
 its pair domain.  The oracles stay per-vector, splitting one bracket or
 induced derivative at a time by its coordinates against the frame's
-factored slot basis, and read no slot projector.
+slot_factor, and read no slot projector.  That factorization is shared
+with the criteria, so a fault in it reaches both sides alike; the
+tests hold it to separately eliminated splits (_factored_splits).
 
 Both configurations split the ambient space into the same four slots
-(screen, radical, null transversal, and the normal screen).  The frame
-factors their stacked bases once per point (AdaptedFrame.slot_factor),
-the one factorization of the ambient space there: the splits, the
-slot projectors (ProjectorSet, one exact matrix per slot) and both
-configuration predicates read it.  A predicate clause holds when the
-structure images have no coordinate outside their target slot and
-their in-slot coordinate block has full row rank.  The configurations
-differ only in where the structure map sends the screen: onto itself
-in the radical-transversal mode, into the normal screen in the
-transversal mode, whose set splits the normal-screen slot further into
-the mapped screen and its complement mu.  The four-slot set exists at
-every lightlike point; the criteria and structure-eqs read it.
+(screen, radical, null transversal, and the normal screen), whose
+stacked bases the frame factors once per point (slot_factor): the slot
+projectors (ProjectorSet) and both configuration predicates read their
+coordinates.  They differ only in where the structure map sends the
+screen: onto itself in the radical-transversal mode, into the normal
+screen in the transversal mode, whose set splits the normal-screen slot
+into the mapped screen and its complement mu.  The four-slot set exists
+at every lightlike point; the criteria and structure-eqs read it.
 
 REFERENCES is the one list of check identifiers and the screen-target
 table the one list of configuration names.  @_point_check registers
@@ -95,7 +93,7 @@ from .linalg import (
     vec_sub,
 )
 from .scalars import MetallicParams, QuadScalar
-from .submanifold import FOUR_SLOTS, PolynomialImmersion, build_frame
+from .submanifold import PolynomialImmersion, build_frame
 
 
 class Verdict(str, Enum):
@@ -166,7 +164,7 @@ def _residual_witness(samples: List[Tuple[List[int], Sequence[QuadScalar]]]) -> 
 # ---- slot projections ----
 
 
-# mode -> (slot the screen images must lie in, independent, witness key);
+# mode -> (slot the screen images must lie in, witness key);
 # its key order is the one list of configuration names, CONFIGURATIONS.
 # structure-eqs tries the modes in this order, so a point in both
 # configurations is audited in the radical-transversal mode
@@ -280,9 +278,8 @@ class PointContext:
         return tuple(self.structure.apply(s) for s in self.frame.screen.basis)
 
     def _independent_in(self, images: Sequence[Vec], label: str) -> bool:
-        """Whether images have no slot coordinate outside slot label and
-        their coordinate block in it has full row rank: they lie in the
-        slot and are independent."""
+        """Whether images lie in slot label and are independent: no slot
+        coordinate outside it, and a full-row-rank block inside it."""
         at = self.frame.slot_ranges[label]
         coords = [self.frame.slot_coords(v) for v in images]
         if any(any(c[: at.start]) or any(c[at.stop :]) for c in coords):
@@ -377,9 +374,8 @@ class PointContext:
             # a basis of the ambient space: independent and spanning
             if not len(factor.basis) == factor.rank == self.space.dim:
                 raise InternalInconsistency(_NO_DECOMPOSITION, mode=mode)
-            at = frame.slot_ranges
-            bases = {a: factor.basis[at[a].start : at[a].stop] for a in FOUR_SLOTS}
-            matrices = {a: factor.projector(at[a]) for a in FOUR_SLOTS}
+            bases = dict(frame.slot_bases)
+            matrices = {a: factor.projector(frame.slot_ranges[a]) for a in bases}
         elif mode == "transversal":
             # the normal-screen slot split in two: only J(screen) + mu is
             # factored, and it must be a basis of the normal screen

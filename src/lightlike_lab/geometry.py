@@ -12,11 +12,9 @@ a section V along X at the point is literally sum_j X^j d_j V, exact.
 
 At a frame point any ambient vector splits uniquely into tangent +
 transversal-null + normal-screen parts, and any tangent vector further
-into screen + radical parts.  Both splits read the vector's coordinates
-against the frame's one factored basis, its screen, radical,
-transversal-null and normal-screen bases stacked, and the second
-fundamental forms are read off them.  For X, Y tangent and N_i the
-transversal-null frame:
+into screen + radical parts, both read off its coordinates against the
+frame's slot_factor; the second fundamental forms are read off those
+splits.  For X, Y tangent and N_i the transversal-null frame:
 
     D_X Y   = induced(X,Y) + sum_i hl_i N_i + hs                (Gauss)
 
@@ -181,8 +179,7 @@ class FullSplit(NamedTuple):
 
 
 def _part(frame: AdaptedFrame, coords: Vec, label: str) -> Vec:
-    """The component, in one slot or in "tangent", of the vector with
-    these slot coordinates."""
+    """The slot (or "tangent") component of the vector with these coordinates."""
     at = frame.slot_ranges[label]
     if not at:
         return zero_vec(frame.space.dim, frame.space.params)

@@ -452,17 +452,22 @@ class AdaptedFrame(_FrameFields):
         return self.radical.dim
 
     @cached_property
+    def slot_bases(self) -> Dict[str, Tuple[Vec, ...]]:
+        """Each slot's basis, keyed in FOUR_SLOTS order."""
+        bases = {"screen": self.screen.basis, "radical": self.rad_basis, "transversal": self.ltr}
+        bases["normal-screen"] = self.normal_screen.basis
+        return {a: bases[a] for a in FOUR_SLOTS}
+
+    @cached_property
     def slot_factor(self) -> FactoredBasis:
         """The four slot bases stacked in FOUR_SLOTS order, factored once."""
-        basis = self.screen.basis + self.rad_basis + self.ltr + self.normal_screen.basis
+        basis = tuple(v for b in self.slot_bases.values() for v in b)
         return FactoredBasis(basis, self.space.dim, self.space.params)
 
     @cached_property
     def slot_ranges(self) -> Dict[str, range]:
-        """Each slot's coordinates in slot_factor, and "tangent", the
-        screen and radical ones together."""
-        sizes = (self.screen.dim, self.radical.dim, len(self.ltr), self.normal_screen.dim)
-        ends = tuple(accumulate(sizes, initial=0))
+        """Each slot's coordinates in slot_factor, and "tangent" (screen + radical)."""
+        ends = tuple(accumulate(map(len, self.slot_bases.values()), initial=0))
         ranges = {a: range(s, e) for a, s, e in zip(FOUR_SLOTS, ends, ends[1:])}
         ranges["tangent"] = range(ends[2])
         return ranges

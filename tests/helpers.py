@@ -17,18 +17,24 @@ the Q(sigma) span operations that the package now does over primitive
 rows; the reference builds in frame_reference.py and
 projector_reference.py, and the tests that hold the primitive-row
 operations to them, are written in them.
+singular_structure_context puts a singular structure on a generated
+p = 0 scene point, sending each slot vector where radical_onto_ltr or
+screen_kept says, so the rank half of each configuration clause can be
+tested on its own.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace
-from lightlike_lab.classifier import NullDualCandidate, ProjectorSet
+from lightlike_lab.classifier import NullDualCandidate, PointContext, ProjectorSet
 from lightlike_lab.errors import ParseError, ShapeError
+from lightlike_lab.generators import perturbed_structured_scene
 from lightlike_lab.geometry import (
     AmbientJet,
     TangentJet,
@@ -42,11 +48,14 @@ from lightlike_lab.linalg import (
     Mat,
     Subspace,
     Vec,
+    invert,
     is_zero_vec,
     lin_comb,
+    mat_mul,
     mat_vec,
     null_space,
     rref,
+    transpose,
     vec_add,
     vec_neg,
     vec_scale,
@@ -458,3 +467,37 @@ def metric_deviation(
         start=QuadScalar.zero(space.params),
     )
     return w_of_pairing - space.inner(du, v.value) - space.inner(u.value, dv)
+
+
+def singular_structure_context(config, seed, image):
+    """A fresh p = 0 scene point whose structure is the singular map
+    sending each frame vector v to image(label, i, frame): the slot
+    images stacked as columns, times the inverse of the stacked slot
+    basis."""
+    sc = perturbed_structured_scene(random.Random(seed), MetallicParams(0, 2), config, ())
+    ctx = PointContext(
+        sc.immersion, sc.structure, sc.point, sc.screen_override, sc.normal_screen_override
+    )
+    frame = ctx.frame
+    slots = {
+        "screen": frame.screen.basis,
+        "radical": frame.rad_basis,
+        "transversal": frame.ltr,
+        "normal-screen": frame.normal_screen.basis,
+    }
+    basis = [v for vectors in slots.values() for v in vectors]
+    images = [image(label, i, frame) for label, vectors in slots.items() for i in range(len(vectors))]
+    matrix = mat_mul(transpose(images), invert(transpose(basis)))
+    ctx.structure = MetallicStructure(ctx.space, matrix)
+    assert not ctx.structure_valid()
+    return ctx
+
+
+def radical_onto_ltr(label, i, frame):
+    zero = tuple(x * 0 for x in frame.ltr[0])
+    return frame.ltr[i] if label == "radical" else zero
+
+
+def screen_kept(label, i, frame):
+    zero = tuple(x * 0 for x in frame.ltr[0])
+    return frame.screen.basis[i] if label == "screen" else zero

@@ -46,7 +46,13 @@ from lightlike_lab.runner import run
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion
-from helpers import apply_structure_field, project
+from helpers import (
+    apply_structure_field,
+    project,
+    radical_onto_ltr,
+    screen_kept,
+    singular_structure_context,
+)
 
 P0 = MetallicParams(0, 2)
 
@@ -603,40 +609,6 @@ def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
     labels = [(known.get(b, "system"), len(b), len(b[0])) for b in eliminated]
     assert labels == FACTORIZATIONS[name]
     assert len(set(eliminated)) == len(eliminated)
-
-
-def singular_structure_context(config, seed, image):
-    """A fresh p = 0 scene point whose structure is the singular map
-    sending each frame vector v to image(label, i, frame): the slot
-    images stacked as columns, times the inverse of the stacked slot
-    basis."""
-    sc = perturbed_structured_scene(random.Random(seed), P0, config, ())
-    ctx = PointContext(
-        sc.immersion, sc.structure, sc.point, sc.screen_override, sc.normal_screen_override
-    )
-    frame = ctx.frame
-    slots = {
-        "screen": frame.screen.basis,
-        "radical": frame.rad_basis,
-        "transversal": frame.ltr,
-        "normal-screen": frame.normal_screen.basis,
-    }
-    basis = [v for vectors in slots.values() for v in vectors]
-    images = [image(label, i, frame) for label, vectors in slots.items() for i in range(len(vectors))]
-    matrix = mat_mul(transpose(images), invert(transpose(basis)))
-    ctx.structure = MetallicStructure(ctx.space, matrix)
-    assert not ctx.structure_valid()
-    return ctx
-
-
-def radical_onto_ltr(label, i, frame):
-    zero = tuple(x * 0 for x in frame.ltr[0])
-    return frame.ltr[i] if label == "radical" else zero
-
-
-def screen_kept(label, i, frame):
-    zero = tuple(x * 0 for x in frame.ltr[0])
-    return frame.screen.basis[i] if label == "screen" else zero
 
 
 @pytest.mark.parametrize("config,seed", [("radical-transversal", 1), ("transversal", 1)])

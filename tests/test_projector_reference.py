@@ -22,19 +22,18 @@ from collections import Counter
 
 import pytest
 
-from lightlike_lab.classifier import POINT_CHECK_FUNCTIONS
+from lightlike_lab.classifier import POINT_CHECK_FUNCTIONS, PointContext
 from lightlike_lab.errors import InternalInconsistency, LightlikeLabError
 from lightlike_lab.linalg import Subspace
-from lightlike_lab.classifier import PointContext
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 
+from helpers import radical_onto_ltr, screen_kept, singular_structure_context
 from projector_reference import (
     reference_configuration,
     reference_mu,
     reference_transversal_projectors,
     refines_the_four_slots,
 )
-from test_classifier import radical_onto_ltr, screen_kept, singular_structure_context
 from test_criterion_loops import (
     CONFIGS,
     P_POSITIVE,
