@@ -79,7 +79,6 @@ from .linalg import (
     Mat,
     PrimitiveRows,
     RowRing,
-    Subspace,
     Vec,
     identity,
     is_zero_vec,
@@ -239,7 +238,7 @@ class PointContext:
         self._valid: Optional[bool] = None
         self._config: Dict[str, Tuple[bool, Dict[str, object]]] = {}
         self._radical: Optional[Tuple[bool, Tuple[Vec, ...]]] = None
-        self._mu: Optional[Subspace] = None
+        self._mu: Optional[PrimitiveRows] = None
         self._proj: Dict[str, ProjectorSet] = {}
         self._tangent: Optional[Mat] = None
 
@@ -336,20 +335,20 @@ class PointContext:
         self._config[mode] = (radical_clause and screen_clause, witness)
         return self._config[mode]
 
-    def mu_subspace(self) -> Subspace:
+    def mu_subspace(self) -> PrimitiveRows:
         """Orthogonal complement of the mapped screen inside the normal
-        screen: N^T ker <J_a, N_b> over primitive rows J_a, N_b."""
+        screen: N^T ker <J_a, N_b> over primitive rows J_a, N_b of one ring."""
         if self._mu is None:
             n, j_scr, normal = self.space.dim, self.mapped_screen(), self.frame.normal_screen
             ring = RowRing.over(self.params, j_scr, normal.basis)
             mapped = PrimitiveRows.span(ring, [ring.clear(v)[0] for v in j_scr], n)
-            rows = PrimitiveRows.of(ring, normal).rows
+            rows = [ring.clear(v)[0] for v in normal.basis]
             mu = ring.kernel_image(ring.gram(self.space.eps, mapped.rows, rows), rows, n)
             if mapped.dim + mu.dim != normal.dim:
                 raise InternalInconsistency(
                     "mapped screen and its complement do not fill the normal screen"
                 )
-            self._mu = mu.subspace()
+            self._mu = mu
         return self._mu
 
     def slot(self, label: str) -> Mat:
@@ -561,11 +560,11 @@ def check_transversal_config(ctx: PointContext) -> CheckEntry:
 
 
 def _invariance_audit(
-    ctx: PointContext, name: str, mode: str, subspace: Callable[[], Subspace], what: str, key: str
+    ctx: PointContext, name: str, mode: str, span: Callable[[], PrimitiveRows], what: str, key: str
 ) -> CheckEntry:
     """The subspace, built only past the gate, must be invariant under
     the structure map whenever the mode's predicate holds."""
-    space = subspace()
+    space = span()
     if not all(space.contains(ctx.structure.apply(v)) for v in space.basis):
         raise InternalInconsistency(f"{what} lost invariance in a {mode} configuration")
     witness = {key: space.dim, "images_checked": space.dim}

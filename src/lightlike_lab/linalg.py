@@ -9,19 +9,19 @@ A basis that many vectors are split against is eliminated once:
 FactoredBasis reduces [B^T | I] and keeps the row transform, so the
 coordinates of each further vector are one matrix-vector product plus a
 residual test, and a projection onto some of the basis vectors along
-the rest is one precomputed matrix.  Subspace keeps its canonical
-reduced-echelon basis with its pivot columns, so membership reads the
-coordinates off those columns instead of eliminating again.
+the rest is one precomputed matrix.
 
-Spans whose basis only matters up to scale are also kept as primitive
-rows (PrimitiveRows): each vector times the lcm of its denominators has
-entries in Z, or in Z[sigma] when an entry has a sigma part (RowRing).
-Their Gauss-Jordan divides no entry but by a row's content, and each
-reduced row is a nonzero multiple of the canonical one, so a Subspace
-is made from them by one division per entry.  A list that grows one
-vector at a time stays open in RowElimination, so each independence
-test is one forward reduction of the new vector.  Nondegeneracy over
-these rings is a Bareiss determinant test, exact at every step.
+A span is kept as primitive rows (PrimitiveRows), the one span type:
+each vector times the lcm of its denominators has entries in Z, or in
+Z[sigma] when an entry has a sigma part (RowRing).  Their Gauss-Jordan
+divides no entry but by a row's content, and each reduced row is a
+nonzero multiple of the canonical one, so the canonical reduced-echelon
+basis that rref gives is one division per entry, made on first use.
+Membership is one forward reduction against the rows.  A list that
+grows one vector at a time stays open in RowElimination, so each
+independence test is one forward reduction of the new vector.
+Nondegeneracy over these rings is a Bareiss determinant test, exact at
+every step.
 
 Matrix products skip every term with a zero factor, and every
 elimination skips the zero entries of its pivot row when it scales that
@@ -255,90 +255,6 @@ def invert(a: Mat) -> Optional[Mat]:
     return tuple(row[n:] for row in reduced)
 
 
-class Subspace:
-    """Linear subspace with a canonical reduced-echelon basis.
-
-    Two Subspace objects compare equal exactly when they are the same
-    subspace: the canonical basis is unique.
-    """
-
-    __slots__ = ("ambient_dim", "params", "basis", "pivots")
-
-    def __init__(
-        self,
-        spanning: Sequence[Vec],
-        ambient_dim: int,
-        params: MetallicParams,
-    ) -> None:
-        for v in spanning:
-            if len(v) != ambient_dim:
-                raise ShapeError(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        self.ambient_dim = ambient_dim
-        self.params = params
-        reduced, pivots = rref(tuple(spanning))
-        self.basis: Mat = tuple(reduced[r] for r in range(len(pivots)))
-        self.pivots: Tuple[int, ...] = pivots
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, v: Vec) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length does not match ambient dimension")
-        # Basis row i is 1 at pivot i and 0 at every other pivot, so the
-        # only candidate coordinates are v's own pivot entries, and the
-        # combination they give matches v at every pivot by construction.
-        # Only the other entries are compared, each summed over the
-        # picked rows that are nonzero there.
-        picked = [(v[p], row) for p, row in zip(self.pivots, self.basis) if v[p]]
-        if not picked:
-            return is_zero_vec(v)
-        pivots = set(self.pivots)
-        for k, x in enumerate(v):
-            if k in pivots:
-                continue
-            total = None
-            for c, row in picked:
-                if row[k]:
-                    term = c * row[k]
-                    total = term if total is None else total + term
-            if total is None:
-                if x:
-                    return False
-            elif total != x:
-                return False
-        return True
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _canonical_subspace(
-    basis: Mat, pivots: Tuple[int, ...], ambient_dim: int, params: MetallicParams
-) -> Subspace:
-    """A Subspace from a basis already in canonical reduced form."""
-    out = object.__new__(Subspace)
-    out.ambient_dim = ambient_dim
-    out.params = params
-    out.basis = basis
-    out.pivots = pivots
-    return out
-
-
 class RowRing:
     """The ring that primitive rows take their entries from.
 
@@ -488,11 +404,11 @@ class PrimitiveRows:
     replaced by a r - f t against the pivot row t, and then divided by
     its content.  Each row stays a nonzero multiple of the row rref holds
     at the same step, so the pivots and zero patterns are those of rref,
-    and subspace() gets the canonical basis by one division per entry,
-    with no further elimination.
+    and basis, the canonical rows over Q(sigma), takes one division per
+    entry and no further elimination, on first use.
     """
 
-    __slots__ = ("ring", "rows", "pivots", "width", "_subspace")
+    __slots__ = ("ring", "rows", "pivots", "width", "_basis")
 
     def __init__(
         self, ring: RowRing, rows: Sequence[Sequence], pivots: Sequence[int], width: int
@@ -501,7 +417,7 @@ class PrimitiveRows:
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
         self.width = width
-        self._subspace: Optional[Subspace] = None
+        self._basis: Optional[Mat] = None
 
     @classmethod
     def span(cls, ring: RowRing, spanning: Sequence[Sequence], width: int) -> "PrimitiveRows":
@@ -537,38 +453,34 @@ class PrimitiveRows:
             r += 1
         return cls(ring, rows[:r], pivots, width)
 
-    @classmethod
-    def of(cls, ring: RowRing, sub: Subspace) -> "PrimitiveRows":
-        """sub's canonical basis cleared of denominators.  A cleared row
-        is d > 0 at its pivot and zero at the other pivots, and its
-        content is 1 (a prime at its full power in d divides a reduced
-        denominator, so not that entry's numerator), so nothing is
-        eliminated."""
-        return cls(ring, [ring.clear(v)[0] for v in sub.basis], sub.pivots, sub.ambient_dim)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def basis(self) -> Mat:
+        """The canonical reduced-echelon basis over Q(sigma), the one rref
+        gives: each row divided by its pivot entry, made once."""
+        if self._basis is None:
+            canonical = self.ring.canonical
+            self._basis = tuple(canonical(row, p) for row, p in zip(self.rows, self.pivots))
+        return self._basis
+
     def contains(self, v: Sequence) -> bool:
+        """Whether v, a ring row or a vector over Q(sigma), is in the span."""
+        if len(v) != self.width:
+            raise ShapeError("vector length does not match ambient dimension")
         return not any(_eliminate(self.rows, self.pivots, v))
 
     def pick(self, indices: Iterable[int]) -> "PrimitiveRows":
-        """The span of the rows at the given indices, already reduced;
-        canonical rows already made are shared, not made again."""
+        """The span of the rows at the given indices, already reduced."""
         picked = sorted(indices)
-        out = PrimitiveRows(
+        return PrimitiveRows(
             self.ring,
             [self.rows[i] for i in picked],
             [self.pivots[i] for i in picked],
             self.width,
         )
-        if self._subspace is not None:
-            basis = self._subspace.basis
-            out._subspace = _canonical_subspace(
-                tuple(basis[i] for i in picked), out.pivots, self.width, self.ring.params
-            )
-        return out
 
     def kernel(self) -> List[list]:
         """{y : row . y = 0 for every row}, one primitive vector per free
@@ -596,18 +508,6 @@ class PrimitiveRows:
         for y in the kernel, which is read off the pivots."""
         flipped = [[-x if e < 0 else x for e, x in zip(eps, y)] for y in self.kernel()]
         return PrimitiveRows.span(self.ring, flipped, self.width)
-
-    def subspace(self) -> Subspace:
-        """The same span as a Subspace, built once from the canonical rows."""
-        if self._subspace is None:
-            canonical = self.ring.canonical
-            self._subspace = _canonical_subspace(
-                tuple(canonical(row, p) for row, p in zip(self.rows, self.pivots)),
-                self.pivots,
-                self.width,
-                self.ring.params,
-            )
-        return self._subspace
 
 
 class RowElimination:

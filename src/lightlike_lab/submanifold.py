@@ -29,11 +29,12 @@ the last fraction-free pivot of its bordered Gram block.  Scaling row i
 by s_i scales every principal minor by squares of the s_i, so no zero
 test moves.  With no radical the complement is the bundle itself, and
 otherwise it is the chosen rows of the bundle's reduced rows in pivot
-order, which are already the reduced rows of their span.  The Subspace
-fields get their canonical bases once, each reduced row divided by its
-pivot entry, with no further elimination.  Only the transversal frame's
-pairing with the radical, and the nulling after it, run on Q(sigma)
-values.  Still asserted on every frame: the complements are
+order, which are already the reduced rows of their span.  The frame
+keeps these rows as its span fields, all over the one ring, and each
+field's canonical basis is made on first use, each reduced row divided
+by its pivot entry, with no further elimination.  Only the transversal
+frame's pairing with the radical, and the nulling after it, run on
+Q(sigma) values.  Still asserted on every frame: the complements are
 nondegenerate, the transversal frame is null and dual to the radical
 basis.
 """
@@ -62,7 +63,6 @@ from .linalg import (
     PrimitiveRows,
     RowElimination,
     RowRing,
-    Subspace,
     Vec,
     invert,
     lin_comb,
@@ -302,51 +302,11 @@ def _screen_rows(
     return _greedy_rows(ring, eps, whole, sub)
 
 
-def _choose_complement(
-    space: SignatureSpace,
-    whole: Subspace,
-    sub: Subspace,
-    override: Optional[Sequence[Vec]],
-    label: str,
-) -> Subspace:
-    declared = None if override is None else tuple(override)
-    ring = RowRing.over(space.params, whole.basis, sub.basis, declared or ())
-    rows = _screen_rows(
-        ring,
-        space.eps,
-        PrimitiveRows.of(ring, whole),
-        PrimitiveRows.of(ring, sub),
-        declared,
-        label,
-    )
-    return rows.subspace()
-
-
-def choose_screen(
-    space: SignatureSpace,
-    tangent: Subspace,
-    radical: Subspace,
-    override: Optional[Sequence[Vec]] = None,
-) -> Subspace:
-    """Screen distribution: a complement of the radical in the tangent space."""
-    return _choose_complement(space, tangent, radical, override, "screen")
-
-
-def choose_normal_screen(
-    space: SignatureSpace,
-    normal: Subspace,
-    radical: Subspace,
-    override: Optional[Sequence[Vec]] = None,
-) -> Subspace:
-    """Screen of the normal bundle: a complement of the radical there."""
-    return _choose_complement(space, normal, radical, override, "normal screen")
-
-
 def construct_ltr(
     space: SignatureSpace,
-    radical: Subspace,
-    screen: Subspace,
-    normal_screen: Subspace,
+    radical: PrimitiveRows,
+    screen: PrimitiveRows,
+    normal_screen: PrimitiveRows,
 ) -> Tuple[Vec, ...]:
     """Null transversal frame N_i dual to the radical's canonical basis.
 
@@ -354,29 +314,26 @@ def construct_ltr(
     orthogonal to both screens.  Construction: inside the orthogonal
     space of the two screens, take any complement of the radical, apply
     the inverse pairing matrix, then strip quadratic self-terms.  The
-    spans are worked out over primitive rows; only the r chosen
-    canonical vectors of the orthogonal space enter Q(sigma) arithmetic.
+    three spans are primitive rows of one ring, and the orthogonal space
+    is worked out over them; only the r chosen canonical vectors of it
+    enter Q(sigma) arithmetic.
     """
-    rad_basis = radical.basis
-    r = len(rad_basis)
+    r = radical.dim
     if r == 0:
         return ()
+    rad_basis = radical.basis
     params = space.params
-    ring = RowRing.over(params, rad_basis, screen.basis, normal_screen.basis)
-    both = PrimitiveRows.span(
-        ring, [ring.clear(v)[0] for v in screen.basis + normal_screen.basis], space.dim
-    )
+    both = PrimitiveRows.span(radical.ring, screen.rows + normal_screen.rows, space.dim)
     lam = both.complement(space.eps)
     if lam.dim != 2 * r:
         raise LtrConstructionFailed(
             f"orthogonal space of the screens has dimension {lam.dim}, expected {2 * r}"
         )
-    rad = PrimitiveRows.of(ring, radical)
-    if not all(lam.contains(v) for v in rad.rows):
+    if not all(lam.contains(v) for v in radical.rows):
         raise LtrConstructionFailed("radical escaped the orthogonal space of the screens")
 
     picked: list = []
-    elimination = RowElimination(rad)
+    elimination = RowElimination(radical)
     for k, v in enumerate(lam.rows):
         if len(picked) == r:
             break
@@ -384,7 +341,7 @@ def construct_ltr(
             picked.append(k)
     if len(picked) != r:
         raise LtrConstructionFailed("no complement of the radical inside the pairing space")
-    chosen = lam.pick(picked).subspace().basis
+    chosen = lam.pick(picked).basis
 
     pairing = tuple(
         tuple(space.inner(v, xi) for xi in rad_basis) for v in chosen
@@ -413,11 +370,11 @@ class _FrameFields(NamedTuple):
     point: Tuple[QuadScalar, ...]
     tangent_jacobian: Tuple[Vec, ...]
     tangent_gram: Mat
-    tangent: Subspace
-    normal: Subspace
-    radical: Subspace
-    screen: Subspace
-    normal_screen: Subspace
+    tangent: PrimitiveRows
+    normal: PrimitiveRows
+    radical: PrimitiveRows
+    screen: PrimitiveRows
+    normal_screen: PrimitiveRows
     ltr: Tuple[Vec, ...]
     case: CaseKind
 
@@ -429,10 +386,11 @@ FOUR_SLOTS = ("screen", "radical", "transversal", "normal-screen")
 class AdaptedFrame(_FrameFields):
     """Everything the pointwise checks need, all exact.
 
-    tangent_jacobian keeps the coordinate order of the chart, while the
-    Subspace fields carry canonical bases.  tangent_gram is the Gram
-    matrix of tangent_jacobian, which the radical was read from.  ltr[i]
-    pairs with rad_basis[i].
+    tangent_jacobian keeps the coordinate order of the chart.  The span
+    fields are the primitive rows build_frame reduced, all over one
+    ring, and each makes its canonical basis on first use.  tangent_gram
+    is the Gram matrix of tangent_jacobian, which the radical was read
+    from.  ltr[i] pairs with rad_basis[i], the radical's canonical basis.
 
     The screen, radical, ltr and normal-screen bases, stacked in
     FOUR_SLOTS order, form a basis of the ambient space, and slot_factor
@@ -497,30 +455,24 @@ def build_frame(
         screen_override = tuple(screen_override)
     if normal_screen_override is not None:
         normal_screen_override = tuple(normal_screen_override)
-    jac, ring, rows, dens, tangent_rows = immersion._tangent_rows(
+    jac, ring, rows, dens, tangent = immersion._tangent_rows(
         point, screen_override or (), normal_screen_override or ()
     )
-    normal_rows = tangent_rows.complement(eps)
+    normal = tangent.complement(eps)
     # row k of U is d_k times Jacobian row k, so U's Gram matrix is D G D
     # for D = diag(d_k) and its kernel is D^-1 ker G.  J has full rank,
     # so J^T c is orthogonal to the tangent space exactly when G c = 0:
     # the radical is the image U^T ker(D G D) = J^T ker G
     gram = ring.gram(eps, rows)
-    radical_rows = ring.kernel_image(gram, rows, space.dim)
+    radical = ring.kernel_image(gram, rows, space.dim)
     tangent_gram = [[None] * len(rows) for _ in rows]
     for i, d_i in enumerate(dens):
         for j in range(i, len(dens)):
             tangent_gram[i][j] = tangent_gram[j][i] = ring.ratio(gram[i][j], d_i * dens[j])
-    # made before the greedy screens, which share their canonical rows
-    tangent, normal, radical = (
-        bundle.subspace() for bundle in (tangent_rows, normal_rows, radical_rows)
-    )
-    screen = _screen_rows(
-        ring, eps, tangent_rows, radical_rows, screen_override, "screen"
-    ).subspace()
+    screen = _screen_rows(ring, eps, tangent, radical, screen_override, "screen")
     normal_screen = _screen_rows(
-        ring, eps, normal_rows, radical_rows, normal_screen_override, "normal screen"
-    ).subspace()
+        ring, eps, normal, radical, normal_screen_override, "normal screen"
+    )
     case = classify_case(tangent.dim, normal.dim, radical.dim)
     ltr = construct_ltr(space, radical, screen, normal_screen)
 

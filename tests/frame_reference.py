@@ -23,7 +23,6 @@ from lightlike_lab.errors import (
     ShapeError,
 )
 from lightlike_lab.linalg import (
-    Subspace,
     Vec,
     det,
     invert,
@@ -38,7 +37,7 @@ from lightlike_lab.linalg import (
 from lightlike_lab.scalars import QuadScalar
 from lightlike_lab.submanifold import AdaptedFrame, PolynomialImmersion, classify_case
 
-from helpers import OpenElimination, orthogonal_complement, subspace_sum
+from helpers import OpenElimination, Subspace, orthogonal_complement, subspace_sum
 
 
 def tangent_space(

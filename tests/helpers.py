@@ -12,11 +12,16 @@ in pair_loops.py and criterion_loops.py are written in them.
 isometry_inverse builds the full inverse matrix of a signature isometry,
 which the nonexistence audit never builds, and candidate_quads reads an
 audit candidate's integer directions back as QuadScalar vectors.
+Subspace, a Q(sigma) span held in the canonical basis rref gives, and
 subspace_sum, intersect, orthogonal_complement and OpenElimination are
-the Q(sigma) span operations that the package now does over primitive
-rows; the reference builds in frame_reference.py and
+the Q(sigma) span operations that the package does over primitive rows
+(linalg.PrimitiveRows); the reference builds in frame_reference.py and
 projector_reference.py, and the tests that hold the primitive-row
-operations to them, are written in them.
+operations to them, are written in them.  primitive_rows clears a
+Subspace into rows, one_ring clears several into one ring, screen_rows
+runs the package's screen choice on Subspaces, as_subspace rebuilds
+primitive rows as a Subspace with rref, and span_fields reads either
+span type as the fields a comparison needs.
 singular_structure_context puts a singular structure on a generated
 p = 0 scene point, sending each slot vector where radical_onto_ltr or
 screen_kept says, so the rank half of each configuration clause can be
@@ -46,7 +51,8 @@ from lightlike_lab.geometry import (
 )
 from lightlike_lab.linalg import (
     Mat,
-    Subspace,
+    PrimitiveRows,
+    RowRing,
     Vec,
     invert,
     is_zero_vec,
@@ -63,7 +69,7 @@ from lightlike_lab.linalg import (
 )
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import MetallicParams, QuadScalar
-from lightlike_lab.submanifold import AdaptedFrame
+from lightlike_lab.submanifold import AdaptedFrame, _screen_rows
 
 
 def power(f: Polynomial, exponent: int) -> Polynomial:
@@ -216,6 +222,125 @@ def solve(a: Mat, b: Vec) -> Optional[Vec]:
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     return tuple(x)
+
+
+class Subspace:
+    """Linear subspace with a canonical reduced-echelon basis.
+
+    Two Subspace objects compare equal exactly when they are the same
+    subspace: the canonical basis is unique.
+    """
+
+    __slots__ = ("ambient_dim", "params", "basis", "pivots")
+
+    def __init__(
+        self,
+        spanning: Sequence[Vec],
+        ambient_dim: int,
+        params: MetallicParams,
+    ) -> None:
+        for v in spanning:
+            if len(v) != ambient_dim:
+                raise ShapeError(
+                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
+                )
+        self.ambient_dim = ambient_dim
+        self.params = params
+        reduced, pivots = rref(tuple(spanning))
+        self.basis: Mat = tuple(reduced[r] for r in range(len(pivots)))
+        self.pivots: Tuple[int, ...] = pivots
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, v: Vec) -> bool:
+        if len(v) != self.ambient_dim:
+            raise ShapeError("vector length does not match ambient dimension")
+        # Basis row i is 1 at pivot i and 0 at every other pivot, so the
+        # only candidate coordinates are v's own pivot entries, and the
+        # combination they give matches v at every pivot by construction.
+        # Only the other entries are compared, each summed over the
+        # picked rows that are nonzero there.
+        picked = [(v[p], row) for p, row in zip(self.pivots, self.basis) if v[p]]
+        if not picked:
+            return is_zero_vec(v)
+        pivots = set(self.pivots)
+        for k, x in enumerate(v):
+            if k in pivots:
+                continue
+            total = None
+            for c, row in picked:
+                if row[k]:
+                    term = c * row[k]
+                    total = term if total is None else total + term
+            if total is None:
+                if x:
+                    return False
+            elif total != x:
+                return False
+        return True
+
+    def contains_subspace(self, other: "Subspace") -> bool:
+        return all(self.contains(v) for v in other.basis)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def primitive_rows(ring: RowRing, sub: Subspace) -> PrimitiveRows:
+    """sub's canonical basis cleared of denominators.  A cleared row is
+    d > 0 at its pivot and zero at the other pivots, and its content is 1
+    (a prime at its full power in d divides a reduced denominator, so not
+    that entry's numerator), so nothing is eliminated."""
+    return PrimitiveRows(ring, [ring.clear(v)[0] for v in sub.basis], sub.pivots, sub.ambient_dim)
+
+
+def one_ring(params: MetallicParams, *subs: Subspace) -> Tuple[PrimitiveRows, ...]:
+    """Each Subspace cleared into the one ring of all their bases, as
+    build_frame hands its spans to construct_ltr."""
+    ring = RowRing.over(params, *(sub.basis for sub in subs))
+    return tuple(primitive_rows(ring, sub) for sub in subs)
+
+
+def span_fields(span) -> tuple:
+    """A Subspace or PrimitiveRows as its canonical basis, down to each
+    scalar's (A, B, D) triple and parameters, its pivots, its width and
+    its parameters: equal exactly when the two carry the same basis."""
+    basis = tuple(tuple((x.A, x.B, x.D, x.params) for x in v) for v in span.basis)
+    if isinstance(span, Subspace):
+        return basis, span.pivots, span.ambient_dim, span.params
+    return basis, span.pivots, span.width, span.ring.params
+
+
+def as_subspace(rows: PrimitiveRows) -> Subspace:
+    """The reference Subspace that rref makes of the rows' canonical basis."""
+    return Subspace(rows.basis, rows.width, rows.ring.params)
+
+
+def screen_rows(
+    space: SignatureSpace,
+    whole: Subspace,
+    sub: Subspace,
+    override: Optional[Sequence[Vec]] = None,
+    label: str = "screen",
+) -> PrimitiveRows:
+    """The package's complement of sub inside whole, or its check of a
+    declared one, on spans given as reference Subspaces: both are
+    cleared into the ring of their bases and the declared vectors."""
+    declared = None if override is None else tuple(override)
+    ring = RowRing.over(space.params, whole.basis, sub.basis, declared or ())
+    return _screen_rows(
+        ring, space.eps, primitive_rows(ring, whole), primitive_rows(ring, sub), declared, label
+    )
 
 
 def _check_compatible(u: Subspace, v: Subspace) -> None:

@@ -25,9 +25,9 @@ from typing import Dict, Tuple
 
 from lightlike_lab.classifier import PointContext, ProjectorSet
 from lightlike_lab.errors import InternalInconsistency
-from lightlike_lab.linalg import FactoredBasis, Mat, Subspace, rank
+from lightlike_lab.linalg import FactoredBasis, Mat, rank
 
-from helpers import intersect, orthogonal_complement
+from helpers import Subspace, intersect, orthogonal_complement
 
 FIVE_SLOTS = ("screen", "radical", "transversal", "mapped-screen", "mu")
 
@@ -36,8 +36,9 @@ def reference_mu(ctx: PointContext) -> Subspace:
     """Orthogonal complement of the mapped screen inside the normal screen."""
     space = ctx.space
     j_scr = Subspace(ctx.mapped_screen(), space.dim, space.params)
-    mu = intersect(ctx.frame.normal_screen, orthogonal_complement(space, j_scr))
-    if j_scr.dim + mu.dim != ctx.frame.normal_screen.dim:
+    normal = Subspace(ctx.frame.normal_screen.basis, space.dim, space.params)
+    mu = intersect(normal, orthogonal_complement(space, j_scr))
+    if j_scr.dim + mu.dim != normal.dim:
         raise InternalInconsistency(
             "mapped screen and its complement do not fill the normal screen"
         )
@@ -104,7 +105,8 @@ def reference_configuration(ctx: PointContext, mode: str) -> Tuple[bool, Dict[st
             mode=mode,
         )
     j_scr = ctx.mapped_screen()
-    screen_clause = all(getattr(frame, target).contains(v) for v in j_scr) and (
+    inside = Subspace(getattr(frame, target).basis, space.dim, space.params)
+    screen_clause = all(inside.contains(v) for v in j_scr) and (
         rank(j_scr) == frame.screen.dim
     )
     witness: Dict[str, object] = {

@@ -454,12 +454,9 @@ def _count_calls(monkeypatch, owner, name, counts, key=None):
             monkeypatch.setattr(module, name, counting)
 
 
-def test_criterion_5_frame_build_forms_no_quadscalar_gram_det_or_kernel(monkeypatch):
-    """A load-free companion to the frame budget above: on every fixture
-    point, with its declared screens and with greedy ones, and on a fixed
-    generated sweep, build_frame calls SignatureSpace.gram, det and
-    null_space zero times, because its span work runs on primitive
-    integer rows."""
+def _gate_frames():
+    """Every fixture point, with its declared screens and with greedy
+    ones, and a fixed generated sweep: 74 build_frame arguments."""
     frames = []
     for name in FIXTURE_NAMES:
         sc = load_scene(name)
@@ -472,6 +469,14 @@ def test_criterion_5_frame_build_forms_no_quadscalar_gram_det_or_kernel(monkeypa
                 g = perturbed_structured_scene(random.Random(0), MetallicParams(*pq), config, flavors)
                 frames.append((g.immersion, g.point, g.screen_override, g.normal_screen_override))
                 frames.append((g.immersion, g.point, None, None))
+    return frames
+
+
+def test_criterion_5_frame_build_forms_no_quadscalar_gram_det_or_kernel(monkeypatch):
+    """A load-free companion to the frame budget above: on the gate
+    frames, build_frame calls SignatureSpace.gram, det and null_space
+    zero times, because its span work runs on primitive integer rows."""
+    frames = _gate_frames()
     counts = Counter()
     _count_calls(monkeypatch, SignatureSpace, "gram", counts)
     _count_calls(monkeypatch, linalg, "det", counts)
@@ -489,6 +494,31 @@ def test_criterion_5_frame_build_forms_no_quadscalar_gram_det_or_kernel(monkeypa
     linalg.det(square)
     linalg.null_space(square, 2, GOLDEN)
     assert counts == Counter({"gram": 1, "det": 1, "null_space": 1})
+
+
+def test_criterion_5_frame_build_picks_one_ring_and_clears_only_its_inputs(monkeypatch):
+    """A load-free companion to the frame budget above: on each gate
+    frame, build_frame picks its row ring once, and clears each Jacobian
+    row and each declared screen vector once and nothing else, because
+    every span it hands on stays a primitive row span of that ring."""
+    frames = _gate_frames()
+    counts = Counter()
+    _count_calls(monkeypatch, linalg.RowRing, "over", counts)
+    _count_calls(monkeypatch, linalg.RowRing, "clear", counts)
+    misses = []
+    for immersion, point, screen, normal_screen in frames:
+        counts.clear()
+        build_frame(immersion, point, screen, normal_screen)
+        declared = len(screen or ()) + len(normal_screen or ())
+        if counts != Counter({"over": 1, "clear": immersion.chart_dim + declared}):
+            misses.append(counts.copy())
+    assert misses == []
+    assert len(frames) == 74 and any(screen for _, _, screen, _ in frames)
+    # the counters see a call when there is one
+    counts.clear()
+    ring = linalg.RowRing.over(GOLDEN, identity(2, GOLDEN))
+    ring.clear(identity(2, GOLDEN)[0])
+    assert counts == Counter({"over": 1, "clear": 1})
 
 
 def test_criterion_5_transversal_projectors_refine_the_four_slot_set(monkeypatch):
@@ -533,8 +563,9 @@ def test_criterion_5_transversal_projectors_refine_the_four_slot_set(monkeypatch
 
 def test_criterion_5_configuration_reads_the_slot_coordinates(monkeypatch):
     """Both configuration predicates, in both modes, read the frame's
-    slot coordinates: they build no Subspace, and every rref they call
-    ranks an in-slot coordinate block, narrower than the ambient space."""
+    slot coordinates: every rref they call ranks an in-slot coordinate
+    block, narrower than the ambient space.  linalg has no Q(sigma) span
+    class for them to build."""
     contexts = []
     for q in (2, 3, 5):
         for config in ("radical-transversal", "transversal"):
@@ -548,15 +579,9 @@ def test_criterion_5_configuration_reads_the_slot_coordinates(monkeypatch):
                         g.normal_screen_override,
                     )
                 )
-    widths, built = Counter(), []
+    assert not hasattr(linalg, "Subspace")
+    widths = Counter()
     _count_calls(monkeypatch, linalg, "rref", widths, key=lambda a: len(a[0]) if a else 0)
-    init = linalg.Subspace.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(linalg.Subspace, "__init__", counting_init)
     holding, ranked = Counter(), 0
     for ctx in contexts:
         widths.clear()
@@ -564,13 +589,12 @@ def test_criterion_5_configuration_reads_the_slot_coordinates(monkeypatch):
             holding[mode] += ctx.configuration(mode)[0]
         assert max(widths) < ctx.space.dim, widths
         ranked += sum(widths.values())
-    assert built == []
     assert holding["radical-transversal"] and holding["transversal"]
     assert len(contexts) == 36 and ranked >= 36
-    # the counters see a call when there is one
+    # the counter sees a call when there is one
     widths.clear()
-    linalg.Subspace(identity(2, GOLDEN), 2, GOLDEN)
-    assert len(built) == 1 and widths == Counter({2: 1})
+    linalg.rank(identity(2, GOLDEN))
+    assert widths == Counter({2: 1})
 
 
 # ---- criterion 6: classification checks versus their oracles ----

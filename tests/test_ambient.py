@@ -17,7 +17,6 @@ from lightlike_lab.ambient import (
 )
 from lightlike_lab.errors import ShapeError, ValidationError
 from lightlike_lab.linalg import (
-    Subspace,
     as_mat,
     as_vec,
     identity,
@@ -29,7 +28,7 @@ from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.submanifold import PolynomialImmersion
 
-from helpers import orthogonal_complement
+from helpers import Subspace, orthogonal_complement
 
 P02 = MetallicParams(0, 2)
 

@@ -16,20 +16,18 @@ import pytest
 from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.errors import LightlikeLabError
 from lightlike_lab.generators import perturbed_structured_scene, random_flag_data
-from lightlike_lab.linalg import Subspace, as_vec
+from lightlike_lab.linalg import PrimitiveRows, as_vec
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import (
     AdaptedFrame,
     PolynomialImmersion,
     build_frame,
-    choose_normal_screen,
-    choose_screen,
     construct_ltr,
 )
 
 import frame_reference as ref
-from helpers import parse_polynomial
+from helpers import Subspace, one_ring, parse_polynomial, screen_rows, span_fields
 
 PARAMS = [(0, 2), (1, 1), (2, 1), (1, 2), (3, 2), (0, 3)]
 CONFIGS = ["radical-transversal", "transversal"]
@@ -44,21 +42,17 @@ def _vecs(vectors):
     return tuple(tuple(_scalar(x) for x in v) for v in vectors)
 
 
-def _subspace(sub: Subspace):
-    return (_vecs(sub.basis), sub.pivots, sub.ambient_dim, sub.params)
-
-
 def _frame(frame: AdaptedFrame):
     return (
         (frame.space.dim, frame.space.eps, frame.space.params),
         tuple(_scalar(x) for x in frame.point),
         _vecs(frame.tangent_jacobian),
         _vecs(frame.tangent_gram),
-        _subspace(frame.tangent),
-        _subspace(frame.normal),
-        _subspace(frame.radical),
-        _subspace(frame.screen),
-        _subspace(frame.normal_screen),
+        span_fields(frame.tangent),
+        span_fields(frame.normal),
+        span_fields(frame.radical),
+        span_fields(frame.screen),
+        span_fields(frame.normal_screen),
         _vecs(frame.ltr),
         frame.case,
     )
@@ -76,8 +70,8 @@ def _outcome(fn, *args):
         return ("raise", type(exc), str(exc))
     if isinstance(value, AdaptedFrame):
         return ("frame", _frame(value))
-    if isinstance(value, Subspace):
-        return ("subspace", _subspace(value))
+    if isinstance(value, (Subspace, PrimitiveRows)):
+        return ("subspace", span_fields(value))
     return ("vectors", _vecs(value))
 
 
@@ -203,13 +197,23 @@ def _sub(*vectors):
     return Subspace(vectors, 4, GOLDEN)
 
 
+def _normal_screen_rows(*args):
+    return screen_rows(*args, label="normal screen")
+
+
+def _ltr_on_rows(space, *subs):
+    """construct_ltr on the Subspaces cleared into one ring, as build_frame
+    hands it its spans."""
+    return construct_ltr(space, *one_ring(space.params, *subs))
+
+
 def test_degenerate_override_raises_as_the_quadscalar_check():
     """Any complement of the true radical is nondegenerate, so only a
     standalone call with too small a radical reaches this message."""
     plane = _sub(NULL_1, NULL_2)
     for fn, ref_fn, label in (
-        (choose_screen, ref.choose_screen, "screen"),
-        (choose_normal_screen, ref.choose_normal_screen, "normal screen"),
+        (screen_rows, ref.choose_screen, "screen"),
+        (_normal_screen_rows, ref.choose_normal_screen, "normal screen"),
     ):
         got = assert_same(fn, ref_fn, SPLIT, plane, ZERO, (NULL_1, NULL_2))
         assert got[2] == f"{label}: induced metric on the override is degenerate"
@@ -222,7 +226,7 @@ def test_greedy_raises_as_the_quadscalar_greedy():
         (_sub(NULL_1), _sub(NULL_2), "sub is not inside whole"),
     ]
     for whole, sub, message in cases:
-        for fn, ref_fn in ((choose_screen, ref.choose_screen), (choose_normal_screen, ref.choose_normal_screen)):
+        for fn, ref_fn in ((screen_rows, ref.choose_screen), (_normal_screen_rows, ref.choose_normal_screen)):
             assert assert_same(fn, ref_fn, SPLIT, whole, sub)[2] == message
 
 
@@ -242,7 +246,7 @@ def test_standalone_ltr_raises_as_the_quadscalar_ltr():
         ),
     ]
     for screen, normal_screen, message in cases:
-        got = assert_same(construct_ltr, ref.construct_ltr, GENERIC_SPACE, radical, screen, normal_screen)
+        got = assert_same(_ltr_on_rows, ref.construct_ltr, GENERIC_SPACE, radical, screen, normal_screen)
         assert got[2] == message
 
 
@@ -257,4 +261,4 @@ def test_standalone_ltr_matches_on_flag_data(params, r):
             Subspace(screen_vecs, space.dim, params),
             Subspace(ns_vecs, space.dim, params),
         )
-        assert assert_same(construct_ltr, ref.construct_ltr, *args)[0] == "vectors"
+        assert assert_same(_ltr_on_rows, ref.construct_ltr, *args)[0] == "vectors"

@@ -22,10 +22,10 @@ from lightlike_lab.generators import (
     ruled_scene,
 )
 from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split
-from lightlike_lab.linalg import Subspace, identity, is_zero_vec, mat_mul, transpose
+from lightlike_lab.linalg import identity, is_zero_vec, mat_mul, transpose
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.submanifold import construct_ltr
-from helpers import candidate_quads, isometry_inverse
+from helpers import Subspace, candidate_quads, isometry_inverse, one_ring
 
 P = GOLDEN
 ZERO_Q = MetallicParams(0, 2)
@@ -171,7 +171,7 @@ def test_flag_data_supports_the_transversal_frame(seed, r):
     ns = Subspace(ns_vecs, space.dim, P)
     radical = Subspace(rad_basis, space.dim, P)
     rad_basis = radical.basis
-    ltr = construct_ltr(space, radical, screen, ns)
+    ltr = construct_ltr(space, *one_ring(P, radical, screen, ns))
     assert len(ltr) == r
     for i, n_i in enumerate(ltr):
         for j, xi in enumerate(rad_basis):

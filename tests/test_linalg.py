@@ -16,7 +16,6 @@ from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.errors import NotInSpan, ShapeError
 from lightlike_lab.linalg import (
     FactoredBasis,
-    Subspace,
     as_mat,
     as_vec,
     det,
@@ -35,7 +34,7 @@ from lightlike_lab.linalg import (
     vec_sub,
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
-from helpers import OpenElimination, intersect, solve, subspace_sum
+from helpers import OpenElimination, Subspace, intersect, solve, subspace_sum
 
 P = GOLDEN
 

@@ -13,18 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightlike_lab.ambient import SignatureSpace
+from lightlike_lab.errors import ShapeError
 from lightlike_lab.linalg import (
     PrimitiveRows,
     RowElimination,
     RowRing,
-    Subspace,
     det,
     is_zero_vec,
     rref,
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
 
-from helpers import OpenElimination, intersect, orthogonal_complement
+from helpers import OpenElimination, Subspace, intersect, orthogonal_complement
 
 # (1, 2) has a square discriminant, so sigma = 2 and every entry is rational
 PARAMS = [GOLDEN, SILVER, MetallicParams(0, 2), MetallicParams(1, 2)]
@@ -76,10 +76,10 @@ def test_reduction_scaled_to_pivot_one_is_rref(params, sigma, data):
     span = PrimitiveRows.span(ring, cleared, width)
     reduced, pivots = rref(tuple(rows)) if rows else ((), ())
     assert span.pivots == pivots
-    canonical = span.subspace()
-    assert _triples(canonical.basis) == _triples(reduced[: len(pivots)])
-    assert canonical == Subspace(tuple(rows), width, params)
-    for row, p, canon in zip(span.rows, span.pivots, canonical.basis):
+    assert _triples(span.basis) == _triples(reduced[: len(pivots)])
+    expected = Subspace(tuple(rows), width, params)
+    assert (span.basis, span.pivots, span.width) == (expected.basis, expected.pivots, expected.ambient_dim)
+    for row, p, canon in zip(span.rows, span.pivots, span.basis):
         # a nonzero multiple of the canonical row, with content 1
         assert all(x == row[p] * c for x, c in zip(row, canon))
         if not ring.sigma:
@@ -98,7 +98,7 @@ def test_complement_is_the_orthogonal_complement(params, sigma, data):
     eps = tuple(data.draw(st.sampled_from([-1, 1])) for _ in range(width))
     space = SignatureSpace(width, eps, params)
     ring, cleared = _cleared(params, rows)
-    perp = PrimitiveRows.span(ring, cleared, width).complement(eps).subspace()
+    perp = PrimitiveRows.span(ring, cleared, width).complement(eps)
     expected = orthogonal_complement(space, Subspace(tuple(rows), width, params))
     assert (_triples(perp.basis), perp.pivots) == (_triples(expected.basis), expected.pivots)
 
@@ -120,8 +120,7 @@ def test_nondegeneracy_agrees_with_the_gram_determinant(params, sigma, data):
     assert ring.nonsingular(ring.gram(eps, cleared)) == bool(det(space.gram(rows)))
     span = PrimitiveRows.span(ring, cleared, width)
     if span.dim:
-        basis = span.subspace().basis
-        assert ring.nonsingular(ring.gram(eps, span.rows)) == bool(det(space.gram(basis)))
+        assert ring.nonsingular(ring.gram(eps, span.rows)) == bool(det(space.gram(span.basis)))
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=IDS)
@@ -141,7 +140,7 @@ def test_kernel_image_of_the_pairing_is_the_orthogonal_part(params, sigma, data)
     k = len(left)
     pairing = ring.gram(eps, cleared[:k], cleared[k:])
     assert pairing == [g[k:] for g in ring.gram(eps, cleared)[:k]]
-    image = ring.kernel_image(pairing, cleared[k:], width).subspace()
+    image = ring.kernel_image(pairing, cleared[k:], width)
     expected = intersect(
         Subspace(tuple(rows), width, params),
         orthogonal_complement(space, Subspace(tuple(left), width, params)),
@@ -162,7 +161,29 @@ def test_membership_and_open_elimination_match_the_quadscalar_ones(params, sigma
     quad, integer = OpenElimination(sub), RowElimination(span)
     for v in candidates:
         row = ring.clear(v)[0]
-        assert span.contains(row) == sub.contains(v)
+        assert span.contains(row) == span.contains(v) == sub.contains(v)
         assert (not any(integer.reduce(row))) == is_zero_vec(quad.reduce(v))
         assert integer.extend(row) == quad.extend(v)
     assert integer.pivots == quad.pivots
+
+
+@pytest.mark.parametrize("sigma", [False, True], ids=["rational", "sigma"])
+def test_membership_refuses_a_vector_of_another_length(sigma):
+    """A short or long vector is a ShapeError, as for Subspace, not the
+    answer for its truncation."""
+    ring = RowRing(GOLDEN, sigma)
+    span = PrimitiveRows.span(ring, [[ring.one, ring.zero, ring.zero]], 3)
+    sub = Subspace((_quad(1, 0, 0),), 3, GOLDEN)
+    message = "vector length does not match ambient dimension"
+    for v in (_quad(1, 0), _quad(1, 0, 0, 5)):
+        for spans in (span, sub):
+            with pytest.raises(ShapeError, match=message):
+                spans.contains(v)
+    for row in ([ring.one, ring.zero], [ring.one, ring.zero, ring.zero, 5 * ring.one]):
+        with pytest.raises(ShapeError, match=message):
+            span.contains(row)
+    assert span.contains(_quad(2, 0, 0)) and not span.contains(_quad(1, 0, 5))
+
+
+def _quad(*entries):
+    return tuple(QuadScalar(x, 0, GOLDEN) for x in entries)

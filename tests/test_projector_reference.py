@@ -24,10 +24,9 @@ import pytest
 
 from lightlike_lab.classifier import POINT_CHECK_FUNCTIONS, PointContext
 from lightlike_lab.errors import InternalInconsistency, LightlikeLabError
-from lightlike_lab.linalg import Subspace
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 
-from helpers import radical_onto_ltr, screen_kept, singular_structure_context
+from helpers import radical_onto_ltr, screen_kept, singular_structure_context, span_fields
 from projector_reference import (
     reference_configuration,
     reference_mu,
@@ -64,10 +63,6 @@ def _outcome(build, ctx):
         return ("raised", type(exc).__name__, str(exc), getattr(exc, "mode", None))
 
 
-def _mu(sub: Subspace):
-    return (_scalars(sub.basis), sub.pivots, sub.ambient_dim, sub.params)
-
-
 def _projectors(proj):
     return (
         tuple(proj.bases),
@@ -83,7 +78,7 @@ def compare(ctx, tally):
     slots, did not, or raised which message."""
     ref_mu, new_mu = _outcome(reference_mu, ctx), _outcome(lambda c: c.mu_subspace(), ctx)
     if ref_mu[0] == "built":
-        assert new_mu[0] == "built" and _mu(new_mu[1]) == _mu(ref_mu[1])
+        assert new_mu[0] == "built" and span_fields(new_mu[1]) == span_fields(ref_mu[1])
     else:
         assert new_mu == ref_mu
     ref = _outcome(reference_transversal_projectors, ctx)

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from lightlike_lab.errors import DivByZero, NotInSpan, ParamError
 from lightlike_lab.linalg import (
     FactoredBasis,
-    Subspace,
     det,
     invert,
     is_zero_vec,
@@ -34,7 +33,7 @@ from lightlike_lab.linalg import (
     rref,
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar, parse_scalar
-from helpers import OpenElimination
+from helpers import OpenElimination, Subspace
 from pair_scalars import (
     PairScalar,
     det_by_cofactors,

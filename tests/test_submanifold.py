@@ -26,7 +26,7 @@ from lightlike_lab.errors import (
 from lightlike_lab import linalg
 from lightlike_lab.classifier import random_isometry
 from lightlike_lab.generators import perturbed_structured_scene
-from lightlike_lab.linalg import Subspace, as_mat, as_vec, det, mat_vec, rank
+from lightlike_lab.linalg import as_mat, as_vec, det, mat_vec, rank
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
@@ -35,11 +35,17 @@ from lightlike_lab.submanifold import (
     CaseKind,
     PolynomialImmersion,
     build_frame,
-    choose_normal_screen,
-    choose_screen,
     classify_case,
 )
-from helpers import intersect, orthogonal_complement, parse_polynomial
+from helpers import (
+    Subspace,
+    as_subspace,
+    intersect,
+    orthogonal_complement,
+    parse_polynomial,
+    screen_rows,
+    span_fields,
+)
 
 P02 = MetallicParams(0, 2)
 
@@ -66,10 +72,10 @@ def assert_frame_contracts(frame: AdaptedFrame) -> None:
     assert frame.normal_screen.dim == k - r
     assert len(frame.ltr) == r
     # screen inside tangent, normal screen inside normal, radical inside both
-    assert frame.tangent.contains_subspace(frame.screen)
-    assert frame.normal.contains_subspace(frame.normal_screen)
-    assert frame.tangent.contains_subspace(frame.radical)
-    assert frame.normal.contains_subspace(frame.radical)
+    assert all(map(frame.tangent.contains, frame.screen.basis))
+    assert all(map(frame.normal.contains, frame.normal_screen.basis))
+    assert all(map(frame.tangent.contains, frame.radical.basis))
+    assert all(map(frame.normal.contains, frame.radical.basis))
     # duality and isotropy of the transversal frame
     for i, n_i in enumerate(frame.ltr):
         for j, xi in enumerate(frame.rad_basis):
@@ -270,12 +276,12 @@ def test_quadratic_graph_frame():
     frame = build_frame(imm, origin(space, 2))
     linear = generic_r1_frame()
     assert frame.rad_basis == linear.rad_basis
-    assert frame.screen == linear.screen
+    assert span_fields(frame.screen) == span_fields(linear.screen)
     assert frame.ltr == linear.ltr
     # away from the critical point the tangent plane tips over
     one = QuadScalar.one(GOLDEN)
     frame2 = build_frame(imm, (one, one))
-    assert frame2.tangent != linear.tangent
+    assert span_fields(frame2.tangent) != span_fields(linear.tangent)
     assert_frame_contracts(frame2)
 
 
@@ -377,10 +383,9 @@ def _rank_greedy_complement(space, whole, sub):
     return Subspace(tuple(chosen), space.dim, space.params)
 
 
-def assert_canonical(sub: Subspace) -> None:
-    """sub carries the basis and pivots that rref gives its own rows."""
-    again = Subspace(sub.basis, sub.ambient_dim, sub.params)
-    assert (sub.basis, sub.pivots) == (again.basis, again.pivots)
+def assert_canonical(span) -> None:
+    """span carries the basis and pivots that rref gives its own rows."""
+    assert span_fields(span) == span_fields(as_subspace(span))
 
 
 def _generated_frames(seed, pq, config, r, extra_points=2):
@@ -412,17 +417,18 @@ def test_frame_build_matches_the_routes_it_replaced(seed, r, pq, config):
     assert frames[0].radical_dim == r
     for frame in frames:
         space = frame.space
-        assert frame.radical == intersect(frame.tangent, frame.normal)
+        tangent, normal, radical = map(as_subspace, (frame.tangent, frame.normal, frame.radical))
+        assert span_fields(frame.radical) == span_fields(intersect(tangent, normal))
         jac = frame.tangent_jacobian
         assert frame.tangent_gram == tuple(
             tuple(space.inner(u, v) for v in jac) for u in jac
         )
         assert_frame_contracts(frame)
-        assert choose_screen(space, frame.tangent, frame.radical) == (
-            _rank_greedy_complement(space, frame.tangent, frame.radical)
+        assert span_fields(screen_rows(space, tangent, radical)) == span_fields(
+            _rank_greedy_complement(space, tangent, radical)
         )
-        assert choose_normal_screen(space, frame.normal, frame.radical) == (
-            _rank_greedy_complement(space, frame.normal, frame.radical)
+        assert span_fields(screen_rows(space, normal, radical, None, "normal screen")) == (
+            span_fields(_rank_greedy_complement(space, normal, radical))
         )
         assert_canonical(frame.screen)
         assert_canonical(frame.normal_screen)
@@ -485,10 +491,12 @@ def test_greedy_complement_matches_the_rank_tested_pass(data):
         assume(whole.dim and not radical.dim)
     if kind == "radical":
         assert radical.dim >= 2
-    screen = choose_screen(space, whole, radical)
-    assert screen == _rank_greedy_complement(space, whole, radical)
-    normal_screen = choose_normal_screen(space, normal, radical)
-    assert normal_screen == _rank_greedy_complement(space, normal, radical)
+    screen = screen_rows(space, whole, radical)
+    assert span_fields(screen) == span_fields(_rank_greedy_complement(space, whole, radical))
+    normal_screen = screen_rows(space, normal, radical, None, "normal screen")
+    assert span_fields(normal_screen) == span_fields(
+        _rank_greedy_complement(space, normal, radical)
+    )
     for sub in (screen, normal_screen):
         assert_canonical(sub)
     if not radical.dim:
@@ -530,9 +538,9 @@ def test_greedy_screen_reads_the_full_schur_pivot():
     radical = intersect(whole, orthogonal_complement(space, whole))
     assert radical == Subspace((as_vec([1, -3, 2, -2, -1, 1], GOLDEN),), 6, GOLDEN)
     assert not det(space.gram(basis[1:4]))
-    screen = choose_screen(space, whole, radical)
+    screen = screen_rows(space, whole, radical)
     assert screen.basis == (basis[0], basis[1], basis[2], basis[4])
-    assert screen == _rank_greedy_complement(space, whole, radical)
+    assert span_fields(screen) == span_fields(_rank_greedy_complement(space, whole, radical))
 
 
 def test_greedy_complement_refuses_a_degenerate_result():
@@ -544,9 +552,11 @@ def test_greedy_complement_refuses_a_degenerate_result():
     n2 = as_vec([0, 1, 0, 1], GOLDEN)
     zero = Subspace((), 4, GOLDEN)
     with pytest.raises(InternalInconsistency):
-        choose_screen(space, Subspace((n1,), 4, GOLDEN), zero)
+        screen_rows(space, Subspace((n1,), 4, GOLDEN), zero)
     with pytest.raises(InternalInconsistency):
-        choose_normal_screen(space, Subspace((n1, n2), 4, GOLDEN), Subspace((n1,), 4, GOLDEN))
+        screen_rows(
+            space, Subspace((n1, n2), 4, GOLDEN), Subspace((n1,), 4, GOLDEN), None, "normal screen"
+        )
 
 
 def test_one_frame_eliminates_the_jacobian_once(monkeypatch):
