@@ -16,23 +16,21 @@ the structure matrix composed with a kit field.  That composition is
 what makes the criterion-to-oracle equivalences exact identities at the
 point rather than statements about an ambient neighborhood.  J is
 constant, so D(X, J V) = J D(X, V), and no composed section is built:
-each criterion is one residual operator, composed from the point's slot
-projectors, applied to the stacked derivative columns D(X_a, V_b) of
-its pair domain.  The oracles stay per-vector, splitting one bracket or
-induced derivative at a time by its coordinates against the frame's
-slot_factor, and read no slot projector.  That factorization is shared
-with the criteria, so a fault in it reaches both sides alike; the
-tests hold it to separately eliminated splits (_factored_splits).
+each criterion is one residual map applied to the stacked derivative
+columns D(X_a, V_b) of its pair domain.  The oracles stay per-vector,
+splitting one bracket or induced derivative at a time by its
+coordinates against the frame's slot_factor, which the criteria share.
 
 Both configurations split the ambient space into the same four slots
 (screen, radical, null transversal, and the normal screen), whose
-stacked bases the frame factors once per point (slot_factor): the slot
-projectors (ProjectorSet) and both configuration predicates read their
-coordinates.  They differ only in where the structure map sends the
-screen: onto itself in the radical-transversal mode, into the normal
-screen in the transversal mode, whose set splits the normal-screen slot
-into the mapped screen and its complement mu.  The four-slot set exists
-at every lightlike point; the criteria and structure-eqs read it.
+stacked bases C the frame factors once per point (slot_factor).  Both
+configuration predicates, every criterion and structure-eqs read those
+slot coordinates: a slot projector is C E_a C^-1 for the 0/1 mask E_a
+of the slot's range, so a zero test on P_a M D is one on the a-rows of
+C^-1 M D, read off K = C^-1 J or J^ = K C.  The modes differ only in
+where the structure map sends the screen: onto itself, or into the
+normal screen, whose slot the transversal set splits into the mapped
+screen and its complement mu.
 
 REFERENCES is the one list of check identifiers and the screen-target
 table the one list of configuration names.  @_point_check registers
@@ -88,11 +86,13 @@ from .linalg import (
     mat_vec,
     rank,
     transpose,
+    vec_add,
+    vec_neg,
     vec_scale,
     vec_sub,
 )
 from .scalars import MetallicParams, QuadScalar
-from .submanifold import PolynomialImmersion, build_frame
+from .submanifold import FOUR_SLOTS, PolynomialImmersion, build_frame
 
 
 class Verdict(str, Enum):
@@ -176,40 +176,37 @@ _NO_DECOMPOSITION = "slot bases do not decompose the ambient space"
 
 
 class ProjectorSet(NamedTuple):
-    """Exact slot projectors for one configuration mode at a point.
+    """Slot bases for one configuration mode at a point, and the slot
+    coordinates every projection onto them reads.
 
-    The slot bases together form a basis of the ambient space, so every
-    vector splits uniquely into one component per slot.  The four-slot
-    set reads its matrices off the frame's slot_factor, each over its
-    slot's coordinate range, and factors nothing of its own.  The
-    transversal set shares the first three and splits the fourth: it
-    factors only the mapped-screen + mu basis of the normal screen, and
-    P[mu] = P[normal-screen] - P[mapped-screen].  audit() checks every
-    matrix against the slot bases instead of trusting construction.
+    The slot bases together form a basis of the ambient space.  inverse
+    is C^-1 for the frame's four-slot basis C, read off slot_factor.  The
+    transversal set shares it and splits the normal-screen slot in two:
+    split factors the k-wide normal-screen coordinates of its
+    mapped-screen + mu basis (None in the radical-transversal mode).
+    audit() checks both against the slot bases.
     """
 
     space: SignatureSpace
     bases: Dict[str, Tuple[Vec, ...]]
-    matrices: Dict[str, Mat]
+    inverse: Mat
+    split: Optional[FactoredBasis]
 
     def audit(self) -> List[str]:
-        """Each P_a fixes the basis vectors of slot a and kills those of
-        every other slot, and the P_a sum to the identity.  The slot
-        bases form a basis of the ambient space, so the first check pins
-        each P_a exactly, and every idempotence, kernel and complement
-        identity between sums of slot projectors follows."""
-        problems: List[str] = []
-        for a, matrix in self.matrices.items():
-            for b, basis in self.bases.items():
-                for v in basis:
-                    image = mat_vec(matrix, v)
-                    if a == b and image != v:
-                        problems.append(f"P[{a}] does not fix slot {b}")
-                    elif a != b and not is_zero_vec(image):
-                        problems.append(f"P[{a}] does not kill slot {b}")
-        total = functools.reduce(mat_add, self.matrices.values())
-        if total != identity(self.space.dim, self.space.params):
-            problems.append("slot projectors do not sum to the identity")
+        """C^-1 C = I over the stacked slot bases, the transversal set
+        reading its normal-screen rows through split's k x k inverse:
+        this pins every slot's coordinates, hence its projector."""
+        n = self.space.dim
+        coords = mat_mul(self.inverse, transpose([v for b in self.bases.values() for v in b]))
+        if self.split is not None:
+            k = len(self.split.basis)
+            coords = coords[: n - k] + mat_mul(self.split.coordinate_map(range(k)), coords[n - k :])
+        columns, unit = transpose(coords), identity(n, self.space.params)
+        problems, at = [], 0
+        for label, basis in self.bases.items():
+            if columns[at : at + len(basis)] != unit[at : at + len(basis)]:
+                problems.append(f"slot coordinates do not recover slot {label}")
+            at += len(basis)
         return problems
 
 
@@ -217,8 +214,8 @@ class ProjectorSet(NamedTuple):
 
 
 class PointContext:
-    """Frame, lazy chart jet and kit, lazy predicates and slot
-    projectors at one point."""
+    """Frame, lazy chart jet and kit, lazy predicates, slot bases and
+    slot coordinates of the structure at one point."""
 
     def __init__(
         self,
@@ -240,7 +237,7 @@ class PointContext:
         self._radical: Optional[Tuple[bool, Tuple[Vec, ...]]] = None
         self._mu: Optional[PrimitiveRows] = None
         self._proj: Dict[str, ProjectorSet] = {}
-        self._tangent: Optional[Mat] = None
+        self._in_slots: Optional[Tuple[MetallicStructure, Mat, Mat]] = None
 
     @property
     def space(self):
@@ -342,7 +339,9 @@ class PointContext:
             n, j_scr, normal = self.space.dim, self.mapped_screen(), self.frame.normal_screen
             ring = RowRing.over(self.params, j_scr, normal.basis)
             mapped = PrimitiveRows.span(ring, [ring.clear(v)[0] for v in j_scr], n)
-            rows = [ring.clear(v)[0] for v in normal.basis]
+            # the frame's own rows, unless J(screen) needs the other ring
+            same = ring.sigma == normal.ring.sigma
+            rows = normal.rows if same else [ring.clear(v)[0] for v in normal.basis]
             mu = ring.kernel_image(ring.gram(self.space.eps, mapped.rows, rows), rows, n)
             if mapped.dim + mu.dim != normal.dim:
                 raise InternalInconsistency(
@@ -351,48 +350,47 @@ class PointContext:
             self._mu = mu
         return self._mu
 
-    def slot(self, label: str) -> Mat:
-        """The four-slot projector onto screen, radical, transversal or
-        normal-screen, or onto "tangent", the screen-plus-radical sum.
-        The radical-transversal mode's set is the four-slot set; it
+    def projectors(self, mode: str) -> ProjectorSet:
+        """The radical-transversal mode's set is the four-slot set; it
         decomposes the ambient space at every lightlike point, in either
         configuration or neither."""
-        matrices = self.projectors("radical-transversal").matrices
-        if label != "tangent":
-            return matrices[label]
-        if self._tangent is None:
-            self._tangent = mat_add(matrices["screen"], matrices["radical"])
-        return self._tangent
-
-    def projectors(self, mode: str) -> ProjectorSet:
         if mode in self._proj:
             return self._proj[mode]
         frame = self.frame
+        factor, n = frame.slot_factor, self.space.dim
         if mode == "radical-transversal":
-            factor = frame.slot_factor
             # a basis of the ambient space: independent and spanning
-            if not len(factor.basis) == factor.rank == self.space.dim:
+            if not len(factor.basis) == factor.rank == n:
                 raise InternalInconsistency(_NO_DECOMPOSITION, mode=mode)
-            bases = dict(frame.slot_bases)
-            matrices = {a: factor.projector(frame.slot_ranges[a]) for a in bases}
+            inverse = factor.coordinate_map(range(n))
+            proj = ProjectorSet(self.space, dict(frame.slot_bases), inverse, None)
         elif mode == "transversal":
-            # the normal-screen slot split in two: only J(screen) + mu is
-            # factored, and it must be a basis of the normal screen
+            # the normal-screen slot split in two: only the k-wide
+            # normal-screen coordinates of J(screen) + mu are factored,
+            # and they must be a basis of that slot
             normal, mapped, mu = frame.normal_screen, self.mapped_screen(), self.mu_subspace().basis
-            factor = FactoredBasis(mapped + mu, self.space.dim, self.params)
+            rows = factor.coordinate_map(frame.slot_ranges["normal-screen"])
+            split = FactoredBasis([mat_vec(rows, v) for v in mapped + mu], normal.dim, self.params)
             inside = all(map(normal.contains, mapped))
-            if not (inside and len(factor.basis) == factor.rank == normal.dim):
+            if not (inside and len(split.basis) == split.rank == normal.dim):
                 raise InternalInconsistency(_NO_DECOMPOSITION, mode=mode)
             four = self.projectors("radical-transversal")
-            onto = four.matrices["normal-screen"]
-            p_ms = mat_mul(factor.projector(range(len(mapped))), onto)
             bases = {**four.bases, "mapped-screen": mapped, "mu": mu}
-            matrices = {**four.matrices, "mapped-screen": p_ms, "mu": mat_sub(onto, p_ms)}
-            del bases["normal-screen"], matrices["normal-screen"]
+            del bases["normal-screen"]
+            proj = four._replace(bases=bases, split=split)
         else:
             raise InternalInconsistency(f"unknown projection mode {mode!r}", mode=mode)
-        self._proj[mode] = ProjectorSet(self.space, bases, matrices)
-        return self._proj[mode]
+        self._proj[mode] = proj
+        return proj
+
+    def structure_in_slots(self) -> Tuple[Mat, Mat]:
+        """K = C^-1 J and J^ = K C for the four-slot basis C, formed
+        once for the structure the context holds when they are asked for."""
+        if self._in_slots is None or self._in_slots[0] is not self.structure:
+            K = mat_mul(self.projectors("radical-transversal").inverse, self.structure.matrix)
+            j_hat = mat_mul(K, transpose(self.frame.slot_factor.basis))
+            self._in_slots = (self.structure, K, j_hat)
+        return self._in_slots[1:]
 
 
 # ---- structure validators as checks ----
@@ -601,8 +599,41 @@ def _hessian_columns(ctx: PointContext) -> Mat:
     return transpose(tuple(w.partials[i] for w in coords for i in range(len(coords))))
 
 
-def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat], ...]:
-    """The residual operator of each slot, composed once per point and mode.
+# The weight of entry (i, j) of J^ = C^-1 J C in each residual map of
+# structure-eqs, C^-1 M C, by the slots of row i and column j (s, r, l, n:
+# screen, radical, transversal, normal screen); T J - T J L, for
+# instance, keeps the rows s, r and the columns s, r, n.  In the
+# radical-transversal mode J keeps the screen, hence the normal screen
+# (thm-3.3), so J hs stays in the normal screen: tangent_term = J P_screen
+# and screen_term = J S.  In the transversal mode hs splits over the
+# mapped screen and mu, and J of the first part over the mapped screen
+# and the screen.  Its mapped-screen part P_ms J P_ms hs is p P_ms hs
+# (J^2 = p J + q on J(screen)), and p = 0 wherever this configuration
+# exists, so only the screen part enters: tangent_term = P_screen J P_ms
+# and screen_term = J P_screen + J (S - P_ms), whose P_ms terms
+# _structure_equations adds.
+_RESIDUAL_WEIGHTS = {
+    "radical-transversal": (
+        lambda a, b: (a in "sr" and b != "l") - (b == "s"),
+        lambda a, b: (a == "n") - (b == "n"),
+    ),
+    "transversal": (
+        lambda a, b: a in "sr" and b != "l",
+        lambda a, b: (a == "n") - (b in "sn"),
+    ),
+}
+
+
+def _weighted(j_hat: Mat, slots: str, weight: Callable[[str, str], int]) -> List[list]:
+    """J^ with entry (i, j) times weight(slot of i, slot of j), in {-1, 0, 1}."""
+    # indexed by the weight: 0, 1, and -1 the last
+    zero = j_hat[0][0] * 0
+    signed = (lambda x: zero, lambda x: x, lambda x: -x)
+    return [[signed[weight(a, b)](x) for x, b in zip(row, slots)] for row, a in zip(j_hat, slots)]
+
+
+def _structure_equations(ctx: PointContext, mode: str) -> int:
+    """Slot-by-slot reassembly of the structure-composed derivative splits.
 
     For the pair (i, j) the regrouped split equations take the coordinate
     field W_j apart into its screen part tw and radical part qw, and
@@ -614,59 +645,38 @@ def _structure_operators(ctx: PointContext, mode: str) -> Tuple[Tuple[str, Mat],
         screen-transversal  S J - screen_term
         null-transversal    L J - J P_radical - L J L
 
-    P_screen, P_radical, L and S are the point's four-slot projectors
-    onto the screen, the radical, the null transversal frame and the
-    normal screen, which the ten criteria share, and T = P_screen +
-    P_radical projects onto the tangent space.  The mode supplies the
-    two terms that depend on where J sends the screen.
+    P_screen, P_radical, L and S project onto the four slots, T onto
+    the tangent space, and the mode supplies the other two terms.  Any
+    nonzero residual is an internal bug.  Columns follow the pair order
+    (j outer, i inner): the first nonzero one names the first failing
+    pair, and its first nonzero slot is reported.
     """
-    T, L, S = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("normal-screen")
-    J = ctx.structure.matrix
-    proj = ctx.projectors(mode)
-    TJ, LJ = mat_mul(T, J), mat_mul(L, J)
-    j_nabla = mat_mul(J, ctx.slot("screen"))
-    if mode == "radical-transversal":
-        # J keeps the screen, hence the normal screen (thm-3.3), so J hs
-        # stays in the normal screen
-        tangent_term = j_nabla
-        screen_term = mat_mul(J, S)
-    else:
-        # hs splits over the mapped screen and mu; J of the first part
-        # splits over the mapped screen and the screen.  Its mapped-screen
-        # part P_ms J P_ms hs is p P_ms hs (J^2 = p J + q on J(screen)),
-        # and p = 0 wherever this configuration exists, so only the screen
-        # part enters.  P_ms and P_mu factor through P[normal-screen]
-        b_hs = mat_mul(J, proj.matrices["mapped-screen"])
-        tangent_term = mat_mul(ctx.slot("screen"), b_hs)
-        screen_term = mat_add(j_nabla, mat_mul(J, proj.matrices["mu"]))
-    return (
-        ("tangent", mat_sub(mat_sub(TJ, mat_mul(TJ, L)), tangent_term)),
-        ("screen-transversal", mat_sub(mat_mul(S, J), screen_term)),
-        (
-            "null-transversal",
-            mat_sub(mat_sub(LJ, mat_mul(J, ctx.slot("radical"))), mat_mul(LJ, L)),
-        ),
-    )
-
-
-def _structure_equations(ctx: PointContext, mode: str) -> int:
-    """Slot-by-slot reassembly of the structure-composed derivative splits.
-
-    For every coordinate pair the three regrouped split equations must
-    vanish exactly; any nonzero residual is an internal bug because the
-    grouping is a pointwise identity once the predicate holds.  Each
-    slot's residual is one operator applied to the pair's second
-    derivative (see _structure_operators), so all pairs are checked by
-    one product with the stacked Hessian columns.  Column c holds the
-    residual of exactly one pair, and the columns follow the pair order
-    (j outer, i inner), so the first nonzero column names the first
-    failing pair, and within it the first nonzero slot is reported.
-    """
+    # Each map is J^ weighted by _RESIDUAL_WEIGHTS, applied to the slot
+    # coordinates C^-1 h of every pair's second derivative in one product.
+    # C is invertible, so a residual vanishes exactly when its slot
+    # coordinates do.
+    frame = ctx.frame
     m = len(ctx.chart().coordinates)
-    hessian = _hessian_columns(ctx)
+    proj = ctx.projectors(mode)
+    _, j_hat = ctx.structure_in_slots()
+    slots = "".join(c * len(frame.slot_ranges[a]) for c, a in zip("srln", FOUR_SLOTS))
+    ops = [_weighted(j_hat, slots, w) for w in _RESIDUAL_WEIGHTS[mode]]
+    if mode == "transversal":
+        # in slot coordinates P_ms is split's projector Q onto the mapped
+        # screen inside the normal-screen block, so J P_ms has the columns
+        # J^_N Q there, J^_N being J^'s normal-screen columns
+        at = frame.slot_ranges["normal-screen"]
+        q = proj.split.projector(range(len(proj.bases["mapped-screen"])))
+        for i, row in enumerate(mat_mul([row[at.start :] for row in j_hat], q)):
+            for c, x in enumerate(row, at.start):
+                if slots[i] == "s":
+                    ops[0][i][c] = ops[0][i][c] - x
+                ops[1][i][c] = ops[1][i][c] + x
+    ops.append(_weighted(j_hat, slots, lambda a, b: (a == "l" and b != "l") - (b == "r")))
+    hessian = mat_mul(proj.inverse, _hessian_columns(ctx))
     residuals = [
         (label, transpose(mat_mul(op, hessian)))
-        for label, op in _structure_operators(ctx, mode)
+        for label, op in zip(("tangent", "screen-transversal", "null-transversal"), ops)
     ]
     for c in range(m * m):
         for label, columns in residuals:
@@ -705,14 +715,6 @@ def check_structure_equations(ctx: PointContext) -> CheckEntry:
 def _lowered(space: SignatureSpace, vectors: Sequence[Vec]) -> Mat:
     """Rows eps * v, so that row . w = <v, w>."""
     return tuple(tuple(-x if e < 0 else x for e, x in zip(space.eps, v)) for v in vectors)
-
-
-def _transversal_coefficients(ctx: PointContext) -> Mat:
-    """Rows mapping a vector to its coefficients on the null transversal
-    frame: the lowered radical basis.  <xi_j, v> is the N_j coefficient
-    of v, since xi_j is orthogonal to the tangent space and the normal
-    screen and <N_i, xi_j> = delta_ij, which build_frame asserts."""
-    return _lowered(ctx.space, ctx.frame.rad_basis)
 
 
 def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
@@ -787,15 +789,19 @@ def _bind(
     )
 
 
-# ---- criteria as operators on stacked derivative columns ----
+# ---- criteria as slot-coordinate rows on stacked derivative columns ----
 #
 # Every criterion is linear in first derivatives D(X, V) = sum_j X^j d_j V
 # of kit fields at the point, and J is constant, so a structure-composed
 # section differentiates as D(X, J V) = J D(X, V).  Each criterion is
-# therefore one residual matrix, composed from the point's slot projectors,
-# applied to the stacked derivative columns of its pair domain; column
-# c of the product is the residual of pair c, so its nonzero columns,
-# in pair order, are the samples.
+# therefore one residual map M applied to the stacked derivative columns
+# of its pair domain, column c of M D being the residual of pair c.  M is
+# read in the frame's slot coordinates: when M = P_a N with the slot
+# projector P_a = C E_a C^-1, M D vanishes exactly when the a-rows of
+# C^-1 N D do, and C^-1 N is read off C^-1, K = C^-1 J and J^ = K C.  The
+# nonzero columns, in pair order, are the samples; only they are mapped
+# back by the slot's columns of C, so the witness holds the exact
+# ambient residual M D.
 
 Column = Tuple[List[int], Vec]
 
@@ -825,23 +831,36 @@ def _radical_along_coordinates(ctx: PointContext) -> List[Column]:
     ]
 
 
-def _nonzero(op: Mat, columns: Sequence[Column]) -> List[Column]:
-    """op applied to every stacked column; the nonzero images, in pair order."""
-    if not columns:
-        return []
-    images = transpose(mat_mul(op, transpose(tuple(col for _, col in columns))))
+def _nonzero(rows: Mat, columns: Sequence[Column]) -> List[Column]:
+    """rows applied to every stacked column; the nonzero images, in pair order."""
+    images = transpose(mat_mul(rows, transpose(tuple(col for _, col in columns))))
     return [(key, v) for (key, _), v in zip(columns, images) if not is_zero_vec(v)]
 
 
-def _scaled(c: QuadScalar, a: Mat) -> Mat:
-    return tuple(vec_scale(c, row) for row in a)
+def _block(ctx: PointContext, label: str, rows: Sequence) -> Mat:
+    """The rows in slot label's coordinate range."""
+    at = ctx.frame.slot_ranges[label]
+    return tuple(rows[at.start : at.stop])
 
 
-def _coefficient(ctx: PointContext) -> Tuple[QuadScalar, Mat, Mat]:
-    """p, J and J - p I."""
-    p = QuadScalar(ctx.params.p, 0, ctx.params)
-    J = ctx.structure.matrix
-    return p, J, mat_sub(J, _scaled(p, identity(ctx.space.dim, ctx.params)))
+def _slot_samples(
+    ctx: PointContext, label: str, rows: Mat, columns: Sequence[Column], negate: bool = False
+) -> List[Column]:
+    """The nonzero columns of P_label N D (or -P_label N D), for rows =
+    C^-1 N: each nonzero column of its label rows mapped back by C."""
+    at = ctx.frame.slot_ranges[label]
+    basis = transpose(ctx.frame.slot_factor.basis[at.start : at.stop])
+    return [
+        (key, mat_vec(basis, vec_neg(v) if negate else v))
+        for key, v in _nonzero(_block(ctx, label, rows), columns)
+    ]
+
+
+def _shifted(ctx: PointContext, c: int) -> Mat:
+    """C^-1 (J + c) = K + c C^-1."""
+    (K, _), shift = ctx.structure_in_slots(), QuadScalar(c, 0, ctx.params)
+    inverse = ctx.projectors("radical-transversal").inverse
+    return tuple(vec_add(k, vec_scale(shift, row)) for k, row in zip(K, inverse)) if c else K
 
 
 # ---- invariant-screen configuration criteria ----
@@ -852,8 +871,8 @@ def check_metric_connection_radical_transversal(ctx: PointContext) -> CheckEntry
     """Induced connection metric iff no mapped-radical shape operator
     has a screen component: -P_screen J on the radical fields along
     every coordinate field."""
-    op = _scaled(-QuadScalar.one(ctx.params), mat_mul(ctx.slot("screen"), ctx.structure.matrix))
-    samples = _nonzero(op, _radical_along_coordinates(ctx))
+    K, _ = ctx.structure_in_slots()
+    samples = _slot_samples(ctx, "screen", K, _radical_along_coordinates(ctx), negate=True)
     criterion = not samples
     oracle, checked = _metric_oracle(ctx)
     witness: Dict[str, object] = {
@@ -870,9 +889,10 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
     antisymmetrised screen pairs."""
     kit = ctx.kit()
     # the criterion uses the literal structure-composed adapted fields,
-    # the same gauge the bracket oracle probes
-    op = mat_mul(_transversal_coefficients(ctx), ctx.structure.matrix)
-    samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
+    # the same gauge the bracket oracle probes; the transversal rows of
+    # K are the transversal coefficients of J, with no map back
+    K, _ = ctx.structure_in_slots()
+    samples = _nonzero(_block(ctx, "transversal", K), _antisymmetrised(kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
     witness: Dict[str, object] = {
@@ -888,8 +908,8 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
     operators are symmetric on radical pairs: T J on the antisymmetrised
     radical pairs."""
     kit = ctx.kit()
-    op = mat_mul(ctx.slot("tangent"), ctx.structure.matrix)
-    samples = _nonzero(op, _antisymmetrised(kit.radical))
+    K, _ = ctx.structure_in_slots()
+    samples = _slot_samples(ctx, "tangent", K, _antisymmetrised(kit.radical))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
     witness: Dict[str, object] = {
@@ -905,9 +925,8 @@ def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry
     transfers through the structure map with the linear coefficient:
     P_radical (J - p) on the screen fields along the radical ones."""
     kit = ctx.kit()
-    _, _, j_minus_p = _coefficient(ctx)
-    op = mat_mul(ctx.slot("radical"), j_minus_p)
-    samples = _nonzero(op, _pairs(kit.radical, kit.screen_adapted))
+    columns = _pairs(kit.radical, kit.screen_adapted)
+    samples = _slot_samples(ctx, "radical", _shifted(ctx, -ctx.params.p), columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
     witness: Dict[str, object] = {
@@ -934,24 +953,28 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     reported in the witness.
     """
     kit = ctx.kit()
-    T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
-    _, J, j_minus_p = _coefficient(ctx)
-    j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
-    if any(not is_zero_vec(mat_vec(ctx.slot("screen"), v)) for v in j_ltr):
+    _, j_hat = ctx.structure_in_slots()
+    # the slot coordinates of J N_k are column k of J^'s transversal
+    # columns, so k1 and k2 are read off its transversal and radical rows
+    at = ctx.frame.slot_ranges["transversal"]
+    images = [row[at.start : at.stop] for row in j_hat]
+    if any(any(row) for row in _block(ctx, "screen", images)):
         raise InternalInconsistency("transversal image acquired a screen component")
-    k1 = [mat_vec(L, v) for v in j_ltr]
-    k2 = [mat_vec(T, v) for v in j_ltr]
-    no_transversal_component = all(is_zero_vec(v) for v in k1)
-    balance = mat_add(
-        mat_mul(_lowered(ctx.space, k1), radical), mat_mul(_lowered(ctx.space, k2), L)
-    )
-    # the printed display: P_radical + T J L, both after J - p
-    printed = mat_add(radical, mat_mul(mat_mul(T, J), L))
+    k1, k2 = _block(ctx, "transversal", images), _block(ctx, "radical", images)
+    no_transversal_component = not any(any(row) for row in k1)
+    # N_i pairs to delta_ij with xi_j and to zero with both screens, so
+    # with M = C^-1 (J - p) the balance rows are k1^T M_radical +
+    # k2^T M_transversal, and the printed display P_radical + T J L after
+    # J - p has the radical rows M_radical + k2 M_transversal and no
+    # other nonzero rows (J^'s screen-transversal block is zero here)
+    shifted = _shifted(ctx, -ctx.params.p)
+    m_rad, m_ltr = _block(ctx, "radical", shifted), _block(ctx, "transversal", shifted)
+    balance = mat_add(mat_mul(transpose(k1), m_rad), mat_mul(transpose(k2), m_ltr))
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
-    samples = _nonzero(mat_mul(balance, j_minus_p), columns)
+    samples = _nonzero(balance, columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
-    printed_first = not _nonzero(mat_mul(printed, j_minus_p), columns)
+    printed_first = not _nonzero(mat_add(m_rad, mat_mul(k2, m_ltr)), columns)
     printed_verdict = printed_first or no_transversal_component
     witness: Dict[str, object] = {
         "balanced_residuals": _residual_witness(samples),
@@ -972,8 +995,8 @@ def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
     of the mapped radical sections agree on radical pairs: S J on the
     antisymmetrised radical pairs."""
     kit = ctx.kit()
-    op = mat_mul(ctx.slot("normal-screen"), ctx.structure.matrix)
-    samples = _nonzero(op, _antisymmetrised(kit.radical))
+    K, _ = ctx.structure_in_slots()
+    samples = _slot_samples(ctx, "normal-screen", K, _antisymmetrised(kit.radical))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
     witness: Dict[str, object] = {
@@ -989,8 +1012,8 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
     mapped screen sections agree on screen pairs: the transversal
     coefficients of J on the antisymmetrised screen pairs."""
     kit = ctx.kit()
-    op = mat_mul(_transversal_coefficients(ctx), ctx.structure.matrix)
-    samples = _nonzero(op, _antisymmetrised(kit.screen_adapted))
+    K, _ = ctx.structure_in_slots()
+    samples = _nonzero(_block(ctx, "transversal", K), _antisymmetrised(kit.screen_adapted))
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
     witness: Dict[str, object] = {
@@ -1012,19 +1035,25 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     conjunction is evaluated and reported in the witness.
     """
     kit = ctx.kit()
-    p, J, _ = _coefficient(ctx)
-    T, L, radical = ctx.slot("tangent"), ctx.slot("transversal"), ctx.slot("radical")
-    display = mat_sub(mat_mul(mat_add(T, L), J), _scaled(p, mat_add(radical, L)))
-    j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
+    p, frame = ctx.params.p, ctx.frame
+    K, _ = ctx.structure_in_slots()
+    inverse = ctx.projectors("radical-transversal").inverse
+    # G pairs each J N_k with the slot basis, so the display rows are G
+    # times C^-1 of the display: K on the screen rows and K - p C^-1 on
+    # the radical and transversal ones, the normal-screen rows being zero
+    j_ltr = [ctx.structure.apply(n) for n in frame.ltr]
+    pairings = mat_mul(_lowered(ctx.space, j_ltr), transpose(frame.slot_factor.basis))
+    end, start = frame.slot_ranges["transversal"].stop, frame.slot_ranges["radical"].start
+    display = mat_mul([row[:end] for row in pairings], K[:start] + _shifted(ctx, -p)[start:end])
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
-    samples = _nonzero(mat_mul(_lowered(ctx.space, j_ltr), display), columns)
+    samples = _nonzero(display, columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
     # the printed conjunction: L (J + p), P_radical and P_radical J
     # vanish on every screen pair
-    conj_coupling = not _nonzero(mat_add(mat_mul(L, J), _scaled(p, L)), columns)
-    conj_screen_form = not _nonzero(radical, columns)
-    conj_shape_clear = not _nonzero(mat_mul(radical, J), columns)
+    conj_coupling = not _nonzero(_block(ctx, "transversal", _shifted(ctx, p)), columns)
+    conj_screen_form = not _nonzero(_block(ctx, "radical", inverse), columns)
+    conj_shape_clear = not _nonzero(_block(ctx, "radical", K), columns)
     printed = conj_coupling and conj_screen_form and conj_shape_clear
     witness: Dict[str, object] = {
         "balanced_residuals": _residual_witness(samples),
@@ -1050,12 +1079,10 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     shape-only condition is reported in the witness.
     """
     kit = ctx.kit()
-    radical = ctx.slot("radical")
-    _, J, j_minus_p = _coefficient(ctx)
+    K, _ = ctx.structure_in_slots()
     columns = _pairs(kit.radical, kit.screen_adapted)
-    op = _scaled(-QuadScalar.one(ctx.params), mat_mul(radical, j_minus_p))
-    samples = _nonzero(op, columns)
-    printed_clear = not _nonzero(mat_mul(radical, J), columns)
+    samples = _slot_samples(ctx, "radical", _shifted(ctx, -ctx.params.p), columns, negate=True)
+    printed_clear = not _nonzero(_block(ctx, "radical", K), columns)
     criterion = not samples
     oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
     witness: Dict[str, object] = {
@@ -1078,9 +1105,12 @@ def check_metric_connection_transversal(ctx: PointContext) -> CheckEntry:
     components of the two mapped couplings.
     """
     columns = _radical_along_coordinates(ctx)
-    _, J, j_minus_p = _coefficient(ctx)
-    op = mat_mul(mat_mul(mat_mul(ctx.slot("screen"), J), ctx.slot("normal-screen")), j_minus_p)
-    samples = _nonzero(op, columns)
+    _, j_hat = ctx.structure_in_slots()
+    # C^-1 J S (J - p) is J^'s normal-screen columns times the
+    # normal-screen rows of C^-1 (J - p), the normal screen coming last
+    at = ctx.frame.slot_ranges["normal-screen"].start
+    rows = mat_mul([row[at:] for row in j_hat], _shifted(ctx, -ctx.params.p)[at:])
+    samples = _slot_samples(ctx, "screen", rows, columns)
     criterion = not samples
     oracle, checked = _metric_oracle(ctx)
     witness: Dict[str, object] = {

@@ -20,8 +20,8 @@ splits.  For X, Y tangent and N_i the transversal-null frame:
 
 The Weingarten and screen splits are the same decomposition applied to
 the derivative of a transversal, normal-screen or radical section; the
-classifier composes them as split matrices instead of one vector at a
-time.  All coefficients are taken against the frame's radical basis and
+classifier reads them as slot-coordinate rows instead of one vector at
+a time.  All coefficients are taken against the frame's radical basis and
 its dual transversal frame, in matching order.
 """
 

@@ -395,8 +395,8 @@ class AdaptedFrame(_FrameFields):
     The screen, radical, ltr and normal-screen bases, stacked in
     FOUR_SLOTS order, form a basis of the ambient space, and slot_factor
     is its one factorization: every split of an ambient or tangent
-    vector, and every slot projector, reads coordinates against it in
-    the slot's range of slot_ranges.  jacobian_factor is the only other
+    vector, and every slot the checks read, takes coordinates against it
+    in the slot's range of slot_ranges.  jacobian_factor is the only other
     basis the frame factors.  Both are factored on first use and kept
     for the life of the frame; build_frame factors neither.
     """

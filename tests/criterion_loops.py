@@ -1,5 +1,5 @@
-"""The ten per-vector criterion checks that the composed frame operators
-in lightlike_lab.classifier replaced, kept as test oracles.
+"""The ten per-vector criterion checks that the matrix form of
+lightlike_lab.classifier replaced, kept as test oracles.
 
 Each walks its pair domain one vector at a time through the geometry
 splits, exactly as the package did before every criterion became one

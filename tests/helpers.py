@@ -7,8 +7,10 @@ solve returns one solution of a linear system through a plain rref,
 an oracle independent of the factored bases the package splits with.
 hl_vector, rad_vector, apply_structure_field, project, the Weingarten
 and star-form splits and metric_deviation rebuild, one vector at a
-time, what the package's split matrices compose: the per-vector oracles
-in pair_loops.py and criterion_loops.py are written in them.
+time, what the package reads in slot coordinates: the per-vector
+oracles in pair_loops.py and criterion_loops.py are written in them,
+and project applies the projector matrix that operator_reference.py
+composes for a ProjectorSet.
 isometry_inverse builds the full inverse matrix of a signature isometry,
 which the nonexistence audit never builds, and candidate_quads reads an
 audit candidate's integer directions back as QuadScalar vectors.
@@ -469,8 +471,11 @@ def apply_structure_field(structure: MetallicStructure, field: AmbientJet) -> Am
 
 
 def project(proj: ProjectorSet, slot: str, v: Vec) -> Vec:
-    """The slot component of v: one product with the slot's projector."""
-    return mat_vec(proj.matrices[slot], v)
+    """The slot component of v: one product with the slot's projector
+    matrix, as tests/operator_reference.py composes it for the set."""
+    from operator_reference import reference_projectors
+
+    return mat_vec(reference_projectors(proj).matrices[slot], v)
 
 
 def isometry_inverse(space: SignatureSpace, iso: Mat) -> Mat:

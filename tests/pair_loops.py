@@ -1,6 +1,6 @@
 """The per-pair structure-equation loop and the per-triple metric oracle
-that the composed operators in lightlike_lab.classifier replaced, kept as
-test oracles.
+that the matrix form in lightlike_lab.classifier replaced, kept as test
+oracles.
 
 Both walk every coordinate pair (or triple) through the geometry splits
 one vector at a time, so the differential tests in test_pair_loops.py

@@ -8,9 +8,10 @@ complement of J(screen), three QuadScalar eliminations, and the
 five-slot set factors the stacked screen, radical, transversal,
 mapped-screen and mu bases of the whole ambient space in one
 FactoredBasis of its own.  test_projector_reference.py holds the
-refined set to the same slot bases and matrices, and mu_subspace to the
-same subspace, wherever this build refines the four slots, and to the
-same raises.
+refined set to the same slot bases, the projector matrices that
+tests/operator_reference.py composes for it to the same matrices, and
+mu_subspace to the same subspace, wherever this build refines the four
+slots, and to the same raises.
 
 The predicates eliminate in the ambient space: the radical clause
 compares the spans of ltr and of J(radical) as Subspaces, and the
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from lightlike_lab.classifier import PointContext, ProjectorSet
+from lightlike_lab.classifier import PointContext
 from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.linalg import FactoredBasis, Mat, rank
 
 from helpers import Subspace, intersect, orthogonal_complement
+from operator_reference import ReferenceProjectors, reference_projectors
 
 FIVE_SLOTS = ("screen", "radical", "transversal", "mapped-screen", "mu")
 
@@ -45,7 +47,7 @@ def reference_mu(ctx: PointContext) -> Subspace:
     return mu
 
 
-def reference_transversal_projectors(ctx: PointContext) -> ProjectorSet:
+def reference_transversal_projectors(ctx: PointContext) -> ReferenceProjectors:
     """The five slot bases stacked and factored as one basis of the
     ambient space, each slot's projector read off that factorization."""
     frame, space = ctx.frame, ctx.space
@@ -67,14 +69,14 @@ def reference_transversal_projectors(ctx: PointContext) -> ProjectorSet:
     for label, basis in bases.items():
         matrices[label] = factor.projector(range(at, at + len(basis)))
         at += len(basis)
-    return ProjectorSet(space, bases, matrices)
+    return ReferenceProjectors(space, bases, matrices)
 
 
-def refines_the_four_slots(ctx: PointContext, proj: ProjectorSet) -> bool:
+def refines_the_four_slots(ctx: PointContext, proj: ReferenceProjectors) -> bool:
     """Whether the five-slot set keeps the four-slot screen, radical and
     transversal projectors, so that its mapped-screen and mu projectors
     sum to the four-slot P[normal-screen]."""
-    four = ctx.projectors("radical-transversal").matrices
+    four = reference_projectors(ctx.projectors("radical-transversal")).matrices
     return all(proj.matrices[label] == four[label] for label in FIVE_SLOTS[:3])
 
 

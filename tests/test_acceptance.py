@@ -43,7 +43,7 @@ from lightlike_lab.scalars import (
     QuadScalar,
     metallic_number,
 )
-from lightlike_lab.scenes import parse_scene
+from lightlike_lab.scenes import Scene, SceneClaims, parse_scene, serialize_scene
 from lightlike_lab.submanifold import PolynomialImmersion, build_frame, construct_ltr
 from helpers import (
     hl_vector,
@@ -595,6 +595,58 @@ def test_criterion_5_configuration_reads_the_slot_coordinates(monkeypatch):
     widths.clear()
     linalg.rank(identity(2, GOLDEN))
     assert widths == Counter({2: 1})
+
+
+# The twelve scenes of the sweep-classify benchmark pool: both
+# configurations x six flavors, p = 0, q cycling through 2, 3, 5, generator
+# seeds 100, 120, ..., 320, one point with its declared screens, and every
+# check but the nonexistence audit
+SWEEP_CONFIGS = ("radical-transversal", "transversal")
+SWEEP_POOL_FLAVORS = ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",))
+
+
+def _sweep_pool():
+    checks = tuple(c for c in classifier.CHECK_ORDER if c != "audit-nonexistence")
+    cells = [(c, f) for c in SWEEP_CONFIGS for f in SWEEP_POOL_FLAVORS]
+    scenes = []
+    for k, (config, flavors) in enumerate(cells):
+        seed, params = 100 + 20 * k, MetallicParams(0, (2, 3, 5)[k % 3])
+        g = perturbed_structured_scene(random.Random(seed), params, config, flavors)
+        scene = Scene(
+            params, g.immersion.space, g.structure, g.immersion, (tuple(g.point),), checks, seed,
+            g.screen_override, g.normal_screen_override,
+            claims=SceneClaims(expected_radical_dim=g.expected_radical_dim),
+        )
+        scenes.append(parse_scene(serialize_scene(scene)))
+    return scenes
+
+
+def test_criterion_5_sweep_makes_few_ambient_products(monkeypatch):
+    """A load-free companion to the sweep-classify speed target: one pass
+    over the sweep pool makes exactly 36 n x n products in classifier,
+    three per point: K = C^-1 J, J^ = K C and the projector audit
+    C^-1 C.  The criteria and structure-eqs read slot-coordinate blocks
+    of them and compose no n x n projector products."""
+    scenes = _sweep_pool()
+    counts, dims = Counter(), []
+    original = classifier.mat_mul
+
+    def counting(a, b):
+        if a and b and len(a) == len(a[0]) == len(b) == len(b[0]) == dims[-1]:
+            counts["n x n"] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(classifier, "mat_mul", counting)
+    verdicts = Counter()
+    for scene in scenes:
+        dims.append(scene.space.dim)
+        verdicts.update(e["verdict"] for e in run(scene, seed=1).entries)
+    assert counts == Counter({"n x n": 36})
+    assert len(scenes) == 12 and verdicts["HOLDS"] and verdicts["FAILS"]
+    # the counter sees a call when there is one
+    dims.append(2)
+    classifier.mat_mul(identity(2, GOLDEN), identity(2, GOLDEN))
+    assert counts == Counter({"n x n": 37})
 
 
 # ---- criterion 6: classification checks versus their oracles ----

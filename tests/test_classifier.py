@@ -53,6 +53,7 @@ from helpers import (
     screen_kept,
     singular_structure_context,
 )
+from operator_reference import reference_projectors, slot, transversal_coefficients
 
 P0 = MetallicParams(0, 2)
 
@@ -324,9 +325,12 @@ def _configured(ctx):
 def _assert_slots_are_the_factored_splits(ctx):
     splits, coefficients = _factored_splits(ctx.frame)
     for label, matrix in splits.items():
-        assert ctx.slot(label) == matrix, label
-    # <xi_j, v> is the N_j coefficient of v
-    assert classifier._transversal_coefficients(ctx) == coefficients
+        assert slot(ctx, label) == matrix, label
+    # <xi_j, v> is the N_j coefficient of v, and the criteria read it as
+    # the transversal rows of the slot coordinate map C^-1
+    assert transversal_coefficients(ctx) == coefficients
+    at = ctx.frame.slot_ranges["transversal"]
+    assert ctx.projectors("radical-transversal").inverse[at.start : at.stop] == coefficients
     assert len(coefficients) == ctx.frame.radical_dim > 0
 
 
@@ -362,9 +366,9 @@ def test_four_slot_projectors_are_the_factored_splits_on_a_sweep(config, q):
             _assert_slots_are_the_factored_splits(ctx)
             # the five slots refine the four only inside the normal screen
             if config == "transversal":
-                five = ctx.projectors("transversal").matrices
+                five = reference_projectors(ctx.projectors("transversal")).matrices
                 for label in ("screen", "radical", "transversal"):
-                    assert five[label] == ctx.slot(label), label
+                    assert five[label] == slot(ctx, label), label
             checked += 1
     assert checked == 48
 
@@ -408,7 +412,7 @@ def _mat_sum(matrices):
 def test_letters_rebuilt_from_slot_projectors_pass_the_letter_audit(config, seed):
     flavors = ("ltr",) if seed % 2 else ("rad-twist",)
     ctx = scene_context(config, flavors, 60 + seed)
-    proj = ctx.projectors(config)
+    proj = reference_projectors(ctx.projectors(config))
     letters = {
         name: _mat_sum(proj.matrices[s] for s in slots)
         for name, slots in LETTER_SLOTS.items()
@@ -474,7 +478,7 @@ def test_structure_keeps_the_mapped_screen_up_to_p(q):
     for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
         for seed in range(3):
             ctx = scene_context("transversal", flavors, seed, params)
-            mapped = ctx.projectors("transversal").matrices["mapped-screen"]
+            mapped = reference_projectors(ctx.projectors("transversal")).matrices["mapped-screen"]
             J = ctx.structure.matrix
             scaled = tuple(tuple(params.p * x for x in row) for row in mapped)
             assert mat_mul(mat_mul(mapped, J), mapped) == scaled
@@ -484,17 +488,49 @@ def test_structure_keeps_the_mapped_screen_up_to_p(q):
 
 @pytest.mark.parametrize("mode", ["radical-transversal", "transversal"])
 def test_projector_audit_reports_a_perturbed_slot_matrix(mode):
+    # the projector-matrix audit of tests/operator_reference.py
     ctx = scene_context(mode, (), 0)
-    proj = ctx.projectors(mode)
-    for slot, matrix in proj.matrices.items():
+    proj = reference_projectors(ctx.projectors(mode))
+    assert proj.audit() == []
+    for label, matrix in proj.matrices.items():
         for i, j in ((0, 0), (len(matrix) - 1, 1)):
             rows = [list(row) for row in matrix]
             rows[i][j] = rows[i][j] + q0(1)
             bent = dict(proj.matrices)
-            bent[slot] = tuple(tuple(row) for row in rows)
+            bent[label] = tuple(tuple(row) for row in rows)
             problems = proj._replace(matrices=bent).audit()
-            assert any(p.startswith(f"P[{slot}] ") for p in problems), (slot, i, j)
+            assert any(p.startswith(f"P[{label}] ") for p in problems), (label, i, j)
             assert "slot projectors do not sum to the identity" in problems
+
+
+def _bent(rows, i, j):
+    rows = [list(row) for row in rows]
+    rows[i][j] = rows[i][j] + q0(1)
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("mode", ["radical-transversal", "transversal"])
+def test_projector_audit_reports_perturbed_slot_coordinates(mode):
+    # a bent entry (i, j) of C^-1 moves row i of C^-1 C by row j of C, so
+    # exactly the slots with a basis vector nonzero at j are reported
+    ctx = scene_context(mode, (), 0)
+    proj = ctx.projectors(mode)
+    n = ctx.space.dim
+    for i, j in ((0, 0), (n - 1, 1), (n - 1, n - 1)):
+        problems = proj._replace(inverse=_bent(proj.inverse, i, j)).audit()
+        touched = [label for label, basis in proj.bases.items() if any(v[j] for v in basis)]
+        assert problems == [f"slot coordinates do not recover slot {label}" for label in touched]
+        assert touched, (i, j)
+    if mode == "transversal":
+        # a bent split reads the normal-screen rows wrong
+        k = len(proj.split.basis)
+        for i, j in ((0, 0), (k - 1, k - 1)):
+            split = FactoredBasis(_bent(proj.split.basis, i, j), k, P0)
+            problems = proj._replace(split=split).audit()
+            assert problems and set(problems) <= {
+                "slot coordinates do not recover slot mapped-screen",
+                "slot coordinates do not recover slot mu",
+            }
 
 
 @pytest.mark.parametrize(
@@ -511,7 +547,7 @@ def test_tangent_image_parts_reassemble(config, mode):
         sum(row[i] for row in frame.tangent.basis) for i in range(ctx.space.dim)
     )
     proj = ctx.projectors(mode)
-    parts = [project(proj, slot, ctx.structure.apply(v)) for slot in proj.matrices]
+    parts = [project(proj, label, ctx.structure.apply(v)) for label in proj.bases]
     total = tuple(
         sum((p[i] for p in parts), QuadScalar.zero(P0))
         for i in range(ctx.space.dim)
@@ -552,9 +588,9 @@ def test_hessian_is_evaluated_once_per_point_and_only_on_demand(monkeypatch):
 
 # Every FactoredBasis one point's checks build, in order, as (what,
 # vectors, their length): the frame's four slot bases stacked, the one
-# ambient-complete factorization; the Jacobian; the mapped-screen + mu
-# basis of a transversal point's normal screen; and the kit's linear
-# systems, whose vectors are system columns
+# ambient-complete factorization; the Jacobian; the k-wide normal-screen
+# coordinates of a transversal point's mapped-screen + mu basis; and the
+# kit's linear systems, whose vectors are system columns
 FACTORIZATIONS = {
     "radical-transversal-plane": [
         ("slots", 3, 3),
@@ -573,7 +609,7 @@ FACTORIZATIONS = {
     ],
     "transversal-recorded": [
         ("slots", 6, 6),
-        ("mapped-screen + mu", 1, 6),
+        ("mapped-screen + mu", 1, 1),
         ("system", 3, 3),
         ("jacobian", 3, 6),
         ("system", 6, 3),
@@ -605,7 +641,9 @@ def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
         frame.tangent_jacobian: "jacobian",
     }
     if ctx.configuration("transversal")[0] and frame.screen.dim:
-        known[ctx.mapped_screen() + ctx.mu_subspace().basis] = "mapped-screen + mu"
+        at = frame.slot_ranges["normal-screen"]
+        split = ctx.mapped_screen() + ctx.mu_subspace().basis
+        known[tuple(frame.slot_coords(v)[at.start : at.stop] for v in split)] = "mapped-screen + mu"
     labels = [(known.get(b, "system"), len(b), len(b[0])) for b in eliminated]
     assert labels == FACTORIZATIONS[name]
     assert len(set(eliminated)) == len(eliminated)

@@ -1,7 +1,8 @@
 """The refined transversal projectors and the primitive-row mu against the
 five-slot build they replaced (tests/projector_reference.py): the same
-slot bases and matrices down to each scalar's (A, B, D) triple, and the
-same mu, at every transversal point of the 144-scene sweep and at every
+slot bases, and through the matrices tests/operator_reference.py
+composes for the refined set the same matrices, down to each scalar's
+(A, B, D) triple, and the same mu, at every transversal point of the 144-scene sweep and at every
 fixture point; and off the configurations, on forced-open contexts, the
 same raise in type, message and mode wherever the five-slot build
 raised.  Where that build succeeded without refining the four slots
@@ -27,6 +28,7 @@ from lightlike_lab.errors import InternalInconsistency, LightlikeLabError
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 
 from helpers import radical_onto_ltr, screen_kept, singular_structure_context, span_fields
+from operator_reference import reference_projectors
 from projector_reference import (
     reference_configuration,
     reference_mu,
@@ -64,6 +66,7 @@ def _outcome(build, ctx):
 
 
 def _projectors(proj):
+    """Labels, basis triples and matrix triples of a reference set."""
     return (
         tuple(proj.bases),
         tuple(proj.matrices),
@@ -87,7 +90,8 @@ def compare(ctx, tally):
         assert new == ref
         kind = ref[2]
     elif refines_the_four_slots(ctx, ref[1]):
-        assert new[0] == "built" and _projectors(new[1]) == _projectors(ref[1])
+        assert new[0] == "built"
+        assert _projectors(reference_projectors(new[1])) == _projectors(ref[1])
         kind = "refines"
     else:
         assert new == OFF_CONFIGURATION
