@@ -10,6 +10,7 @@ boolean.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import ShapeError, ValidationError
@@ -162,9 +163,11 @@ def validate_compatibility(
 
 
 class MetallicStructure(Record):
-    """A validated-or-not structure endomorphism attached to its space."""
+    """A validated-or-not structure endomorphism attached to its space.
+    Each validator runs once per structure; the check entries and every
+    point's gate read the kept results."""
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space", "matrix", "__dict__")
 
     def __init__(self, space: SignatureSpace, matrix: Mat) -> None:
         self._set(space, matrix)
@@ -175,7 +178,15 @@ class MetallicStructure(Record):
     def apply(self, v: Vec) -> Vec:
         return mat_vec(self.matrix, v)
 
+    @cached_property
+    def quadratic(self) -> Tuple[bool, List[StructureDefect]]:
+        return validate_metallic(self.matrix, self.space.params)
+
+    @cached_property
+    def compatibility(self) -> Tuple[bool, List[StructureDefect]]:
+        return validate_compatibility(self.space, self.matrix)
+
     def validate(self) -> Tuple[bool, List[StructureDefect]]:
-        ok1, d1 = validate_metallic(self.matrix, self.space.params)
-        ok2, d2 = validate_compatibility(self.space, self.matrix)
+        ok1, d1 = self.quadratic
+        ok2, d2 = self.compatibility
         return (ok1 and ok2, d1 + d2)

@@ -51,12 +51,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .ambient import (
-    MetallicStructure,
-    SignatureSpace,
-    validate_compatibility,
-    validate_metallic,
-)
+from .ambient import MetallicStructure, SignatureSpace
 from .errors import InsufficientScene, InternalInconsistency, NotLightlike
 from .geometry import (
     AmbientJet,
@@ -233,6 +228,7 @@ class PointContext:
         self._valid: Optional[bool] = None
         self._config: Dict[str, Tuple[bool, Dict[str, object]]] = {}
         self._radical: Optional[Tuple[bool, Tuple[Vec, ...]]] = None
+        self._j_screen: Optional[Tuple[Vec, ...]] = None
         self._mu: Optional[PrimitiveRows] = None
         self._proj: Dict[str, ProjectorSet] = {}
         self._in_slots: Optional[Tuple[MetallicStructure, Mat, Mat]] = None
@@ -269,7 +265,9 @@ class PointContext:
         return tuple(self.structure.apply(xi) for xi in self.frame.rad_basis)
 
     def mapped_screen(self) -> Tuple[Vec, ...]:
-        return tuple(self.structure.apply(s) for s in self.frame.screen.basis)
+        if self._j_screen is None:
+            self._j_screen = tuple(self.structure.apply(s) for s in self.frame.screen.basis)
+        return self._j_screen
 
     def _images_in(self, source: str, target: str) -> Tuple[bool, Mat]:
         """J^'s source-slot columns, one row each: whether they vanish
@@ -407,13 +405,11 @@ def _validator_entry(name: str, ok: bool, defects) -> CheckEntry:
 
 
 def check_structure_quadratic(structure: MetallicStructure) -> CheckEntry:
-    ok, defects = validate_metallic(structure.matrix, structure.space.params)
-    return _validator_entry("metallic-validate", ok, defects)
+    return _validator_entry("metallic-validate", *structure.quadratic)
 
 
 def check_structure_compat(structure: MetallicStructure) -> CheckEntry:
-    ok, defects = validate_compatibility(structure.space, structure.matrix)
-    return _validator_entry("compat-validate", ok, defects)
+    return _validator_entry("compat-validate", *structure.compatibility)
 
 
 # ---- frame reporting ----

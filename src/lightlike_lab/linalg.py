@@ -95,10 +95,18 @@ def lin_comb(coeffs: Sequence[QuadScalar], vectors: Sequence[Vec]) -> Vec:
         raise ShapeError("coefficient count does not match vector count")
     if not vectors:
         raise ShapeError("empty combination needs an explicit ambient")
-    acc = zero_vec(len(vectors[0]), coeffs[0].params if coeffs else vectors[0][0].params)
+    # one accumulator, and no term for a zero coefficient or a zero
+    # entry, as in mat_mul: exact sums do not depend on zero terms
+    n = len(vectors[0])
+    acc = list(zero_vec(n, coeffs[0].params))
     for c, v in zip(coeffs, vectors):
-        acc = vec_add(acc, vec_scale(c, v))
-    return acc
+        if len(v) != n:
+            raise ShapeError(f"length {n} vs {len(v)}")
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    acc[j] = acc[j] + c * x
+    return tuple(acc)
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:

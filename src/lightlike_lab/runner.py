@@ -13,6 +13,7 @@ Reports are canonical JSON: same scene, same seed, same bytes.
 from __future__ import annotations
 
 import json
+import math
 import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -38,6 +39,12 @@ from .scenes import Scene
 from .submanifold import polynomial_jet
 
 TOOL_VERSION = "0.1.0"
+
+# cyclic Jacobi converges quadratically: seeded 11 x 11 Grams, the
+# oracle's largest, took at most nine sweeps, the last one finding
+# nothing to rotate; the bound turns a failure to converge into an error
+_JACOBI_SWEEPS = 50
+_JACOBI_FLOOR = 2.0**-60
 
 
 class Report(NamedTuple):
@@ -88,6 +95,50 @@ def _entry(cid: str, verdict: Verdict, **body: object) -> Dict:
     """A report entry: the check's verdict and reference, with its
     witness (scene-level checks) or its per-point rows (point checks)."""
     return {"check": cid, "verdict": verdict.value, "reference": REFERENCES[cid], **body}
+
+
+def _symmetric_singular_values(matrix: List[List[float]]) -> List[float]:
+    """Singular values of a symmetric float matrix, largest first: the
+    absolute values of its eigenvalues, by cyclic Jacobi rotations.
+
+    The matrix is first scaled by a power of two, which is exact, so that
+    its largest entry is below 1 and no rotation overflows.  An
+    off-diagonal entry below 2^-60 of that scale is set to zero; the
+    eigenvalues move by at most that much each, far below the oracle's
+    1e-9 rank tolerance."""
+    m = len(matrix)
+    top = max((abs(x) for row in matrix for x in row), default=0.0)
+    if top == 0.0:
+        return [0.0] * m
+    shift = math.frexp(top)[1]
+    a = [[math.ldexp(x, -shift) for x in row] for row in matrix]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                apq = a[p][q]
+                if abs(apq) < _JACOBI_FLOOR:
+                    a[p][q] = a[q][p] = 0.0
+                    continue
+                rotated = True
+                # the rotation of angle at most pi/4 that zeroes a[p][q]
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(m):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+        if not rotated:
+            break
+    else:
+        raise InternalInconsistency("cyclic Jacobi did not converge on a float Gram matrix")
+    return sorted((math.ldexp(abs(a[k][k]), shift) for k in range(m)), reverse=True)
 
 
 class _SceneRun:
@@ -219,35 +270,43 @@ class _SceneRun:
                 )
 
     def float_oracle(self) -> Dict:
-        import numpy as np
-
+        """At each point, the tangent Gram matrix from the float
+        Jacobian rows, each entry a correctly rounded sum, its largest
+        deviation from the exact Gram, and whether its float rank, the
+        count of singular values above 1e-9 max(1, sigma_max), gives the
+        exact radical dimension."""
         scene = self.scene
-        eps = np.array(scene.space.eps, dtype=float)
+        eps = scene.space.eps
         rows = []
         overall = 0.0
         for i in range(len(scene.points)):
             ctx = self.context(i)
-            jac = ctx.frame.tangent_jacobian
-            m = len(jac)
+            m = len(ctx.frame.tangent_jacobian)
             try:
-                jf = np.array([[float(x) for x in row] for row in jac])
+                jf = [[float(x) for x in row] for row in ctx.frame.tangent_jacobian]
                 exact = [[float(x) for x in row] for row in ctx.frame.tangent_gram]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    gram_float = jf @ np.diag(eps) @ jf.T
-            except OverflowError:
-                gram_float = None
-            # products of entries in range can still overflow, or cancel to nan
-            if gram_float is None or not np.isfinite(gram_float).all():
+                weighted = [[e * x for e, x in zip(eps, row)] for row in jf]
+                gram = [[0.0] * m for _ in range(m)]
+                for a in range(m):
+                    for b in range(a, m):
+                        gram[a][b] = gram[b][a] = math.fsum(x * y for x, y in zip(weighted[a], jf[b]))
+            # float() of an entry past the float range and fsum of a sum
+            # that overflows raise OverflowError, fsum of inf - inf raises
+            # ValueError; a product that overflows is inf, which a sum of
+            # one sign keeps and the finiteness test below catches
+            except (OverflowError, ValueError):
+                gram = None
+            if gram is None or not all(math.isfinite(x) for row in gram for x in row):
                 raise ValidationError(
                     f"/points/{i}: frame values exceed the floating-point range of the float check"
                 )
-            deviation = 0.0
-            for a in range(m):
-                for b in range(m):
-                    deviation = max(deviation, abs(exact[a][b] - float(gram_float[a, b])))
-            svals = np.linalg.svd(gram_float, compute_uv=False)
-            tol = 1e-9 * max(1.0, float(svals[0]) if len(svals) else 1.0)
-            rk = int((svals > tol).sum())
+            deviation = max(
+                (abs(x - y) for row, erow in zip(gram, exact) for x, y in zip(row, erow)),
+                default=0.0,
+            )
+            svals = _symmetric_singular_values(gram)
+            tol = 1e-9 * max(1.0, svals[0] if svals else 1.0)
+            rk = sum(1 for s in svals if s > tol)
             rows.append(
                 {
                     "point": _point_json(scene.points[i]),

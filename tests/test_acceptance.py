@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
-from lightlike_lab import classifier, linalg
+from lightlike_lab import ambient, classifier, linalg, runner
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace, diag_branches
 from lightlike_lab.classifier import (
     POINT_CHECK_FUNCTIONS,
@@ -659,6 +659,39 @@ def test_criterion_5_sweep_makes_few_ambient_products(monkeypatch):
     dims.append(2)
     classifier.mat_mul(identity(2, GOLDEN), identity(2, GOLDEN))
     assert counts == Counter({"n x n": 37})
+
+
+def test_criterion_5_sweep_keeps_structure_facts(monkeypatch):
+    """Per-scene and per-point structure facts are computed once: over
+    the sweep pool each validator runs once per scene, though both
+    validator checks and every point's gate read it, and J s is formed
+    once per screen vector at each point, though both configuration
+    predicates, mu and the transversal projectors read it."""
+    scenes = _sweep_pool()
+    validated, images, contexts = Counter(), Counter(), {}
+    _count_calls(monkeypatch, ambient, "validate_metallic", validated)
+    _count_calls(monkeypatch, ambient, "validate_compatibility", validated)
+    _count_calls(monkeypatch, MetallicStructure, "apply", images, key=lambda j, v: (id(j), v))
+    context = runner._SceneRun.context
+
+    def keeping(self, i):
+        ctx = context(self, i)
+        contexts[id(ctx)] = ctx
+        return ctx
+
+    monkeypatch.setattr(runner._SceneRun, "context", keeping)
+    for scene in scenes:
+        run(scene, seed=1)
+    assert validated == Counter({"validate_metallic": 12, "validate_compatibility": 12})
+    screens = [(id(c.structure), s) for c in contexts.values() for s in c.frame.screen.basis]
+    assert len(contexts) == 12 and screens
+    assert all(images[key] == 1 for key in screens), images
+    # the counters see a call when there is one
+    ctx = next(c for c in contexts.values() if c.frame.screen.dim)
+    ambient.validate_metallic(ctx.structure.matrix, ctx.params)
+    ctx.structure.apply(ctx.frame.screen.basis[0])
+    assert validated["validate_metallic"] == 13
+    assert images[(id(ctx.structure), ctx.frame.screen.basis[0])] == 2
 
 
 # ---- criterion 6: classification checks versus their oracles ----

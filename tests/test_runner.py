@@ -5,6 +5,8 @@ and guard against regressions in any layer below the runner.
 """
 
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -13,7 +15,7 @@ from lightlike_lab.classifier import CHECK_ORDER, PointContext
 from lightlike_lab.errors import ValidationError
 from lightlike_lab.generators import perturbed_structured_scene
 from lightlike_lab.polynomials import Polynomial
-from lightlike_lab.runner import TOOL_VERSION, run
+from lightlike_lab.runner import TOOL_VERSION, _symmetric_singular_values, run
 from lightlike_lab.scalars import MetallicParams
 from lightlike_lab.scenes import Scene, SceneClaims, parse_scene
 
@@ -266,6 +268,55 @@ def test_float_check_block():
     assert all(row["rank_matches"] for row in fc["points"])
     assert float(fc["max_abs_deviation"]) < 1e-9
     assert run(scene).float_check is None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_jacobi_singular_values_match_numpy_svd(seed):
+    # numpy is only the outside reference here: the float oracle runs on
+    # Python floats.  Grams of m rows of width w have rank at most w, so
+    # w < m makes them rank-deficient; the weights are a signature
+    np = pytest.importorskip("numpy")
+    rng = random.Random(seed)
+    m = rng.randint(1, 11)
+    w = rng.randint(1, 11)
+    scale = 10.0 ** rng.randint(-6, 6)
+    rows = [[rng.uniform(-1, 1) * scale for _ in range(w)] for _ in range(m)]
+    eps = [rng.choice((1, -1)) for _ in range(w)]
+    gram = [
+        [sum(e * x * y for e, x, y in zip(eps, u, v)) for v in rows] for u in rows
+    ]
+    got = _symmetric_singular_values(gram)
+    want = np.linalg.svd(np.array(gram), compute_uv=False)
+    assert len(got) == m
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12 * want[0]
+    if w < m:
+        assert sum(1 for x in got if x > 1e-9 * max(1.0, got[0])) <= w
+
+
+def test_jacobi_singular_values_of_zero_and_empty_matrices():
+    assert _symmetric_singular_values([]) == []
+    assert _symmetric_singular_values([[0.0] * 3 for _ in range(3)]) == [0.0] * 3
+    # an entry near the top of the float range is scaled, not overflowed
+    assert _symmetric_singular_values([[1e300, 0.0], [0.0, -2.0]]) == [1e300, 2.0]
+
+
+def test_float_check_runs_without_numpy():
+    # numpy blocked in a fresh interpreter: importing it would raise
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from importlib import resources\n"
+        "from lightlike_lab.runner import run\n"
+        "from lightlike_lab.scenes import parse_scene\n"
+        "path = resources.files('lightlike_lab') / 'fixtures' / 'paper-example.json'\n"
+        "report = run(parse_scene(path.read_bytes()), float_check=True)\n"
+        "assert all(row['rank_matches'] for row in report.float_check['points'])\n"
+        "assert sys.modules['numpy'] is None\n"
+        "assert not any(name.startswith('numpy.') for name in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---- aggregation over multiple points ----
@@ -635,8 +686,10 @@ def test_all_fixture_reports_are_json_serializable():
 #
 # sha256 of run(...).serialize(), recorded before the frame build was
 # reworked to do each elimination once; any change to frame construction
-# that moves a byte of a report fails here.  The float oracle stays off
-# because float reprs depend on the BLAS build.
+# that moves a byte of a report fails here.  The float-checked reports
+# are pinned apart: the float oracle's Gram entries are correctly rounded
+# sums and its rank comes from Python's own arithmetic, so its bytes do
+# not depend on the platform's linear algebra libraries.
 
 PINNED_REPORT_SHA256 = {
     "paper-example.json": (
@@ -691,6 +744,14 @@ PINNED_GENERATED_SHA256 = {
 }
 
 
+# float-checked reports: the paper's example, nondegenerate at its one
+# point, and a generated scene with a one-dimensional radical at all five
+PINNED_FLOAT_CHECKED_SHA256 = {
+    "paper-example.json": "6d1d8bb5e8079caa8288d03d0341ddd0993208e36e6c87e14261218da5060e44",
+    16: "fd46bdc76cb19c3a32e65217c8297ff6ef725a3acfebb22200d47b93a67e56df",
+}
+
+
 def sha256_hex(data):
     import hashlib
 
@@ -742,6 +803,15 @@ def test_fixture_report_bytes_are_pinned(name):
 def test_generated_multipoint_report_bytes_are_pinned(spec):
     report = run(generated_multipoint_scene(*spec))
     assert sha256_hex(report.serialize()) == PINNED_GENERATED_SHA256[spec[0]]
+
+
+def test_float_checked_report_bytes_are_pinned():
+    fixture = run(load_scene("paper-example.json"), float_check=True)
+    spec = next(s for s in GENERATED_SPECS if s[0] == 16)
+    generated = run(generated_multipoint_scene(*spec), float_check=True)
+    assert all(row["rank_matches"] for row in generated.float_check["points"])
+    assert sha256_hex(fixture.serialize()) == PINNED_FLOAT_CHECKED_SHA256["paper-example.json"]
+    assert sha256_hex(generated.serialize()) == PINNED_FLOAT_CHECKED_SHA256[16]
 
 
 # ---- invariance under reordering the points ----
