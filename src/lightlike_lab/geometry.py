@@ -27,11 +27,12 @@ its dual transversal frame, in matching order.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import SignatureSpace
 from .errors import InsufficientScene, InternalInconsistency, NotInSpan, ShapeError
 from .linalg import (
+    FactoredBasis,
     Vec,
     factor_system,
     lin_comb,
@@ -92,6 +93,8 @@ class ChartJet(NamedTuple):
         if coeff_partials is None:
             zero = QuadScalar.zero(jac[0][0].params)
             coeff_partials = ((zero,) * m,) * m
+        elif len(coeff_partials) != m:
+            raise ShapeError("coefficient partial rows do not match chart dimension")
         else:
             partials = [
                 vec_add(lin_comb(row, jac), d) for row, d in zip(coeff_partials, partials)
@@ -226,8 +229,9 @@ def gauss_split(frame: AdaptedFrame, x: TangentJet, y: TangentJet) -> GaussSplit
 # stay radical to first order, and the section pairings that the
 # duality identities differentiate must be stationary.  The kit builds
 # all of that by exact linear solves, one per chart direction, whose
-# solutions are the fields' partials at the point.  Each system matrix is
-# factored once and reused for every right-hand side.
+# solutions are the fields' partials at the point.  Each pairing the
+# right-hand sides read is formed once, and each system matrix is factored
+# once and reused for every right-hand side.
 
 
 class FieldKit(NamedTuple):
@@ -248,6 +252,14 @@ class FieldKit(NamedTuple):
     screen_adapted: Tuple[TangentJet, ...]
 
 
+def _solve_each(system: FactoredBasis, rhs: Sequence[Vec], failure: Exception) -> List[Vec]:
+    """system.coords of every right-hand side; failure when one has none."""
+    try:
+        return [system.coords(b) for b in rhs]
+    except NotInSpan as exc:
+        raise failure from exc
+
+
 def radical_tangent_fields(
     chart: ChartJet, frame: AdaptedFrame
 ) -> Tuple[TangentJet, ...]:
@@ -262,32 +274,29 @@ def radical_tangent_fields(
     """
     if frame.radical_dim == 0:
         return ()
-    space = frame.space
-    coords = chart.coordinates
-    m = len(coords)
-    gram0 = frame.tangent_gram  # the coordinate values are the Jacobian rows
-    d_gram = tuple(tuple(pairing_gradient(space, a, b) for b in coords) for a in coords)
-    system = factor_system(gram0, space.params)
-    fields = []
-    for xi in frame.rad_basis:
-        c0 = frame.jacobian_factor.coords(xi)
-        gammas = []
-        for l in range(m):
-            rhs = tuple(
-                -sum(
-                    (d_gram[j][k][l] * c0[j] for j in range(m)),
-                    start=QuadScalar.zero(space.params),
-                )
-                for k in range(m)
-            )
-            try:
-                gammas.append(system.coords(rhs))
-            except NotInSpan as exc:
-                raise InsufficientScene(
-                    "radical direction does not extend to first order here"
-                ) from exc
-        fields.append(chart.tangent(c0, gammas))
-    return tuple(fields)
+    space, coords, m = frame.space, chart.coordinates, len(chart.coordinates)
+    zero = QuadScalar.zero(space.params)
+    # pair[l][j][k] = <d_l W_j, W_k>, formed once for l <= j since
+    # d_l W_j = d_j W_l; then d_l <W_j, W_k> = pair[l][j][k] + pair[l][k][j]
+    half = {
+        (l, j): tuple(space.inner(coords[j].partials[l], w.value) for w in coords)
+        for j in range(m) for l in range(j + 1)
+    }
+    pair = [[half[min(l, j), max(l, j)] for j in range(m)] for l in range(m)]
+    system = factor_system(frame.tangent_gram, space.params)  # Gram of the Jacobian rows
+    c0s = [frame.jacobian_factor.coords(xi) for xi in frame.rad_basis]
+    rhs = [
+        tuple(
+            -sum(((pair[l][j][k] + pair[l][k][j]) * c0[j] for j in range(m)), start=zero)
+            for k in range(m)
+        )
+        for c0 in c0s
+        for l in range(m)
+    ]
+    gammas = _solve_each(
+        system, rhs, InsufficientScene("radical direction does not extend to first order here")
+    )
+    return tuple(chart.tangent(c0, gammas[i * m : (i + 1) * m]) for i, c0 in enumerate(c0s))
 
 
 def screen_tangent_fields(
@@ -317,23 +326,22 @@ def _corrected_sections(
     if not bases:
         return ()
     space = frame.space
+    m = len(frame.point)
     rows = [tuple(e * x for e, x in zip(space.eps, t.value)) for t in targets]
     rows += [tuple(e * x for e, x in zip(space.eps, row)) for row in extra_rows]
     system = factor_system(tuple(rows), space.params)
-    out = []
-    for base in bases:
-        partials = []
-        for l in range(len(frame.point)):
-            rhs = [-space.inner(base, t.partials[l]) for t in targets]
-            rhs += [extra[l] for extra in rhs_extra]
-            try:
-                partials.append(system.coords(tuple(rhs)))
-            except NotInSpan as exc:
-                raise InternalInconsistency(
-                    "section correction system became inconsistent"
-                ) from exc
-        out.append(AmbientJet(base, tuple(partials)))
-    return tuple(out)
+    rhs = [
+        tuple(-space.inner(base, t.partials[l]) for t in targets)
+        + tuple(extra[l] for extra in rhs_extra)
+        for base in bases
+        for l in range(m)
+    ]
+    partials = _solve_each(
+        system, rhs, InternalInconsistency("section correction system became inconsistent")
+    )
+    return tuple(
+        AmbientJet(base, tuple(partials[i * m : (i + 1) * m])) for i, base in enumerate(bases)
+    )
 
 
 def normal_screen_sections(
@@ -370,34 +378,27 @@ def screen_adapted_fields(
     to first order and brackets probe the screen distribution."""
     if not trans_sections:
         return screen_tangent_fields(chart, frame)
-    space = frame.space
-    coords = chart.coordinates
-    m = len(coords)
-    system = factor_system(
+    space, coords, m = frame.space, chart.coordinates, len(chart.coordinates)
+    pairings = tuple(tuple(space.inner(w.value, n.value) for w in coords) for n in trans_sections)
+    system = factor_system(pairings, space.params)
+    # dw_n[l][i][a] = <d_l W_a, N_i> does not depend on the screen vector
+    dw_n = [
+        [tuple(space.inner(w.partials[l], n.value) for w in coords) for n in trans_sections]
+        for l in range(m)
+    ]
+    c0s = [frame.jacobian_factor.coords(s) for s in frame.screen.basis]
+    rhs = [
         tuple(
-            tuple(space.inner(w.value, n.value) for w in coords) for n in trans_sections
-        ),
-        space.params,
+            -sum((c * d for c, d in zip(c0, row)), start=space.inner(s, n.partials[l]))
+            for n, row in zip(trans_sections, dw_n[l])
+        )
+        for s, c0 in zip(frame.screen.basis, c0s)
+        for l in range(m)
+    ]
+    mus = _solve_each(
+        system, rhs, InternalInconsistency("screen adaptation system became inconsistent")
     )
-    fields = []
-    for s in frame.screen.basis:
-        c0 = frame.jacobian_factor.coords(s)
-        mus = []
-        for l in range(m):
-            rhs = []
-            for n in trans_sections:
-                drift = space.inner(s, n.partials[l])
-                for a in range(m):
-                    drift = drift + c0[a] * space.inner(coords[a].partials[l], n.value)
-                rhs.append(-drift)
-            try:
-                mus.append(system.coords(tuple(rhs)))
-            except NotInSpan as exc:
-                raise InternalInconsistency(
-                    "screen adaptation system became inconsistent"
-                ) from exc
-        fields.append(chart.tangent(c0, mus))
-    return tuple(fields)
+    return tuple(chart.tangent(c0, mus[i * m : (i + 1) * m]) for i, c0 in enumerate(c0s))
 
 
 def build_field_kit(chart: ChartJet, frame: AdaptedFrame) -> FieldKit:

@@ -661,6 +661,42 @@ def test_criterion_5_sweep_makes_few_ambient_products(monkeypatch):
     assert counts == Counter({"n x n": 37})
 
 
+def test_criterion_5_sweep_kit_forms_each_pairing_once(monkeypatch):
+    """A load-free companion to the sweep-classify speed target: over
+    the sweep pool the field kits make 578 inner products and factor 46
+    systems.  Each pairing is formed once, d_l <W_j, W_k> from the
+    <d_l W_j, W_k> with l <= j, and <d_l W_a, N_i> once for all screen
+    vectors; forming d_l <W_j, W_k> pair by pair made 822."""
+    scenes = _sweep_pool()
+    counts, inside = Counter(), []
+    inner, build = SignatureSpace.inner, classifier.build_field_kit
+
+    def counting_inner(self, u, v):
+        counts["inner"] += bool(inside)
+        return inner(self, u, v)
+
+    def building(chart, frame):
+        counts["kits"] += 1
+        inside.append(frame)
+        try:
+            return build(chart, frame)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SignatureSpace, "inner", counting_inner)
+    monkeypatch.setattr(classifier, "build_field_kit", building)
+    _count_calls(monkeypatch, linalg, "factor_system", counts)
+    for scene in scenes:
+        run(scene, seed=1)
+    assert counts == Counter({"kits": 12, "inner": 578, "factor_system": 46})
+    # the counters see a call when there is one
+    space = SignatureSpace(2, (-1, 1), GOLDEN)
+    inside.append(None)
+    space.inner(identity(2, GOLDEN)[0], identity(2, GOLDEN)[1])
+    linalg.factor_system(identity(2, GOLDEN), GOLDEN)
+    assert counts == Counter({"kits": 12, "inner": 579, "factor_system": 47})
+
+
 def test_criterion_5_sweep_keeps_structure_facts(monkeypatch):
     """Per-scene and per-point structure facts are computed once: over
     the sweep pool each validator runs once per scene, though both

@@ -18,8 +18,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightlike_lab import geometry
 from lightlike_lab.ambient import SignatureSpace
-from lightlike_lab.errors import InsufficientScene, ShapeError
+from lightlike_lab.errors import InsufficientScene, InternalInconsistency, NotInSpan, ShapeError
 from lightlike_lab.geometry import (
     AmbientJet,
     build_field_kit,
@@ -447,6 +448,10 @@ def test_field_shape_guards():
     d1, _ = chart.coordinates
     with pytest.raises(ShapeError):
         chart.tangent((q(1),))
+    # one d_l X row per chart direction: zip must not drop a direction
+    for rows in (((q(0), q(0)),), ((q(0), q(0)),) * 3):
+        with pytest.raises(ShapeError):
+            chart.tangent((q(1), q(0)), rows)
     with pytest.raises(ShapeError):
         derive(d1, AmbientJet(d1.value, (d1.value,) * 3))
     with pytest.raises(ShapeError):
@@ -592,5 +597,41 @@ def test_kit_refuses_unstable_radical():
     imm = PolynomialImmersion(space, 2, comps)
     frame = build_frame(imm, (q(0), q(0)))
     assert frame.radical_dim == 1
-    with pytest.raises(InsufficientScene):
+    with pytest.raises(
+        InsufficientScene, match="^radical direction does not extend to first order here$"
+    ):
         build_field_kit(chart_jet(imm, frame), frame)
+
+
+class _Unsolvable:
+    """A factored system with no solution for any right-hand side."""
+
+    def coords(self, rhs):
+        raise NotInSpan("no solution")
+
+
+@pytest.mark.parametrize(
+    "builder, message",
+    [
+        (
+            lambda chart, kit: geometry.transversal_sections(
+                kit.frame, kit.radical, kit.screen, kit.normal_screen
+            ),
+            "section correction system became inconsistent",
+        ),
+        (
+            lambda chart, kit: geometry.screen_adapted_fields(chart, kit.frame, kit.transversal),
+            "screen adaptation system became inconsistent",
+        ),
+    ],
+    ids=["section-correction", "screen-adaptation"],
+)
+def test_kit_systems_without_solution_are_inconsistent(monkeypatch, builder, message):
+    """The frame's own systems always solve, so a NotInSpan from one is
+    an internal fault, named after the system that raised it."""
+    frame, kit = surface_kit(ORIGIN)
+    chart = chart_jet(SURF, frame)
+    assert frame.screen.dim and frame.ltr
+    monkeypatch.setattr(geometry, "factor_system", lambda a, params: _Unsolvable())
+    with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+        builder(chart, kit)
