@@ -28,23 +28,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ambient import MetallicStructure, SignatureSpace, diag_branches
 from .classifier import _rational, random_isometry
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, LightlikeLabError
 from .linalg import (
     Mat,
+    RowRing,
     Vec,
     as_vec,
-    det,
-    invert,
+    lin_comb,
     mat_mul,
     mat_vec,
     transpose,
     vec_add,
     vec_scale,
-    zero_vec,
 )
 from .polynomials import Polynomial
 from .scalars import MetallicParams, QuadScalar
@@ -58,13 +57,12 @@ def _q(x, params: MetallicParams) -> QuadScalar:
 
 
 def _int_matrix_invertible(rng: random.Random, n: int) -> Tuple[Tuple[int, ...], ...]:
-    params = MetallicParams(1, 1)
+    ring = RowRing(MetallicParams(1, 1), sigma=False)
     for _ in range(MAX_RESAMPLE):
         rows = tuple(
             tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(n)
         )
-        exact = tuple(tuple(_q(x, params) for x in row) for row in rows)
-        if det(exact):
+        if ring.nonsingular(rows):
             return rows
     raise InternalInconsistency("could not draw an invertible integer matrix")
 
@@ -84,9 +82,17 @@ def transform_immersion(immersion: PolynomialImmersion, iso: Mat) -> PolynomialI
 
 
 def transform_structure(structure: MetallicStructure, iso: Mat) -> MetallicStructure:
-    inv = invert(iso)
-    if inv is None:
-        raise InternalInconsistency("isometry lost invertibility")
+    """S J S^-1 for an isometry S of the structure's space.
+
+    S^T eps S = eps gives S^-1 = eps S^T eps, so entry (i, j) of the
+    inverse is eps_i eps_j S_ji and nothing is eliminated.
+    """
+    eps = structure.space.eps
+    n = len(eps)
+    inv = tuple(
+        tuple(iso[j][i] if eps[i] == eps[j] else -iso[j][i] for j in range(n))
+        for i in range(n)
+    )
     conj = mat_mul(mat_mul(iso, structure.matrix), inv)
     return MetallicStructure(structure.space, conj)
 
@@ -121,14 +127,100 @@ class GeneratedScene:
         )
 
 
-def _shuffled_roles(rng: random.Random, roles: List[Tuple[str, int]]) -> List[Tuple[str, int]]:
-    out = list(roles)
-    rng.shuffle(out)
-    return out
+# ---- null pairs ----
+#
+# The cylinder, structured and flag families carry their radical on r
+# coordinate pairs of signs (-, +).  On pair i, xi_i = e- + e+ and
+# N_i = (e+ - e-)/2 are null, <xi_i, N_i> = 1, and distinct pairs are
+# orthogonal: the standard null frame of Duggal-Bejancu 1996, ch. 5.
+
+_PAIR_BRANCHES = {"pair-": (-1, "p-sigma"), "pair+": (1, "sigma")}
+_PAIR_SIGNS = {kind: sign for kind, (sign, _) in _PAIR_BRANCHES.items()}
 
 
-def _slot_map(roles: Sequence[Tuple[str, int]]) -> dict:
-    return {role: pos for pos, role in enumerate(roles)}
+def _pair_roles(
+    rng: random.Random, r: int, others: List[Tuple[str, int]]
+) -> Tuple[List[Tuple[str, int]], Dict[Tuple[str, int], int]]:
+    """The roles ("pair-", i), ("pair+", i) of r null pairs and then the
+    others, shuffled into coordinate order, and each role's coordinate."""
+    roles = [(kind, i) for i in range(r) for kind in ("pair-", "pair+")] + others
+    rng.shuffle(roles)
+    return roles, {role: pos for pos, role in enumerate(roles)}
+
+
+def _axis(n: int, i: int, params: MetallicParams) -> Vec:
+    return tuple(_q(1 if j == i else 0, params) for j in range(n))
+
+
+def _on_two(n: int, lo: int, hi: int, a, b, params: MetallicParams) -> Vec:
+    """a at coordinate lo, b at coordinate hi, zero elsewhere."""
+    v = [0] * n
+    v[lo], v[hi] = a, b
+    return as_vec(v, params)
+
+
+def _null_pairs(
+    slot: Dict[Tuple[str, int], int], r: int, n: int, params: MetallicParams
+) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
+    """(xi_1..xi_r, N_1..N_r) on the pairs' coordinates."""
+    ends = [(slot[("pair-", i)], slot[("pair+", i)]) for i in range(r)]
+    xi = tuple(_on_two(n, lo, hi, 1, 1, params) for lo, hi in ends)
+    half = Fraction(1, 2)
+    return xi, tuple(_on_two(n, lo, hi, -half, half, params) for lo, hi in ends)
+
+
+def _signature(
+    rng: random.Random, roles: Sequence[Tuple[str, int]], signs: Dict[str, int], params: MetallicParams
+) -> SignatureSpace:
+    """The space whose coordinate of each role has signs[kind], or a drawn sign."""
+    eps = tuple(signs[kind] if kind in signs else rng.choice((-1, 1)) for kind, _ in roles)
+    return SignatureSpace(len(roles), eps, params)
+
+
+def _linear_model(vectors: Sequence[Vec], params: MetallicParams) -> List[Polynomial]:
+    """Components of u |-> sum_j u_j vectors[j]."""
+    m = len(vectors)
+    comps = [Polynomial.zero(m, params) for _ in vectors[0]]
+    for j, v in enumerate(vectors):
+        for k, x in enumerate(v):
+            if x:
+                comps[k] = comps[k] + Polynomial.variable(j, m, params).scale(x)
+    return comps
+
+
+def _unstructured_scene(
+    rng: random.Random,
+    space: SignatureSpace,
+    comps: Sequence[Polynomial],
+    r: int,
+    notes: Tuple[str, ...],
+) -> Optional[GeneratedScene]:
+    """The model moved by a random isometry and read at a random chart
+    point; None when the frame there fails or has radical rank other
+    than r."""
+    params = space.params
+    m = comps[0].nvars
+    immersion = transform_immersion(
+        PolynomialImmersion(space, m, tuple(comps)),
+        random_isometry(rng, space),
+    )
+    point = tuple(_q(_rational(rng), params) for _ in range(m))
+    try:
+        frame = build_frame(immersion, point)
+    except LightlikeLabError:
+        return None
+    if frame.radical_dim != r:
+        return None
+    return GeneratedScene(
+        immersion=immersion,
+        point=point,
+        structure=None,
+        expected_radical_dim=r,
+        config=None,
+        screen_override=None,
+        normal_screen_override=None,
+        notes=notes,
+    )
 
 
 # ---- family: cylinders over curved graphs ----
@@ -150,39 +242,22 @@ def cylinder_scene(rng: random.Random, params: MetallicParams) -> GeneratedScene
         inert = rng.randrange(0, budget - range_dim + 1)
         n = 2 * r + m_graph + range_dim + inert
 
-        roles: List[Tuple[str, int]] = []
-        for i in range(r):
-            roles.append(("pair-", i))
-            roles.append(("pair+", i))
-        roles += [("dom", a) for a in range(m_graph)]
-        roles += [("rng", b) for b in range(range_dim)]
-        roles += [("inert", c) for c in range(inert)]
-        roles = _shuffled_roles(rng, roles)
-        slot = _slot_map(roles)
+        roles, slot = _pair_roles(
+            rng,
+            r,
+            [("dom", a) for a in range(m_graph)]
+            + [("rng", b) for b in range(range_dim)]
+            + [("inert", c) for c in range(inert)],
+        )
+        space = _signature(rng, roles, {**_PAIR_SIGNS, "dom": 1}, params)
 
-        eps = [0] * n
-        for pos, (kind, _) in enumerate(roles):
-            if kind == "pair-":
-                eps[pos] = -1
-            elif kind in ("pair+", "dom"):
-                eps[pos] = 1
-            else:
-                eps[pos] = rng.choice((-1, 1))
-        space = SignatureSpace(n, tuple(eps), params)
-
+        # u_j, j < r, runs along sum_i mix_ij xi_i; the graph's domain
+        # coordinates carry u_{r+a} verbatim
         mix = _int_matrix_invertible(rng, r)
-        comps = [Polynomial.zero(m, params) for _ in range(n)]
-        for i in range(r):
-            line = Polynomial.zero(m, params)
-            for j in range(r):
-                if mix[i][j]:
-                    line = line + Polynomial.variable(j, m, params).scale(
-                        _q(mix[i][j], params)
-                    )
-            comps[slot[("pair-", i)]] = line
-            comps[slot[("pair+", i)]] = line
-        for a in range(m_graph):
-            comps[slot[("dom", a)]] = Polynomial.variable(r + a, m, params)
+        xi, _ = _null_pairs(slot, r, n, params)
+        lines = [lin_comb([_q(row[j], params) for row in mix], xi) for j in range(r)]
+        dom = [_axis(n, slot[("dom", a)], params) for a in range(m_graph)]
+        comps = _linear_model(lines + dom, params)
         placed_quadratic = False
         for b in range(range_dim):
             phi = Polynomial.zero(m, params)
@@ -206,28 +281,9 @@ def cylinder_scene(rng: random.Random, params: MetallicParams) -> GeneratedScene
             )
         if not placed_quadratic:
             continue
-
-        immersion = transform_immersion(
-            PolynomialImmersion(space, m, tuple(comps)),
-            random_isometry(rng, space),
-        )
-        point = tuple(_q(_rational(rng), params) for _ in range(m))
-        try:
-            frame = build_frame(immersion, point)
-        except Exception:
-            continue
-        if frame.radical_dim != r:
-            continue
-        return GeneratedScene(
-            immersion=immersion,
-            point=point,
-            structure=None,
-            expected_radical_dim=r,
-            config=None,
-            screen_override=None,
-            normal_screen_override=None,
-            notes=("hl-zero", "hs-nonzero"),
-        )
+        scene = _unstructured_scene(rng, space, comps, r, ("hl-zero", "hs-nonzero"))
+        if scene is not None:
+            return scene
     raise InternalInconsistency("cylinder family kept degenerating")
 
 
@@ -247,12 +303,9 @@ def ruled_scene(rng: random.Random, params: MetallicParams) -> GeneratedScene:
         n = 4 + extra
         roles: List[Tuple[str, int]] = [("m", 0), ("m", 1), ("p", 0), ("p", 1)]
         roles += [("inert", c) for c in range(extra)]
-        roles = _shuffled_roles(rng, roles)
-        slot = _slot_map(roles)
-        eps = [0] * n
-        for pos, (kind, _) in enumerate(roles):
-            eps[pos] = -1 if kind == "m" else (1 if kind == "p" else rng.choice((-1, 1)))
-        space = SignatureSpace(n, tuple(eps), params)
+        rng.shuffle(roles)
+        slot = {role: pos for pos, role in enumerate(roles)}
+        space = _signature(rng, roles, {"m": -1, "p": 1}, params)
 
         def unit(role) -> List[Fraction]:
             v = [Fraction(0)] * n
@@ -288,28 +341,9 @@ def ruled_scene(rng: random.Random, params: MetallicParams) -> GeneratedScene:
             if roles[i][0] == "inert" and rng.random() < 0.5:
                 poly = poly + Polynomial.constant(_q(_rational(rng), params), 2, params)
             comps.append(poly)
-
-        immersion = transform_immersion(
-            PolynomialImmersion(space, 2, tuple(comps)),
-            random_isometry(rng, space),
-        )
-        point = tuple(_q(_rational(rng), params) for _ in range(2))
-        try:
-            frame = build_frame(immersion, point)
-        except Exception:
-            continue
-        if frame.radical_dim != 1:
-            continue
-        return GeneratedScene(
-            immersion=immersion,
-            point=point,
-            structure=None,
-            expected_radical_dim=1,
-            config=None,
-            screen_override=None,
-            normal_screen_override=None,
-            notes=("hl-nonzero",),
-        )
+        scene = _unstructured_scene(rng, space, comps, 1, ("hl-nonzero",))
+        if scene is not None:
+            return scene
     raise InternalInconsistency("ruled family kept degenerating")
 
 
@@ -318,23 +352,40 @@ def ruled_scene(rng: random.Random, params: MetallicParams) -> GeneratedScene:
 
 @dataclass(frozen=True)
 class _Layout:
+    """A linear model u |-> sum_i u_i xi_i + sum_a u_(r+a) screen_tangents[a]
+    under a diagonal structure, with the vectors each flavor perturbs along."""
+
     space: SignatureSpace
     structure: MetallicStructure
-    components: Tuple[Polynomial, ...]
-    rad_chart: Tuple[int, ...]
-    screen_chart: Tuple[int, ...]
     xi_vecs: Tuple[Vec, ...]
     n_vecs: Tuple[Vec, ...]
     screen_tangents: Tuple[Vec, ...]
     str_vecs: Tuple[Vec, ...]
     config: str
-    mu_dim: int
 
 
-def _axis(n: int, i: int, params: MetallicParams, value=1) -> Vec:
-    return tuple(
-        _q(value if j == i else 0, params) for j in range(n)
-    )
+def _diagonal_structure(
+    rng: random.Random,
+    params: MetallicParams,
+    roles: Sequence[Tuple[str, int]],
+    fixed: Dict[Tuple[str, int], Tuple[int, str]],
+) -> Tuple[SignatureSpace, MetallicStructure]:
+    """The signature and diagonal structure of a layout.  Pair roles and
+    the roles in fixed take their (sign, branch); every other coordinate
+    draws a sign and then a branch."""
+    eps, branches = [], []
+    for role in roles:
+        if role[0] in _PAIR_BRANCHES:
+            sign, branch = _PAIR_BRANCHES[role[0]]
+        elif role in fixed:
+            sign, branch = fixed[role]
+        else:
+            sign = rng.choice((-1, 1))
+            branch = rng.choice(("sigma", "p-sigma"))
+        eps.append(sign)
+        branches.append(branch)
+    space = SignatureSpace(len(roles), tuple(eps), params)
+    return space, MetallicStructure(space, diag_branches(params, branches))
 
 
 def _radical_transversal_layout(
@@ -343,63 +394,20 @@ def _radical_transversal_layout(
     """Pairs carry the radical, lone coordinates carry the screens, and
     the diagonal structure fixes each block, so the radical swaps with
     the transversal-null bundle under the structure."""
-    m = r + s_dims
     n = 2 * r + s_dims + t_dims
-    roles: List[Tuple[str, int]] = []
-    for i in range(r):
-        roles += [("pair-", i), ("pair+", i)]
-    roles += [("scr", a) for a in range(s_dims)]
-    roles += [("str", b) for b in range(t_dims)]
-    roles = _shuffled_roles(rng, roles)
-    slot = _slot_map(roles)
-    eps = [0] * n
-    branches = [""] * n
-    for pos, (kind, _) in enumerate(roles):
-        if kind == "pair-":
-            eps[pos] = -1
-            branches[pos] = "p-sigma"
-        elif kind == "pair+":
-            eps[pos] = 1
-            branches[pos] = "sigma"
-        else:
-            eps[pos] = rng.choice((-1, 1))
-            branches[pos] = rng.choice(("sigma", "p-sigma"))
-    space = SignatureSpace(n, tuple(eps), params)
-    structure = MetallicStructure(space, diag_branches(params, branches))
-
-    comps = [Polynomial.zero(m, params) for _ in range(n)]
-    for i in range(r):
-        comps[slot[("pair-", i)]] = Polynomial.variable(i, m, params)
-        comps[slot[("pair+", i)]] = Polynomial.variable(i, m, params)
-    for a in range(s_dims):
-        comps[slot[("scr", a)]] = Polynomial.variable(r + a, m, params)
-
-    xi_vecs = []
-    n_vecs = []
-    for i in range(r):
-        lo, hi = slot[("pair-", i)], slot[("pair+", i)]
-        xi = [Fraction(0)] * n
-        xi[lo] = Fraction(1)
-        xi[hi] = Fraction(1)
-        nv = [Fraction(0)] * n
-        nv[lo] = Fraction(-1, 2)
-        nv[hi] = Fraction(1, 2)
-        xi_vecs.append(as_vec(xi, params))
-        n_vecs.append(as_vec(nv, params))
-    screen_tangents = tuple(_axis(n, slot[("scr", a)], params) for a in range(s_dims))
-    str_vecs = tuple(_axis(n, slot[("str", b)], params) for b in range(t_dims))
+    roles, slot = _pair_roles(
+        rng, r, [("scr", a) for a in range(s_dims)] + [("str", b) for b in range(t_dims)]
+    )
+    space, structure = _diagonal_structure(rng, params, roles, {})
+    xi_vecs, n_vecs = _null_pairs(slot, r, n, params)
     return _Layout(
         space=space,
         structure=structure,
-        components=tuple(comps),
-        rad_chart=tuple(range(r)),
-        screen_chart=tuple(range(r, m)),
-        xi_vecs=tuple(xi_vecs),
-        n_vecs=tuple(n_vecs),
-        screen_tangents=screen_tangents,
-        str_vecs=str_vecs,
+        xi_vecs=xi_vecs,
+        n_vecs=n_vecs,
+        screen_tangents=tuple(_axis(n, slot[("scr", a)], params) for a in range(s_dims)),
+        str_vecs=tuple(_axis(n, slot[("str", b)], params) for b in range(t_dims)),
         config="radical-transversal",
-        mu_dim=0,
     )
 
 
@@ -411,83 +419,30 @@ def _transversal_layout(
     sends the screen into the normal screen.  mu_dims extra normal
     directions are fixed by the structure and form the invariant
     complement."""
-    m = r + c_pairs
     n = 2 * r + 2 * c_pairs + mu_dims
-    roles: List[Tuple[str, int]] = []
-    for i in range(r):
-        roles += [("pair-", i), ("pair+", i)]
+    roles, slot = _pair_roles(
+        rng,
+        r,
+        [(kind, a) for a in range(c_pairs) for kind in ("scrA", "scrB")]
+        + [("mu", b) for b in range(mu_dims)],
+    )
+    fixed = {}
     for a in range(c_pairs):
-        roles += [("scrA", a), ("scrB", a)]
-    roles += [("mu", b) for b in range(mu_dims)]
-    roles = _shuffled_roles(rng, roles)
-    slot = _slot_map(roles)
-    eps = [0] * n
-    branches = [""] * n
-    pair_sign = {a: rng.choice((-1, 1)) for a in range(c_pairs)}
-    for pos, (kind, idx) in enumerate(roles):
-        if kind == "pair-":
-            eps[pos] = -1
-            branches[pos] = "p-sigma"
-        elif kind == "pair+":
-            eps[pos] = 1
-            branches[pos] = "sigma"
-        elif kind == "scrA":
-            eps[pos] = pair_sign[idx]
-            branches[pos] = "sigma"
-        elif kind == "scrB":
-            eps[pos] = pair_sign[idx]
-            branches[pos] = "p-sigma"
-        else:
-            eps[pos] = rng.choice((-1, 1))
-            branches[pos] = rng.choice(("sigma", "p-sigma"))
-    space = SignatureSpace(n, tuple(eps), params)
-    structure = MetallicStructure(space, diag_branches(params, branches))
-
-    comps = [Polynomial.zero(m, params) for _ in range(n)]
-    for i in range(r):
-        comps[slot[("pair-", i)]] = Polynomial.variable(i, m, params)
-        comps[slot[("pair+", i)]] = Polynomial.variable(i, m, params)
-    for a in range(c_pairs):
-        comps[slot[("scrA", a)]] = Polynomial.variable(r + a, m, params)
-        comps[slot[("scrB", a)]] = Polynomial.variable(r + a, m, params)
-
-    xi_vecs = []
-    n_vecs = []
-    for i in range(r):
-        lo, hi = slot[("pair-", i)], slot[("pair+", i)]
-        xi = [Fraction(0)] * n
-        xi[lo] = Fraction(1)
-        xi[hi] = Fraction(1)
-        nv = [Fraction(0)] * n
-        nv[lo] = Fraction(-1, 2)
-        nv[hi] = Fraction(1, 2)
-        xi_vecs.append(as_vec(xi, params))
-        n_vecs.append(as_vec(nv, params))
-    screen_tangents = []
-    str_vecs = []
-    for a in range(c_pairs):
-        lo, hi = slot[("scrA", a)], slot[("scrB", a)]
-        scr = [Fraction(0)] * n
-        scr[lo] = Fraction(1)
-        scr[hi] = Fraction(1)
-        stv = [Fraction(0)] * n
-        stv[lo] = Fraction(1)
-        stv[hi] = Fraction(-1)
-        screen_tangents.append(as_vec(scr, params))
-        str_vecs.append(as_vec(stv, params))
+        sign = rng.choice((-1, 1))
+        fixed[("scrA", a)], fixed[("scrB", a)] = (sign, "sigma"), (sign, "p-sigma")
+    space, structure = _diagonal_structure(rng, params, roles, fixed)
+    xi_vecs, n_vecs = _null_pairs(slot, r, n, params)
+    screen_ends = [(slot[("scrA", a)], slot[("scrB", a)]) for a in range(c_pairs)]
+    str_vecs = [_on_two(n, lo, hi, 1, -1, params) for lo, hi in screen_ends]
     str_vecs += [_axis(n, slot[("mu", b)], params) for b in range(mu_dims)]
     return _Layout(
         space=space,
         structure=structure,
-        components=tuple(comps),
-        rad_chart=tuple(range(r)),
-        screen_chart=tuple(range(r, m)),
-        xi_vecs=tuple(xi_vecs),
-        n_vecs=tuple(n_vecs),
-        screen_tangents=tuple(screen_tangents),
+        xi_vecs=xi_vecs,
+        n_vecs=n_vecs,
+        screen_tangents=tuple(_on_two(n, lo, hi, 1, 1, params) for lo, hi in screen_ends),
         str_vecs=tuple(str_vecs),
         config="transversal",
-        mu_dim=mu_dims,
     )
 
 
@@ -509,11 +464,13 @@ def _regauge_structure(
 
     is self-adjoint and satisfies the quadratic relation for every
     parameter pair; the action outside the plane is kept verbatim.
+    The images are stacked in the slot order of the frame's
+    slot_factor (FOUR_SLOTS), whose coordinate map is C^-1 for the
+    stacked slot basis C, so the new matrix is images^T C^-1.
     """
     space = structure.space
     params = space.params
-    r = frame.radical_dim
-    if r == 0:
+    if frame.radical_dim == 0:
         return structure
     p = QuadScalar(params.p, 0, params)
     sigma = QuadScalar(0, 1, params)
@@ -521,19 +478,18 @@ def _regauge_structure(
     half_p = p / two
     off = two * sigma - p
     back = off / QuadScalar(4, 0, params)
-    basis: List[Vec] = list(frame.rad_basis) + list(frame.ltr)
+    pairs = tuple(zip(frame.rad_basis, frame.ltr))
+    plane = {
+        "radical": [vec_add(vec_scale(half_p, xi), vec_scale(off, nv)) for xi, nv in pairs],
+        "transversal": [vec_add(vec_scale(back, xi), vec_scale(half_p, nv)) for xi, nv in pairs],
+    }
     images: List[Vec] = []
-    for i, xi in enumerate(frame.rad_basis):
-        images.append(vec_add(vec_scale(half_p, xi), vec_scale(off, frame.ltr[i])))
-    for i, nv in enumerate(frame.ltr):
-        images.append(vec_add(vec_scale(back, frame.rad_basis[i]), vec_scale(half_p, nv)))
-    for v in frame.screen.basis + frame.normal_screen.basis:
-        basis.append(v)
-        images.append(mat_vec(structure.matrix, v))
-    cols = invert(transpose(tuple(basis)))
-    if cols is None:
+    for slot, basis in frame.slot_bases.items():
+        images += plane.get(slot) or [mat_vec(structure.matrix, v) for v in basis]
+    factor = frame.slot_factor
+    if factor.rank < space.dim:
         raise InternalInconsistency("frame slots failed to span the ambient space")
-    matrix = mat_mul(transpose(tuple(images)), cols)
+    matrix = mat_mul(transpose(tuple(images)), factor.coordinate_map(range(space.dim)))
     regauged = MetallicStructure(space, matrix)
     ok, defects = regauged.validate()
     if not ok:
@@ -544,15 +500,11 @@ def _regauge_structure(
 
 
 def _random_combo(rng: random.Random, vecs: Sequence[Vec], params: MetallicParams) -> Vec:
-    n = len(vecs[0])
-    out = zero_vec(n, params)
-    while all(not c for c in out):
-        out = zero_vec(n, params)
-        for v in vecs:
-            coeff = _rational(rng)
-            if coeff:
-                out = vec_add(out, vec_scale(_q(coeff, params), v))
-    return out
+    """A combination of vecs with drawn rational coefficients, redrawn until nonzero."""
+    while True:
+        out = lin_comb([_q(_rational(rng), params) for _ in vecs], vecs)
+        if any(out):
+            return out
 
 
 FLAVORS = ("str", "ltr", "rad", "screen", "rad-twist")
@@ -606,8 +558,9 @@ def perturbed_structured_scene(
     else:
         raise ValueError(f"unknown config {config!r}")
 
-    m = r + len(layout.screen_chart)
+    m = r + len(layout.screen_tangents)
     n = layout.space.dim
+    rad_chart, screen_chart = tuple(range(r)), tuple(range(r, m))
     point = tuple(_q(_rational(rng), params) for _ in range(m))
 
     def mono(j: int, k: int) -> Polynomial:
@@ -615,7 +568,7 @@ def perturbed_structured_scene(
         uk = Polynomial.variable(k, m, params) - Polynomial.constant(point[k], m, params)
         return uj * uk
 
-    comps = list(layout.components)
+    comps = _linear_model(layout.xi_vecs + layout.screen_tangents, params)
 
     def add_term(vec: Vec, poly: Polynomial) -> None:
         for i in range(n):
@@ -642,11 +595,11 @@ def perturbed_structured_scene(
             add_term(_random_combo(rng, layout.str_vecs, params), mono(j, k))
             notes.add("hs-nonzero")
         elif flavor == "ltr":
-            j, k = fresh_monomial(layout.screen_chart, layout.screen_chart)
+            j, k = fresh_monomial(screen_chart, screen_chart)
             add_term(_random_combo(rng, layout.n_vecs, params), mono(j, k))
             notes.add("hl-nonzero")
         elif flavor == "rad":
-            j, k = fresh_monomial(all_chart, layout.screen_chart)
+            j, k = fresh_monomial(all_chart, screen_chart)
             add_term(_random_combo(rng, layout.xi_vecs, params), mono(j, k))
             notes.add("hstar-nonzero")
         elif flavor == "screen":
@@ -655,13 +608,13 @@ def perturbed_structured_scene(
         elif flavor == "rad-twist":
             candidates = [
                 l
-                for l in layout.screen_chart
-                for i in layout.rad_chart
+                for l in screen_chart
+                for i in rad_chart
                 if (min(l, i), max(l, i)) not in used
             ]
             l = rng.choice(candidates)
             beta = _q(_rational(rng, nonzero=True), params)
-            i1, i2 = sorted(rng.sample(layout.rad_chart, 2))
+            i1, i2 = sorted(rng.sample(rad_chart, 2))
             used.add((min(l, i1), max(l, i1)))
             used.add((min(l, i2), max(l, i2)))
             add_term(vec_scale(beta, layout.n_vecs[i2]), mono(l, i1))
@@ -717,62 +670,28 @@ def random_flag_data(
     s_dims = rng.randrange(1, 3)
     t_dims = rng.randrange(0, 3)
     n = 2 * r + s_dims + t_dims
-    roles: List[Tuple[str, int]] = []
-    for i in range(r):
-        roles += [("pair-", i), ("pair+", i)]
-    roles += [("scr", a) for a in range(s_dims)]
-    roles += [("str", b) for b in range(t_dims)]
-    roles = _shuffled_roles(rng, roles)
-    slot = _slot_map(roles)
-    eps = [0] * n
-    for pos, (kind, _) in enumerate(roles):
-        if kind == "pair-":
-            eps[pos] = -1
-        elif kind == "pair+":
-            eps[pos] = 1
-        else:
-            eps[pos] = rng.choice((-1, 1))
-    space = SignatureSpace(n, tuple(eps), params)
+    roles, slot = _pair_roles(
+        rng, r, [("scr", a) for a in range(s_dims)] + [("str", b) for b in range(t_dims)]
+    )
+    space = _signature(rng, roles, _PAIR_SIGNS, params)
+    xi, _ = _null_pairs(slot, r, n, params)
 
-    xi = []
-    for i in range(r):
-        v = [Fraction(0)] * n
-        v[slot[("pair-", i)]] = Fraction(1)
-        v[slot[("pair+", i)]] = Fraction(1)
-        xi.append(as_vec(v, params))
-    mix = _int_matrix_invertible(rng, r)
-    rad_basis = []
-    for i in range(r):
-        v = zero_vec(n, params)
-        for j in range(r):
-            if mix[i][j]:
-                v = vec_add(v, vec_scale(_q(mix[i][j], params), xi[j]))
-        rad_basis.append(v)
-    rad_basis = tuple(rad_basis)
-
-    def block_vectors(kind: str, dims: int) -> Tuple[Vec, ...]:
-        if dims == 0:
+    def mixed(vecs: Sequence[Vec]) -> Tuple[Vec, ...]:
+        if not vecs:
             return ()
-        mixm = _int_matrix_invertible(rng, dims)
-        vecs = []
-        for i in range(dims):
-            v = [Fraction(0)] * n
-            for j in range(dims):
-                v[slot[(kind, j)]] = Fraction(mixm[i][j])
-            vecs.append(as_vec(v, params))
-        return tuple(vecs)
+        mix = _int_matrix_invertible(rng, len(vecs))
+        return tuple(lin_comb([_q(x, params) for x in row], vecs) for row in mix)
 
-    screen = block_vectors("scr", s_dims)
-    ns = block_vectors("str", t_dims)
-    # radical shears keep every flag axiom intact
-    screen = tuple(
-        vec_add(v, vec_scale(_q(_rational(rng), params), rng.choice(rad_basis)))
-        for v in screen
-    )
-    ns = tuple(
-        vec_add(v, vec_scale(_q(_rational(rng), params), rng.choice(rad_basis)))
-        for v in ns
-    )
+    rad_basis = mixed(xi)
+    screen = mixed([_axis(n, slot[("scr", a)], params) for a in range(s_dims)])
+    ns = mixed([_axis(n, slot[("str", b)], params) for b in range(t_dims)])
+
+    def shear(v: Vec) -> Vec:
+        # a radical shear keeps every flag axiom intact
+        return vec_add(v, vec_scale(_q(_rational(rng), params), rng.choice(rad_basis)))
+
+    screen = tuple(map(shear, screen))
+    ns = tuple(map(shear, ns))
     iso = random_isometry(rng, space)
     return (
         space,

@@ -179,9 +179,18 @@ class _SceneRun:
                     "tangent", ctx.chart().coordinates,
                 )
             if scene.screen_sections:
+                try:
+                    kit = ctx.kit()
+                except InternalInconsistency as exc:
+                    exc.point = i
+                    raise
+                except LightlikeLabError as exc:
+                    raise ValidationError(
+                        f"/sections/screen: cannot be checked at point {i}: {exc}"
+                    ) from exc
                 self._validate_section_family(
                     i, "screen", scene.screen_sections, ctx.frame.screen,
-                    "transversal", ctx.kit().transversal,
+                    "transversal", kit.transversal,
                 )
 
     def _validate_section_family(

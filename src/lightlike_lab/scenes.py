@@ -411,8 +411,10 @@ def parse_scene(data) -> Scene:
                 raise ValidationError(
                     f"/claims/configuration: expected one of {CONFIGURATIONS}"
                 )
-        if configuration == "transversal" and expected_dim == 1:
-            # the single-null obstruction audit backs this rule
+        if configuration == "transversal" and expected_dim == 1 and params.p >= 1:
+            # J xi = N would give <J xi, J xi> = p <N, xi> = p, yet N is
+            # null; the single-null obstruction audit backs this rule for
+            # p in {1, 2, 3}.  At p = 0 an r = 1 transversal scene exists.
             raise ValidationError(
                 "/claims/expected_radical_dim: transversal claims need a radical"
                 " of dimension at least 2"

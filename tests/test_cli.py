@@ -12,6 +12,7 @@ from lightlike_lab import classifier, scenes
 from lightlike_lab.classifier import CHECK_ORDER
 from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.cli import SEED_ENV, main
+from test_runner import UNSTABLE_RADICAL_SCREEN_SECTION
 
 FIXTURES = resources.files("lightlike_lab") / "fixtures"
 
@@ -469,6 +470,19 @@ def test_malformed_long_coordinate_gives_a_short_error(tmp_path):
     assert proc.stderr == (
         "error: /points/0/0: bad scalar text at offset 1: "
         f"{('1' + 'x' * 23)!r}... (4001 characters)\n"
+    )
+
+
+def test_screen_section_where_the_kit_fails_exits_two_without_a_traceback(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(UNSTABLE_RADICAL_SCREEN_SECTION))
+    proc = _verify_subprocess(str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) < 300
+    assert proc.stderr == (
+        "error: /sections/screen: cannot be checked at point 0:"
+        " radical direction does not extend to first order here\n"
     )
 
 

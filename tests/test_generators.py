@@ -1,6 +1,8 @@
 """Generated geometries must actually have the properties their notes
 claim, and the same seed must reproduce the same scene."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from lightlike_lab.generators import (
 from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split
 from lightlike_lab.linalg import identity, is_zero_vec, mat_mul, transpose
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
+from lightlike_lab.scenes import _poly_json, _vec_json
 from lightlike_lab.submanifold import construct_ltr
 from helpers import Subspace, candidate_quads, isometry_inverse, one_ring
 
@@ -350,3 +353,87 @@ def test_rad_twist_needs_two_radical_directions():
         )
     with pytest.raises(ValueError):
         perturbed_structured_scene(random.Random(0), ZERO_Q, "no-such-config")
+
+
+# ---- byte pin of the generated output ----
+
+PIN_PARAMS = [MetallicParams(p, q) for p, q in ((0, 2), (1, 1), (2, 1), (0, 3), (3, 2))]
+PIN_FLAVOR_SETS = ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",), ("ltr", "str", "screen"))
+
+
+def pin_families():
+    out = {"cylinder": cylinder_scene, "ruled": ruled_scene}
+    for r in (1, 2, 3):
+        out[f"flag-r{r}"] = lambda rng, params, r=r: random_flag_data(rng, params, r)
+    for config in ("radical-transversal", "transversal"):
+        for flavors in PIN_FLAVOR_SETS:
+            out[f"{config}/{'+'.join(flavors) or 'plain'}"] = (
+                lambda rng, params, c=config, f=flavors: perturbed_structured_scene(rng, params, c, f)
+            )
+    return out
+
+
+def pin_record(out):
+    """Every exact entry of a generator's output, as canonical scene text."""
+    if isinstance(out, tuple):
+        space, *blocks = out
+        return {"eps": list(space.eps), "blocks": [[_vec_json(v) for v in b] for b in blocks]}
+
+    def vecs(vs):
+        return None if vs is None else [_vec_json(v) for v in vs]
+
+    return {
+        "eps": list(out.immersion.space.eps),
+        "components": [_poly_json(c) for c in out.immersion.components],
+        "point": _vec_json(out.point),
+        "structure": None if out.structure is None else vecs(out.structure.matrix),
+        "r": out.expected_radical_dim,
+        "config": out.config,
+        "screen": vecs(out.screen_override),
+        "normal_screen": vecs(out.normal_screen_override),
+        "notes": list(out.notes),
+    }
+
+
+# sha256 over seeds 0-9 x PIN_PARAMS, each record followed by the next
+# 32 bits its generator would draw, so a moved or extra draw shows too
+PINNED_GENERATOR_SHA256 = {
+    "cylinder": "e063a103255fc71cba0781afbc45b78c83587f4f8444d4b6bb8a299b1712abbd",
+    "ruled": "b22cf3ec00c260fe6742b1f9d7a81ab8dacf19903e8aa035abf4fa869323f814",
+    "flag-r1": "e9796adeee284c910ceeb687d30ada37232f57683efb91e190aa455c774d07fc",
+    "flag-r2": "65b5560fb39bd3453fca9d19dcbb9b944eb9631b93a11c322628238c5f81f8ba",
+    "flag-r3": "2052804a900eb252841757ccefb3caa7d69498c03bd2ee952acf706937d5bd7b",
+    "radical-transversal/plain": "c87af2f2c888311f7a52053bfc9f78b2ed5320708143b49cd06f1b1cf8e200a4",
+    "radical-transversal/str": "587ddeadcbf12f16ee3c643cd16ad424db18abfa726e84a6c4895fa77f41c5d3",
+    "radical-transversal/ltr": "dee33c4690efabe78f1e494f137fde7712d0b95f4a31cc2732244473123df7bb",
+    "radical-transversal/rad": "1db104c0dcaaeafd9fd5b284fc7383ebb2f2493d81e4aaf7a648d27069f1c256",
+    "radical-transversal/screen": "3455e2d81065fc6282cbe830bf007d9e6b4d1a54ce73d203a3ae1a22b9b0a97b",
+    "radical-transversal/rad-twist": "d842ee6b379c0d4787de26547cdbfca64d86900d17ee372db8be7644bf21cb76",
+    "radical-transversal/ltr+str+screen": "b061c0450b9dbb1b87861b89862b68fbea5d462e03010b854a7686ae5093a088",
+    "transversal/plain": "a13008254e1362e5cfedfa2da44bc1063da2c8bb9a1e1c7766a97057c172d9d6",
+    "transversal/str": "59707cf016958efd05560145a40efb49544bd29f5cada55ab00b36173e237d4f",
+    "transversal/ltr": "cadde571623f47409f54dee8db5d3a54f98a8a872938d24a869f4649cfbd392a",
+    "transversal/rad": "0ef031a2b8e0ca056a9fd44a9602fd477667a6815c5e07eca49da39a26d0e170",
+    "transversal/screen": "f4e50ac0a9d5890d39040e2a2783576c9c23302bd321b100d1ef79c6cd673232",
+    "transversal/rad-twist": "400bb5ef4daee9ef09b7fa2d03ba6589d838d9395875f64842fb21cbe878c351",
+    "transversal/ltr+str+screen": "7461adaf971c494098b4478a1423c7cdcf21c040de82b0a50e324c063f44417b",
+}
+
+
+def test_pin_covers_every_family():
+    assert set(pin_families()) == set(PINNED_GENERATOR_SHA256)
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_GENERATOR_SHA256))
+def test_generated_output_bytes_are_pinned(family):
+    """The generators build the perfbench pools and every generated test
+    scene, so their exact output and their draw order are pinned."""
+    make = pin_families()[family]
+    digest = hashlib.sha256()
+    for params in PIN_PARAMS:
+        for seed in range(10):
+            rng = random.Random(seed)
+            record = pin_record(make(rng, params))
+            record["next"] = rng.getrandbits(32)
+            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_GENERATOR_SHA256[family]

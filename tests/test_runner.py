@@ -12,12 +12,12 @@ from importlib import resources
 import pytest
 
 from lightlike_lab.classifier import CHECK_ORDER, PointContext
-from lightlike_lab.errors import ValidationError
+from lightlike_lab.errors import InternalInconsistency, ValidationError
 from lightlike_lab.generators import perturbed_structured_scene
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.runner import TOOL_VERSION, _symmetric_singular_values, run
 from lightlike_lab.scalars import MetallicParams
-from lightlike_lab.scenes import Scene, SceneClaims, parse_scene
+from lightlike_lab.scenes import Scene, SceneClaims, parse_scene, serialize_scene
 
 import random
 
@@ -637,6 +637,78 @@ def test_drifting_screen_section_fails_stationarity():
             break
     else:
         pytest.fail("no chart direction produced a drifting section")
+
+
+# the immersion of test_kit_refuses_unstable_radical, with one screen section
+UNSTABLE_RADICAL_SCREEN_SECTION = {
+    "params": {"p": 1, "q": 1},
+    "ambient": {"dim": 3, "signature": [-1, 1, 1]},
+    "structure": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "submanifold": {
+        "chart_dim": 2,
+        "components": [
+            [{"coeff": "1", "powers": [1, 0]}],
+            [{"coeff": "1", "powers": [1, 0]}, {"coeff": "1", "powers": [1, 1]}],
+            [{"coeff": "1", "powers": [0, 1]}],
+        ],
+    },
+    "points": [["0", "0"]],
+    "sections": {"screen": [[[], [{"coeff": "1", "powers": [0, 0]}]]]},
+    "checks": ["frame"],
+    "seed": 1,
+}
+
+
+def test_screen_section_where_the_kit_fails_is_an_input_error():
+    scene = parse_scene(json.dumps(UNSTABLE_RADICAL_SCREEN_SECTION))
+    with pytest.raises(
+        ValidationError,
+        match="^/sections/screen: cannot be checked at point 0:"
+        " radical direction does not extend to first order here$",
+    ):
+        run(scene)
+
+
+def test_inconsistent_kit_in_the_section_preflight_names_the_point(monkeypatch):
+    """A kit that breaks inside the preflight is a bug, not bad input."""
+    scene, _, _ = generated_scene_with_sections()
+
+    def broken(self):
+        raise InternalInconsistency("kit disagreed with itself")
+
+    monkeypatch.setattr(PointContext, "kit", broken)
+    with pytest.raises(InternalInconsistency) as info:
+        run(scene)
+    assert info.value.point == 0
+
+
+def test_thin_transversal_claim_at_zero_p_raises_no_notice():
+    """At p = 0 a generated r = 1 transversal scene meets def-4.1, and
+    claiming so adds no notice to its report."""
+    params = MetallicParams(0, 2)
+    g = perturbed_structured_scene(random.Random(0), params, "transversal", ())
+    assert g.expected_radical_dim == 1
+
+    def report(claims):
+        scene = Scene(
+            params=params,
+            space=g.immersion.space,
+            structure=g.structure,
+            immersion=g.immersion,
+            points=(g.point,),
+            checks=("frame", "def-4.1"),
+            seed=1,
+            screen=g.screen_override,
+            normal_screen=g.normal_screen_override,
+            claims=claims,
+        )
+        return run(parse_scene(serialize_scene(scene)))
+
+    claimed = report(SceneClaims(expected_radical_dim=1, configuration="transversal"))
+    plain = report(SceneClaims())
+    assert {e["check"]: e["verdict"] for e in claimed.entries} == {"frame": "HOLDS", "def-4.1": "HOLDS"}
+    assert claimed.notices == plain.notices
+    assert not any("claim" in n for n in claimed.notices)
 
 
 def test_configuration_claim_mismatch_is_a_notice_not_a_failure():

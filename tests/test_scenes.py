@@ -334,10 +334,25 @@ def test_bad_params_rejected():
 
 
 def test_transversal_claim_needs_thick_radical():
+    # at p >= 1, J xi = N would give <J xi, J xi> = p, yet N is null
     d = base_scene_dict()
+    d["params"] = {"p": 1, "q": 1}
     d["claims"] = {"expected_radical_dim": 1, "configuration": "transversal"}
-    with pytest.raises(ValidationError, match="dimension at least 2"):
+    with pytest.raises(
+        ValidationError,
+        match="^/claims/expected_radical_dim: transversal claims need a radical of dimension at least 2$",
+    ):
         parse(d)
+
+
+def test_transversal_claim_with_thin_radical_is_accepted_at_zero_p():
+    # at p = 0 nothing obstructs J xi = N: generated r = 1 transversal
+    # scenes exist there
+    d = base_scene_dict()
+    assert d["params"]["p"] == 0
+    d["claims"] = {"expected_radical_dim": 1, "configuration": "transversal"}
+    claims = parse(d).claims
+    assert (claims.expected_radical_dim, claims.configuration) == (1, "transversal")
 
 
 def test_transversal_claim_with_thick_radical_is_accepted():
