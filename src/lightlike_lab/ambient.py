@@ -11,7 +11,7 @@ boolean.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import ShapeError, ValidationError
 from .linalg import (
@@ -60,26 +60,6 @@ class SignatureSpace(Record):
                 acc = acc + x * y if e > 0 else acc - x * y
         return acc
 
-    def basis_vector(self, i: int) -> Vec:
-        if not 0 <= i < self.dim:
-            raise ShapeError(f"basis index {i} out of range")
-        one = QuadScalar.one(self.params)
-        zero = QuadScalar.zero(self.params)
-        return tuple(one if j == i else zero for j in range(self.dim))
-
-    def zero(self) -> Vec:
-        z = QuadScalar.zero(self.params)
-        return tuple(z for _ in range(self.dim))
-
-    def gram(self, vectors: Sequence[Vec]) -> Mat:
-        """Symmetric matrix of inner products; one triangle is computed."""
-        n = len(vectors)
-        rows = [[None] * n for _ in range(n)]
-        for i, u in enumerate(vectors):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = self.inner(u, vectors[j])
-        return tuple(tuple(row) for row in rows)
-
 
 class StructureDefect(NamedTuple):
     """One exact counterexample entry from a validator."""
@@ -95,31 +75,6 @@ class StructureDefect(NamedTuple):
             f"{self.code} at ({self.row}, {self.col}): "
             f"got {self.got}, expected {self.expected}"
         )
-
-
-def diag_branches(params: MetallicParams, pattern: Sequence[str]) -> Mat:
-    """Diagonal structure matrix from a branch pattern.
-
-    Each entry is 'sigma' or 'p-sigma', the two roots of the defining
-    quadratic.  Any such diagonal matrix satisfies both validators.
-    """
-    sigma = QuadScalar.sigma(params)
-    other = QuadScalar(params.p, -1, params)
-    zero = QuadScalar.zero(params)
-    diag = []
-    for i, name in enumerate(pattern):
-        if name == "sigma":
-            diag.append(sigma)
-        elif name == "p-sigma":
-            diag.append(other)
-        else:
-            raise ValidationError(
-                f"branch {i} must be 'sigma' or 'p-sigma', got {name!r}"
-            )
-    n = len(diag)
-    return tuple(
-        tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)
-    )
 
 
 def validate_metallic(

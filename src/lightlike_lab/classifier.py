@@ -73,6 +73,7 @@ from .linalg import (
     Vec,
     identity,
     is_zero_vec,
+    lowered,
     mat_add,
     mat_mul,
     mat_sub,
@@ -709,11 +710,6 @@ def check_structure_equations(ctx: PointContext) -> CheckEntry:
 # ---- oracles shared by the criterion checks ----
 
 
-def _lowered(space: SignatureSpace, vectors: Sequence[Vec]) -> Mat:
-    """Rows eps * v, so that row . w = <v, w>."""
-    return tuple(tuple(-x if e < 0 else x for e, x in zip(space.eps, v)) for v in vectors)
-
-
 def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     """Deviation of the induced connection from metricity, on all
     coordinate triples; the deviation is a tensor, so coordinate fields
@@ -733,7 +729,7 @@ def _metric_oracle(ctx: PointContext) -> Tuple[bool, int]:
     m = len(coords)
     tangent = frame.slot_factor.projector(frame.slot_ranges["tangent"])
     normal = mat_sub(identity(space.dim, space.params), tangent)
-    rows = _lowered(space, [w.value for w in coords])
+    rows = [lowered(space.eps, w.value) for w in coords]
     # pairings[j][i*m + k] = <W_j, (I - T) h_ki>
     pairings = mat_mul(mat_mul(rows, normal), _hessian_columns(ctx))
     ok = all(
@@ -1039,7 +1035,8 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     # times C^-1 of the display: K on the screen rows and K - p C^-1 on
     # the radical and transversal ones, the normal-screen rows being zero
     j_ltr = [ctx.structure.apply(n) for n in frame.ltr]
-    pairings = mat_mul(_lowered(ctx.space, j_ltr), transpose(frame.slot_factor.basis))
+    lowered_ltr = [lowered(ctx.space.eps, v) for v in j_ltr]
+    pairings = mat_mul(lowered_ltr, transpose(frame.slot_factor.basis))
     end, start = frame.slot_ranges["transversal"].stop, frame.slot_ranges["radical"].start
     display = mat_mul([row[:end] for row in pairings], K[:start] + _shifted(ctx, -p)[start:end])
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
@@ -1198,20 +1195,6 @@ def integer_isometry(
             i, j = rng.sample(pool, 2)
             rows[i], rows[j] = rows[j], rows[i]
     return rows, d
-
-
-def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[int] = None) -> Mat:
-    """Exact rational matrix S with S^T diag(eps) S = diag(eps), as
-    QuadScalars.
-
-    S is the view M / d of ``integer_isometry`` on the same generator:
-    the same draws in the same order, and the same state left behind.
-    The audit reads the integers; the scene generators and the tests
-    read this view.
-    """
-    rows, d = integer_isometry(rng, space.eps, steps)
-    params = space.params
-    return tuple(tuple(QuadScalar(Fraction(x, d), 0, params) for x in row) for row in rows)
 
 
 class AuditCell(NamedTuple):

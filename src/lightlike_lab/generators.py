@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ambient import MetallicStructure, SignatureSpace, diag_branches
-from .classifier import _rational, random_isometry
-from .errors import InternalInconsistency, LightlikeLabError
+from .ambient import MetallicStructure, SignatureSpace
+from .classifier import _rational, integer_isometry
+from .errors import InternalInconsistency, LightlikeLabError, ValidationError
 from .linalg import (
     Mat,
     RowRing,
@@ -54,6 +54,45 @@ MAX_RESAMPLE = 50
 
 def _q(x, params: MetallicParams) -> QuadScalar:
     return QuadScalar(x, 0, params)
+
+
+def random_isometry(rng: random.Random, space: SignatureSpace, steps: Optional[int] = None) -> Mat:
+    """Exact rational matrix S with S^T diag(eps) S = diag(eps), as
+    QuadScalars.
+
+    S is the view M / d of ``classifier.integer_isometry`` on the same
+    generator: the same draws in the same order, and the same state left
+    behind.  The audit reads the integers; the scene generators and the
+    tests read this view.
+    """
+    rows, d = integer_isometry(rng, space.eps, steps)
+    params = space.params
+    return tuple(tuple(QuadScalar(Fraction(x, d), 0, params) for x in row) for row in rows)
+
+
+def diag_branches(params: MetallicParams, pattern: Sequence[str]) -> Mat:
+    """Diagonal structure matrix from a branch pattern.
+
+    Each entry is 'sigma' or 'p-sigma', the two roots of the defining
+    quadratic.  Any such diagonal matrix satisfies both validators.
+    """
+    sigma = QuadScalar.sigma(params)
+    other = QuadScalar(params.p, -1, params)
+    zero = QuadScalar.zero(params)
+    diag = []
+    for i, name in enumerate(pattern):
+        if name == "sigma":
+            diag.append(sigma)
+        elif name == "p-sigma":
+            diag.append(other)
+        else:
+            raise ValidationError(
+                f"branch {i} must be 'sigma' or 'p-sigma', got {name!r}"
+            )
+    n = len(diag)
+    return tuple(
+        tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)
+    )
 
 
 def _int_matrix_invertible(rng: random.Random, n: int) -> Tuple[Tuple[int, ...], ...]:

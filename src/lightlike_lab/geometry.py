@@ -36,8 +36,8 @@ from .linalg import (
     Vec,
     factor_system,
     lin_comb,
+    lowered,
     vec_add,
-    vec_scale,
     zero_vec,
 )
 from .scalars import QuadScalar
@@ -173,12 +173,6 @@ class FullSplit(NamedTuple):
     tangent: Vec
     ltr_coeffs: Tuple[QuadScalar, ...]
     normal_screen: Vec
-
-    def assemble(self, frame: AdaptedFrame) -> Vec:
-        acc = self.tangent
-        for c, n in zip(self.ltr_coeffs, frame.ltr):
-            acc = vec_add(acc, vec_scale(c, n))
-        return vec_add(acc, self.normal_screen)
 
 
 def _part(frame: AdaptedFrame, coords: Vec, label: str) -> Vec:
@@ -327,9 +321,9 @@ def _corrected_sections(
         return ()
     space = frame.space
     m = len(frame.point)
-    rows = [tuple(e * x for e, x in zip(space.eps, t.value)) for t in targets]
-    rows += [tuple(e * x for e, x in zip(space.eps, row)) for row in extra_rows]
-    system = factor_system(tuple(rows), space.params)
+    rows = [lowered(space.eps, t.value) for t in targets]
+    rows += [lowered(space.eps, row) for row in extra_rows]
+    system = factor_system(rows, space.params)
     rhs = [
         tuple(-space.inner(base, t.partials[l]) for t in targets)
         + tuple(extra[l] for extra in rhs_extra)

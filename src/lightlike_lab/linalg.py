@@ -1,15 +1,17 @@
 """Dense exact linear algebra over QuadScalar.
 
 Everything is small (ambient dimension stays in single digits), so the
-implementation favors transparency: plain tuples and Gauss-Jordan
-elimination with deterministic first-nonzero pivoting.  Division is
-exact in the scalar field, so elimination is too.
+implementation favors transparency: plain tuples and one Gauss-Jordan
+elimination over Q(sigma), rref, with deterministic first-nonzero
+pivoting.  Division is exact in the scalar field, so elimination is too.
 
 A basis that many vectors are split against is eliminated once:
-FactoredBasis reduces [B^T | I] and keeps the row transform, so the
-coordinates of each further vector are one matrix-vector product plus a
-residual test, and a projection onto some of the basis vectors along
-the rest is one precomputed matrix.
+FactoredBasis reduces [B^T | I] with rref, pivoting only in the basis
+columns, and keeps the row transform, so the coordinates of each further
+vector are one matrix-vector product plus a residual test, and a
+projection onto some of the basis vectors along the rest is one
+precomputed matrix.  For a square system (factor_system) the coordinate
+map of all the columns is the inverse matrix.
 
 A span is kept as primitive rows (PrimitiveRows), the one span type:
 each vector times the lcm of its denominators has entries in Z, or in
@@ -52,13 +54,6 @@ def as_scalar(value: object, params: MetallicParams) -> QuadScalar:
 
 def as_vec(entries: Iterable[object], params: MetallicParams) -> Vec:
     return tuple(as_scalar(e, params) for e in entries)
-
-
-def as_mat(rows: Iterable[Iterable[object]], params: MetallicParams) -> Mat:
-    mat = tuple(as_vec(row, params) for row in rows)
-    if mat and any(len(row) != len(mat[0]) for row in mat):
-        raise ShapeError("ragged rows")
-    return mat
 
 
 def zero_vec(n: int, params: MetallicParams) -> Vec:
@@ -166,16 +161,19 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def _reduce(rows: List[List[QuadScalar]], limit: int) -> Tuple[int, ...]:
-    """Gauss-Jordan in place, pivoting only in the first ``limit`` columns.
-
-    Pivoting is deterministic: first row with a nonzero entry in the
-    current column.  Exact arithmetic makes stability a non-issue.
-    """
+def rref(a: Mat, limit: Optional[int] = None) -> Tuple[Mat, Tuple[int, ...]]:
+    """Reduced row echelon form with the pivot column indices, pivoting
+    only in the first ``limit`` columns (all by default): Gauss-Jordan
+    with the first row nonzero in the current column as its pivot, so
+    deterministic, and exact.  rank, FactoredBasis and factor_system are
+    views of this one Q(sigma) elimination."""
+    if not a:
+        return (), ()
+    rows = [list(r) for r in a]
     nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(limit):
+    for c in range(len(rows[0]) if limit is None else limit):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -190,77 +188,16 @@ def _reduce(rows: List[List[QuadScalar]], limit: int) -> Tuple[int, ...]:
                 rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return tuple(pivots)
-
-
-def rref(a: Mat) -> Tuple[Mat, Tuple[int, ...]]:
-    """Reduced row echelon form with the pivot column indices."""
-    if not a:
-        return (), ()
-    rows = [list(r) for r in a]
-    pivots = _reduce(rows, len(rows[0]))
-    return tuple(tuple(row) for row in rows), pivots
+    return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
     return len(rref(a)[1])
 
 
-def null_space(a: Mat, ncols: int, params: MetallicParams) -> Tuple[Vec, ...]:
-    """Basis of the kernel in echelon-parameter form, one vector per free column."""
-    if a and len(a[0]) != ncols:
-        raise ShapeError(f"declared width {ncols} vs rows of width {len(a[0])}")
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    one = QuadScalar.one(params)
-    zero = QuadScalar.zero(params)
-    basis = []
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def det(a: Mat) -> QuadScalar:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ShapeError("determinant of a non-square matrix")
-    if n == 0:
-        raise ShapeError("determinant of an empty matrix")
-    params = a[0][0].params
-    rows = [list(r) for r in a]
-    result = QuadScalar.one(params)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot_row is None:
-            return QuadScalar.zero(params)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = -result
-        result = result * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[c])]
-    return result
-
-
-def invert(a: Mat) -> Optional[Mat]:
-    """Inverse matrix, or None when singular."""
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ShapeError("inverse needs a nonempty square matrix")
-    params = a[0][0].params
-    augmented = tuple(row + ident_row for row, ident_row in zip(a, identity(n, params)))
-    reduced, pivots = rref(augmented)
-    if tuple(pivots) != tuple(range(n)):
-        return None
-    return tuple(row[n:] for row in reduced)
+def lowered(eps: Sequence[int], v: Sequence) -> list:
+    """The row diag(eps) v, so that its dot product with w is <v, w>."""
+    return [-x if e < 0 else x for e, x in zip(eps, v)]
 
 
 class RowRing:
@@ -347,7 +284,7 @@ class RowRing:
         triangle computed."""
         n = len(rows)
         zero = self.zero
-        flipped = [[-x if e < 0 else x for e, x in zip(eps, u)] for u in rows]
+        flipped = [lowered(eps, u) for u in rows]
         if other is not None:
             return [[sum(map(_mul, u, v), zero) for v in other] for u in flipped]
         out = [[None] * n for _ in range(n)]
@@ -514,8 +451,8 @@ class PrimitiveRows:
     def complement(self, eps: Sequence[int]) -> "PrimitiveRows":
         """The vectors orthogonal to the span for diag(eps): x = diag(eps) y
         for y in the kernel, which is read off the pivots."""
-        flipped = [[-x if e < 0 else x for e, x in zip(eps, y)] for y in self.kernel()]
-        return PrimitiveRows.span(self.ring, flipped, self.width)
+        lowered_kernel = [lowered(eps, y) for y in self.kernel()]
+        return PrimitiveRows.span(self.ring, lowered_kernel, self.width)
 
 
 class RowElimination:
@@ -575,15 +512,17 @@ class FactoredBasis:
         k = len(self.basis)
         one = QuadScalar.one(params)
         self._zero = QuadScalar.zero(params)
-        rows = [
-            [v[i] for v in self.basis]
-            + [one if i == j else self._zero for j in range(ambient_dim)]
-            for i in range(ambient_dim)
-        ]
-        self.pivots = _reduce(rows, k)
+        reduced, self.pivots = rref(
+            [
+                [v[i] for v in self.basis]
+                + [one if i == j else self._zero for j in range(ambient_dim)]
+                for i in range(ambient_dim)
+            ],
+            k,
+        )
         r = len(self.pivots)
-        self._coord_rows: Mat = tuple(tuple(row[k:]) for row in rows[:r])
-        self._residual_rows: Mat = tuple(tuple(row[k:]) for row in rows[r:])
+        self._coord_rows: Mat = tuple(row[k:] for row in reduced[:r])
+        self._residual_rows: Mat = tuple(row[k:] for row in reduced[r:])
 
     @property
     def rank(self) -> int:

@@ -73,9 +73,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self) -> QuadScalar:
-        return self.terms.get((0,) * self.nvars, QuadScalar.zero(self.params))
-
     def _check(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
             raise ShapeError("mixed variable counts")

@@ -230,10 +230,6 @@ class QuadScalar:
         """Sigma coefficient of a + b*sigma."""
         return Fraction(self.B, self.D)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.B == 0
-
     def _check_params(self, other: "QuadScalar") -> None:
         if self.params != other.params:
             raise ParamError(
@@ -375,15 +371,6 @@ class QuadScalar:
         """A^2 + A*B*p - B^2*q, the integer norm of A + B*sigma."""
         a, b = self.A, self.B
         return a * a + a * b * self.params.p - b * b * self.params.q
-
-    def conjugate(self) -> "QuadScalar":
-        """Image under sigma -> p - sigma, the other root of the defining relation."""
-        # gcd(A + B*p, -B, D) == gcd(A, B, D) == 1
-        return _make(self.A + self.B * self.params.p, -self.B, self.D, self.params)
-
-    def field_norm(self) -> Fraction:
-        """self * self.conjugate(), always rational."""
-        return Fraction(self._norm_numerator(), self.D * self.D)
 
     def inverse(self) -> "QuadScalar":
         a, b, d = self.A, self.B, self.D
@@ -665,15 +652,6 @@ def parse_scalar(text: str, params: MetallicParams) -> QuadScalar:
     if not saw_term:
         raise ParseError(f"empty scalar text {_quote(text)}")
     return QuadScalar(a, b, params)
-
-
-def metallic_number(params: MetallicParams) -> QuadScalar:
-    """The positive root of x^2 = p*x + q, as an exact scalar.
-
-    (1, 1) gives the golden ratio (1+sqrt 5)/2, (2, 1) the silver
-    ratio 1+sqrt 2; embed() produces decimal approximations.
-    """
-    return QuadScalar.sigma(params)
 
 
 GOLDEN = MetallicParams(1, 1)

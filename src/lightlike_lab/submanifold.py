@@ -64,7 +64,7 @@ from .linalg import (
     RowElimination,
     RowRing,
     Vec,
-    invert,
+    factor_system,
     lin_comb,
     vec_scale,
     vec_sub,
@@ -312,11 +312,13 @@ def construct_ltr(
 
     The N_i satisfy <N_i, xi_j> = delta_ij, <N_i, N_j> = 0 and are
     orthogonal to both screens.  Construction: inside the orthogonal
-    space of the two screens, take any complement of the radical, apply
-    the inverse pairing matrix, then strip quadratic self-terms.  The
-    three spans are primitive rows of one ring, and the orthogonal space
-    is worked out over them; only the r chosen canonical vectors of it
-    enter Q(sigma) arithmetic.
+    space of the two screens, take any complement of the radical, factor
+    its r x r pairing with the radical once (factor_system, whose
+    coordinate map of all r columns is the inverse pairing), map the
+    complement through it to dual vectors, then strip quadratic
+    self-terms.  The three spans are primitive rows of one ring, and the
+    orthogonal space is worked out over them; only the r chosen
+    canonical vectors of it enter Q(sigma) arithmetic.
     """
     r = radical.dim
     if r == 0:
@@ -346,11 +348,11 @@ def construct_ltr(
     pairing = tuple(
         tuple(space.inner(v, xi) for xi in rad_basis) for v in chosen
     )
-    inv = invert(pairing)
-    if inv is None:
+    system = factor_system(pairing, params)
+    if system.rank < r:
         raise LtrConstructionFailed("pairing matrix against the radical is singular")
     # dual vectors: <tilde_i, xi_j> = delta_ij
-    tilde = [lin_comb(inv[i], tuple(chosen)) for i in range(r)]
+    tilde = [lin_comb(row, chosen) for row in system.coordinate_map(range(r))]
     # subtract half the mutual inner products along the radical to null them
     half = QuadScalar(Fraction(1, 2), 0, params)
     out = []
@@ -398,7 +400,8 @@ class AdaptedFrame(_FrameFields):
     vector, and every slot the checks read, takes coordinates against it
     in the slot's range of slot_ranges.  jacobian_factor is the only other
     basis the frame factors.  Both are factored on first use and kept
-    for the life of the frame; build_frame factors neither.
+    for the life of the frame; build_frame factors neither, only the
+    r x r pairing of construct_ltr.
     """
 
     @property

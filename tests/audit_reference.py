@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from lightlike_lab.ambient import SignatureSpace
-from lightlike_lab.classifier import _lowered
 from lightlike_lab.errors import InternalInconsistency
-from lightlike_lab.linalg import Mat, Vec, identity, is_zero_vec, mat_vec, transpose
+from lightlike_lab.linalg import Mat, Vec, identity, is_zero_vec, lowered, mat_vec, transpose
 from lightlike_lab.scalars import MetallicParams, QuadScalar
+from helpers import gram_matrix
 
 
 def _q(x, params: MetallicParams) -> QuadScalar:
@@ -149,12 +149,11 @@ def null_dual_candidate(
     # more here than isometry depth
     iso = random_isometry(rng, space, steps=rng.randrange(0, 4))
     iso_t = transpose(iso)
-    gram = space.gram(iso_t)
+    gram = gram_matrix(space, iso_t)
     if any(gram[i][j] != (eps[i] if i == j else 0) for i in range(n) for j in range(i, n)):
         raise InternalInconsistency("drawn matrix is not an isometry", check="audit-nonexistence")
     xi = mat_vec(iso, xi0)
-    (lowered,) = _lowered(space, (xi,))
-    (back,) = _lowered(space, (mat_vec(iso_t, lowered),))
+    back = tuple(lowered(eps, mat_vec(iso_t, lowered(eps, xi))))
     if back != xi0:
         raise InternalInconsistency("isometry adjoint inverse failed", check="audit-nonexistence")
     jxi = mat_vec(iso, tuple(d * x for d, x in zip(diag, back)))

@@ -4,7 +4,7 @@ lightlike_lab.submanifold replaced, kept as a test oracle.
 Every span here is a Subspace over Q(sigma): the Jacobian and the
 screens are eliminated with rref, the radical is J^T ker G from a
 QuadScalar null_space of the tangent Gram matrix, each greedy complement
-reads SignatureSpace.gram and decides nondegeneracy by a Schur pivot
+reads a QuadScalar gram_matrix and decides nondegeneracy by a Schur pivot
 against an L D L^T factor, and each declared screen is checked with det.
 test_frame_reference.py holds the integer build to the same frame, field
 for field and triple for triple, and to the same raises.
@@ -24,12 +24,9 @@ from lightlike_lab.errors import (
 )
 from lightlike_lab.linalg import (
     Vec,
-    det,
-    invert,
     is_zero_vec,
     lin_comb,
     mat_vec,
-    null_space,
     transpose,
     vec_scale,
     vec_sub,
@@ -37,7 +34,16 @@ from lightlike_lab.linalg import (
 from lightlike_lab.scalars import QuadScalar
 from lightlike_lab.submanifold import AdaptedFrame, PolynomialImmersion, classify_case
 
-from helpers import OpenElimination, Subspace, orthogonal_complement, subspace_sum
+from helpers import (
+    OpenElimination,
+    Subspace,
+    det,
+    gram_matrix,
+    invert,
+    null_space,
+    orthogonal_complement,
+    subspace_sum,
+)
 
 
 def tangent_space(
@@ -98,7 +104,7 @@ def _greedy_complement(
     """
     if not whole.contains_subspace(sub):
         raise ShapeError("sub is not inside whole")
-    gram = space.gram(whole.basis)
+    gram = gram_matrix(space, whole.basis)
     if not sub.dim:
         if whole.dim and not det(gram):
             raise InternalInconsistency("complement of the radical came out degenerate")
@@ -174,7 +180,7 @@ def _validate_override(
     elimination = OpenElimination(sub)
     if not all(elimination.extend(v) for v in candidate.basis):
         raise ScreenInvalid(f"{label}: does not complement the radical")
-    if candidate.dim and not det(space.gram(candidate.basis)):
+    if candidate.dim and not det(gram_matrix(space, candidate.basis)):
         raise ScreenInvalid(f"{label}: induced metric on the override is degenerate")
     return candidate
 
@@ -270,7 +276,7 @@ def build_frame(
     normal = orthogonal_complement(space, tangent)
     # J has full rank, so J^T c is orthogonal to the tangent space exactly
     # when G c = 0: the radical is the image of the Gram kernel
-    gram = space.gram(jac)
+    gram = gram_matrix(space, jac)
     kernel = null_space(gram, len(jac), space.params)
     columns = transpose(jac)
     radical = Subspace(

@@ -5,6 +5,12 @@ parse_polynomial reads the text Polynomial.to_string writes, so tests
 can state immersions as 'u1 + s*u2' instead of exponent dictionaries.
 solve returns one solution of a linear system through a plain rref,
 an oracle independent of the factored bases the package splits with.
+as_mat, null_space, det and invert are the dense Q(sigma) references
+the package's factored systems and Bareiss tests are held to; det is
+its own forward elimination, apart from rref.  gram_matrix, conjugate,
+field_norm, constant_term and assemble are the reference reads of a
+space, a scalar, a polynomial and a full split that the runtime never
+needs.
 hl_vector, rad_vector, apply_structure_field, project, the Weingarten
 and star-form splits and metric_deviation rebuild, one vector at a
 time, what the package reads in slot coordinates: the per-vector
@@ -36,7 +42,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from lightlike_lab.ambient import MetallicStructure, SignatureSpace
 from lightlike_lab.classifier import NullDualCandidate, PointContext, ProjectorSet
@@ -44,6 +50,7 @@ from lightlike_lab.errors import ParseError, ShapeError
 from lightlike_lab.generators import perturbed_structured_scene
 from lightlike_lab.geometry import (
     AmbientJet,
+    FullSplit,
     TangentJet,
     derive,
     full_split,
@@ -56,12 +63,12 @@ from lightlike_lab.linalg import (
     PrimitiveRows,
     RowRing,
     Vec,
-    invert,
+    as_vec,
+    identity,
     is_zero_vec,
     lin_comb,
     mat_mul,
     mat_vec,
-    null_space,
     rref,
     transpose,
     vec_add,
@@ -205,6 +212,98 @@ def parse_polynomial(text: str, nvars: int, params: MetallicParams) -> Polynomia
     if not tokens:
         raise ParseError("empty polynomial text")
     return _Parser(tokens, nvars, params).parse()
+
+
+def as_mat(rows: Iterable[Iterable[object]], params: MetallicParams) -> Mat:
+    mat = tuple(as_vec(row, params) for row in rows)
+    if mat and any(len(row) != len(mat[0]) for row in mat):
+        raise ShapeError("ragged rows")
+    return mat
+
+
+def null_space(a: Mat, ncols: int, params: MetallicParams) -> Tuple[Vec, ...]:
+    """Basis of the kernel in echelon-parameter form, one vector per free column."""
+    if a and len(a[0]) != ncols:
+        raise ShapeError(f"declared width {ncols} vs rows of width {len(a[0])}")
+    reduced, pivots = rref(a)
+    pivot_set = set(pivots)
+    one = QuadScalar.one(params)
+    zero = QuadScalar.zero(params)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def det(a: Mat) -> QuadScalar:
+    """Determinant by forward elimination, its own loop apart from rref."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ShapeError("determinant of a non-square matrix")
+    if n == 0:
+        raise ShapeError("determinant of an empty matrix")
+    params = a[0][0].params
+    rows = [list(r) for r in a]
+    result = QuadScalar.one(params)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot_row is None:
+            return QuadScalar.zero(params)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            result = -result
+        result = result * rows[c][c]
+        inv = rows[c][c].inverse()
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[c])]
+    return result
+
+
+def invert(a: Mat) -> Optional[Mat]:
+    """Inverse matrix through rref of [a | I], or None when singular."""
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ShapeError("inverse needs a nonempty square matrix")
+    params = a[0][0].params
+    augmented = tuple(row + ident_row for row, ident_row in zip(a, identity(n, params)))
+    reduced, pivots = rref(augmented)
+    if tuple(pivots) != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+def gram_matrix(space: SignatureSpace, vectors: Sequence[Vec]) -> Mat:
+    """Symmetric matrix of the inner products of the vectors."""
+    return tuple(tuple(space.inner(u, v) for v in vectors) for u in vectors)
+
+
+def conjugate(x: QuadScalar) -> QuadScalar:
+    """Image under sigma -> p - sigma, the other root of the defining relation."""
+    return QuadScalar(x.a + x.b * x.params.p, -x.b, x.params)
+
+
+def field_norm(x: QuadScalar) -> Fraction:
+    """x * conjugate(x) = a^2 + a b p - b^2 q, always rational."""
+    a, b, params = x.a, x.b, x.params
+    return a * a + a * b * params.p - b * b * params.q
+
+
+def constant_term(f: Polynomial) -> QuadScalar:
+    return f.terms.get((0,) * f.nvars, QuadScalar.zero(f.params))
+
+
+def assemble(parts: FullSplit, frame: AdaptedFrame) -> Vec:
+    """tangent + sum_i ltr_coeffs[i] N_i + normal_screen."""
+    acc = parts.tangent
+    for c, n in zip(parts.ltr_coeffs, frame.ltr):
+        acc = vec_add(acc, vec_scale(c, n))
+    return vec_add(acc, parts.normal_screen)
 
 
 def solve(a: Mat, b: Vec) -> Optional[Vec]:

@@ -42,6 +42,7 @@ from lightlike_lab.linalg import (
     Vec,
     identity,
     is_zero_vec,
+    lowered,
     mat_add,
     mat_mul,
     mat_sub,
@@ -145,7 +146,7 @@ def transversal_coefficients(ctx: PointContext) -> Mat:
     frame: the lowered radical basis.  <xi_j, v> is the N_j coefficient
     of v, since xi_j is orthogonal to the tangent space and the normal
     screen and <N_i, xi_j> = delta_ij, which build_frame asserts."""
-    return classifier._lowered(ctx.space, ctx.frame.rad_basis)
+    return tuple(tuple(lowered(ctx.space.eps, v)) for v in ctx.frame.rad_basis)
 
 
 # ---- structure equation audit ----
@@ -347,8 +348,11 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     k1 = [mat_vec(L, v) for v in j_ltr]
     k2 = [mat_vec(T, v) for v in j_ltr]
     no_transversal_component = all(is_zero_vec(v) for v in k1)
-    lowered = classifier._lowered
-    balance = mat_add(mat_mul(lowered(ctx.space, k1), radical), mat_mul(lowered(ctx.space, k2), L))
+    eps = ctx.space.eps
+    balance = mat_add(
+        mat_mul([lowered(eps, v) for v in k1], radical),
+        mat_mul([lowered(eps, v) for v in k2], L),
+    )
     # the printed display: P_radical + T J L, both after J - p
     printed = mat_add(radical, mat_mul(mat_mul(T, J), L))
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
@@ -425,7 +429,7 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     display = mat_sub(mat_mul(mat_add(T, L), J), _scaled(p, mat_add(radical, L)))
     j_ltr = [ctx.structure.apply(n) for n in ctx.frame.ltr]
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
-    samples = _applied(mat_mul(classifier._lowered(ctx.space, j_ltr), display), columns)
+    samples = _applied(mat_mul([lowered(ctx.space.eps, v) for v in j_ltr], display), columns)
     criterion = not samples
     oracle, bad = classifier._component_oracle(
         ctx, kit.screen_adapted, geodesic=True, keep="radical"

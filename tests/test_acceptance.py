@@ -7,7 +7,9 @@ test below tolerates an approximate pass: residuals are compared against
 exact zero and report bytes against byte equality.
 """
 
+import importlib
 import json
+import pkgutil
 import random
 import sys
 import time
@@ -16,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 
 from lightlike_lab import ambient, classifier, linalg, runner
-from lightlike_lab.ambient import MetallicStructure, SignatureSpace, diag_branches
+from lightlike_lab.ambient import MetallicStructure, SignatureSpace
 from lightlike_lab.classifier import (
     POINT_CHECK_FUNCTIONS,
     PointContext,
@@ -26,23 +28,17 @@ from lightlike_lab.classifier import (
     check_structure_quadratic,
 )
 from lightlike_lab.errors import InsufficientScene, NotLightlike
-from lightlike_lab.generators import perturbed_structured_scene
+from lightlike_lab.generators import diag_branches, perturbed_structured_scene
 from lightlike_lab.geometry import (
     derive,
     full_split,
     gauss_split,
     split_tangent,
 )
-from lightlike_lab.linalg import identity, invert, mat_mul
+from lightlike_lab.linalg import identity, mat_mul, zero_vec
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.runner import run
-from lightlike_lab.scalars import (
-    GOLDEN,
-    SILVER,
-    MetallicParams,
-    QuadScalar,
-    metallic_number,
-)
+from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
 from lightlike_lab.scenes import Scene, SceneClaims, parse_scene, serialize_scene
 from lightlike_lab.submanifold import (
     AdaptedFrame,
@@ -51,7 +47,9 @@ from lightlike_lab.submanifold import (
     construct_ltr,
 )
 from helpers import (
+    assemble,
     hl_vector,
+    invert,
     metric_deviation,
     solve,
     star_forms_radical,
@@ -90,7 +88,7 @@ def entry_for(report, cid):
 
 def test_criterion_1_metallic_numbers_exact_and_fast():
     def work():
-        return metallic_number(GOLDEN), metallic_number(SILVER)
+        return QuadScalar.sigma(GOLDEN), QuadScalar.sigma(SILVER)
 
     # best of five to dodge scheduler jitter; each call must be sub-ms
     best = min(_timed(work) for _ in range(5))
@@ -243,7 +241,7 @@ def scene_battery(g):
     kit = ctx.kit()
     space = frame.space
     m = g.immersion.chart_dim
-    zvec = space.zero()
+    zvec = zero_vec(space.dim, space.params)
     coords = ctx.chart().coordinates
 
     assert m <= 3 and space.dim <= 6
@@ -262,7 +260,7 @@ def scene_battery(g):
         for y in fields[i:]:
             deriv = derive(x, y)
             parts = full_split(frame, deriv)
-            assert parts.assemble(frame) == deriv
+            assert assemble(parts, frame) == deriv
             gxy = gauss_split(frame, x, y)
             gyx = gauss_split(frame, y, x)
             assert gxy.hl == gyx.hl
@@ -478,27 +476,31 @@ def _gate_frames():
 
 
 def test_criterion_5_frame_build_forms_no_quadscalar_gram_det_or_kernel(monkeypatch):
-    """A load-free companion to the frame budget above: on the gate
-    frames, build_frame calls SignatureSpace.gram, det and null_space
-    zero times, because its span work runs on primitive integer rows."""
+    """A load-free companion to the frame budget above: no module under
+    src has a QuadScalar Gram matrix (SignatureSpace.gram), det or
+    null_space, because build_frame's span work runs on primitive integer
+    rows.  On the gate frames its one QuadScalar elimination is the
+    r x r transversal pairing, factored once when r > 0."""
+    package = importlib.import_module("lightlike_lab")
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"lightlike_lab.{info.name}")
+        assert not hasattr(module, "det") and not hasattr(module, "null_space"), info.name
+    assert not hasattr(SignatureSpace, "gram")
     frames = _gate_frames()
-    counts = Counter()
-    _count_calls(monkeypatch, SignatureSpace, "gram", counts)
-    _count_calls(monkeypatch, linalg, "det", counts)
-    _count_calls(monkeypatch, linalg, "null_space", counts)
-    radical_dims = Counter(
-        build_frame(immersion, point, screen, normal_screen).radical_dim
-        for immersion, point, screen, normal_screen in frames
-    )
-    assert counts == Counter()
+    shapes, radical_dims, misses = Counter(), Counter(), []
+    _count_calls(monkeypatch, linalg, "rref", shapes, key=lambda a, *_: (len(a), len(a[0])))
+    for immersion, point, screen, normal_screen in frames:
+        shapes.clear()
+        r = build_frame(immersion, point, screen, normal_screen).radical_dim
+        radical_dims[r] += 1
+        if shapes != (Counter({(r, 2 * r): 1}) if r else Counter()):
+            misses.append((r, shapes.copy()))
+    assert misses == []
     assert len(frames) == 74 and radical_dims[1] and radical_dims[2]
-    # the counters see a call when there is one
-    space = SignatureSpace(2, (-1, 1), GOLDEN)
-    square = identity(2, GOLDEN)
-    space.gram(square)
-    linalg.det(square)
-    linalg.null_space(square, 2, GOLDEN)
-    assert counts == Counter({"gram": 1, "det": 1, "null_space": 1})
+    # the counter sees a call when there is one
+    shapes.clear()
+    linalg.rank(identity(2, GOLDEN))
+    assert shapes == Counter({(2, 2): 1})
 
 
 def test_criterion_5_frame_build_picks_one_ring_and_clears_only_its_inputs(monkeypatch):
@@ -529,8 +531,8 @@ def test_criterion_5_frame_build_picks_one_ring_and_clears_only_its_inputs(monke
 def test_criterion_5_transversal_projectors_refine_the_four_slot_set(monkeypatch):
     """A load-free companion to the frame budget: on a fixed p = 0
     transversal sweep, once the four-slot projectors exist, mu and the
-    transversal projectors call rref zero times and factor exactly one
-    basis, the normal screen's mapped-screen + mu basis."""
+    transversal projectors factor exactly one basis, the normal screen's
+    mapped-screen + mu basis, and call rref only for that factorization."""
     contexts = []
     for q in (2, 3, 5):
         for flavors in ((), ("str",), ("ltr",), ("rad",), ("screen",), ("rad-twist",)):
@@ -558,17 +560,17 @@ def test_criterion_5_transversal_projectors_refine_the_four_slot_set(monkeypatch
         proj = ctx.projectors("transversal")
         assert factored[factored_before:] == [ctx.frame.normal_screen.dim]
         assert not proj.audit()
-    assert counts == Counter()
+    assert counts == Counter({"rref": 18}) and len(factored) == 18
     assert len(contexts) == 18 and any(ctx.frame.screen.dim for ctx in contexts)
     # the counters see a call when there is one
     linalg.rank(identity(2, GOLDEN))
     linalg.FactoredBasis(identity(2, GOLDEN), 2, GOLDEN)
-    assert counts == Counter({"rref": 1}) and factored[-1] == 2
+    assert counts == Counter({"rref": 20}) and factored[-1] == 2
 
 
 def test_criterion_5_configuration_reads_the_slot_coordinates(monkeypatch):
     """Both configuration predicates, in both modes, read the frame's
-    slot coordinates off J^: every rref they call ranks an in-slot
+    slot coordinates off J^: every rank they take is of an in-slot
     block of its radical or screen columns, narrower than the ambient
     space, and no structure image takes coordinates one vector at a
     time.  linalg has no Q(sigma) span class for them to build."""
@@ -587,7 +589,7 @@ def test_criterion_5_configuration_reads_the_slot_coordinates(monkeypatch):
                 )
     assert not hasattr(linalg, "Subspace")
     widths, reads = Counter(), Counter()
-    _count_calls(monkeypatch, linalg, "rref", widths, key=lambda a: len(a[0]) if a else 0)
+    _count_calls(monkeypatch, linalg, "rank", widths, key=lambda a: len(a[0]) if a else 0)
     _count_calls(monkeypatch, AdaptedFrame, "slot_coords", reads)
     _count_calls(monkeypatch, linalg.FactoredBasis, "coords", reads)
     holding, ranked = Counter(), 0
@@ -666,7 +668,8 @@ def test_criterion_5_sweep_kit_forms_each_pairing_once(monkeypatch):
     the sweep pool the field kits make 578 inner products and factor 46
     systems.  Each pairing is formed once, d_l <W_j, W_k> from the
     <d_l W_j, W_k> with l <= j, and <d_l W_a, N_i> once for all screen
-    vectors; forming d_l <W_j, W_k> pair by pair made 822."""
+    vectors; forming d_l <W_j, W_k> pair by pair made 822.  Outside the
+    kits, each of the 12 frames factors only its transversal pairing."""
     scenes = _sweep_pool()
     counts, inside = Counter(), []
     inner, build = SignatureSpace.inner, classifier.build_field_kit
@@ -685,16 +688,19 @@ def test_criterion_5_sweep_kit_forms_each_pairing_once(monkeypatch):
 
     monkeypatch.setattr(SignatureSpace, "inner", counting_inner)
     monkeypatch.setattr(classifier, "build_field_kit", building)
-    _count_calls(monkeypatch, linalg, "factor_system", counts)
+    _count_calls(
+        monkeypatch, linalg, "factor_system", counts,
+        key=lambda *_: "factor_system" if inside else "pairings",
+    )
     for scene in scenes:
         run(scene, seed=1)
-    assert counts == Counter({"kits": 12, "inner": 578, "factor_system": 46})
+    assert counts == Counter({"kits": 12, "inner": 578, "factor_system": 46, "pairings": 12})
     # the counters see a call when there is one
     space = SignatureSpace(2, (-1, 1), GOLDEN)
     inside.append(None)
     space.inner(identity(2, GOLDEN)[0], identity(2, GOLDEN)[1])
     linalg.factor_system(identity(2, GOLDEN), GOLDEN)
-    assert counts == Counter({"kits": 12, "inner": 579, "factor_system": 47})
+    assert counts == Counter({"kits": 12, "inner": 579, "factor_system": 47, "pairings": 12})
 
 
 def test_criterion_5_sweep_keeps_structure_facts(monkeypatch):

@@ -23,18 +23,17 @@ from lightlike_lab.classifier import (
     Verdict,
     check_frame,
     check_single_null_obstruction,
-    random_isometry,
 )
 from lightlike_lab.errors import InternalInconsistency, NotLightlike
 from lightlike_lab.generators import (
     perturbed_structured_scene,
+    random_isometry,
     transform_immersion,
     transform_structure,
 )
 from lightlike_lab.geometry import derive, gauss_split, lie_bracket, split_tangent
 from lightlike_lab.linalg import (
     FactoredBasis,
-    invert,
     is_zero_vec,
     mat_mul,
     mat_vec,
@@ -48,6 +47,8 @@ from lightlike_lab.scenes import parse_scene
 from lightlike_lab.submanifold import PolynomialImmersion
 from helpers import (
     apply_structure_field,
+    conjugate,
+    invert,
     project,
     radical_onto_ltr,
     screen_kept,
@@ -586,13 +587,16 @@ def test_hessian_is_evaluated_once_per_point_and_only_on_demand(monkeypatch):
     assert calls == [ctx.frame.point]
 
 
-# Every FactoredBasis one point's checks build, in order, as (what,
-# vectors, their length): the frame's four slot bases stacked, the one
-# ambient-complete factorization; the Jacobian; the k-wide normal-screen
-# coordinates of a transversal point's mapped-screen + mu basis; and the
-# kit's linear systems, whose vectors are system columns
+# Every FactoredBasis one point builds, in order, as (what, vectors,
+# their length): the frame build's r x r transversal pairing, whose
+# vectors are its columns; then for the checks the frame's four slot
+# bases stacked, the one ambient-complete factorization; the Jacobian;
+# the k-wide normal-screen coordinates of a transversal point's
+# mapped-screen + mu basis; and the kit's linear systems, whose vectors
+# are system columns
 FACTORIZATIONS = {
     "radical-transversal-plane": [
+        ("pairing", 1, 1),
         ("slots", 3, 3),
         ("system", 2, 2),
         ("jacobian", 2, 3),
@@ -600,6 +604,7 @@ FACTORIZATIONS = {
         ("system", 2, 1),
     ],
     "transversal-plane": [
+        ("pairing", 2, 2),
         ("slots", 5, 5),
         ("system", 2, 2),
         ("jacobian", 2, 5),
@@ -608,6 +613,7 @@ FACTORIZATIONS = {
         ("system", 2, 2),
     ],
     "transversal-recorded": [
+        ("pairing", 2, 2),
         ("slots", 6, 6),
         ("mapped-screen + mu", 1, 1),
         ("system", 3, 3),
@@ -632,11 +638,15 @@ def test_each_basis_is_eliminated_at_most_once_per_point(name, monkeypatch):
     fixture = resources.files("lightlike_lab") / "fixtures" / f"{name}.json"
     sc = parse_scene(fixture.read_bytes())
     ctx = PointContext(sc.immersion, sc.structure, sc.points[0], sc.screen, sc.normal_screen)
-    assert not eliminated  # building the frame factors nothing
+    frame = ctx.frame
+    # building the frame factors exactly its r x r transversal pairing
+    (pairing,) = eliminated
+    r = frame.radical_dim
+    assert len(pairing) == r and all(len(column) == r for column in pairing)
     for check in POINT_CHECK_FUNCTIONS.values():
         check(ctx)
-    frame = ctx.frame
     known = {
+        pairing: "pairing",
         frame.screen.basis + frame.rad_basis + frame.ltr + frame.normal_screen.basis: "slots",
         frame.tangent_jacobian: "jacobian",
     }
@@ -921,7 +931,7 @@ def _rebuilt(space, immersion, structure, f=lambda x: x):
 
 
 def _conjugated_scene(scene):
-    conj = QuadScalar.conjugate
+    conj = conjugate
     immersion, structure = _rebuilt(scene.space, scene.immersion, scene.structure, conj)
     return scene._replace(
         immersion=immersion,
@@ -976,7 +986,7 @@ def _generated_verdicts(config, flavors, q, seed):
 @pytest.mark.parametrize("config,flavors,q,seed", _symmetry_cases())
 def test_point_verdicts_survive_galois_conjugation(config, flavors, q, seed):
     sc, verdicts = _generated_verdicts(config, flavors, q, seed)
-    conj = QuadScalar.conjugate
+    conj = conjugate
     immersion, structure = _rebuilt(sc.immersion.space, sc.immersion, sc.structure, conj)
     after = PointContext(
         immersion,

@@ -9,18 +9,19 @@ from fractions import Fraction
 import pytest
 
 from lightlike_lab import classifier
-from lightlike_lab.ambient import MetallicStructure, SignatureSpace, diag_branches
+from lightlike_lab.ambient import MetallicStructure, SignatureSpace
 from lightlike_lab.classifier import (
     AuditCell,
     integer_isometry,
     null_dual_candidate,
-    random_isometry,
 )
 from lightlike_lab.errors import InternalInconsistency
 from lightlike_lab.generators import (
     cylinder_scene,
+    diag_branches,
     perturbed_structured_scene,
     random_flag_data,
+    random_isometry,
     ruled_scene,
 )
 from lightlike_lab.geometry import build_field_kit, chart_jet, gauss_split

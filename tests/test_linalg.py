@@ -5,6 +5,7 @@ smallest nonzero singular value is provably far above the SVD tolerance
 for these sizes, so the float oracle cannot misreport.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,16 +17,13 @@ from lightlike_lab.ambient import SignatureSpace
 from lightlike_lab.errors import NotInSpan, ShapeError
 from lightlike_lab.linalg import (
     FactoredBasis,
-    as_mat,
     as_vec,
-    det,
+    factor_system,
     identity,
-    invert,
     is_zero_vec,
     lin_comb,
     mat_mul,
     mat_vec,
-    null_space,
     rank,
     rref,
     transpose,
@@ -34,7 +32,18 @@ from lightlike_lab.linalg import (
     vec_sub,
 )
 from lightlike_lab.scalars import GOLDEN, SILVER, MetallicParams, QuadScalar
-from helpers import OpenElimination, Subspace, intersect, solve, subspace_sum
+from helpers import (
+    OpenElimination,
+    Subspace,
+    as_mat,
+    det,
+    gram_matrix,
+    intersect,
+    invert,
+    null_space,
+    solve,
+    subspace_sum,
+)
 
 P = GOLDEN
 
@@ -188,6 +197,40 @@ def test_det_multiplicative(a, b):
     if len(a[0]) != n or len(b) != n or len(b[0]) != n:
         return
     assert det(mat_mul(a, b)) == det(a) * det(b)
+
+
+@pytest.mark.parametrize("params", [GOLDEN, SILVER], ids=["golden", "silver"])
+def test_factored_square_system_inverts_as_the_reference(params):
+    """The transversal frame solves its pairing through factor_system:
+    on seeded nonsingular square matrices the coordinate map of all n
+    columns is the reference inverse, and a singular matrix (one row a
+    combination of the others) factors with rank below n."""
+    rng = random.Random(27)
+
+    def entry():
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return QuadScalar(a, rng.randint(-1, 1), params)
+
+    counts = {"nonsingular": 0, "singular": 0}
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        a = [tuple(entry() for _ in range(n)) for _ in range(n)]
+        if rng.random() < 0.4:  # row 0 becomes a combination of the others
+            combination = tuple(x - x for x in a[0])
+            for row in a[1:]:
+                combination = vec_add(combination, vec_scale(entry(), row))
+            a[0] = combination
+        a = tuple(a)
+        system = factor_system(a, params)
+        inverse = invert(a)
+        if inverse is None:
+            counts["singular"] += 1
+            assert system.rank < n
+        else:
+            counts["nonsingular"] += 1
+            assert system.rank == n
+            assert system.coordinate_map(range(n)) == inverse
+    assert counts["nonsingular"] >= 20 and counts["singular"] >= 20, counts
 
 
 # ---- subspaces ----
@@ -415,7 +458,7 @@ def test_open_elimination_seed_is_taken_as_is():
 
 def test_gram_symmetric():
     vs = as_mat([[1, 2], [3, 4]], P)
-    g = SignatureSpace(2, (1, -1), P).gram(vs)
+    g = gram_matrix(SignatureSpace(2, (1, -1), P), vs)
     assert g == transpose(g)
     assert g[0][0] == q(-3)
 

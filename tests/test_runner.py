@@ -366,7 +366,9 @@ def holds_and_na_scene():
     from fractions import Fraction
 
     from lightlike_lab.ambient import MetallicStructure, SignatureSpace
-    from lightlike_lab.linalg import invert, mat_mul, transpose
+    from lightlike_lab.linalg import mat_mul, transpose
+
+    from helpers import invert
     from lightlike_lab.scalars import QuadScalar
     from lightlike_lab.submanifold import PolynomialImmersion
 

@@ -24,9 +24,8 @@ from lightlike_lab.errors import (
     ValidationError,
 )
 from lightlike_lab import linalg
-from lightlike_lab.classifier import random_isometry
-from lightlike_lab.generators import perturbed_structured_scene
-from lightlike_lab.linalg import as_mat, as_vec, det, mat_vec, rank
+from lightlike_lab.generators import perturbed_structured_scene, random_isometry
+from lightlike_lab.linalg import as_vec, mat_vec, rank
 from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
 from lightlike_lab.scenes import parse_scene
@@ -39,7 +38,10 @@ from lightlike_lab.submanifold import (
 )
 from helpers import (
     Subspace,
+    as_mat,
     as_subspace,
+    det,
+    gram_matrix,
     intersect,
     orthogonal_complement,
     parse_polynomial,
@@ -119,7 +121,7 @@ def test_worked_example_gram_and_radical():
     """sigma^2 = 2 here, so the induced metric is [[1,2,0],[2,1,0],[0,0,1]]
     and it is nondegenerate: the radical is zero."""
     frame = worked_example_frame()
-    gram = frame.space.gram(frame.tangent_jacobian)
+    gram = gram_matrix(frame.space, frame.tangent_jacobian)
     expected = as_mat([[1, 2, 0], [2, 1, 0], [0, 0, 1]], P02)
     assert gram == expected
     assert frame.radical_dim == 0
@@ -130,7 +132,7 @@ def test_worked_example_gram_and_radical():
 
 def test_worked_example_float_oracle():
     frame = worked_example_frame()
-    gram = frame.space.gram(frame.tangent_jacobian)
+    gram = gram_matrix(frame.space, frame.tangent_jacobian)
     gf = np.array([[float(x) for x in row] for row in gram])
     expected = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.max(np.abs(gf - expected)) < 1e-9
@@ -373,7 +375,7 @@ def _rank_greedy_complement(space, whole, sub):
     for v in whole.basis:
         if len(chosen) == target:
             break
-        if independent(v) and det(space.gram(tuple(chosen) + (v,))):
+        if independent(v) and det(gram_matrix(space, tuple(chosen) + (v,))):
             chosen.append(v)
     for v in whole.basis:
         if len(chosen) == target:
@@ -537,7 +539,7 @@ def test_greedy_screen_reads_the_full_schur_pivot():
     whole = Subspace(basis, 6, GOLDEN)
     radical = intersect(whole, orthogonal_complement(space, whole))
     assert radical == Subspace((as_vec([1, -3, 2, -2, -1, 1], GOLDEN),), 6, GOLDEN)
-    assert not det(space.gram(basis[1:4]))
+    assert not det(gram_matrix(space, basis[1:4]))
     screen = screen_rows(space, whole, radical)
     assert screen.basis == (basis[0], basis[1], basis[2], basis[4])
     assert span_fields(screen) == span_fields(_rank_greedy_complement(space, whole, radical))
@@ -563,28 +565,25 @@ def test_one_frame_eliminates_the_jacobian_once(monkeypatch):
     """On radical-transversal-deep (r = 2, both screens declared) one
     build_frame eliminates the Jacobian once, as primitive integer rows,
     and makes at most 10 reductions in all, primitive-row Gauss-Jordan
-    passes and QuadScalar reductions together; eliminating it again for
-    its rank, or rank-testing each candidate, raises the count."""
+    passes and QuadScalar reductions (rref, the only one) together;
+    eliminating it again for its rank, or rank-testing each candidate,
+    raises the count."""
     fixture = resources.files("lightlike_lab") / "fixtures" / "radical-transversal-deep.json"
     sc = parse_scene(fixture.read_bytes())
     reductions = [0]
     eliminated = Counter()
-    reduce, rref, span = linalg._reduce, linalg.rref, linalg.PrimitiveRows.span
+    rref, span = linalg.rref, linalg.PrimitiveRows.span
 
-    def counting_reduce(rows, limit):
+    def counting_rref(a, limit=None):
         reductions[0] += 1
-        return reduce(rows, limit)
-
-    def counting_rref(a):
-        eliminated["rref", tuple(a)] += 1
-        return rref(a)
+        eliminated["rref", tuple(map(tuple, a))] += 1
+        return rref(a, limit)
 
     def counting_span(cls, ring, spanning, width):
         reductions[0] += 1
         eliminated["rows", tuple(tuple(v) for v in spanning)] += 1
         return span(ring, spanning, width)
 
-    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(linalg.PrimitiveRows, "span", classmethod(counting_span))
     frame = build_frame(sc.immersion, sc.points[0], sc.screen, sc.normal_screen)
@@ -594,6 +593,10 @@ def test_one_frame_eliminates_the_jacobian_once(monkeypatch):
     cleared = tuple(tuple(ring.clear(v)[0]) for v in jacobian)
     assert eliminated["rows", cleared] + eliminated["rref", jacobian] == 1
     assert reductions[0] <= 10
+    # the counters see a call when there is one, a factored basis too
+    before = reductions[0]
+    linalg.FactoredBasis(jacobian, frame.space.dim, frame.space.params)
+    assert reductions[0] == before + 1
 
 
 def test_immersion_is_differentiated_once(monkeypatch):
