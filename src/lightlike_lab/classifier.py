@@ -44,8 +44,6 @@ import copy
 import functools
 import math
 import random
-import threading
-from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -1308,22 +1306,19 @@ def null_dual_candidate(rng: random.Random, cell: AuditCell) -> NullDualCandidat
 
 # ---- randomized nonexistence audit ----
 
-# The audit ignores the scene, so its witness depends only on the
-# generator state it starts from and the trial count.  Completed audits
-# are kept per process under that key, together with the generator
-# state they leave behind, and the least recently used is evicted.  The
-# five shipped fixtures that request the audit carry five distinct
-# seeds, so a process looping them under their own seeds needs five
-# entries; eight leave room for a few more.  An entry holds two
-# generator states, about 50 KB.
-_AUDIT_MEMO_SIZE = 8
-_AUDIT_MEMO: "OrderedDict[tuple, Tuple[tuple, Dict[str, object]]]" = OrderedDict()
-_AUDIT_MEMO_LOCK = threading.Lock()
+# The audit ignores the scene, so its witness depends only on the seed
+# and the trial count, and completed audits are kept per process under
+# that key, least recently used evicted first.  The five shipped fixtures
+# that request the audit carry five distinct seeds, so a process looping
+# them under their own seeds needs five entries; eight leave room for a
+# few more.  An entry holds one witness, and an audit that raises is
+# never kept.
+@functools.lru_cache(maxsize=8)
+def _audit_witness(seed: int, trials: int) -> Dict[str, object]:
+    return _single_null_sweep(random.Random(seed), trials)
 
 
-def check_single_null_obstruction(
-    rng: random.Random, trials: int = 200
-) -> CheckEntry:
+def check_single_null_obstruction(seed: int, trials: int = 200) -> CheckEntry:
     """No single null direction can carry the whole radical-to-transversal
     mapping when the linear coefficient is positive.
 
@@ -1333,30 +1328,15 @@ def check_single_null_obstruction(
     so for positive p the satisfying count must be zero.  Finding one
     is not a verdict, it is a broken invariant.
 
-    A repeated call from the same generator state with the same trial
-    count reuses the first result: it returns a fresh copy of the
-    witness and leaves ``rng`` in the state the full sweep would have.
-    An audit that raises is never reused.
+    The candidates are drawn from ``random.Random(seed)``; a repeated
+    call with the same seed and trial count returns a fresh copy of the
+    first witness.
     """
-    key = (type(rng), rng.getstate(), trials)
-    with _AUDIT_MEMO_LOCK:
-        hit = _AUDIT_MEMO.get(key)
-        if hit is not None:
-            _AUDIT_MEMO.move_to_end(key)
-    if hit is None:
-        witness = _single_null_sweep(rng, trials)
-        hit = (rng.getstate(), witness)
-        with _AUDIT_MEMO_LOCK:
-            _AUDIT_MEMO[key] = hit
-            while len(_AUDIT_MEMO) > _AUDIT_MEMO_SIZE:
-                _AUDIT_MEMO.popitem(last=False)
-    else:
-        rng.setstate(hit[0])
     return CheckEntry(
         "audit-nonexistence",
         Verdict.HOLDS,
         REFERENCES["audit-nonexistence"],
-        copy.deepcopy(hit[1]),
+        copy.deepcopy(_audit_witness(seed, trials)),
     )
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .classifier import (
@@ -332,7 +331,11 @@ class _SceneRun:
 
 
 def run(scene: Scene, seed: Optional[int] = None, float_check: bool = False) -> Report:
-    effective_seed = scene.seed if seed is None else seed
+    if seed is None:
+        seed = scene.seed
+    elif isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        # the same rule as /seed, --seed and LIGHTLIKE_LAB_SEED
+        raise ValidationError("seed: must be a nonnegative integer")
     state = _SceneRun(scene)
     if scene.params.p == 0:
         state.notices.append(
@@ -351,7 +354,7 @@ def run(scene: Scene, seed: Optional[int] = None, float_check: bool = False) -> 
     scene_checks = {
         "metallic-validate": lambda: check_structure_quadratic(scene.structure),
         "compat-validate": lambda: check_structure_compat(scene.structure),
-        "audit-nonexistence": lambda: check_single_null_obstruction(random.Random(effective_seed)),
+        "audit-nonexistence": lambda: check_single_null_obstruction(seed),
     }
     entries: List[Dict] = []
     for cid in scene.checks:
@@ -369,7 +372,7 @@ def run(scene: Scene, seed: Optional[int] = None, float_check: bool = False) -> 
     return Report(
         version=TOOL_VERSION,
         scene_digest=scene.digest(),
-        seed=effective_seed,
+        seed=seed,
         entries=tuple(entries),
         summary=summary,
         notices=tuple(state.notices),

@@ -5,6 +5,8 @@ algebra rules out must abort instead of reporting a verdict."""
 import functools
 import json
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -1011,7 +1013,7 @@ def test_point_verdicts_survive_signature_negation(config, flavors, q, seed):
 
 
 def test_single_null_obstruction_sweeps_every_parameter_pair():
-    entry = check_single_null_obstruction(random.Random(0))
+    entry = check_single_null_obstruction(0)
     assert entry.verdict == Verdict.HOLDS
     sweep = entry.witness["sweep"]
     assert set(sweep) == {
@@ -1025,18 +1027,18 @@ def test_single_null_obstruction_sweeps_every_parameter_pair():
 
 
 def test_single_null_obstruction_is_deterministic():
-    a = check_single_null_obstruction(random.Random(7), trials=40)
+    a = check_single_null_obstruction(7, trials=40)
     # two cold sweeps from one seed, not the first one reused
-    classifier._AUDIT_MEMO.clear()
-    b = check_single_null_obstruction(random.Random(7), trials=40)
+    classifier._audit_witness.cache_clear()
+    b = check_single_null_obstruction(7, trials=40)
     assert a == b
 
 
 @pytest.fixture
 def empty_audit_memo():
-    classifier._AUDIT_MEMO.clear()
+    classifier._audit_witness.cache_clear()
     yield
-    classifier._AUDIT_MEMO.clear()
+    classifier._audit_witness.cache_clear()
 
 
 def _refuse_candidates(rng, cell):
@@ -1044,35 +1046,32 @@ def _refuse_candidates(rng, cell):
 
 
 def test_repeated_audit_reuses_the_first_result(empty_audit_memo, monkeypatch):
-    cold_rng = random.Random(7)
-    cold = check_single_null_obstruction(cold_rng, trials=40)
+    cold = check_single_null_obstruction(7, trials=40)
     monkeypatch.setattr(classifier, "null_dual_candidate", _refuse_candidates)
-    warm_rng = random.Random(7)
-    warm = check_single_null_obstruction(warm_rng, trials=40)
+    warm = check_single_null_obstruction(7, trials=40)
     assert warm == cold
     assert json.dumps(warm.witness) == json.dumps(cold.witness)
-    # the caller's generator ends where the full sweep leaves it
-    assert warm_rng.getstate() == cold_rng.getstate()
     with pytest.raises(AssertionError):
-        check_single_null_obstruction(random.Random(7), trials=41)
+        check_single_null_obstruction(7, trials=41)
 
 
 def test_reused_audit_witness_is_a_private_copy(empty_audit_memo):
-    first = check_single_null_obstruction(random.Random(3), trials=10)
+    first = check_single_null_obstruction(3, trials=10)
     expected = json.dumps(first.witness)
     first.witness["sweep"]["p=1,q=1"]["satisfying_candidates"] = 99
     first.witness["constraint_set"].append("tampered")
-    second = check_single_null_obstruction(random.Random(3), trials=10)
+    second = check_single_null_obstruction(3, trials=10)
     assert json.dumps(second.witness) == expected
     second.witness["sweep"].clear()
-    third = check_single_null_obstruction(random.Random(3), trials=10)
+    third = check_single_null_obstruction(3, trials=10)
     assert json.dumps(third.witness) == expected
 
 
 def test_audit_memo_stays_bounded(empty_audit_memo):
-    for seed in range(classifier._AUDIT_MEMO_SIZE + 3):
-        check_single_null_obstruction(random.Random(seed), trials=1)
-    assert len(classifier._AUDIT_MEMO) == classifier._AUDIT_MEMO_SIZE
+    size = classifier._audit_witness.cache_info().maxsize
+    for seed in range(size + 3):
+        check_single_null_obstruction(seed, trials=1)
+    assert classifier._audit_witness.cache_info().currsize == size == 8
 
 
 def test_audit_memo_holds_every_shipped_fixture_seed(empty_audit_memo, monkeypatch):
@@ -1084,23 +1083,62 @@ def test_audit_memo_holds_every_shipped_fixture_seed(empty_audit_memo, monkeypat
     seeds = [s.seed for s in scenes if "audit-nonexistence" in s.checks]
     assert seeds
     for seed in seeds:
-        check_single_null_obstruction(random.Random(seed), trials=1)
+        check_single_null_obstruction(seed, trials=1)
     monkeypatch.setattr(classifier, "null_dual_candidate", _refuse_candidates)
     for _ in range(2):
         for seed in seeds:
-            check_single_null_obstruction(random.Random(seed), trials=1)
+            check_single_null_obstruction(seed, trials=1)
 
 
 def test_audit_memo_evicts_the_least_recently_used(empty_audit_memo, monkeypatch):
-    size = classifier._AUDIT_MEMO_SIZE
+    size = classifier._audit_witness.cache_info().maxsize
     for seed in range(size):
-        check_single_null_obstruction(random.Random(seed), trials=1)
-    check_single_null_obstruction(random.Random(0), trials=1)  # 0 is now recent
-    check_single_null_obstruction(random.Random(size), trials=1)  # evicts 1
+        check_single_null_obstruction(seed, trials=1)
+    check_single_null_obstruction(0, trials=1)  # 0 is now recent
+    check_single_null_obstruction(size, trials=1)  # evicts 1
     monkeypatch.setattr(classifier, "null_dual_candidate", _refuse_candidates)
-    check_single_null_obstruction(random.Random(0), trials=1)
+    check_single_null_obstruction(0, trials=1)
     with pytest.raises(AssertionError):
-        check_single_null_obstruction(random.Random(1), trials=1)
+        check_single_null_obstruction(1, trials=1)
+
+
+def test_concurrent_audits_match_the_serial_ones(empty_audit_memo):
+    """Four threads auditing seeds 0, 1 and 2 at once get the serial witnesses."""
+    seeds = (0, 1, 2)
+    serial = {}
+    for seed in seeds:
+        serial[seed] = json.dumps(check_single_null_obstruction(seed, trials=5).witness)
+        classifier._audit_witness.cache_clear()
+    start = threading.Barrier(4)
+    results, errors, sizes = [], [], []
+
+    def worker():
+        try:
+            start.wait()
+            for _ in range(3):
+                for seed in seeds:
+                    entry = check_single_null_obstruction(seed, trials=5)
+                    results.append((seed, json.dumps(entry.witness)))
+                    sizes.append(classifier._audit_witness.cache_info().currsize)
+        except BaseException as exc:  # surfaced in the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(results) == 4 * 3 * len(seeds)
+    for seed, witness in results:
+        assert witness == serial[seed], seed
+    assert max(sizes) <= 8
 
 
 def _identity_breaking_candidate(rng, cell):
@@ -1113,10 +1151,10 @@ def test_failed_audit_is_not_reused(empty_audit_memo, monkeypatch):
     monkeypatch.setattr(classifier, "null_dual_candidate", _identity_breaking_candidate)
     for _ in range(2):
         with pytest.raises(InternalInconsistency):
-            check_single_null_obstruction(random.Random(5), trials=3)
-    assert not classifier._AUDIT_MEMO
+            check_single_null_obstruction(5, trials=3)
+    assert classifier._audit_witness.cache_info().currsize == 0
     monkeypatch.undo()
-    entry = check_single_null_obstruction(random.Random(5), trials=3)
+    entry = check_single_null_obstruction(5, trials=3)
     assert entry.verdict == Verdict.HOLDS
 
 
@@ -1134,6 +1172,6 @@ def test_audit_zero_test_folds_a_rational_sigma():
 
 
 def test_obstruction_forced_value_names_the_linear_coefficient():
-    entry = check_single_null_obstruction(random.Random(1), trials=10)
+    entry = check_single_null_obstruction(1, trials=10)
     for label, row in entry.witness["sweep"].items():
         assert row["forced_value_when_satisfied"] == label.split(",")[0][2:]

@@ -186,6 +186,17 @@ def test_seed_override_wins():
     assert run(scene).seed == scene.seed
 
 
+@pytest.mark.parametrize("seed", [2.5, "7", True, False, -3, b"7"])
+def test_seed_override_must_be_a_nonnegative_integer(seed):
+    """The rule of /seed, --seed and LIGHTLIKE_LAB_SEED: a string would
+    seed the audit from another stream, and -3 would draw as 3."""
+    scene = load_scene("transversal-plane.json")
+    assert "audit-nonexistence" in scene.checks
+    with pytest.raises(ValidationError, match="nonnegative integer"):
+        run(scene, seed=seed)
+    assert run(scene, seed=0).seed == 0
+
+
 def test_report_serializes_to_canonical_json():
     report = fixture_report("paper-example.json")
     blob = report.serialize()
