@@ -780,6 +780,26 @@ def _bind(
     )
 
 
+def _criterion(
+    name: str,
+    samples: List[Column],
+    sample_key: str,
+    oracle: Tuple[bool, List[Column]],
+    oracle_key: str,
+    **printed: object,
+) -> CheckEntry:
+    """A criterion that holds when it leaves no nonzero residual column,
+    bound to its oracle; both residual lists and any printed-form keys
+    go to the witness."""
+    oracle_holds, bad = oracle
+    witness: Dict[str, object] = {
+        sample_key: _residual_witness(samples),
+        oracle_key: _residual_witness(bad),
+        **printed,
+    }
+    return _bind(name, not samples, oracle_holds, witness)
+
+
 # ---- criteria as slot-coordinate rows on stacked derivative columns ----
 #
 # Every criterion is linear in first derivatives D(X, V) = sum_j X^j d_j V
@@ -884,13 +904,8 @@ def check_screen_integrability_radical_transversal(ctx: PointContext) -> CheckEn
     # K are the transversal coefficients of J, with no map back
     K, _ = ctx.structure_in_slots()
     samples = _nonzero(_block(ctx, "transversal", K), _antisymmetrised(kit.screen_adapted))
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
-    witness: Dict[str, object] = {
-        "asymmetry": _residual_witness(samples),
-        "bracket_radical_components": _residual_witness(bad),
-    }
-    return _bind("thm-3.6", criterion, oracle, witness)
+    oracle = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
+    return _criterion("thm-3.6", samples, "asymmetry", oracle, "bracket_radical_components")
 
 
 @_point_check("thm-3.7", "radical-transversal")
@@ -901,13 +916,8 @@ def check_radical_integrability_radical_transversal(ctx: PointContext) -> CheckE
     kit = ctx.kit()
     K, _ = ctx.structure_in_slots()
     samples = _slot_samples(ctx, "tangent", K, _antisymmetrised(kit.radical))
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
-    witness: Dict[str, object] = {
-        "shape_asymmetry": _residual_witness(samples),
-        "bracket_screen_components": _residual_witness(bad),
-    }
-    return _bind("thm-3.7", criterion, oracle, witness)
+    oracle = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
+    return _criterion("thm-3.7", samples, "shape_asymmetry", oracle, "bracket_screen_components")
 
 
 @_point_check("thm-3.8", "radical-transversal", screen=True)
@@ -918,13 +928,8 @@ def check_radical_foliation_radical_transversal(ctx: PointContext) -> CheckEntry
     kit = ctx.kit()
     columns = _pairs(kit.radical, kit.screen_adapted)
     samples = _slot_samples(ctx, "radical", _shifted(ctx, -ctx.params.p), columns)
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
-    witness: Dict[str, object] = {
-        "transfer_residuals": _residual_witness(samples),
-        "induced_screen_components": _residual_witness(bad),
-    }
-    return _bind("thm-3.8", criterion, oracle, witness)
+    oracle = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
+    return _criterion("thm-3.8", samples, "transfer_residuals", oracle, "induced_screen_components")
 
 
 @_point_check("thm-3.9", "radical-transversal", screen=True)
@@ -963,18 +968,14 @@ def check_screen_foliation_radical_transversal(ctx: PointContext) -> CheckEntry:
     balance = mat_add(mat_mul(transpose(k1), m_rad), mat_mul(transpose(k2), m_ltr))
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
     samples = _nonzero(balance, columns)
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
+    oracle = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
     printed_first = not _nonzero(mat_add(m_rad, mat_mul(k2, m_ltr)), columns)
-    printed_verdict = printed_first or no_transversal_component
-    witness: Dict[str, object] = {
-        "balanced_residuals": _residual_witness(samples),
-        "induced_radical_components": _residual_witness(bad),
-        "printed_alternative_balance": printed_first,
-        "printed_alternative_no_transversal_component": no_transversal_component,
-        "printed_form_matches_verdict": printed_verdict == criterion,
-    }
-    return _bind("thm-3.9", criterion, oracle, witness)
+    return _criterion(
+        "thm-3.9", samples, "balanced_residuals", oracle, "induced_radical_components",
+        printed_alternative_balance=printed_first,
+        printed_alternative_no_transversal_component=no_transversal_component,
+        printed_form_matches_verdict=(printed_first or no_transversal_component) == (not samples),
+    )
 
 
 # ---- mapped-screen configuration criteria ----
@@ -988,13 +989,8 @@ def check_radical_integrability_transversal(ctx: PointContext) -> CheckEntry:
     kit = ctx.kit()
     K, _ = ctx.structure_in_slots()
     samples = _slot_samples(ctx, "normal-screen", K, _antisymmetrised(kit.radical))
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
-    witness: Dict[str, object] = {
-        "coupling_asymmetry": _residual_witness(samples),
-        "bracket_screen_components": _residual_witness(bad),
-    }
-    return _bind("thm-4.5", criterion, oracle, witness)
+    oracle = _component_oracle(ctx, kit.radical, geodesic=False, keep="screen")
+    return _criterion("thm-4.5", samples, "coupling_asymmetry", oracle, "bracket_screen_components")
 
 
 @_point_check("thm-4.6", "transversal", screen=True)
@@ -1005,13 +1001,8 @@ def check_screen_integrability_transversal(ctx: PointContext) -> CheckEntry:
     kit = ctx.kit()
     K, _ = ctx.structure_in_slots()
     samples = _nonzero(_block(ctx, "transversal", K), _antisymmetrised(kit.screen_adapted))
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
-    witness: Dict[str, object] = {
-        "coupling_asymmetry": _residual_witness(samples),
-        "bracket_radical_components": _residual_witness(bad),
-    }
-    return _bind("thm-4.6", criterion, oracle, witness)
+    oracle = _component_oracle(ctx, kit.screen_adapted, geodesic=False, keep="radical")
+    return _criterion("thm-4.6", samples, "coupling_asymmetry", oracle, "bracket_radical_components")
 
 
 @_point_check("thm-4.7", "transversal", screen=True)
@@ -1039,25 +1030,19 @@ def check_screen_foliation_transversal(ctx: PointContext) -> CheckEntry:
     display = mat_mul([row[:end] for row in pairings], K[:start] + _shifted(ctx, -p)[start:end])
     columns = _pairs(kit.screen_adapted, kit.screen_adapted)
     samples = _nonzero(display, columns)
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
+    oracle = _component_oracle(ctx, kit.screen_adapted, geodesic=True, keep="radical")
     # the printed conjunction: L (J + p), P_radical and P_radical J
     # vanish on every screen pair
-    conj_coupling = not _nonzero(_block(ctx, "transversal", _shifted(ctx, p)), columns)
-    conj_screen_form = not _nonzero(_block(ctx, "radical", inverse), columns)
-    conj_shape_clear = not _nonzero(_block(ctx, "radical", K), columns)
-    printed = conj_coupling and conj_screen_form and conj_shape_clear
-    witness: Dict[str, object] = {
-        "balanced_residuals": _residual_witness(samples),
-        "induced_radical_components": _residual_witness(bad),
-        "printed_conjunction": {
-            "coupling_matches": conj_coupling,
-            "screen_form_vanishes": conj_screen_form,
-            "shape_avoids_radical": conj_shape_clear,
-        },
-        "printed_form_matches_verdict": printed == criterion,
+    conjunction = {
+        "coupling_matches": not _nonzero(_block(ctx, "transversal", _shifted(ctx, p)), columns),
+        "screen_form_vanishes": not _nonzero(_block(ctx, "radical", inverse), columns),
+        "shape_avoids_radical": not _nonzero(_block(ctx, "radical", K), columns),
     }
-    return _bind("thm-4.7", criterion, oracle, witness)
+    return _criterion(
+        "thm-4.7", samples, "balanced_residuals", oracle, "induced_radical_components",
+        printed_conjunction=conjunction,
+        printed_form_matches_verdict=all(conjunction.values()) == (not samples),
+    )
 
 
 @_point_check("thm-4.8", "transversal", screen=True)
@@ -1075,15 +1060,12 @@ def check_radical_foliation_transversal(ctx: PointContext) -> CheckEntry:
     columns = _pairs(kit.radical, kit.screen_adapted)
     samples = _slot_samples(ctx, "radical", _shifted(ctx, -ctx.params.p), columns, negate=True)
     printed_clear = not _nonzero(_block(ctx, "radical", K), columns)
-    criterion = not samples
-    oracle, bad = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
-    witness: Dict[str, object] = {
-        "corrected_radical_components": _residual_witness(samples),
-        "induced_screen_components": _residual_witness(bad),
-        "printed_shape_avoids_radical": printed_clear,
-        "printed_form_matches_verdict": printed_clear == criterion,
-    }
-    return _bind("thm-4.8", criterion, oracle, witness)
+    oracle = _component_oracle(ctx, kit.radical, geodesic=True, keep="screen")
+    return _criterion(
+        "thm-4.8", samples, "corrected_radical_components", oracle, "induced_screen_components",
+        printed_shape_avoids_radical=printed_clear,
+        printed_form_matches_verdict=printed_clear == (not samples),
+    )
 
 
 @_point_check("thm-4.9", "transversal")

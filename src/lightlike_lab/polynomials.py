@@ -129,11 +129,8 @@ class Polynomial:
             lowered = tuple(
                 e - 1 if j == i else e for j, e in enumerate(expos)
             )
-            contrib = coef * expos[i]
-            if lowered in out:
-                out[lowered] = out[lowered] + contrib
-            else:
-                out[lowered] = contrib
+            # lowering e_i >= 1 keeps distinct exponent tuples distinct
+            out[lowered] = coef * expos[i]
         return Polynomial(out, self.nvars, self.params)
 
     def eval(self, point: Sequence[QuadScalar]) -> QuadScalar:

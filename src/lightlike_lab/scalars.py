@@ -19,6 +19,7 @@ and the invariant B == 0 holds for every value with such parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -151,6 +152,7 @@ def _reduced(A: int, B: int, D: int, params: MetallicParams) -> "QuadScalar":
     return _make(A, B, D, params)
 
 
+@functools.total_ordering
 class QuadScalar:
     """(A + B*sigma) / D with integer A, B, D, tagged with its parameters.
 
@@ -175,8 +177,8 @@ class QuadScalar:
         params: MetallicParams,
     ) -> None:
         if type(b) is int and not b:
-            # a rational, the common case (the audit builds tens of
-            # thousands of them from ints and Fractions)
+            # a rational from an int or a Fraction, the common case, needs
+            # neither coercion nor the denominators' lcm
             if type(a) is int:
                 self.A, self.B, self.D = a, 0, 1
                 self.params = params
@@ -484,27 +486,6 @@ class QuadScalar:
         except TypeError:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        try:
-            o = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        try:
-            o = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        try:
-            o = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __abs__(self) -> "QuadScalar":
         return -self if self.sign() < 0 else self

@@ -24,12 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ambient import MetallicStructure, SignatureSpace
 from .classifier import CHECK_ORDER, CONFIGURATIONS
-from .errors import (
-    LightlikeLabError,
-    ParamError,
-    ParseError,
-    ValidationError,
-)
+from .errors import LightlikeLabError, ParseError, ValidationError
 from .polynomials import Polynomial
 from .scalars import MetallicParams, QuadScalar, parse_scalar
 from .submanifold import PolynomialImmersion
@@ -132,6 +127,21 @@ def _no_extras(obj: Dict, allowed: Sequence[str], path: str) -> None:
             raise ValidationError(f"{path}/{key}: unknown field")
 
 
+def _member(obj: Dict, key: str, allowed: Sequence[str], path: str = "") -> Dict:
+    """obj[key]: a required object with no field outside allowed."""
+    sub = _object(_required(obj, key, path), f"{path}/{key}")
+    _no_extras(sub, allowed, f"{path}/{key}")
+    return sub
+
+
+def _built(path: str, make, *args):
+    """make(*args), a LightlikeLabError it raises refused at path."""
+    try:
+        return make(*args)
+    except LightlikeLabError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _scalar(x, params: MetallicParams, path: str) -> QuadScalar:
     text = _string(x, path)
     if len(text) > MAX_SCALAR_DIGITS and _LONG_INTEGER.search(text):
@@ -149,6 +159,20 @@ def _vector(x, dim: int, params: MetallicParams, path: str) -> Vec:
     if len(arr) != dim:
         raise ValidationError(f"{path}: expected {dim} entries, got {len(arr)}")
     return tuple(_scalar(v, params, f"{path}/{i}") for i, v in enumerate(arr))
+
+
+def _vectors(x, dim: int, params: MetallicParams, path: str) -> Tuple[Vec, ...]:
+    return tuple(_vector(v, dim, params, f"{path}/{i}") for i, v in enumerate(_array(x, path)))
+
+
+def _at_most(x, limit: int, bound: str, path: str) -> List:
+    """An array refused, before any vector is read, when it has more
+    vectors than limit: more cannot be independent, and each is revalidated
+    at every point."""
+    arr = _array(x, path)
+    if len(arr) > limit:
+        raise ValidationError(f"{path}: {len(arr)} vectors exceed the {bound} {limit}")
+    return arr
 
 
 def _polynomial(x, nvars: int, params: MetallicParams, path: str) -> Polynomial:
@@ -248,17 +272,12 @@ def parse_scene(data) -> Scene:
     root = _object(root, "")
     _no_extras(root, _TOP_KEYS, "")
 
-    params_obj = _object(_required(root, "params", ""), "/params")
-    _no_extras(params_obj, ("p", "q"), "/params")
+    params_obj = _member(root, "params", ("p", "q"))
     p = _integer(_required(params_obj, "p", "/params"), "/params/p")
     q = _integer(_required(params_obj, "q", "/params"), "/params/q")
-    try:
-        params = MetallicParams(p, q)
-    except ParamError as exc:
-        raise ValidationError(f"/params: {exc}") from exc
+    params = _built("/params", MetallicParams, p, q)
 
-    ambient_obj = _object(_required(root, "ambient", ""), "/ambient")
-    _no_extras(ambient_obj, ("dim", "signature"), "/ambient")
+    ambient_obj = _member(root, "ambient", ("dim", "signature"))
     dim = _integer(_required(ambient_obj, "dim", "/ambient"), "/ambient/dim")
     if dim > MAX_AMBIENT_DIM:
         raise ValidationError(f"/ambient/dim: {dim} exceeds {MAX_AMBIENT_DIM}")
@@ -270,21 +289,14 @@ def parse_scene(data) -> Scene:
     signature = tuple(
         _integer(e, f"/ambient/signature/{i}") for i, e in enumerate(sig_raw)
     )
-    try:
-        space = SignatureSpace(dim, signature, params)
-    except LightlikeLabError as exc:
-        raise ValidationError(f"/ambient: {exc}") from exc
+    space = _built("/ambient", SignatureSpace, dim, signature, params)
 
     struct_raw = _array(_required(root, "structure", ""), "/structure")
     if len(struct_raw) != dim:
         raise ValidationError(f"/structure: expected {dim} rows, got {len(struct_raw)}")
-    matrix = tuple(
-        _vector(row, dim, params, f"/structure/{i}") for i, row in enumerate(struct_raw)
-    )
-    structure = MetallicStructure(space, matrix)
+    structure = MetallicStructure(space, _vectors(struct_raw, dim, params, "/structure"))
 
-    sub_obj = _object(_required(root, "submanifold", ""), "/submanifold")
-    _no_extras(sub_obj, ("chart_dim", "components"), "/submanifold")
+    sub_obj = _member(root, "submanifold", ("chart_dim", "components"))
     chart_dim = _integer(
         _required(sub_obj, "chart_dim", "/submanifold"), "/submanifold/chart_dim"
     )
@@ -303,10 +315,7 @@ def parse_scene(data) -> Scene:
         _polynomial(c, chart_dim, params, f"/submanifold/components/{i}")
         for i, c in enumerate(comp_raw)
     )
-    try:
-        immersion = PolynomialImmersion(space, chart_dim, components)
-    except LightlikeLabError as exc:
-        raise ValidationError(f"/submanifold: {exc}") from exc
+    immersion = _built("/submanifold", PolynomialImmersion, space, chart_dim, components)
 
     points_raw = _array(_required(root, "points", ""), "/points")
     if not points_raw:
@@ -330,32 +339,21 @@ def parse_scene(data) -> Scene:
         if first != i:
             raise ValidationError(f"/points/{i}: repeats sample point {first}")
 
-    screen = None
+    # a screen spans part of the tangent space, a normal screen part of
+    # its complement
+    screen = normal_screen = None
     if "screen" in root:
-        screen = tuple(
-            _vector(v, dim, params, f"/screen/{i}")
-            for i, v in enumerate(_array(root["screen"], "/screen"))
-        )
-    normal_screen = None
+        arr = _at_most(root["screen"], chart_dim, "chart dimension", "/screen")
+        screen = _vectors(arr, dim, params, "/screen")
     if "normal_screen" in root:
-        normal_screen = tuple(
-            _vector(v, dim, params, f"/normal_screen/{i}")
-            for i, v in enumerate(_array(root["normal_screen"], "/normal_screen"))
-        )
+        arr = _at_most(root["normal_screen"], dim - chart_dim, "codimension", "/normal_screen")
+        normal_screen = _vectors(arr, dim, params, "/normal_screen")
 
-    radical_sections: Tuple[Tuple[Polynomial, ...], ...] = ()
-    screen_sections: Tuple[Tuple[Polynomial, ...], ...] = ()
-    if "sections" in root:
-        sections_obj = _object(root["sections"], "/sections")
-        _no_extras(sections_obj, ("radical", "screen"), "/sections")
-        if "radical" in sections_obj:
-            radical_sections = _field_list(
-                sections_obj["radical"], chart_dim, params, "/sections/radical"
-            )
-        if "screen" in sections_obj:
-            screen_sections = _field_list(
-                sections_obj["screen"], chart_dim, params, "/sections/screen"
-            )
+    sections = _member(root, "sections", ("radical", "screen")) if "sections" in root else {}
+    radical_sections, screen_sections = (
+        _field_list(sections[key], chart_dim, params, f"/sections/{key}") if key in sections else ()
+        for key in ("radical", "screen")
+    )
 
     checks_raw = _array(_required(root, "checks", ""), "/checks")
     if not checks_raw:
@@ -374,11 +372,8 @@ def parse_scene(data) -> Scene:
 
     claims = SceneClaims()
     if "claims" in root:
-        claims_obj = _object(root["claims"], "/claims")
-        _no_extras(
-            claims_obj,
-            ("expected_radical_dim", "claimed_radical", "configuration"),
-            "/claims",
+        claims_obj = _member(
+            root, "claims", ("expected_radical_dim", "claimed_radical", "configuration")
         )
         expected_dim = None
         if "expected_radical_dim" in claims_obj:
@@ -389,19 +384,10 @@ def parse_scene(data) -> Scene:
                 raise ValidationError("/claims/expected_radical_dim: must be nonnegative")
         claimed = ()
         if "claimed_radical" in claims_obj:
-            # the radical lies in the tangent space, and every claimed
-            # vector is compared at every point, so a longer list is
-            # refused before any vector is read
-            claimed_raw = _array(claims_obj["claimed_radical"], "/claims/claimed_radical")
-            if len(claimed_raw) > chart_dim:
-                raise ValidationError(
-                    f"/claims/claimed_radical: {len(claimed_raw)} vectors exceed"
-                    f" the chart dimension {chart_dim}"
-                )
-            claimed = tuple(
-                _vector(v, dim, params, f"/claims/claimed_radical/{i}")
-                for i, v in enumerate(claimed_raw)
-            )
+            # the radical lies in the tangent space
+            path = "/claims/claimed_radical"
+            arr = _at_most(claims_obj["claimed_radical"], chart_dim, "chart dimension", path)
+            claimed = _vectors(arr, dim, params, path)
         configuration = None
         if "configuration" in claims_obj:
             configuration = _string(

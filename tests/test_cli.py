@@ -108,6 +108,13 @@ def test_report_file_is_canonical_and_stable(tmp_path, capsys):
     assert [e["check"] for e in report["entries"]]
 
 
+def test_report_path_that_is_a_directory_exits_two(tmp_path, capsys):
+    code = main([fixture_path("transversal-plane.json"), "--report", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_seed_flag_overrides_scene(tmp_path, capsys):
     out = tmp_path / "r.json"
     main(

@@ -586,6 +586,30 @@ def test_zero_radical_section_cannot_span():
         run(scene)
 
 
+def _paper_example_with_screen_sections(count):
+    """paper-example.json, whose one point has no radical, so its screen
+    is the whole tangent space, with the first count coordinate fields
+    declared as constant screen sections."""
+    scene = json.loads((FIXTURES / "paper-example.json").read_text())
+    m = scene["submanifold"]["chart_dim"]
+    one = [{"coeff": "1", "powers": [0] * m}]
+    fields = [[one if j == k else [] for j in range(m)] for k in range(count)]
+    scene["sections"] = {"screen": fields}
+    return parse_scene(json.dumps(scene))
+
+
+def test_screen_sections_spanning_a_nondegenerate_point_pass_preflight():
+    report = run(_paper_example_with_screen_sections(3))
+    verdicts = {e["check"]: e["verdict"] for e in report.entries}
+    assert verdicts == PINNED["paper-example.json"]
+
+
+def test_screen_sections_short_of_a_nondegenerate_screen_are_rejected():
+    with pytest.raises(ValidationError) as info:
+        run(_paper_example_with_screen_sections(2))
+    assert str(info.value) == "/sections/screen: values at point 0 do not span the screen"
+
+
 def test_second_order_section_terms_pass_preflight():
     # adding (u_k - pt_k)^2 times another field changes neither the value
     # nor the first derivatives at the point, so the sections stay valid

@@ -442,6 +442,30 @@ def test_claimed_radical_past_the_chart_dimension_bound_is_rejected():
     )
 
 
+# the base scene's chart has dimension 2 in an ambient of dimension 3
+SCREEN_BOUNDS = {"screen": ("chart dimension", 2), "normal_screen": ("codimension", 1)}
+
+
+@pytest.mark.parametrize("kind", sorted(SCREEN_BOUNDS))
+def test_screen_at_its_bound_parses(kind):
+    d = base_scene_dict()
+    _, limit = SCREEN_BOUNDS[kind]
+    d[kind] = [["0", "0", "0"]] * limit
+    assert len(getattr(parse(d), kind)) == limit
+
+
+@pytest.mark.parametrize("kind", sorted(SCREEN_BOUNDS))
+def test_screen_past_its_bound_is_rejected(kind):
+    d = base_scene_dict()
+    bound, limit = SCREEN_BOUNDS[kind]
+    # the extra vector is malformed: the count is refused before any
+    # vector is read
+    d[kind] = [["0", "0", "0"]] * limit + ["oops"]
+    with pytest.raises(ValidationError) as info:
+        parse(d)
+    assert str(info.value) == f"/{kind}: {limit + 1} vectors exceed the {bound} {limit}"
+
+
 def test_scene_is_hash_addressable():
     scene = parse(base_scene_dict())
     digest = scene.digest()
