@@ -130,6 +130,15 @@ def test_check_order_is_complete_and_referenced():
     assert set(POINT_CHECK_FUNCTIONS) <= set(CHECK_ORDER)
 
 
+def test_each_point_check_is_its_own_public_module_function():
+    # a per-check timer that wraps the module's public functions and
+    # looks each check up by __name__ finds every one, and only once
+    for cid, fn in POINT_CHECK_FUNCTIONS.items():
+        assert not fn.__name__.startswith("_"), cid
+        assert getattr(classifier, fn.__name__) is fn, cid
+    assert len({fn.__name__ for fn in POINT_CHECK_FUNCTIONS.values()}) == len(POINT_CHECK_FUNCTIONS)
+
+
 # pinned generator scenes: both verdict branches wherever the scene
 # families can reach them, plus cross-configuration gating
 PINNED = [

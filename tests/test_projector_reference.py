@@ -23,9 +23,13 @@ from collections import Counter
 
 import pytest
 
+from lightlike_lab.ambient import MetallicStructure, SignatureSpace
 from lightlike_lab.classifier import POINT_CHECK_FUNCTIONS, PointContext
 from lightlike_lab.errors import InternalInconsistency, LightlikeLabError
+from lightlike_lab.linalg import RowRing
+from lightlike_lab.polynomials import Polynomial
 from lightlike_lab.scalars import GOLDEN, MetallicParams, QuadScalar
+from lightlike_lab.submanifold import PolynomialImmersion
 
 from helpers import radical_onto_ltr, screen_kept, singular_structure_context, span_fields
 from operator_reference import reference_projectors
@@ -196,6 +200,27 @@ def test_transversal_projectors_raise_when_the_slots_do_not_split_the_normal_scr
         ctx.projectors("transversal")
     assert exc.value.mode == "transversal"
     assert not ctx.projectors("radical-transversal").audit()
+
+
+def test_mu_is_solved_in_the_ring_of_the_mapped_screen_not_the_frames():
+    # the tangent carries sigma, so the frame's rows are over Z[sigma],
+    # while J(screen) and the normal screen are rational: mu is solved
+    # over Z, on the normal screen's basis cleared into that ring
+    params = MetallicParams(1, 1)
+    space = SignatureSpace(4, (-1, 1, 1, 1), params)
+    u, v = (Polynomial.variable(i, 2, params) for i in range(2))
+    sigma_u = u.scale(QuadScalar(0, 1, params))
+    imm = PolynomialImmersion(space, 2, (sigma_u, sigma_u, v, Polynomial.zero(2, params)))
+    rows = ((2, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1))
+    matrix = tuple(tuple(QuadScalar(x, 0, params) for x in row) for row in rows)
+    point = (QuadScalar(1, 0, params), QuadScalar(2, 0, params))
+    ctx = PointContext(imm, MetallicStructure(space, matrix), point)
+    normal = ctx.frame.normal_screen
+    assert ctx.structure_valid() and normal.ring.sigma
+    assert not RowRing.over(params, ctx.mapped_screen(), normal.basis).sigma
+    tally = Counter()
+    compare(ctx, tally)
+    assert tally == Counter({"refines": 1})
 
 
 def compare_configurations(ctx, tally):
